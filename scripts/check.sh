@@ -60,5 +60,10 @@ PYTHONPATH=src python -m pytest -x -q -m kdb_scale benchmarks/test_kdb_scale.py
 echo "==> crash-consistency sweep (fault injection + fsck recovery)"
 PYTHONPATH=src python -m pytest -x -q -m crash
 
+echo "==> session benchmark harness smoke (ledger hooks, digest check)"
+# A tiny-cohort run of every workload: an engine change that renames a
+# callable the per-layer ledger wraps (e.g. DBSCAN.fit) fails here.
+python -m pytest -x -q sessionbench/test_smoke.py
+
 echo "==> tier-1 tests"
 PYTHONPATH=src python -m pytest -x -q "$@"

@@ -229,7 +229,9 @@ class SharedMatrix:
             segment = shared_memory.SharedMemory(name=self.name)
         except FileNotFoundError:
             return
-        _untrack(segment)
+        # The re-attach registered the name with the resource tracker;
+        # unlink() unregisters it. Unregistering it a second time makes
+        # the tracker process raise KeyError.
         try:
             segment.unlink()
         finally:

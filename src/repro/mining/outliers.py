@@ -55,9 +55,9 @@ def top_outliers(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Return ``(indexes, scores)`` of the most isolated points,
     ordered most-atypical first."""
-    scores = knn_outlier_scores(data, n_neighbors=n_neighbors)
     if n_outliers < 1:
         raise MiningError("n_outliers must be >= 1")
+    scores = knn_outlier_scores(data, n_neighbors=n_neighbors)
     n_outliers = min(n_outliers, len(scores))
     order = np.argsort(-scores, kind="stable")[:n_outliers]
     return order, scores[order]

@@ -96,6 +96,41 @@ def test_attachers_may_close_but_never_unlink():
         SharedMatrix.attach(segment.handle())
 
 
+_UNLINK_CHILD = """
+import numpy as np
+from repro.data import SharedMatrix
+
+plain = SharedMatrix.create(np.ones((4, 4)))
+plain.unlink()
+plain.unlink()  # idempotent
+served = SharedMatrix.create(np.zeros((4, 4)))
+SharedMatrix.attach(served.handle()).close()
+served.unlink()
+"""
+
+
+def test_unlink_unregisters_each_segment_once():
+    # A double unregister is reported by the resource tracker process,
+    # on stderr, after the owner exits; only a subprocess can see it.
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    child = subprocess.run(
+        [sys.executable, "-c", _UNLINK_CHILD],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert "KeyError" not in child.stderr
+    assert "Traceback" not in child.stderr
+    assert leaked_segments() == []
+
+
 def test_open_matrix_resolves_every_ref_kind():
     matrix = np.arange(12, dtype=np.float64).reshape(4, 3)
     with open_matrix(matrix) as resolved:

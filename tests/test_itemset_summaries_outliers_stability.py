@@ -1,5 +1,7 @@
 """Tests for closed/maximal itemsets, kNN outliers, bootstrap stability."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,13 @@ def test_outlier_validation(blobs):
         knn_outlier_scores(data, n_neighbors=len(data))
     with pytest.raises(MiningError):
         top_outliers(data, n_outliers=0)
+    # The argument is rejected before the O(n^2) scoring pass runs.
+    with mock.patch(
+        "repro.mining.outliers.knn_outlier_scores",
+        side_effect=AssertionError("scored before validating"),
+    ):
+        with pytest.raises(MiningError):
+            top_outliers(data, n_outliers=0)
 
 
 # ----------------------------------------------------------------------
