@@ -132,13 +132,13 @@ def test_parallel_table1_sweep(paper_matrix, benchmark):
         k_values=PAPER_K_VALUES, n_folds=10, seed=BENCH_SEED
     )
     inline_bytes = payload_bytes(
-        TaskSpec(  # adalint: disable=ADA014,ADA019 - measuring the bad path; model_factory hole is by design
+        TaskSpec(  # adalint: disable=ADA014 - measuring the bad path
             _evaluate_k_task, (probe, matrix, PAPER_K_VALUES[0])
         )
     )
     with SharedMatrix.create(matrix) as segment:
         shared_bytes = payload_bytes(
-            TaskSpec(  # adalint: disable=ADA019 - model_factory hole is by design
+            TaskSpec(
                 _evaluate_k_task,
                 (probe, segment.handle(), PAPER_K_VALUES[0]),
             )

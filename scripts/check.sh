@@ -6,46 +6,33 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> purity certificates (byte-stable reproduction)"
-# Re-emit the adalint/certificates/v1 artifact and compare against the
-# committed copy: any semantic drift in src/ must come with a
-# re-emitted artifact in the same change.
-PYTHONPATH=src python -m repro.lint --emit-certs \
-    --certs-path certificates.regen.json >/dev/null
-if ! cmp -s contracts/certificates.json certificates.regen.json; then
-    echo "error: contracts/certificates.json is stale —" \
-         "re-run: PYTHONPATH=src python -m repro.lint --emit-certs" >&2
-    rm -f certificates.regen.json
-    exit 1
-fi
-rm -f certificates.regen.json
-
 echo "==> adalint (src/ benchmarks/ examples/)"
-# Emit the SARIF log first (for the CI artifact upload) even when
-# there are findings, then the human report with parse/cache stats;
-# the gate fails afterwards if either run reported anything. The
-# baseline diff (adalint.diff.sarif) carries only findings new since
-# the committed baseline, when one exists.
+# One lint run writes the SARIF log (the CI artifact upload) and gates
+# on its exit status; on findings, each result is listed as
+# path:line RULE message.
 lint_status=0
 PYTHONPATH=src python -m repro.lint --format sarif >adalint.sarif \
     || lint_status=$?
-if [ -f contracts/adalint.baseline.sarif ]; then
-    PYTHONPATH=src python -m repro.lint --format sarif \
-        --baseline contracts/adalint.baseline.sarif \
-        >adalint.diff.sarif || true
-fi
-PYTHONPATH=src python -m repro.lint --stats || lint_status=$?
-echo "==> lint stats: $(python - <<'EOF'
+python - "$lint_status" <<'EOF'
 import json
+import sys
+
 doc = json.load(open("adalint.sarif"))
 run = doc["runs"][0]
 print(
-    f"{len(run['results'])} findings across"
+    f"==> lint stats: {len(run['results'])} findings across"
     f" {len(run['tool']['driver']['rules'])} rules"
     f" (SARIF {doc['version']} -> adalint.sarif)"
 )
+if sys.argv[1] != "0":
+    for result in run["results"]:
+        location = result["locations"][0]["physicalLocation"]
+        print(
+            f"{location['artifactLocation']['uri']}"
+            f":{location['region']['startLine']}"
+            f" {result['ruleId']} {result['message']['text']}"
+        )
 EOF
-)"
 [ "$lint_status" -eq 0 ]
 
 echo "==> chaos suite (seeded fault injection)"

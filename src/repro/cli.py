@@ -234,23 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--no-cache", action="store_true", dest="no_cache"
     )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        help="SARIF log to diff against: only new findings report",
-    )
-    lint.add_argument(
-        "--emit-certs",
-        action="store_true",
-        dest="emit_certs",
-        help="emit the purity-certificate artifact and exit",
-    )
-    lint.add_argument(
-        "--certs-path",
-        default=None,
-        dest="certs_path",
-        help="target for --emit-certs ('-' for stdout)",
-    )
     return parser
 
 
@@ -464,12 +447,6 @@ def cmd_lint(args) -> int:
         argv.extend(["--backend", args.backend])
     if args.no_cache:
         argv.append("--no-cache")
-    if args.baseline:
-        argv.extend(["--baseline", args.baseline])
-    if args.emit_certs:
-        argv.append("--emit-certs")
-    if args.certs_path:
-        argv.extend(["--certs-path", args.certs_path])
     return lint_main(argv)
 
 

@@ -609,11 +609,7 @@ class ProcessPoolExecutorBackend:
                         # with time.time(); the timestamps never feed
                         # results, so the clock read is benign here.
                         futures.append(
-                            # The executor is higher-order by design:
-                            # certifying the submitted callables is
-                            # the *caller's* contract (ADA019 at the
-                            # submission site), not the pool's.
-                            pool.submit(  # adalint: disable=ADA009,ADA019
+                            pool.submit(  # adalint: disable=ADA009
                                 _execute_chunk,
                                 batch,
                                 True,
@@ -699,18 +695,13 @@ def run_chunked(
     if chunk_size < 1:
         raise ReproError("chunk_size must be >= 1")
     retry = getattr(executor, "retry", None)
-    # run_chunked is generic plumbing: ``fn`` is the caller's callable
-    # and is certified (or pragma'd) at the caller's site.
-    specs: List[Task] = [
-        TaskSpec(fn, (item,))  # adalint: disable=ADA019
-        for item in items
-    ]
+    specs: List[Task] = [TaskSpec(fn, (item,)) for item in items]
     batches = _partition(specs, chunk_size)
     # _execute_chunk's time.time() stamp is telemetry-only (queue
     # latency); it never influences task results.
     outcome = executor.run(
         [
-            TaskSpec(  # adalint: disable=ADA009,ADA019
+            TaskSpec(  # adalint: disable=ADA009
                 _execute_chunk,
                 (batch,),
                 {"retry": retry, "base_index": start},

@@ -5,8 +5,11 @@ same collections: every configuration sweep revisits (K, fraction)
 cells, and every re-run of the engine repeats whole goal pipelines on a
 dataset that has not changed. This module makes those repeats free.
 
-A cache entry is addressed by the SHA-256 of three components:
+A cache entry is addressed by the SHA-256 of four components:
 
+* a **code fingerprint** — a digest of the engine's own source
+  (:func:`code_fingerprint`), so no edit to the code that produced a
+  result can ever serve that result again;
 * a **dataset fingerprint** — a digest of the actual content being
   mined (matrix bytes, log records, transaction lists), so any mutation
   of the data invalidates every dependent entry automatically;
@@ -24,9 +27,11 @@ numpy artefacts (labels, centers) to and from plain lists.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import zlib
+from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
@@ -37,9 +42,8 @@ from repro.kdb.documentstore import Collection, DocumentStore
 CACHE_COLLECTION = "analysis_cache"
 
 #: Fields of one cache-entry document (the ADA021 consumer contract;
-#: ``cert`` is present only on certificate-stamped entries; ``crc``
-#: checksums the canonical-JSON payload so on-disk damage surfaces as
-#: a metered corrupt-miss instead of a poisoned hit).
+#: ``crc`` checksums the canonical-JSON payload so on-disk damage
+#: surfaces as a metered corrupt-miss instead of a poisoned hit).
 CACHE_ENTRY_FIELDS = (
     "key",
     "dataset",
@@ -47,7 +51,6 @@ CACHE_ENTRY_FIELDS = (
     "params",
     "payload",
     "crc",
-    "cert",
 )
 
 
@@ -63,6 +66,28 @@ def payload_crc(payload: Any) -> str:
 def fingerprint_bytes(payload: bytes) -> str:
     """SHA-256 hex digest of raw bytes."""
     return hashlib.sha256(payload).hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def code_fingerprint() -> str:
+    """Digest of the ``repro`` package source, computed once a process.
+
+    Hashes ``relpath NUL bytes`` of every ``.py`` file under the
+    package except ``repro/lint/`` (the linter never runs inside an
+    analysis), in sorted path order. Folded into every cache key, so
+    any edit to the engine — a comment edit included — turns earlier
+    entries into plain misses; none can produce a stale hit.
+    """
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        relpath = path.relative_to(package).as_posix()
+        if relpath.startswith("lint/"):
+            continue
+        digest.update(relpath.encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def fingerprint_array(matrix) -> str:
@@ -119,16 +144,18 @@ class AnalysisCache:
         store's :data:`CACHE_COLLECTION` by default. Pass a collection
         of an existing K-DB store to persist the cache with it.
 
-    Entries carry the full addressing triple alongside the key, so
-    :meth:`invalidate_dataset` can drop everything derived from one
-    dataset, and store queries can audit what has been memoised.
+    Entries carry the dataset, algorithm and parameter fingerprints
+    alongside the key, so :meth:`invalidate_dataset` can drop
+    everything derived from one dataset, and store queries can audit
+    what has been memoised. Entries written under other code are never
+    addressed again; they read as misses until
+    :meth:`invalidate_dataset` or :meth:`clear` drops them.
     """
 
     def __init__(
         self,
         collection: Optional[Collection] = None,
         metrics: Optional[Any] = None,
-        certificate: Optional[str] = None,
     ) -> None:
         if collection is None:
             collection = DocumentStore().collection(CACHE_COLLECTION)
@@ -139,8 +166,6 @@ class AnalysisCache:
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
-        self.cert_misses = 0
-        self.certificate = certificate
         self.metrics = None
         if metrics is not None:
             self.bind_metrics(metrics)
@@ -157,24 +182,8 @@ class AnalysisCache:
             "cache.misses",
             "cache.stores",
             "cache.corrupt",
-            "cache.cert_miss",
         ):
             metrics.counter(name)
-        return self
-
-    def bind_certificate(
-        self, fingerprint: Optional[str]
-    ) -> "AnalysisCache":
-        """Tie entries to a producing-pipeline certificate fingerprint.
-
-        With a fingerprint bound, :meth:`put` stamps it into every
-        entry and :meth:`get` treats entries stamped with a *different*
-        fingerprint as misses (metered ``cache.cert_miss`` — the code
-        that produced them has semantically changed). Entries with no
-        stamp (pre-certificate caches), or an unbound fingerprint,
-        degrade to the uncertified behaviour.
-        """
-        self.certificate = fingerprint
         return self
 
     # ------------------------------------------------------------------
@@ -182,7 +191,8 @@ class AnalysisCache:
     def key(dataset: str, algorithm: str, params: Any) -> str:
         """The content address of one computation."""
         return fingerprint_bytes(
-            f"{dataset}|{algorithm}|{fingerprint_params(params)}".encode()
+            f"{code_fingerprint()}|{dataset}|{algorithm}"
+            f"|{fingerprint_params(params)}".encode()
         )
 
     def get(
@@ -205,12 +215,6 @@ class AnalysisCache:
         document = self.collection.find_one({"key": key})
         if document is None:
             return self._miss()
-        if (
-            self.certificate is not None
-            and document.get("cert") is not None
-            and document["cert"] != self.certificate
-        ):
-            return self._cert_miss(key)
         if "payload" not in document:
             return self._drop_corrupt(key, "entry has no payload")
         payload = document["payload"]
@@ -236,19 +240,6 @@ class AnalysisCache:
             self.metrics.counter("cache.misses").inc()
         return None
 
-    def _cert_miss(self, key: str) -> None:
-        """Evict an entry whose producing code changed; degrade to miss.
-
-        Eviction (not just a miss) matters: :meth:`put` is idempotent
-        on the key, so a stale stamped entry left in place would block
-        the recomputed payload from ever being stored.
-        """
-        self.cert_misses += 1
-        if self.metrics is not None:
-            self.metrics.counter("cache.cert_miss").inc()
-        self.collection.delete_many({"key": key})
-        return self._miss()
-
     def _drop_corrupt(self, key: str, reason: str) -> None:
         """Record and evict a corrupt entry, degrading to a miss."""
         self.corrupt += 1
@@ -273,10 +264,7 @@ class AnalysisCache:
                 "params": fingerprint_params(params),
                 "payload": payload,
                 "crc": payload_crc(payload),
-                "cert": self.certificate,
             }
-            if self.certificate is None:
-                del entry["cert"]
             self.collection.insert_one(entry)
         return key
 
@@ -314,6 +302,5 @@ class AnalysisCache:
             "misses": self.misses,
             "stores": self.stores,
             "corrupt": self.corrupt,
-            "cert_misses": self.cert_misses,
             "entries": len(self.collection),
         }

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -39,7 +38,6 @@ from repro.cloud.resilience import (
     RetryPolicy,
 )
 from repro.core.cache import AnalysisCache, fingerprint_log
-from repro.core.contracts import load_certificates
 from repro.core.endgoals import (
     DEFAULT_END_GOALS,
     EndGoal,
@@ -148,16 +146,6 @@ class EngineConfig:
     #: (blocks are views over one backing array, so results stay
     #: byte-identical to the flat path). None keeps the flat matrix.
     block_rows: Optional[int] = None
-    #: Purity certificates (:mod:`repro.core.contracts`). None loads
-    #: the checkout's committed ``contracts/certificates.json`` when
-    #: present; a path loads that artifact; False disables contracts;
-    #: a :class:`~repro.core.contracts.CertificateSet` is used as-is.
-    #: Certificates stamp cache entries (a fingerprint mismatch is a
-    #: metered ``cache.cert_miss``) and gate ``executor="auto"``
-    #: fan-out on certified effect-freedom. Stale or absent artifacts
-    #: degrade to uncertified behaviour — an execution knob, so it is
-    #: excluded from cache keys like the executor fields.
-    certificates: Any = None
 
 
 @dataclass
@@ -326,16 +314,6 @@ class ADAHealth:
         )
         if self.cache is not None:
             self.cache.bind_metrics(self.metrics)
-        self.certificates = self._resolve_certificates(
-            self.config.certificates
-        )
-        if self.cache is not None and self.certificates is not None:
-            # Entries are stamped with the goal pipeline's closure
-            # fingerprint: a semantic edit anywhere under _run_goal
-            # turns old entries into metered cert misses.
-            self.cache.bind_certificate(
-                self.certificates.phase_fingerprint("run-goal")
-            )
         self.ranker = KnowledgeRanker()
         self.interest_model = EndGoalInterestModel(
             goal_names=[goal.name for goal in goals], seed=seed
@@ -489,8 +467,6 @@ class ADAHealth:
             after["hits"] - before["hits"],
             after["misses"] - before["misses"],
             after["stores"] - before["stores"],
-            cert_misses=after.get("cert_misses", 0)
-            - before.get("cert_misses", 0),
         )
 
     # ------------------------------------------------------------------
@@ -707,52 +683,22 @@ class ADAHealth:
         (which ships the log through the shared-memory transport).
         Explicit backend names pass through untouched. The choice never
         affects results — goal pipelines are deterministic and
-        side-effect free — only where they execute. With purity
-        certificates loaded, "auto" additionally declines to fan out
-        a goal task whose closure is not *certified* effect-free
-        (metered ``contracts.auto_serial_fallback``): the static
-        invariant, not convention, authorises parallelism.
+        side-effect free — only where they execute. Cores are counted
+        from the process's CPU affinity mask where the platform has
+        one, so a pinned process or a one-CPU container stays serial.
         """
         if self.config.executor != "auto":
             return self.config.executor
-        if (os.cpu_count() or 1) <= 1:
+        cpus = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        if cpus <= 1:
             return "serial"
         if log.n_records < AUTO_EXECUTOR_MIN_RECORDS:
             return "serial"
-        if not self._certified_for_fanout():
-            self.metrics.counter(
-                "contracts.auto_serial_fallback"
-            ).inc()
-            return "serial"
         return "process"
-
-    def _resolve_certificates(self, spec: Any):
-        """Resolve the ``certificates`` config knob to a loaded set."""
-        if spec is False:
-            return None
-        if spec is None or spec is True:
-            return load_certificates()
-        if isinstance(spec, (str, Path)):
-            return load_certificates(Path(spec))
-        return spec  # an already-loaded CertificateSet
-
-    def _certified_for_fanout(self) -> bool:
-        """Whether certificates authorise the auto process fan-out.
-
-        Missing artifact or an uncertified task degrade to True — the
-        pre-certificate behaviour — because absence of contracts must
-        never change results or availability, only a certificate that
-        positively records the goal task as *not* effect-free blocks
-        the fan-out.
-        """
-        certs = self.certificates
-        if certs is None:
-            return True
-        qualid = f"{_run_goal_task.__module__}:_run_goal_task"
-        cert = certs.function(qualid)
-        if cert is None:
-            return True
-        return bool(cert.get("effect_free", True))
 
     def _goal_executor(self, name: Optional[str] = None):
         """Build the backend for the goal fan-out.
@@ -821,7 +767,6 @@ class ADAHealth:
             "retries",
             "task_timeout",
             "breaker_threshold",
-            "certificates",
         }
         params = {
             spec.name: getattr(self.config, spec.name)

@@ -382,12 +382,9 @@ class KMeansOptimizer:
                     else:
                         rows.append(hit)
             with matrix_lease(self.executor, matrix) as (ref,):
-                # The model_factory hole below both tasks is the
-                # optimizer's own (seeded) KMeans constructor — a
-                # higher-order seam ADA019 cannot see through.
                 if streaming:
                     tasks = [
-                        TaskSpec(  # adalint: disable=ADA019
+                        TaskSpec(
                             _evaluate_k_streaming_task,
                             (self, ref, blocked.block_rows, k),
                         )
@@ -395,9 +392,7 @@ class KMeansOptimizer:
                     ]
                 else:
                     tasks = [
-                        TaskSpec(  # adalint: disable=ADA019
-                            _evaluate_k_task, (self, ref, k)
-                        )
+                        TaskSpec(_evaluate_k_task, (self, ref, k))
                         for k in pending
                     ]
                 outcome = self.executor.run(tasks)

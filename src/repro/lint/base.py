@@ -149,7 +149,6 @@ def all_rules() -> List[Type[Rule]]:
     """Every registered rule class, ordered by id."""
     # Importing the bundled rule modules registers them on first use.
     from repro.lint import (  # noqa: F401 - imported for side effect
-        rules_certs,
         rules_concurrency,
         rules_dataflow,
         rules_determinism,

@@ -4,11 +4,7 @@ Exit status is 0 when the tree is clean and 1 when there are findings
 (any severity), so the command can gate commits and CI. ``--format
 json`` emits the ``adalint/findings/v1`` document and ``--format
 sarif`` a SARIF 2.1.0 log (for code-scanning upload); ``--json`` stays
-as an alias of ``--format json``. ``--baseline FILE`` suppresses
-findings already present in an earlier SARIF log, so only *new*
-findings gate. ``--emit-certs`` writes the
-``adalint/certificates/v1`` purity-certificate artifact instead of
-linting (deterministic and byte-stable — CI re-emits and compares).
+as an alias of ``--format json``.
 """
 
 from __future__ import annotations
@@ -20,8 +16,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.lint.base import all_rules
-from repro.lint.baseline import diff_findings, load_baseline
-from repro.lint.certs import CERTS_RELPATH, emit_certificates
 from repro.lint.config import load_config
 from repro.lint.findings import sarif_document
 from repro.lint.runner import (
@@ -29,7 +23,6 @@ from repro.lint.runner import (
     default_src_paths,
     find_project_root,
     lint_paths,
-    relative_posix,
 )
 
 
@@ -110,24 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print parse/cache statistics and per-rule"
         " profiling to stderr",
     )
-    parser.add_argument(
-        "--baseline",
-        metavar="SARIF",
-        help="suppress findings present in this earlier SARIF log;"
-        " only findings new since the baseline are reported",
-    )
-    parser.add_argument(
-        "--emit-certs",
-        action="store_true",
-        help="emit the adalint/certificates/v1 artifact for the"
-        " project's src/ tree and exit (no linting)",
-    )
-    parser.add_argument(
-        "--certs-path",
-        metavar="FILE",
-        help="where --emit-certs writes the artifact (default:"
-        f" <root>/{CERTS_RELPATH}); '-' prints to stdout",
-    )
     return parser
 
 
@@ -174,9 +149,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         root = find_project_root(Path.cwd())
         paths = list(default_src_paths(root))
 
-    if args.emit_certs:
-        return _emit_certs(root, args.certs_path)
-
     config = None
     if args.config:
         config = load_config(Path(args.config))
@@ -198,19 +170,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         backend=args.backend,
         cache=cache,
     )
-    sources = _finding_sources(report.findings)
-    if args.baseline:
-        baseline = load_baseline(Path(args.baseline))
-        if baseline is None:
-            print(
-                f"warning: unusable baseline {args.baseline};"
-                " reporting all findings",
-                file=sys.stderr,
-            )
-        else:
-            report.findings = diff_findings(
-                report.findings, baseline, sources
-            )
     output_format = "json" if args.json else args.output_format
     if output_format == "json":
         print(json.dumps(report.to_document(), indent=2, sort_keys=True))
@@ -219,7 +178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             report.findings,
             rules=all_rules(),
             tool_version=RULESET_VERSION,
-            sources=sources,
+            sources=_finding_sources(report.findings),
         )
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
@@ -242,26 +201,6 @@ def _finding_sources(findings) -> dict:
         except (OSError, UnicodeDecodeError):
             sources[finding.path] = []
     return sources
-
-
-def _emit_certs(root: Path, certs_path: Optional[str]) -> int:
-    """The ``--emit-certs`` path: build and write the artifact."""
-    document, text = emit_certificates(root)
-    if certs_path == "-":
-        sys.stdout.write(text)
-        return 0
-    target = (
-        Path(certs_path) if certs_path else root / CERTS_RELPATH
-    )
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text, encoding="utf-8")
-    print(
-        f"wrote {relative_posix(target, root)}:"
-        f" {len(document['functions'])} function certificates,"
-        f" {len(document['phases'])} phase fingerprints"
-        f" (artifact {document['artifact_hash'][:12]})"
-    )
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

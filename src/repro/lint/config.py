@@ -31,9 +31,9 @@ except ImportError:  # pragma: no cover - py39/py310 fallback
 
 
 #: Paths no lint run should ever look at, regardless of project
-#: config: the linter's own cache, emitted SARIF logs and the
-#: committed certificate artifacts (generated outputs, not source).
-DEFAULT_EXCLUDES = (".adalint-cache", "*.sarif", "contracts")
+#: config: the linter's own cache and emitted SARIF logs (generated
+#: outputs, not source).
+DEFAULT_EXCLUDES = (".adalint-cache", "*.sarif")
 
 
 @dataclass

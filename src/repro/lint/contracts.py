@@ -383,22 +383,10 @@ def schema_contracts() -> "tuple[SchemaContract, ...]":
         {"schema", "files_checked", "counts", "findings",
          "rule_stats"},
     )
-    cert_fields = _fields_or(
-        "repro.core.contracts",
-        "CERTIFICATE_FIELDS",
-        {"schema", "ruleset", "functions", "phases", "artifact_hash"},
-    )
-    cert_fn_fields = _fields_or(
-        "repro.core.contracts",
-        "FUNCTION_CERT_FIELDS",
-        {"code_hash", "complete", "determinism", "effect_free",
-         "effects", "exceptions", "holes", "line", "picklable"},
-    )
     cache_fields = _fields_or(
         "repro.core.cache",
         "CACHE_ENTRY_FIELDS",
-        {"key", "dataset", "algorithm", "params", "payload", "crc",
-         "cert"},
+        {"key", "dataset", "algorithm", "params", "payload", "crc"},
     )
     log_fields = _fields_or(
         "repro.kdb.shards",
@@ -424,28 +412,6 @@ def schema_contracts() -> "tuple[SchemaContract, ...]":
             consumer_module="repro.lint.contracts",
             consumer_constant="_SARIF_FIELDS",
             fields=_SARIF_FIELDS,
-        ),
-        SchemaContract(
-            name="purity-certificates",
-            schema_tag="adalint/certificates/v1",
-            producer_module="repro.lint.certs",
-            producer_scope="build_certificates",
-            consumer_module="repro.core.contracts",
-            consumer_constant="CERTIFICATE_FIELDS",
-            fields=cert_fields,
-            # per-phase records built inside the same scope
-            nested=frozenset(
-                {"entry", "exists", "fingerprint", "members"}
-            ),
-        ),
-        SchemaContract(
-            name="function-certificate",
-            schema_tag="",
-            producer_module="repro.lint.certs",
-            producer_scope="function_certificate",
-            consumer_module="repro.core.contracts",
-            consumer_constant="FUNCTION_CERT_FIELDS",
-            fields=cert_fn_fields,
         ),
         SchemaContract(
             name="analysis-cache-entry",

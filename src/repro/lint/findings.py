@@ -124,12 +124,12 @@ FINGERPRINT_KEY = "adalint/v1"
 
 
 def finding_fingerprint(finding: Finding, line_text: str = "") -> str:
-    """Content-relative identity of one finding for baseline diffs.
+    """Content-relative identity of one finding across runs.
 
     Hashes the rule id, the (slash-normalised) path and the stripped
     source line text — deliberately *not* the line number or message,
     so a finding that merely moved (code inserted above it) or whose
-    message embeds positions still matches its baseline entry.
+    message embeds positions keeps its identity in code-scanning UIs.
     """
     digest = hashlib.sha256()
     for part in (
@@ -166,7 +166,7 @@ def sarif_document(
     to title and group results. ``sources`` maps a finding's path to
     its source lines; when given, each result carries a
     ``partialFingerprints`` entry (:func:`finding_fingerprint`) that
-    baseline diffs match on.
+    code-scanning UIs match results across runs on.
     """
     driver: Dict[str, Any] = {
         "name": "adalint",

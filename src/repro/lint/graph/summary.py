@@ -23,7 +23,7 @@ is computed by :class:`repro.lint.graph.project.ProjectGraph`):
     stdlib ``random`` calls.
 ``env-read``
     ``os.getenv(...)``, ``os.environ.get(...)`` and ``os.environ[...]``
-    reads — a determinism taint for ADA020 (the environment varies
+    reads — a determinism taint (the environment varies
     between hosts/runs) without being an ``io`` effect.
 ``io``
     ``open``/``print``/``input``, ``shutil.*``/``subprocess.*``,

@@ -10,7 +10,7 @@ loops bypass the seeded, bounded backoff of
 :class:`repro.cloud.resilience.RetryPolicy`, losing both determinism
 and the retry/timeout telemetry. And a K-DB write that bypasses
 :mod:`repro.kdb.storage` is invisible to fault injection, so the
-crash-point sweep would certify durability the store does not have.
+crash-point sweep would vouch for durability the store does not have.
 """
 
 from __future__ import annotations

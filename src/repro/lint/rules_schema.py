@@ -1,6 +1,7 @@
-"""Schema rules: docstore operators (ADA007), manifest keys (ADA008).
+"""Schema rules: docstore operators (ADA007), manifest keys (ADA008),
+versioned-schema drift (ADA021).
 
-Both rules cross-check string literals in the code being linted against
+The rules cross-check string literals in the code being linted against
 contracts extracted from the implementing modules (see
 :mod:`repro.lint.contracts`), so a query operator the store never
 implemented — or a manifest key the schema doesn't know — fails at
@@ -15,8 +16,10 @@ from typing import FrozenSet, Optional, Set
 from repro.lint.base import Rule, dotted_name, register
 from repro.lint.contracts import (
     ManifestSchema,
+    contract_for_tag,
     docstore_operators,
     manifest_schema,
+    schema_contracts,
 )
 
 
@@ -207,6 +210,147 @@ class ManifestSchemaKeys(Rule):
                 f" ({self._schema.schema_tag}); known fields: "
                 + ", ".join(sorted(fields)),
             )
+
+
+# ----------------------------------------------------------------------
+# ADA021 — versioned JSON schemas must not drift from their contracts
+# ----------------------------------------------------------------------
+@register
+class SchemaDrift(Rule):
+    """ADA021: every versioned JSON producer must match its consumer.
+
+    The contract registry
+    (:func:`repro.lint.contracts.schema_contracts`) pairs each
+    versioned record — findings documents, SARIF logs,
+    analysis-cache entries, shard log records, run manifests — with the ``*_FIELDS`` constant its consumer
+    validates against. Producing a key the consumer does not declare
+    is drift: bump the schema tag or update the consumer contract
+    (and its ``validate_*``) in the same change. Literals elsewhere
+    that stamp a registered schema tag are checked against the same
+    field set (the generalisation of ADA008's manifest check).
+    """
+
+    rule_id = "ADA021"
+    name = "schema-drift"
+    severity = "error"
+    description = (
+        "versioned JSON producers must only emit fields their"
+        " registered consumer contract declares (registry:"
+        " repro.lint.contracts.schema_contracts)"
+    )
+
+    def run(self, context: RuleContext):
+        self.findings = []
+        self.context = context
+        self._producer_modules = {
+            contract.producer_module for contract in schema_contracts()
+        }
+        for contract in schema_contracts():
+            if contract.producer_module == context.module:
+                self._check_producer(context, contract)
+        self.visit(context.tree)
+        return self.findings
+
+    def _check_producer(self, context, contract) -> None:
+        scope = self._scope_node(context.tree, contract.producer_scope)
+        if scope is None:
+            return
+        allowed = contract.fields | contract.nested
+        for key, node in self._produced_keys(scope):
+            if key not in allowed:
+                self.report(
+                    node,
+                    f"field {key!r} produced for"
+                    f" {contract.name} is not declared by"
+                    f" {contract.consumer_module}."
+                    f"{contract.consumer_constant}; bump the schema"
+                    " tag or update the consumer contract",
+                )
+
+    @staticmethod
+    def _scope_node(tree: ast.AST, scope: str) -> Optional[ast.AST]:
+        """Find ``fn`` or ``Class.method`` in a module tree."""
+        parts = scope.split(".")
+        body = getattr(tree, "body", [])
+        for part in parts:
+            found = None
+            for node in body:
+                if (
+                    isinstance(
+                        node,
+                        (
+                            ast.FunctionDef,
+                            ast.AsyncFunctionDef,
+                            ast.ClassDef,
+                        ),
+                    )
+                    and node.name == part
+                ):
+                    found = node
+                    break
+            if found is None:
+                return None
+            body = found.body
+        return found
+
+    @staticmethod
+    def _produced_keys(scope: ast.AST):
+        """(key, node) for every produced string key in a scope:
+        dict-literal keys plus subscript-assignment targets."""
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Dict):
+                for key in node.keys:
+                    if isinstance(key, ast.Constant) and isinstance(
+                        key.value, str
+                    ):
+                        yield key.value, key
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (
+                        isinstance(target, ast.Subscript)
+                        and isinstance(target.slice, ast.Constant)
+                        and isinstance(target.slice.value, str)
+                    ):
+                        yield target.slice.value, target
+
+    # -- tag-stamped literals anywhere ---------------------------------
+    def visit_Dict(self, node: ast.Dict) -> None:
+        tag = None
+        for key, value in zip(node.keys, node.values):
+            if (
+                isinstance(key, ast.Constant)
+                and key.value == "schema"
+                and isinstance(value, ast.Constant)
+                and isinstance(value.value, str)
+            ):
+                tag = value.value
+        contract = contract_for_tag(tag) if tag else None
+        if (
+            contract is not None
+            # ADA008 owns the manifest literal check; the producer
+            # modules are already covered by the registry pass above.
+            and contract.name != "run-manifest"
+            and self.context is not None
+            and self.context.module != contract.producer_module
+        ):
+            allowed = (
+                contract.fields | contract.nested | {"schema"}
+            )
+            for key in node.keys:
+                if (
+                    isinstance(key, ast.Constant)
+                    and isinstance(key.value, str)
+                    and key.value not in allowed
+                ):
+                    self.report(
+                        key,
+                        f"unknown field {key.value!r} in a literal"
+                        f" stamped {contract.schema_tag!r}; the"
+                        f" {contract.name} contract declares"
+                        f" {contract.consumer_module}."
+                        f"{contract.consumer_constant}",
+                    )
+        self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,6 @@ from typing import (
 )
 
 from repro.lint.base import Rule, RuleContext, all_rules, get_rule
-from repro.lint.certs import CERTS_RELPATH, load_artifact
 from repro.lint.cache import (
     DEFAULT_CACHE_DIR,
     LintCache,
@@ -75,8 +74,7 @@ PARSE_ERROR_ID = "ADA000"
 
 #: Version of the rule set; part of every findings-cache key, so a
 #: rule change (signalled by bumping this) invalidates cached results.
-#: adalint/6 adds the storage-funnel rule ADA023.
-RULESET_VERSION = "adalint/6"
+RULESET_VERSION = "adalint/7"
 
 #: Id under which pragma/config hygiene findings are reported.
 _SUPPRESSION_RULE_ID = "ADA012"
@@ -745,15 +743,6 @@ def lint_paths(
     # -- per-file findings (cached) ------------------------------------
     config_fp = _config_fingerprint(config)
     concurrency_fp = _concurrency_fingerprint(summaries)
-    # ADA022 judges files against the committed certificate artifact,
-    # so its content is part of every finding key: re-emitting certs
-    # invalidates cached findings exactly like a code edit would.
-    certs_artifact = load_artifact(root / CERTS_RELPATH)
-    certs_fp = (
-        certs_artifact.get("artifact_hash", "")
-        if certs_artifact
-        else ""
-    )
     results: Dict[str, List[Finding]] = {}
     pending: List[Tuple[str, str, str, Tuple[str, ...], bool]] = []
     finding_keys: Dict[str, str] = {}
@@ -778,7 +767,6 @@ def lint_paths(
             closure_fingerprint(module),
             concurrency_fp,
             config_fp,
-            certs_fp,
             ",".join(applicable),
             "unused" if emit_unused else "",
         )

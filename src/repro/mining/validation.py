@@ -218,10 +218,7 @@ def cross_validate(
             labels_ref,
         ):
             tasks = [
-                # model_factory is the cross-validation seam itself:
-                # callers pass seeded constructors, which ADA019's
-                # closure analysis cannot certify through.
-                TaskSpec(  # adalint: disable=ADA019
+                TaskSpec(
                     _fit_score_fold,
                     (model_factory, data_ref, labels_ref, train, test,
                      metrics),

@@ -18,11 +18,6 @@ Three layers:
 * :class:`RunManifestBuilder` — the per-analysis execution record the
   engine persists into the K-DB ``runs`` collection.
 
-Plus an opt-in diagnostics layer: :class:`LockOrderTracker` /
-:class:`TrackedLock` (``repro.obs.locktrack``) record runtime lock
-acquisition orders so the chaos suite can check them against the
-static lock-order graph adalint infers (ADA015).
-
 The default everywhere is :data:`NULL_TRACER`, a no-op with near-zero
 overhead, so instrumented hot paths cost nothing unless telemetry is
 switched on.
@@ -38,11 +33,6 @@ from repro.obs.manifest import (
     ManifestError,
     RunManifestBuilder,
     validate_manifest,
-)
-from repro.obs.locktrack import (
-    LockOrderTracker,
-    TrackedLock,
-    track_store_locks,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -73,7 +63,6 @@ __all__ = [
     "JsonlSink",
     "LoggingSink",
     "KNOWN_MANIFEST_SCHEMAS",
-    "LockOrderTracker",
     "MANIFEST_FIELDS",
     "MANIFEST_SCHEMA",
     "MANIFEST_SCHEMA_V1",
@@ -87,9 +76,7 @@ __all__ = [
     "RUNS_COLLECTION",
     "RunManifestBuilder",
     "Span",
-    "TrackedLock",
     "Tracer",
     "read_spans",
-    "track_store_locks",
     "validate_manifest",
 ]

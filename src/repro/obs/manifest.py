@@ -195,20 +195,13 @@ class RunManifestBuilder:
         hits: int,
         misses: int,
         stores: int,
-        cert_misses: int = 0,
     ) -> None:
-        """Record the analysis cache's traffic for this run.
-
-        ``cert_misses`` counts lookups rejected because the entry was
-        produced under a different purity-certificate fingerprint
-        (they are also included in ``misses``).
-        """
+        """Record the analysis cache's traffic for this run."""
         self.cache = {
             "enabled": bool(enabled),
             "hits": int(hits),
             "misses": int(misses),
             "stores": int(stores),
-            "cert_misses": int(cert_misses),
         }
 
     def record_executor(

@@ -19,8 +19,8 @@ by the same canonical tokens the static graph uses::
     ...
     assert tracker.edges() <= static_edges
 
-Nothing in the engine imports this module on a hot path; it exists for
-tests and debugging sessions. Reentrant re-acquisitions of a lock
+Nothing in the engine imports this module; it is a test helper.
+Reentrant re-acquisitions of a lock
 already held by the same thread are not recorded as edges (an RLock
 nesting on itself carries no ordering), matching the static model.
 """

@@ -380,17 +380,34 @@ def test_auto_executor_resolution(tiny_log, monkeypatch):
     import repro.core.engine as engine_module
 
     engine = ADAHealth(config=EngineConfig(executor="auto"))
-    monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 1)
-    assert engine._resolved_executor(tiny_log) == "serial"
-    monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 8)
-    # small log: transport would dominate the compute
-    assert tiny_log.n_records < AUTO_EXECUTOR_MIN_RECORDS
-    assert engine._resolved_executor(tiny_log) == "serial"
 
     class _Big:
         n_records = AUTO_EXECUTOR_MIN_RECORDS
 
-    assert engine._resolved_executor(_Big()) == "process"
+    def resolve(log, affinity, cpu_count):
+        if affinity is None:  # a platform without affinity masks
+            monkeypatch.delattr(
+                engine_module.os, "sched_getaffinity", raising=False
+            )
+        else:
+            monkeypatch.setattr(
+                engine_module.os,
+                "sched_getaffinity",
+                lambda pid: set(range(affinity)),
+                raising=False,
+            )
+        monkeypatch.setattr(engine_module.os, "cpu_count", lambda: cpu_count)
+        return engine._resolved_executor(log)
+
+    # small log: transport would dominate the compute
+    assert tiny_log.n_records < AUTO_EXECUTOR_MIN_RECORDS
+    assert resolve(tiny_log, 8, 8) == "serial"
+    assert resolve(_Big(), 8, 8) == "process"
+    # pinned to one CPU (taskset -c 0, a one-CPU container) on an
+    # 8-core host: the affinity mask, not cpu_count, decides
+    assert resolve(_Big(), 1, 8) == "serial"
+    assert resolve(_Big(), None, 1) == "serial"
+    assert resolve(_Big(), None, 8) == "process"
     explicit = ADAHealth(config=EngineConfig(executor="threads"))
     assert explicit._resolved_executor(tiny_log) == "threads"
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.core.cache as cache_module
+from repro.core import ADAHealth, EngineConfig
 from repro.core.cache import (
     CACHE_COLLECTION,
     AnalysisCache,
@@ -76,7 +78,6 @@ def test_cache_miss_put_hit_roundtrip():
         "misses": 1,
         "stores": 1,
         "corrupt": 0,
-        "cert_misses": 0,
         "entries": 1,
     }
 
@@ -139,6 +140,24 @@ def test_cache_precrc_entries_still_hit():
     assert cache.stats()["corrupt"] == 0
 
 
+def test_cache_entries_with_a_legacy_cert_field_still_hit():
+    cache = AnalysisCache()
+    # earlier releases stamped some entries with a "cert" fingerprint
+    cache.collection.insert_one(
+        {
+            "key": AnalysisCache.key("ds", "algo", {}),
+            "dataset": "ds",
+            "algorithm": "algo",
+            "params": "{}",
+            "payload": "stamped",
+            "crc": cache_module.payload_crc("stamped"),
+            "cert": "fp-a",
+        }
+    )
+    assert cache.get("ds", "algo", {}) == "stamped"
+    assert cache.stats()["corrupt"] == 0
+
+
 def test_cache_memoize_computes_once():
     cache = AnalysisCache()
     calls = []
@@ -197,6 +216,60 @@ def test_cache_persists_with_the_knowledge_base(tmp_path):
     kdb.save(tmp_path / "kdb")
     reloaded = KnowledgeBase.load(tmp_path / "kdb")
     assert reloaded.analysis_cache().get("ds", "algo", {"k": 2}) == [1, 0, 1]
+
+
+# ----------------------------------------------------------------------
+# the code fingerprint in every key
+# ----------------------------------------------------------------------
+def _cached_engine(cache):
+    return ADAHealth(
+        config=EngineConfig(k_values=(2, 3), n_folds=2, use_cache=True),
+        seed=7,
+        cache=cache,
+    )
+
+
+def _ranking(result):
+    return [
+        (item.kind, item.title, round(item.score, 12))
+        for item in result.items
+    ]
+
+
+def _goals_cached(engine):
+    (manifest,) = engine.kdb.run_history()
+    return {goal["name"]: goal["cached"] for goal in manifest["goals"]}
+
+
+def test_engine_cache_key_covers_the_code(tiny_log, monkeypatch):
+    cache = AnalysisCache()
+    cold_engine = _cached_engine(cache)
+    cold = cold_engine.analyze(tiny_log, name="cold", user="t")
+    assert cold.runs and not any(_goals_cached(cold_engine).values())
+    entries = len(cache)
+    assert entries == cache.stores > 0
+
+    # same code: the warm re-run restores every goal from the cache
+    warm_engine = _cached_engine(cache)
+    warm = warm_engine.analyze(tiny_log, name="warm", user="t")
+    assert all(_goals_cached(warm_engine).values())
+    assert _ranking(warm) == _ranking(cold)
+
+    # an edit anywhere in the engine changes the code fingerprint:
+    # every goal misses and is recomputed to the same ranking, and no
+    # entry written under the old code is ever served
+    monkeypatch.setattr(
+        cache_module, "code_fingerprint", lambda: "edited-code"
+    )
+    hits_before = cache.hits
+    edited_engine = _cached_engine(cache)
+    edited = edited_engine.analyze(tiny_log, name="edited", user="t")
+    assert not any(_goals_cached(edited_engine).values())
+    assert cache.hits == hits_before
+    assert cache.corrupt == 0
+    assert _ranking(edited) == _ranking(cold)
+    # the old entries stay until invalidated; the new ones sit beside
+    assert len(cache) == 2 * entries
 
 
 # ----------------------------------------------------------------------

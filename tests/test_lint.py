@@ -25,6 +25,7 @@ from repro.lint import (
 )
 from repro.lint.cli import main as lint_main
 from repro.lint.contracts import docstore_operators, manifest_schema
+from repro.lint.findings import finding_fingerprint
 from repro.lint.rules_determinism import NoUnseededRandomness, NoWallClock
 from repro.lint.rules_parallelism import NoMutableDefault, NoUnpicklableTask
 from repro.lint.rules_robustness import (
@@ -33,7 +34,11 @@ from repro.lint.rules_robustness import (
     NoBareAssert,
     PersistenceWritesThroughStorage,
 )
-from repro.lint.rules_schema import DocstoreOperatorSet, ManifestSchemaKeys
+from repro.lint.rules_schema import (
+    DocstoreOperatorSet,
+    ManifestSchemaKeys,
+    SchemaDrift,
+)
 from repro.lint.runner import PARSE_ERROR_ID
 
 pytestmark = pytest.mark.lint
@@ -64,9 +69,14 @@ def test_repo_is_clean():
 # ----------------------------------------------------------------------
 # Rule registry
 # ----------------------------------------------------------------------
-def test_registry_ships_the_twenty_three_rules():
+def test_registry_ships_the_twenty_rules():
     ids = [rule.rule_id for rule in all_rules()]
-    assert ids == [f"ADA{n:03d}" for n in range(1, 24)]
+    assert ids == [
+        "ADA001", "ADA002", "ADA003", "ADA004", "ADA005",
+        "ADA006", "ADA007", "ADA008", "ADA009", "ADA010",
+        "ADA011", "ADA012", "ADA013", "ADA014", "ADA015",
+        "ADA016", "ADA017", "ADA018", "ADA021", "ADA023",
+    ]
     assert all(r.severity in ("error", "warning") for r in all_rules())
 
 
@@ -784,3 +794,110 @@ def test_custom_rule_subclass_runs_through_lint_source():
 
     findings = lint_source("print('hi')\n", rules=[NoPrint])
     assert [f.rule_id for f in findings] == ["XYZ001"]
+
+
+# ----------------------------------------------------------------------
+# ADA021 — schema drift against the contract registry
+# ----------------------------------------------------------------------
+def test_ada021_reports_unknown_field_in_tagged_literal():
+    findings = run_rule(
+        SchemaDrift,
+        """
+        DOCUMENT = {
+            "schema": "adalint/findings/v1",
+            "files_checked": 1,
+            "counts": {},
+            "findings": [],
+            "rule_stats": {},
+            "emitted_at": "2026-08-08",
+        }
+        """,
+    )
+    assert [f.rule_id for f in findings] == ["ADA021"]
+    assert "'emitted_at'" in findings[0].message
+
+
+def test_ada021_accepts_contract_conforming_literal():
+    findings = run_rule(
+        SchemaDrift,
+        """
+        DOCUMENT = {
+            "schema": "adalint/findings/v1",
+            "files_checked": 1,
+            "counts": {},
+            "findings": [],
+            "rule_stats": {},
+        }
+        """,
+    )
+    assert findings == []
+
+
+# ----------------------------------------------------------------------
+# SARIF fingerprints and per-rule profiling
+# ----------------------------------------------------------------------
+def test_fingerprint_ignores_line_number_and_message():
+    at_three = Finding(
+        path="src/a.py", line=3, col=5, rule_id="ADA005",
+        message="no bare assert (line 3)",
+    )
+    at_nine = Finding(
+        path="src/a.py", line=9, col=5, rule_id="ADA005",
+        message="no bare assert (line 9)",
+    )
+    assert finding_fingerprint(
+        at_three, "    assert x"
+    ) == finding_fingerprint(at_nine, "  assert x  ")
+
+
+def test_rule_stats_profile_wall_time_and_findings(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(x, b=[]):\n    assert x\n", encoding="utf-8"
+    )
+    report = lint_paths([bad], config=LintConfig(), root=tmp_path)
+    assert report.rule_stats["ADA005"]["findings"] == 1
+    assert report.rule_stats["ADA004"]["findings"] == 1
+    for stats in report.rule_stats.values():
+        assert stats["wall_s"] >= 0.0
+    formatted = report.format_stats()
+    assert "ADA005" in formatted and "ms" in formatted
+
+
+def test_rule_stats_match_across_backends(tmp_path):
+    for index in range(3):
+        (tmp_path / f"bad{index}.py").write_text(
+            "def f(x):\n    assert x\n", encoding="utf-8"
+        )
+    serial = lint_paths(
+        [tmp_path], config=LintConfig(), root=tmp_path
+    )
+    threaded = lint_paths(
+        [tmp_path], config=LintConfig(), root=tmp_path,
+        jobs=2, backend="threads",
+    )
+    assert serial.findings == threaded.findings
+    assert {
+        rule_id: stats["findings"]
+        for rule_id, stats in serial.rule_stats.items()
+        if stats["findings"]
+    } == {
+        rule_id: stats["findings"]
+        for rule_id, stats in threaded.rule_stats.items()
+        if stats["findings"]
+    }
+
+
+def test_default_excludes_skip_the_lint_cache_dir(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "ok.py").write_text("VALUE = 1\n", encoding="utf-8")
+    cache_dir = tmp_path / ".adalint-cache"
+    cache_dir.mkdir()
+    (cache_dir / "junk.py").write_text(
+        "def f(x):\n    assert x\n", encoding="utf-8"
+    )
+    report = lint_paths(
+        [tmp_path], config=LintConfig(), root=tmp_path
+    )
+    assert report.findings == []

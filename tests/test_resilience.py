@@ -634,7 +634,7 @@ def test_runtime_lock_order_is_within_the_static_graph(tmp_path):
 
     from repro.kdb.shards import ShardedDocumentStore
     from repro.lint.graph import ProjectGraph, extract_summary
-    from repro.obs import track_store_locks
+    from tests.locktrack import track_store_locks
 
     repo_root = Path(__file__).resolve().parents[1]
     sources = (
