@@ -119,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--retries",
                 type=int,
                 default=0,
-                help="per-task retry attempts beyond the first"
-                " (seeded backoff jitter; default: 0)",
+                help="retry attempts beyond the first for each goal"
+                " task, on every backend (seeded backoff jitter;"
+                " default: 0)",
             )
             sub.add_argument(
                 "--task-timeout",
@@ -137,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "serial",
                     "threads",
                     "process",
-                    "simulated-cluster",
                     "auto",
                 ),
                 default="serial",

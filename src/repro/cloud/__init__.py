@@ -1,16 +1,14 @@
-"""Execution backends, parameter-sweep service and fault tolerance."""
+"""Execution backends, shared-memory transport and fault tolerance."""
 
 from repro.cloud.executor import (
     ProcessPoolExecutorBackend,
     SerialExecutor,
-    SimulatedClusterExecutor,
     SweepResult,
     TaskFailure,
     TaskSpec,
     ThreadPoolExecutorBackend,
     make_executor,
     payload_bytes,
-    run_chunked,
 )
 from repro.cloud.resilience import (
     CircuitBreaker,
@@ -19,7 +17,6 @@ from repro.cloud.resilience import (
     RetryOutcome,
     RetryPolicy,
 )
-from repro.cloud.sweep import ParameterSweep, SweepPoint, expand_grid
 from repro.cloud.transport import (
     SharedLogHandle,
     backend_name,
@@ -32,26 +29,21 @@ from repro.cloud.transport import (
 __all__ = [
     "CircuitBreaker",
     "FaultInjector",
-    "ParameterSweep",
     "ProcessPoolExecutorBackend",
     "ResilientExecutor",
     "RetryOutcome",
     "RetryPolicy",
     "SerialExecutor",
     "SharedLogHandle",
-    "SimulatedClusterExecutor",
-    "SweepPoint",
     "SweepResult",
     "TaskFailure",
     "TaskSpec",
     "ThreadPoolExecutorBackend",
     "backend_name",
-    "expand_grid",
     "log_lease",
     "make_executor",
     "matrix_lease",
     "open_log",
     "payload_bytes",
     "uses_processes",
-    "run_chunked",
 ]

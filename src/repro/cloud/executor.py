@@ -11,25 +11,19 @@ this module abstracts *where* candidate configurations run:
 * :class:`ProcessPoolExecutorBackend` — local worker processes, the
   real-parallelism backend for CPU-bound sweeps. Tasks cross a process
   boundary, so they must be picklable: pass :class:`TaskSpec` (a
-  module-level function plus arguments) rather than closures;
-* :class:`SimulatedClusterExecutor` — runs tasks locally but models a
-  cluster's scheduling: per-task dispatch latency and a worker count,
-  reporting the *simulated* makespan alongside the real results. This
-  lets benchmarks reason about cloud speed-ups without a cloud.
+  module-level function plus arguments) rather than closures.
 
 All backends evaluate ``tasks`` — zero-argument callables — and return
 their results in submission order. A task that raises is reported as a
-:class:`TaskFailure` rather than aborting the sweep. For fan-outs whose
-per-task cost is small relative to dispatch overhead, :func:`run_chunked`
-groups tasks into batches before handing them to any backend.
+:class:`TaskFailure` rather than aborting the sweep.
 
 Fault tolerance: every backend accepts a ``retry`` policy (the
 :class:`repro.cloud.resilience.RetryPolicy` duck type) applied *per
-task* — serial and simulated backends retry inline, the thread pool
-retries inside the worker thread, and the process pool ships the
-policy into the worker so retries happen without an extra IPC round
-trip. The pooled backends additionally accept a ``task_timeout``: a
-task exceeding its wall-clock budget is failed with
+task* — the serial backend retries inline, the thread pool retries
+inside the worker thread, and the process pool ships the policy into
+the worker so retries happen without an extra IPC round trip. The
+pooled backends additionally accept a ``task_timeout``: a task
+exceeding its wall-clock budget is failed with
 :class:`~repro.exceptions.TaskTimeoutError` while its siblings'
 results are kept, and the process backend respawns its pool so a hung
 worker cannot wedge the sweep. Retry, timeout and worker-crash events
@@ -93,15 +87,14 @@ class SweepResult:
 
     ``task_seconds`` aligns with ``results``: the wall time each task
     spent executing (measured inside the worker for process backends),
-    or None for tasks that never ran. ``queue_seconds`` — dispatch→start
-    latency — is only populated by the pooled backends.
+    or None for a pooled task that never finished. ``queue_seconds`` —
+    dispatch→start latency — is only populated by the pooled backends.
     """
 
     results: List[Any]
     wall_seconds: float
-    simulated_seconds: Optional[float] = None
+    task_seconds: List[Optional[float]]
     n_failures: int = 0
-    task_seconds: Optional[List[Optional[float]]] = None
     queue_seconds: Optional[List[float]] = None
 
     def successes(self) -> List[Any]:
@@ -114,7 +107,7 @@ def _observe(metrics, task_seconds, queue_seconds, failures) -> None:
     if metrics is None:
         return
     histogram = metrics.histogram("executor.task_seconds")
-    for seconds in task_seconds or []:
+    for seconds in task_seconds:
         if seconds is not None:
             histogram.observe(seconds)
     latency = metrics.histogram("executor.queue_seconds")
@@ -340,7 +333,7 @@ def _picklable_error(error: Exception) -> Exception:
 
 @dataclass
 class ChunkReport:
-    """A worker's report for one timed chunk: results plus telemetry.
+    """A worker's report for one chunk: results plus telemetry.
 
     ``started_at`` is the worker's ``time.time()`` when it began the
     chunk — same-machine comparable with the parent's submission stamp,
@@ -356,21 +349,15 @@ class ChunkReport:
 
 
 def _execute_chunk(
-    tasks: Sequence[Task],
-    timed: bool = False,
-    retry=None,
-    base_index: int = 0,
-):
+    tasks: Sequence[Task], retry=None, base_index: int = 0
+) -> ChunkReport:
     """Worker entry point: run a batch of tasks, capturing failures.
 
-    With ``timed`` (threaded through the dispatching
-    :class:`TaskSpec`'s arguments, so it crosses the process boundary),
-    per-task wall times and the chunk start stamp come back inside a
-    :class:`ChunkReport` rather than a bare result list. ``retry``
-    applies the retry policy *inside* the worker — backoff and
-    re-attempts never pay a process round trip — and ``base_index``
-    keeps the policy's per-task jitter streams aligned with global
-    task indexes.
+    Per-task wall times and the chunk start stamp come back inside a
+    :class:`ChunkReport`. ``retry`` applies the retry policy *inside*
+    the worker — backoff and re-attempts never pay a process round
+    trip — and ``base_index`` keeps the policy's per-task jitter
+    streams aligned with global task indexes.
     """
     started_at = time.time()
     results: List[Any] = []
@@ -388,21 +375,12 @@ def _execute_chunk(
             )
         results.append(value)
         task_seconds.append(time.perf_counter() - t0)
-    if timed:
-        return ChunkReport(
-            results=results,
-            task_seconds=task_seconds,
-            started_at=started_at,
-            retries=retries,
-        )
-    return results
-
-
-def _partition(tasks: Sequence[Task], chunk_size: int) -> List[List[Task]]:
-    return [
-        list(tasks[start : start + chunk_size])
-        for start in range(0, len(tasks), chunk_size)
-    ]
+    return ChunkReport(
+        results=results,
+        task_seconds=task_seconds,
+        started_at=started_at,
+        retries=retries,
+    )
 
 
 class ProcessPoolExecutorBackend:
@@ -612,7 +590,6 @@ class ProcessPoolExecutorBackend:
                             pool.submit(  # adalint: disable=ADA009
                                 _execute_chunk,
                                 batch,
-                                True,
                                 self.retry,
                                 chunk[0],
                             )
@@ -668,130 +645,20 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
     ``shutdown(wait=False)`` alone would leave a hung worker running
     (and the interpreter joining its queue threads at exit), so the
-    worker processes are terminated explicitly.
+    worker processes are terminated explicitly. They are listed before
+    ``shutdown``, which drops the pool's own reference to them.
     """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         if process.is_alive():
             process.terminate()
-
-
-def run_chunked(
-    executor,
-    fn: Callable[..., Any],
-    items: Sequence[Any],
-    chunk_size: int = 1,
-) -> SweepResult:
-    """Fan ``fn`` out over ``items`` in chunks through any backend.
-
-    Builds one :class:`TaskSpec` per item (so the fan-out is picklable
-    for process backends), partitions them into ``chunk_size`` batches
-    to amortise dispatch overhead, and flattens the batched results back
-    into item order. Per-item failures stay :class:`TaskFailure`s in
-    their slots. The executor's retry policy (if any) is threaded into
-    the inner batches so it still applies per *item*, not per batch.
-    """
-    if chunk_size < 1:
-        raise ReproError("chunk_size must be >= 1")
-    retry = getattr(executor, "retry", None)
-    specs: List[Task] = [TaskSpec(fn, (item,)) for item in items]
-    batches = _partition(specs, chunk_size)
-    # _execute_chunk's time.time() stamp is telemetry-only (queue
-    # latency); it never influences task results.
-    outcome = executor.run(
-        [
-            TaskSpec(  # adalint: disable=ADA009
-                _execute_chunk,
-                (batch,),
-                {"retry": retry, "base_index": start},
-            )
-            for start, batch in zip(
-                range(0, len(specs), chunk_size), batches
-            )
-        ]
-    )
-    results: List[Any] = []
-    for value, batch in zip(outcome.results, batches):
-        if isinstance(value, TaskFailure):
-            results.extend([value] * len(batch))
-        else:
-            results.extend(value)
-    failures = sum(1 for value in results if isinstance(value, TaskFailure))
-    return SweepResult(
-        results=results,
-        wall_seconds=outcome.wall_seconds,
-        simulated_seconds=outcome.simulated_seconds,
-        n_failures=failures,
-    )
-
-
-class SimulatedClusterExecutor:
-    """Local execution with a simulated cluster cost model.
-
-    Each task is timed locally; the simulator then schedules those
-    durations greedily (longest processing time first is *not* used —
-    submission order, as a real queue would) onto ``n_workers`` workers,
-    adding ``dispatch_latency`` per task, and reports the resulting
-    makespan as ``simulated_seconds``.
-    """
-
-    name = "simulated-cluster"
-
-    def __init__(
-        self,
-        n_workers: int = 8,
-        dispatch_latency: float = 0.05,
-        metrics=None,
-        retry=None,
-    ) -> None:
-        if n_workers < 1:
-            raise ReproError("n_workers must be >= 1")
-        if dispatch_latency < 0:
-            raise ReproError("dispatch_latency must be >= 0")
-        self.n_workers = n_workers
-        self.dispatch_latency = dispatch_latency
-        self.metrics = metrics
-        self.retry = retry
-
-    def run(self, tasks: Sequence[Task]) -> SweepResult:
-        start = time.perf_counter()
-        results: List[Any] = []
-        durations: List[float] = []
-        failures = 0
-        retries = 0
-        for index, task in enumerate(tasks):
-            t0 = time.perf_counter()
-            value, used = _attempt(task, self.retry, index)
-            retries += used
-            if isinstance(value, TaskFailure):
-                failures += 1
-            results.append(value)
-            durations.append(time.perf_counter() - t0)
-        _observe(self.metrics, durations, None, failures)
-        _observe_resilience(self.metrics, retries=retries)
-        return SweepResult(
-            results=results,
-            wall_seconds=time.perf_counter() - start,
-            simulated_seconds=self.simulate_makespan(durations),
-            n_failures=failures,
-            task_seconds=list(durations),
-        )
-
-    def simulate_makespan(self, durations: Sequence[float]) -> float:
-        """Makespan of scheduling ``durations`` on the modelled cluster."""
-        workers = [0.0] * self.n_workers
-        for duration in durations:
-            soonest = min(range(self.n_workers), key=workers.__getitem__)
-            workers[soonest] += self.dispatch_latency + duration
-        return max(workers) if workers else 0.0
 
 
 _BACKENDS = {
     "serial": SerialExecutor,
     "threads": ThreadPoolExecutorBackend,
     "process": ProcessPoolExecutorBackend,
-    "simulated-cluster": SimulatedClusterExecutor,
 }
 
 

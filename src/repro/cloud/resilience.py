@@ -264,11 +264,6 @@ class ResilientExecutor:
     def name(self) -> str:
         return getattr(self.backend, "name", "backend")
 
-    @property
-    def retry(self) -> Optional[Any]:
-        """The wrapped backend's retry policy (for ``run_chunked``)."""
-        return getattr(self.backend, "retry", None)
-
     def fallback(self) -> Any:
         """The downgrade target (created lazily)."""
         if self._fallback is None:
@@ -314,26 +309,18 @@ class ResilientExecutor:
         )
         rescue = self.fallback().run([tasks[index] for index in infra])
         results = list(outcome.results)
-        task_seconds = (
-            list(outcome.task_seconds)
-            if outcome.task_seconds is not None
-            else None
-        )
+        task_seconds = list(outcome.task_seconds)
         for slot, value, seconds in zip(
-            infra,
-            rescue.results,
-            rescue.task_seconds or [None] * len(infra),
+            infra, rescue.results, rescue.task_seconds
         ):
             results[slot] = value
-            if task_seconds is not None:
-                task_seconds[slot] = seconds
+            task_seconds[slot] = seconds
         failures = sum(
             1 for value in results if isinstance(value, TaskFailure)
         )
         return SweepResult(
             results=results,
             wall_seconds=outcome.wall_seconds + rescue.wall_seconds,
-            simulated_seconds=outcome.simulated_seconds,
             n_failures=failures,
             task_seconds=task_seconds,
             queue_seconds=outcome.queue_seconds,
@@ -450,7 +437,9 @@ class FaultInjector:
 
     @property
     def retry(self) -> Optional[Any]:
-        """The wrapped backend's retry policy (for ``run_chunked``)."""
+        """The wrapped backend's retry policy (what a
+        :class:`ResilientExecutor` fallback around this injector
+        inherits)."""
         return getattr(self.backend, "retry", None)
 
     def schedule(self, n_tasks: int) -> List[Optional[Fault]]:
@@ -521,7 +510,6 @@ class FaultInjector:
         return SweepResult(
             results=results,
             wall_seconds=wall,
-            simulated_seconds=outcome.simulated_seconds,
             n_failures=failures,
             task_seconds=outcome.task_seconds,
             queue_seconds=outcome.queue_seconds,

@@ -10,12 +10,12 @@ take a *lease* around the dispatch —
         tasks = [TaskSpec(work, (ref, k)) for k in k_values]
         outcome = executor.run(tasks)
 
-— and the lease decides the transport. Serial, thread and
-simulated-cluster backends short-circuit: the ref *is* the original
-object and nothing is copied or mapped. Process backends copy the data
-once into a :class:`repro.data.SharedMatrix` segment and hand out its
-~100-byte picklable handle instead, so each ``TaskSpec`` pickles the
-descriptor rather than the payload; workers resolve the handle with
+— and the lease decides the transport. Serial and thread backends
+short-circuit: the ref *is* the original object and nothing is copied
+or mapped. Process backends copy the data once into a
+:class:`repro.data.SharedMatrix` segment and hand out its ~100-byte
+picklable handle instead, so each ``TaskSpec`` pickles the descriptor
+rather than the payload; workers resolve the handle with
 :func:`repro.data.open_matrix` / :func:`open_log`.
 
 Cleanup is unconditional: leases unlink their segments in ``finally``

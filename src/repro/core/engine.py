@@ -24,14 +24,18 @@ A single call does all of it::
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cloud.executor import TaskFailure, TaskSpec, make_executor
+from repro.cloud.executor import (
+    SerialExecutor,
+    TaskFailure,
+    TaskSpec,
+    make_executor,
+)
 from repro.cloud.resilience import (
     CircuitBreaker,
     ResilientExecutor,
@@ -73,6 +77,9 @@ from repro.preprocess.characterization import characterize_log
 from repro.preprocess.transforms import L2Normalizer
 from repro.preprocess.vsm import VSMBuilder
 
+#: Accepted values of ``EngineConfig.executor``.
+EXECUTORS = ("serial", "threads", "process", "auto")
+
 #: Logs below this record count resolve ``executor="auto"`` to the
 #: serial backend: worker startup and transport would dominate the
 #: actual per-goal compute.
@@ -105,10 +112,11 @@ class EngineConfig:
     n_folds: int = 5
     #: Backend for the per-goal fan-out: "serial" (in-process), "threads",
     #: "process" (true CPU parallelism; goal pipelines are side-effect
-    #: free so results merge deterministically), "simulated-cluster", or
-    #: "auto" — serial on single-core hosts or small logs, otherwise a
-    #: process pool fed through the shared-memory transport. The choice
-    #: never changes results, only where they are computed.
+    #: free so results merge deterministically), or "auto" — serial on
+    #: single-core hosts or small logs, otherwise a process pool fed
+    #: through the shared-memory transport. The choice never changes
+    #: results, only where they are computed. Any other name raises
+    #: ``EngineError`` when the engine is built.
     executor: str = "serial"
     executor_workers: int = 4
     #: Memoise per-goal results (and the K-means sweeps inside them) in
@@ -128,9 +136,9 @@ class EngineConfig:
     #: surviving goals still rank and persist, and the run manifest is
     #: stamped ``"degraded"``.
     on_goal_error: str = "raise"
-    #: Per-task retry attempts beyond the first inside the goal fan-out
-    #: (and the K-means sweep) — 0 disables retrying. Backoff jitter is
-    #: seeded from the engine seed, so retried runs stay reproducible.
+    #: Retry attempts beyond the first for each goal task, on every
+    #: backend (serial included) — 0 disables retrying. Backoff jitter
+    #: is seeded from the engine seed, so retried runs stay reproducible.
     retries: int = 0
     #: Per-task wall-clock budget (seconds) for the pooled backends; a
     #: hung task is failed with ``TaskTimeoutError`` and its siblings
@@ -297,10 +305,15 @@ class ADAHealth:
                 "on_goal_error must be 'raise' or 'degrade', got"
                 f" {self.config.on_goal_error!r}"
             )
+        if self.config.executor not in EXECUTORS:
+            raise EngineError(
+                f"executor must be one of {', '.join(EXECUTORS)}, got"
+                f" {self.config.executor!r}"
+            )
         if self.config.retries < 0:
             raise EngineError("retries must be >= 0")
-        # Built once so every fan-out (and the optimizer's K sweep)
-        # shares one policy and one breaker state across the session.
+        # Built once so every goal fan-out shares one policy and one
+        # breaker state across the session.
         self.retry_policy = (
             RetryPolicy(
                 max_attempts=self.config.retries + 1, seed=seed
@@ -512,21 +525,23 @@ class ADAHealth:
         log: ExamLog,
         profile,
         dataset_id,
-        manifest: Optional[RunManifestBuilder] = None,
+        manifest: RunManifestBuilder,
     ) -> List[GoalRun]:
-        """Run the selected goals, concurrently where configured.
+        """Run the selected goals through one executor dispatch.
 
-        End-goal pipelines are independent and side-effect free, so they
-        are dispatched through the configured :mod:`repro.cloud` backend
-        and merged back **in goal order** — results are identical across
-        serial, thread and process execution. With a cache, goals whose
-        (dataset fingerprint, goal, config, seed) key is already known
-        are restored instead of recomputed.
+        End-goal pipelines are independent and side-effect free, so
+        every pending goal becomes one task on a :mod:`repro.cloud`
+        backend — serial when at most one goal is pending, otherwise
+        the configured one — and results merge back **in goal order**:
+        identical across serial, thread and process execution. Every
+        backend shares one set of semantics: ``retries`` apply per goal
+        task, ``on_goal_error="raise"`` re-raises the first failure in
+        goal order once the dispatch returns, and ``goal`` spans are
+        replayed from the reported task timings as children of
+        ``run-goals``. With a cache, goals whose (dataset fingerprint,
+        goal, config, seed) key is already known are restored instead
+        of recomputed.
         """
-        if not selected:
-            if manifest is not None:
-                manifest.record_executor("serial", 1, 0)
-            return []
         fingerprint: Optional[str] = None
         restored: Dict[str, GoalRun] = {}
         pending = list(selected)
@@ -550,113 +565,71 @@ class ADAHealth:
                     pending.append(goal)
                 else:
                     restored[goal.name] = hit
-        if manifest is not None:
-            for name, run in restored.items():
-                manifest.add_goal(
-                    name,
-                    wall_s=0.0,
-                    n_items=len(run.items),
-                    cached=True,
-                    algorithms=_run_algorithms(run),
-                )
+        for name, run in restored.items():
+            manifest.add_goal(
+                name,
+                wall_s=0.0,
+                n_items=len(run.items),
+                cached=True,
+                algorithms=_run_algorithms(run),
+            )
 
+        backend = (
+            "serial" if len(pending) <= 1 else self._resolved_executor(log)
+        )
+        executor = self._goal_executor(backend)
+        # The lease ships the log once: in-process backends pass it
+        # through, process backends pickle a ~100-byte shared-memory
+        # handle per task instead of the full record set.
+        with log_lease(executor, log) as logref:
+            tasks = [
+                TaskSpec(
+                    _run_goal_task,
+                    (self, goal.name, logref, profile, dataset_id),
+                )
+                for goal in pending
+            ]
+            outcome = executor.run(tasks)
+        manifest.record_executor(
+            executor.name,
+            1 if backend == "serial" else self.config.executor_workers,
+            outcome.n_failures,
+        )
         computed: Dict[str, GoalRun] = {}
         degrade = self.config.on_goal_error == "degrade"
-        executor_name = self._resolved_executor(log)
-        if len(pending) <= 1 or executor_name == "serial":
-            if manifest is not None:
-                manifest.record_executor("serial", 1, 0)
-            for goal in pending:
-                t0 = time.perf_counter()
-                try:
-                    with self.tracer.span("goal", goal=goal.name):
-                        run = self._run_goal(goal, log, profile, dataset_id)
-                except Exception as exc:  # goal marked failed; degraded
-                    # mode swallows it, raise mode re-raises
-                    if manifest is not None:
-                        manifest.add_goal(
-                            goal.name,
-                            wall_s=time.perf_counter() - t0,
-                            status="failed",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    if not degrade:
-                        raise
-                    computed[goal.name] = _failed_goal_run(goal, exc)
-                    continue
-                computed[goal.name] = run
-                if manifest is not None:
-                    manifest.add_goal(
-                        goal.name,
-                        wall_s=time.perf_counter() - t0,
-                        n_items=len(run.items),
-                        algorithms=_run_algorithms(run),
-                    )
-        else:
-            executor = self._goal_executor(executor_name)
-            # The lease ships the log once: in-process backends pass it
-            # through, process backends pickle a ~100-byte shared-memory
-            # handle per task instead of the full record set.
-            with log_lease(executor, log) as logref:
-                tasks = [
-                    TaskSpec(
-                        _run_goal_task,
-                        (self, goal.name, logref, profile, dataset_id),
-                    )
-                    for goal in pending
-                ]
-                outcome = executor.run(tasks)
-            if manifest is not None:
-                manifest.record_executor(
-                    getattr(executor, "name", executor_name),
-                    self.config.executor_workers,
-                    outcome.n_failures,
+        for goal, value, seconds in zip(
+            pending, outcome.results, outcome.task_seconds
+        ):
+            failed = isinstance(value, TaskFailure)
+            if seconds is not None:
+                # Goal pipelines may have run in workers; replay their
+                # reported timings as child spans of "run-goals".
+                self.tracer.record_span(
+                    "goal", seconds, goal=goal.name, failed=failed
                 )
-            for index, (goal, value) in enumerate(
-                zip(pending, outcome.results)
-            ):
-                seconds = None
-                if outcome.task_seconds is not None:
-                    seconds = outcome.task_seconds[index]
-                if seconds is not None:
-                    # Goal pipelines ran in workers; replay their
-                    # reported timings as child spans of "run-goals".
-                    self.tracer.record_span(
-                        "goal",
-                        seconds,
-                        goal=goal.name,
-                        failed=isinstance(value, TaskFailure),
-                    )
-                if isinstance(value, TaskFailure):
-                    if manifest is not None:
-                        manifest.add_goal(
-                            goal.name,
-                            wall_s=seconds or 0.0,
-                            status="failed",
-                            error=(
-                                f"{type(value.error).__name__}:"
-                                f" {value.error}"
-                            ),
-                        )
-                    if not degrade:
-                        raise value.error
-                    computed[goal.name] = _failed_goal_run(
-                        goal, value.error
-                    )
-                    continue
-                computed[goal.name] = value
-                if manifest is not None:
-                    manifest.add_goal(
-                        goal.name,
-                        wall_s=seconds or 0.0,
-                        n_items=len(value.items),
-                        algorithms=_run_algorithms(value),
-                    )
+            if failed:
+                manifest.add_goal(
+                    goal.name,
+                    wall_s=seconds or 0.0,
+                    status="failed",
+                    error=f"{type(value.error).__name__}: {value.error}",
+                )
+                if not degrade:
+                    raise value.error
+                computed[goal.name] = _failed_goal_run(goal, value.error)
+                continue
+            computed[goal.name] = value
+            manifest.add_goal(
+                goal.name,
+                wall_s=seconds or 0.0,
+                n_items=len(value.items),
+                algorithms=_run_algorithms(value),
+            )
 
         # Cache writes stay in the parent process so they survive
         # process-pool execution. Failed (degraded) goals are never
         # cached: a transient fault must not poison future runs.
-        if self.cache is not None and fingerprint is not None:
+        if fingerprint is not None:
             for goal in pending:
                 run = computed[goal.name]
                 if run.status != "completed":
@@ -700,18 +673,17 @@ class ADAHealth:
             return "serial"
         return "process"
 
-    def _goal_executor(self, name: Optional[str] = None):
+    def _goal_executor(self, name: str):
         """Build the backend for the goal fan-out.
 
-        ``name`` is the resolved backend (defaults to the configured
-        one). Non-serial backends carry the engine's retry policy and
-        task timeout and are wrapped in a breaker-guarded
+        ``name`` is the resolved backend. Every backend carries the
+        engine's retry policy; the pooled ones also carry the task
+        timeout and are wrapped in a breaker-guarded
         :class:`~repro.cloud.resilience.ResilientExecutor`, so repeated
         infrastructure failures downgrade the fan-out to a serial
         fallback instead of aborting the analysis.
         """
         cfg = self.config
-        name = name or cfg.executor
         if name == "threads":
             backend = make_executor(
                 "threads",
@@ -728,18 +700,9 @@ class ADAHealth:
                 retry=self.retry_policy,
                 task_timeout=cfg.task_timeout,
             )
-        elif name == "simulated-cluster":
-            backend = make_executor(
-                "simulated-cluster",
-                n_workers=cfg.executor_workers,
-                metrics=self.metrics,
-                retry=self.retry_policy,
-            )
         else:
-            return make_executor(
-                name,
-                metrics=self.metrics,
-                retry=self.retry_policy,
+            return SerialExecutor(
+                metrics=self.metrics, retry=self.retry_policy
             )
         return ResilientExecutor(
             backend, breaker=self.breaker, metrics=self.metrics

@@ -397,12 +397,9 @@ class KMeansOptimizer:
                     ]
                 outcome = self.executor.run(tasks)
             failed_k: List[int] = []
-            for index, (k, value) in enumerate(
-                zip(pending, outcome.results)
+            for k, value, seconds in zip(
+                pending, outcome.results, outcome.task_seconds
             ):
-                seconds = None
-                if outcome.task_seconds is not None:
-                    seconds = outcome.task_seconds[index]
                 if seconds is not None:
                     # Per-K timings may have been measured in a worker
                     # process; replay them here as child spans.

@@ -116,13 +116,6 @@ class EffectFreeTasks(_DataflowRule):
         if tail == "TaskSpec":
             target = _task_argument(node)
             via = "TaskSpec"
-        elif tail == "run_chunked":
-            target = node.args[1] if len(node.args) > 1 else None
-            if target is None:
-                for keyword in node.keywords:
-                    if keyword.arg == "fn":
-                        target = keyword.value
-            via = "run_chunked"
         elif (
             isinstance(callee, ast.Attribute)
             and callee.attr == "submit"

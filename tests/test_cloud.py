@@ -1,20 +1,16 @@
-"""Tests for execution backends and the parameter sweep service."""
+"""Tests for the execution backends."""
 
 import time
 
 import pytest
 
 from repro.cloud import (
-    ParameterSweep,
     ProcessPoolExecutorBackend,
     SerialExecutor,
-    SimulatedClusterExecutor,
     TaskFailure,
     TaskSpec,
     ThreadPoolExecutorBackend,
-    expand_grid,
     make_executor,
-    run_chunked,
 )
 from repro.exceptions import ReproError
 
@@ -81,33 +77,6 @@ def test_threadpool_captures_failures():
 def test_threadpool_validation():
     with pytest.raises(ReproError):
         ThreadPoolExecutorBackend(max_workers=0)
-
-
-def test_simulated_cluster_reports_makespan():
-    executor = SimulatedClusterExecutor(n_workers=2, dispatch_latency=0.0)
-    result = executor.run([lambda: time.sleep(0.01) for __ in range(4)])
-    assert result.simulated_seconds is not None
-    # 4 tasks of ~10ms on 2 workers -> makespan ~20ms < serial ~40ms.
-    assert result.simulated_seconds < result.wall_seconds
-
-
-def test_simulate_makespan_exact():
-    executor = SimulatedClusterExecutor(n_workers=2, dispatch_latency=0.0)
-    # Greedy in submission order: w0 gets 3, w1 gets 2 then 1 (earliest
-    # available), final 2 goes to w0 -> makespan 5.
-    assert executor.simulate_makespan([3, 2, 1, 2]) == pytest.approx(5.0)
-
-
-def test_simulated_cluster_latency_added():
-    executor = SimulatedClusterExecutor(n_workers=1, dispatch_latency=0.5)
-    assert executor.simulate_makespan([1.0, 1.0]) == pytest.approx(3.0)
-
-
-def test_simulated_cluster_validation():
-    with pytest.raises(ReproError):
-        SimulatedClusterExecutor(n_workers=0)
-    with pytest.raises(ReproError):
-        SimulatedClusterExecutor(dispatch_latency=-1)
 
 
 def test_make_executor_dispatch():
@@ -190,88 +159,6 @@ def test_process_backend_validation():
         ProcessPoolExecutorBackend(workers=0)
     with pytest.raises(ReproError):
         ProcessPoolExecutorBackend(chunk_size=0)
-
-
-def test_run_chunked_flattens_in_item_order():
-    for executor in (
-        SerialExecutor(),
-        ProcessPoolExecutorBackend(workers=2),
-    ):
-        outcome = run_chunked(executor, _square, list(range(7)), chunk_size=3)
-        assert outcome.results == [i * i for i in range(7)]
-        assert outcome.n_failures == 0
-
-
-def test_run_chunked_keeps_per_item_failures():
-    outcome = run_chunked(
-        SerialExecutor(), _raise_for_two, [0, 1, 2, 3], chunk_size=2
-    )
-    assert outcome.n_failures == 1
-    assert outcome.successes() == [0, 1, 3]
-    assert isinstance(outcome.results[2], TaskFailure)
-
-
-def test_run_chunked_validation():
-    with pytest.raises(ReproError):
-        run_chunked(SerialExecutor(), _square, [1], chunk_size=0)
-
-
-# ----------------------------------------------------------------------
-# parameter sweep
-# ----------------------------------------------------------------------
-def test_expand_grid_cartesian():
-    combos = expand_grid({"a": [1, 2], "b": ["x", "y", "z"]})
-    assert len(combos) == 6
-    assert {"a": 1, "b": "x"} in combos
-    assert {"a": 2, "b": "z"} in combos
-
-
-def test_expand_grid_empty_raises():
-    with pytest.raises(ReproError):
-        expand_grid({})
-
-
-def test_sweep_evaluates_every_point():
-    sweep = ParameterSweep(lambda a, b: a * b)
-    points = sweep.run({"a": [1, 2, 3], "b": [10, 100]})
-    assert len(points) == 6
-    values = {(p.params["a"], p.params["b"]): p.value for p in points}
-    assert values[(3, 100)] == 300
-
-
-def test_sweep_best_maximize_and_minimize():
-    sweep = ParameterSweep(lambda x: (x - 3) ** 2)
-    best = sweep.best({"x": [0, 1, 2, 3, 4]}, key=float, maximize=False)
-    assert best.params["x"] == 3
-    worst = sweep.best({"x": [0, 1, 2, 3, 4]}, key=float, maximize=True)
-    assert worst.params["x"] == 0
-
-
-def test_sweep_best_skips_failures():
-    def sometimes(x):
-        if x == 2:
-            raise ValueError("bad point")
-        return x
-
-    sweep = ParameterSweep(sometimes)
-    best = sweep.best({"x": [1, 2]}, key=float)
-    assert best.params["x"] == 1
-
-
-def test_sweep_all_failed_raises():
-    def always(x):
-        raise ValueError()
-
-    with pytest.raises(ReproError):
-        ParameterSweep(always).best({"x": [1]}, key=float)
-
-
-def test_sweep_with_thread_backend():
-    sweep = ParameterSweep(
-        lambda x: x + 1, executor=ThreadPoolExecutorBackend(2)
-    )
-    points = sweep.run({"x": list(range(10))})
-    assert [p.value for p in points] == list(range(1, 11))
 
 
 # ----------------------------------------------------------------------

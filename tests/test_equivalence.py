@@ -23,7 +23,6 @@ import pytest
 from repro.cloud import (
     ProcessPoolExecutorBackend,
     SerialExecutor,
-    SimulatedClusterExecutor,
     ThreadPoolExecutorBackend,
 )
 from repro.core import ADAHealth, AnalysisCache, EngineConfig, KMeansOptimizer
@@ -86,7 +85,6 @@ BACKENDS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
     pytest.param(lambda: ThreadPoolExecutorBackend(max_workers=2), id="threads"),
     pytest.param(lambda: ProcessPoolExecutorBackend(workers=2), id="process"),
-    pytest.param(lambda: SimulatedClusterExecutor(n_workers=2), id="simcluster"),
 ]
 
 

@@ -109,24 +109,6 @@ def test_ada009_flags_process_pool_submit_but_not_threads():
     assert good == []
 
 
-def test_ada009_flags_run_chunked_function():
-    findings = run_rule(
-        EffectFreeTasks,
-        """
-        from repro.cloud.executor import make_executor, run_chunked
-
-        def task(path):
-            return open(path).read()
-
-        def run(paths):
-            executor = make_executor("serial")
-            return run_chunked(executor, task, paths)
-        """,
-    )
-    assert len(findings) == 1
-    assert "run_chunked" in findings[0].message
-
-
 def test_ada009_quiet_on_pure_task_and_mutation_of_locals():
     findings = run_rule(
         EffectFreeTasks,

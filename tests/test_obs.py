@@ -417,6 +417,33 @@ def test_analyze_emits_nested_goal_spans(traced_analysis):
     ]
 
 
+def _goal_spans(executor):
+    sink = InMemorySink()
+    config = EngineConfig(
+        max_goals=3,
+        min_support=0.35,
+        min_confidence=0.6,
+        sequence_min_support=0.5,
+        sequence_max_length=2,
+        executor=executor,
+        executor_workers=2,
+        tracer=Tracer(sinks=[sink]),
+    )
+    engine = ADAHealth(config=config, seed=11)
+    engine.analyze(small_dataset(n_patients=40, seed=11), name="parity")
+    manifest = engine.kdb.run_history(limit=1)[0]
+    assert manifest["executor"]["backend"] == executor
+    (run_goals,) = [s for s in sink.spans if s["name"] == "run-goals"]
+    goals = [s for s in sink.spans if s["name"] == "goal"]
+    assert len(goals) >= 2
+    assert all(s["parent_id"] == run_goals["span_id"] for s in goals)
+    return sorted(json.dumps(s["attrs"], sort_keys=True) for s in goals)
+
+
+def test_serial_and_process_runs_emit_the_same_goal_spans():
+    assert _goal_spans("serial") == _goal_spans("process")
+
+
 def test_analyze_metrics_include_cache_counters(traced_analysis):
     __, __, __, metrics, __ = traced_analysis
     counters = metrics.snapshot()["counters"]
