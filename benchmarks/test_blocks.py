@@ -18,7 +18,6 @@ memory ratio that makes the out-of-core claim concrete.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from repro.mining.itemsets import apriori_blocks
 from repro.mining.kmeans import KMeans
 from repro.preprocess import VSMBuilder
 
-from conftest import BENCH_SEED
+from conftest import BENCH_SEED, host_facts
 
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_blocks.json"
 
@@ -45,7 +44,7 @@ def _record(section: str, payload: dict) -> None:
     if RESULT_PATH.exists():
         data = json.loads(RESULT_PATH.read_text())
     data[section] = payload
-    data["host"] = {"cpu_count": os.cpu_count()}
+    data["host"] = host_facts()
     RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True))
 
 

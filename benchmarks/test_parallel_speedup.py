@@ -36,7 +36,7 @@ from repro.core import ADAHealth, EngineConfig, KMeansOptimizer
 from repro.core.optimizer import PAPER_K_VALUES, _evaluate_k_task
 from repro.data import SharedMatrix
 
-from conftest import BENCH_SEED
+from conftest import BENCH_SEED, host_facts
 
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_parallel.json"
 BLOCKS_RESULT_PATH = Path(__file__).resolve().parent / "BENCH_blocks.json"
@@ -58,7 +58,7 @@ def _record(section: str, payload: dict, path: Path = RESULT_PATH) -> None:
     if path.exists():
         data = json.loads(path.read_text())
     data[section] = payload
-    data["host"] = {"cpu_count": os.cpu_count()}
+    data["host"] = host_facts()
     path.write_text(json.dumps(data, indent=2, sort_keys=True))
 
 

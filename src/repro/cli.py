@@ -17,7 +17,8 @@ Commands
 Every command that reads a dataset accepts either a JSONL file produced
 by ``generate --format jsonl`` or a directory produced with
 ``--format csv``; ``--synthetic N`` generates an N-patient cohort on
-the fly instead.
+the fly instead. A library error (a malformed log, say) prints one
+``repro: <message>`` line on stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.data import (
     save_csv,
     save_jsonl,
 )
+from repro.exceptions import ReproError
 from repro.preprocess import (
     L2Normalizer,
     VSMBuilder,
@@ -468,6 +470,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except ReproError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:  # e.g. ``repro figure1 | head``
         try:
             sys.stdout.close()

@@ -9,6 +9,8 @@ Two interchangeable on-disk formats are supported:
   header object carrying the taxonomy; convenient for the document store.
 
 Both round-trip exactly: ``load(save(log)) == log`` record for record.
+A malformed line (a non-integer field, broken JSON, a missing key)
+raises :class:`~repro.exceptions.DataError` naming ``file:line``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,27 @@ from repro.exceptions import DataError
 PathLike = Union[str, Path]
 
 _RECORD_FIELDS = ("patient_id", "day", "exam_code")
+
+#: What parsing one line of a log file raises on malformed input: bad
+#: JSON or a non-integer field (ValueError), a missing key (KeyError),
+#: a short CSV row or a non-object JSON value (TypeError,
+#: AttributeError), a broken CSV line (csv.Error) and the record
+#: models' own ValidationError.
+_LINE_ERRORS = (
+    ValueError, KeyError, TypeError, AttributeError, csv.Error, DataError
+)
+
+
+def _malformed(path: Path, line: int, error: Exception) -> DataError:
+    """A :class:`DataError` locating ``error`` at ``path:line``."""
+    if isinstance(error, json.JSONDecodeError):
+        reason = f"invalid JSON: {error.msg}"
+    elif isinstance(error, KeyError):
+        reason = f"missing field {error.args[0]!r}"
+    else:
+        reason = str(error)
+    kind = type(error) if isinstance(error, DataError) else DataError
+    return kind(f"{path}:{line}: {reason}")
 
 
 # ----------------------------------------------------------------------
@@ -74,14 +97,17 @@ def load_csv(directory: PathLike) -> ExamLog:
         missing = set(_RECORD_FIELDS) - set(reader.fieldnames or ())
         if missing:
             raise DataError(f"records.csv missing columns: {sorted(missing)}")
-        for row in reader:
-            records.append(
-                ExamRecord(
-                    patient_id=int(row["patient_id"]),
-                    day=int(row["day"]),
-                    exam_code=int(row["exam_code"]),
+        try:
+            for row in reader:
+                records.append(
+                    ExamRecord(
+                        patient_id=int(row["patient_id"]),
+                        day=int(row["day"]),
+                        exam_code=int(row["exam_code"]),
+                    )
                 )
-            )
+        except _LINE_ERRORS as error:
+            raise _malformed(records_path, reader.line_num, error) from error
     return ExamLog(records, taxonomy=taxonomy, patients=patients)
 
 
@@ -90,15 +116,19 @@ def _load_taxonomy_csv(path: Path) -> Optional[ExamTaxonomy]:
         return None
     exam_types: List[ExamType] = []
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            exam_types.append(
-                ExamType(
-                    code=int(row["code"]),
-                    name=row["name"],
-                    category=row["category"],
-                    rank=int(row["rank"]),
+        reader = csv.DictReader(handle)
+        try:
+            for row in reader:
+                exam_types.append(
+                    ExamType(
+                        code=int(row["code"]),
+                        name=row["name"],
+                        category=row["category"],
+                        rank=int(row["rank"]),
+                    )
                 )
-            )
+        except _LINE_ERRORS as error:
+            raise _malformed(path, reader.line_num, error) from error
     exam_types.sort(key=lambda e: e.code)
     return ExamTaxonomy(exam_types=exam_types)
 
@@ -108,14 +138,18 @@ def _load_patients_csv(path: Path) -> List[PatientInfo]:
         return []
     patients: List[PatientInfo] = []
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            patients.append(
-                PatientInfo(
-                    patient_id=int(row["patient_id"]),
-                    age=int(row["age"]),
-                    profile=row.get("profile") or None,
+        reader = csv.DictReader(handle)
+        try:
+            for row in reader:
+                patients.append(
+                    PatientInfo(
+                        patient_id=int(row["patient_id"]),
+                        age=int(row["age"]),
+                        profile=row.get("profile") or None,
+                    )
                 )
-            )
+        except _LINE_ERRORS as error:
+            raise _malformed(path, reader.line_num, error) from error
     return patients
 
 
@@ -166,42 +200,50 @@ def load_jsonl(path: PathLike) -> ExamLog:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path) as handle:
+    # Bytes in, decoded per line by ``json.loads``: a line that is not
+    # UTF-8 fails like any other malformed line, at its own number.
+    with open(path, "rb") as handle:
         header_line = handle.readline()
         if not header_line:
             raise DataError(f"empty log file: {path}")
-        header = json.loads(header_line)
-        if header.get("kind") != "exam_log":
-            raise DataError("not an exam_log JSON-lines file")
-        exam_types = [
-            ExamType(
-                code=entry["code"],
-                name=entry["name"],
-                category=entry["category"],
-                rank=entry["rank"],
-            )
-            for entry in header["taxonomy"]
-        ]
+        try:
+            header = json.loads(header_line)
+            if header.get("kind") != "exam_log":
+                raise DataError("not an exam_log JSON-lines file")
+            exam_types = [
+                ExamType(
+                    code=entry["code"],
+                    name=entry["name"],
+                    category=entry["category"],
+                    rank=entry["rank"],
+                )
+                for entry in header["taxonomy"]
+            ]
+            patients = [
+                PatientInfo(
+                    patient_id=entry["patient_id"],
+                    age=entry["age"],
+                    profile=entry.get("profile"),
+                )
+                for entry in header.get("patients", [])
+            ]
+        except _LINE_ERRORS as error:
+            raise _malformed(path, 1, error) from error
         exam_types.sort(key=lambda e: e.code)
         taxonomy = ExamTaxonomy(exam_types=exam_types)
-        patients = [
-            PatientInfo(
-                patient_id=entry["patient_id"],
-                age=entry["age"],
-                profile=entry.get("profile"),
-            )
-            for entry in header.get("patients", [])
-        ]
         records = []
-        for line in handle:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            records.append(
-                ExamRecord(
-                    patient_id=obj["patient_id"],
-                    day=obj["day"],
-                    exam_code=obj["exam_code"],
+        try:
+            for line, text in enumerate(handle, start=2):
+                if not text.strip():
+                    continue
+                obj = json.loads(text)
+                records.append(
+                    ExamRecord(
+                        patient_id=obj["patient_id"],
+                        day=obj["day"],
+                        exam_code=obj["exam_code"],
+                    )
                 )
-            )
+        except _LINE_ERRORS as error:
+            raise _malformed(path, line, error) from error
     return ExamLog(records, taxonomy=taxonomy, patients=patients)

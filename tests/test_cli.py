@@ -193,3 +193,32 @@ def test_shm_ls_and_reap(capsys):
     code, output = run(capsys, "shm", "reap")
     assert code == 0
     assert "reaped 0 segment(s)" in output
+
+
+@pytest.mark.parametrize("command", ["describe", "analyze", "table1"])
+def test_malformed_log_prints_one_line_and_exits_2(
+    capsys, dataset_path, command
+):
+    from pathlib import Path
+
+    path = Path(dataset_path)
+    lines = path.read_text().splitlines()
+    lines[2] = '{"patient_id": 3, "day": "abc"'
+    path.write_text("\n".join(lines) + "\n")
+
+    code = main([command, dataset_path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro: {dataset_path}:3: invalid JSON:"
+        " Expecting ',' delimiter\n"
+    )
+
+
+def test_missing_log_is_a_typed_error(capsys, tmp_path):
+    missing = tmp_path / "nowhere.jsonl"
+    code = main(["describe", str(missing)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"repro: no such file: {missing}\n"

@@ -1,11 +1,17 @@
 """Tests for the CART decision tree and the majority baseline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import MiningError, NotFittedError
 from repro.mining import DecisionTreeClassifier, MajorityClassifier
+from repro.mining import decision_tree
 from repro.mining.decision_tree import entropy_impurity, gini_impurity
+from tests.cart_reference import ReferenceDecisionTree, tree_nodes
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +191,125 @@ def test_majority_classifier(blobs):
         MajorityClassifier().predict(data)
     with pytest.raises(MiningError):
         MajorityClassifier().fit(data[:0], labels[:0])
+
+
+# ----------------------------------------------------------------------
+# Coded split search == the per-feature sort-and-cumsum reference
+# ----------------------------------------------------------------------
+def assert_same_tree(tree, reference):
+    assert tree_nodes(tree.root_) == tree_nodes(reference.root_)
+
+
+FEW_VALUES = [-2.5, -1.0, -0.0, 0.0, 0.5, 3.0]
+
+
+@st.composite
+def cart_cases(draw):
+    n = draw(st.integers(2, 70))
+    n_features = draw(st.integers(1, 5))
+    columns = []
+    for __ in range(n_features):
+        kind = draw(st.sampled_from(["few", "continuous", "signed-zero"]))
+        if kind == "few":
+            element = st.sampled_from(FEW_VALUES)
+        elif kind == "continuous":
+            element = st.floats(
+                -1e6, 1e6, allow_nan=False, allow_infinity=False
+            )
+        else:
+            element = st.sampled_from([-0.0, 0.0, 1.0])
+        columns.append(draw(st.lists(element, min_size=n, max_size=n)))
+    data = np.array(columns, dtype=np.float64).T
+    n_classes = draw(st.integers(1, 12))
+    labels = np.array(
+        draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    )
+    holdout = np.array(
+        draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    )
+    if draw(st.booleans()):
+        names = np.array([f"class-{i:02d}" for i in range(12)])
+        labels, holdout = names[labels], names[holdout]
+    # Prune only against labels the tree has seen.
+    holdout = np.where(np.isin(holdout, labels), holdout, labels)
+    params = dict(
+        criterion=draw(st.sampled_from(["gini", "entropy"])),
+        max_depth=draw(st.sampled_from([None, 1, 3, 6])),
+        min_samples_split=draw(st.integers(2, 6)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        min_impurity_decrease=draw(st.sampled_from([0.0, 0.005, 0.05])),
+        max_features=draw(
+            st.one_of(st.none(), st.integers(1, n_features))
+        ),
+        seed=draw(st.integers(0, 3)),
+    )
+    return data, labels, holdout, params
+
+
+@given(case=cart_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_coded_split_matches_reference_tree(case):
+    data, labels, holdout, params = case
+    tree = DecisionTreeClassifier(**params).fit(data, labels)
+    reference = ReferenceDecisionTree(**params).fit(data, labels)
+    assert_same_tree(tree, reference)
+    assert np.array_equal(tree.classes_, reference.classes_)
+    assert np.array_equal(
+        tree.feature_importances_, reference.feature_importances_
+    )
+    shifted = data[::-1] * 0.5
+    for probe in (data, shifted):
+        assert np.array_equal(
+            tree.predict_proba(probe), reference.predict_proba(probe)
+        )
+        assert np.array_equal(tree.predict(probe), reference.predict(probe))
+    tree.prune(shifted, holdout)
+    reference.prune(shifted, holdout)
+    assert_same_tree(tree, reference)
+    assert np.array_equal(
+        tree.predict_proba(data), reference.predict_proba(data)
+    )
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@pytest.mark.parametrize("max_features", [None, 3])
+def test_coded_split_matches_reference_on_a_deep_continuous_tree(
+    criterion, max_features
+):
+    """Hundreds of rows of distinct values: deep nodes re-code their
+    rows, and 12 classes make entropy's row sums pairwise."""
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(600, 6))
+    data[:, 5] = np.round(data[:, 5], 1)
+    labels = (data[:, :4] @ rng.normal(size=(4, 12))).argmax(axis=1)
+    params = dict(
+        criterion=criterion, max_features=max_features, seed=2,
+        min_samples_leaf=2,
+    )
+    with mock.patch.object(
+        decision_tree, "_compact", wraps=decision_tree._compact
+    ) as compact:
+        tree = DecisionTreeClassifier(**params).fit(data, labels)
+    reference = ReferenceDecisionTree(**params).fit(data, labels)
+    assert compact.called
+    assert tree.depth() > 6
+    assert_same_tree(tree, reference)
+    assert np.array_equal(
+        tree.feature_importances_, reference.feature_importances_
+    )
+    assert np.array_equal(
+        tree.predict_proba(data), reference.predict_proba(data)
+    )
+
+
+def test_predict_proba_walks_a_pruned_tree_afresh(xor_data):
+    """The flattened walk is rebuilt per call: pruning between two
+    predictions changes the second."""
+    data, labels = xor_data
+    tree = DecisionTreeClassifier(max_depth=4).fit(data, labels)
+    before = tree.predict_proba(data)
+    tree.prune(data, np.full_like(labels, tree.root_.prediction))
+    assert tree.n_leaves() == 1
+    after = tree.predict_proba(data)
+    assert not np.array_equal(before, after)
+    assert np.all(after == after[0])

@@ -1,5 +1,7 @@
 """Tests for the K-selection optimiser (Table I machinery)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core import KMeansOptimizer, OptimizationRow, sse_plateau
 from repro.core.optimizer import PAPER_K_VALUES
 from repro.exceptions import MiningError
 from repro.preprocess import L2Normalizer, VSMBuilder
+from tests.cart_reference import ReferenceDecisionTree
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +106,37 @@ def test_executor_injection(matrix):
     )
     report = optimizer.optimize(matrix)
     assert [row.k for row in report.rows] == [3, 5]
+
+
+def test_coded_tree_reproduces_the_reference_tree_sweep(matrix):
+    """The optimiser's CV with the coded-bin CART gives every Table I
+    row exactly as the per-feature reference tree does."""
+    seed = 3
+    optimizer = KMeansOptimizer(
+        k_values=(3, 5, 7, 9), n_folds=4, seed=seed,
+        kmeans_params={"n_init": 2},
+    )
+    reference = KMeansOptimizer(
+        k_values=(3, 5, 7, 9), n_folds=4, seed=seed,
+        kmeans_params={"n_init": 2},
+        classifier_factory=functools.partial(
+            ReferenceDecisionTree, seed=seed, **optimizer.tree_params
+        ),
+    )
+    rows = optimizer.optimize(matrix).rows
+    expected = reference.optimize(matrix).rows
+    assert len(rows) == len(expected) == 4
+    assert min(row.accuracy for row in rows) < 1.0
+    for row, want in zip(rows, expected):
+        assert (
+            row.k, row.sse, row.accuracy, row.avg_precision,
+            row.avg_recall, row.overall_similarity,
+        ) == (
+            want.k, want.sse, want.accuracy, want.avg_precision,
+            want.avg_recall, want.overall_similarity,
+        )
+        assert np.array_equal(row.labels, want.labels)
+        assert np.array_equal(row.centers, want.centers)
 
 
 def test_sse_plateau_detects_flat_tail():
