@@ -153,8 +153,9 @@ def open_log(ref: LogRef) -> Iterator[ExamLog]:
 
     A plain :class:`ExamLog` passes through; a
     :class:`SharedLogHandle` attaches the rows segment, rebuilds the
-    log — records are copied out of the segment into objects — and
-    detaches in ``finally``.
+    log — :meth:`ExamLog.from_rows` copies the rows out of the segment
+    into the log's own array, creating no record object — and detaches
+    in ``finally``.
     """
     if isinstance(ref, SharedLogHandle):
         with open_matrix(ref.rows) as rows:

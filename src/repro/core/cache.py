@@ -117,18 +117,13 @@ def fingerprint_transactions(transactions) -> str:
 def fingerprint_log(log) -> str:
     """Content digest of an :class:`repro.data.ExamLog`.
 
-    Hashes every (patient, day, exam) record plus the exam-type count,
-    so appending, removing or editing any record changes the digest.
+    Hashes the log's sorted ``(patient, day, exam)`` row array, as raw
+    int64 bytes, plus the exam-type count, so appending, removing or
+    editing any record changes the digest.
     """
-    rows = np.array(
-        [
-            (record.patient_id, record.day, record.exam_code)
-            for record in log.records
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    header = f"examlog|{log.n_exam_types}|".encode()
-    return fingerprint_bytes(header + rows.tobytes())
+    digest = hashlib.sha256(f"examlog|{log.n_exam_types}|".encode())
+    digest.update(log.to_rows())
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------

@@ -5,20 +5,29 @@ a unique patient identifier, and the type and date of every exam." This
 module provides that record model plus :class:`ExamLog`, the in-memory
 dataset the rest of the library consumes.
 
-An :class:`ExamLog` is deliberately simple — an ordered collection of
-:class:`ExamRecord` with the taxonomy describing its examination types —
-but it exposes the derived views every downstream component needs:
+An :class:`ExamLog` is columnar: one read-only, C-contiguous ``(n, 3)``
+int64 array of ``(patient_id, day, exam_code)`` rows, sorted
+lexicographically, built once when the log is constructed. Every derived
+view is an array operation over it, with no pass over record objects:
 
 * patient-level exam-count matrices (input to the VSM builder),
 * per-exam frequency tables (input to horizontal partial mining),
-* per-patient transactions (input to frequent-itemset mining), and
+* per-patient and per-visit transactions (input to itemset mining),
+* the row array itself (the cache fingerprint and the shared-memory
+  transport), and
 * patient demographics (ages, used for dataset characterisation).
+
+:class:`ExamRecord` objects remain the row-level interface: a log built
+from records that are already sorted keeps them (as a tuple); any other
+log (unsorted records, :meth:`ExamLog.from_rows`, the subsetting
+methods) creates them only when :attr:`ExamLog.records` is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,20 +82,98 @@ class PatientInfo:
             raise ValidationError(f"implausible age: {self.age}")
 
 
+#: The columns of an :class:`ExamLog`'s row array, in sort-key order;
+#: also the field order of :class:`ExamRecord`.
+COLUMNS = ("patient_id", "day", "exam_code")
+
+#: The groupings :meth:`ExamLog.group_starts` and
+#: :meth:`ExamLog.transactions` accept.
+GROUPINGS = ("patient", "visit")
+
+
+def _record_rows(records: Sequence[ExamRecord]) -> np.ndarray:
+    """The ``(n, 3)`` int64 array of the records' fields, in record order."""
+    n = len(records)
+    rows = np.empty((n, 3), dtype=np.int64)
+    try:
+        for column, name in enumerate(COLUMNS):
+            rows[:, column] = np.fromiter(
+                map(attrgetter(name), records), dtype=np.int64, count=n
+            )
+    except OverflowError as exc:
+        raise DataError(f"record field does not fit in int64: {exc}") from None
+    return rows
+
+
+def _integer_rows(rows) -> np.ndarray:
+    """A fresh C-contiguous int64 copy of an ``(n, 3)`` integer array.
+
+    Raises :class:`DataError` on any other shape or a non-integer cell
+    (a float is never truncated), and :class:`ValidationError` on a
+    negative field, as :class:`ExamRecord` does.
+    """
+    try:
+        array = np.asarray(rows)
+    except (TypeError, ValueError) as exc:
+        raise DataError(
+            f"rows are not an (n, 3) integer array: {exc}"
+        ) from None
+    if array.size == 0 and array.shape in ((0,), (0, 3)):
+        return np.empty((0, 3), dtype=np.int64)
+    if array.ndim != 2 or array.shape[1] != 3:
+        raise DataError(f"rows must have shape (n, 3), got {array.shape}")
+    if array.dtype.kind not in "iu":
+        raise DataError(f"rows must hold integers, got dtype {array.dtype}")
+    if array.dtype.kind == "u" and array.max() > np.iinfo(np.int64).max:
+        raise DataError("row field does not fit in int64")
+    negative = (array < 0).any(axis=0)
+    for name, bad in zip(COLUMNS, negative):
+        if bad:
+            raise ValidationError(f"{name} must be non-negative")
+    return np.array(array, dtype=np.int64, order="C")
+
+
+def _sort_order(rows: np.ndarray) -> Optional[np.ndarray]:
+    """The stable permutation sorting ``rows`` lexicographically, or
+    ``None`` when they are sorted already (one vectorised comparison
+    pass).
+    """
+    head, tail = rows[:-1], rows[1:]
+    descending = tail[:, 0] < head[:, 0]
+    tied = tail[:, 0] == head[:, 0]
+    descending |= tied & (tail[:, 1] < head[:, 1])
+    tied &= tail[:, 1] == head[:, 1]
+    descending |= tied & (tail[:, 2] < head[:, 2])
+    if not descending.any():
+        return None
+    return np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
+
+
+def _run_index(starts: np.ndarray, n: int) -> np.ndarray:
+    """Per-row run number, given the row index where each run starts."""
+    index = np.zeros(n, dtype=np.int64)
+    index[starts[1:]] = 1
+    return np.cumsum(index, out=index)
+
+
 class ExamLog:
     """An in-memory examination-log dataset.
 
     Parameters
     ----------
     records:
-        The examination events. Order is not significant; the log sorts a
-        copy by (patient, day, exam).
+        The examination events. Order is not significant; the log keeps
+        them sorted by (patient, day, exam).
     taxonomy:
         The examination-type taxonomy. Every record's ``exam_code`` must be
         a valid code in the taxonomy.
     patients:
         Optional demographics. Patients that appear in ``records`` but not
         here are allowed (their age is simply unknown).
+
+    A log is immutable: its rows are the read-only array
+    :meth:`to_rows` returns, and every subsetting method returns a new
+    log.
     """
 
     def __init__(
@@ -95,28 +182,68 @@ class ExamLog:
         taxonomy: Optional[ExamTaxonomy] = None,
         patients: Optional[Iterable[PatientInfo]] = None,
     ) -> None:
+        records = tuple(records)
+        rows = _record_rows(records)
+        order = _sort_order(rows)
+        if order is not None:
+            rows, records = rows[order], None
+        self._setup(rows, records, taxonomy, patients)
+
+    @classmethod
+    def _from_sorted_rows(
+        cls,
+        rows: np.ndarray,
+        taxonomy: Optional[ExamTaxonomy],
+        patients: Optional[Iterable[PatientInfo]],
+    ) -> "ExamLog":
+        """Adopt a sorted int64 row array that no one else holds."""
+        log = cls.__new__(cls)
+        log._setup(rows, None, taxonomy, patients)
+        return log
+
+    def _setup(
+        self,
+        rows: np.ndarray,
+        records: Optional[Tuple[ExamRecord, ...]],
+        taxonomy: Optional[ExamTaxonomy],
+        patients: Optional[Iterable[PatientInfo]],
+    ) -> None:
         self.taxonomy = taxonomy or build_default_taxonomy()
-        self.records: List[ExamRecord] = sorted(records)
         n_types = len(self.taxonomy)
-        for record in self.records:
-            if record.exam_code >= n_types:
-                raise DataError(
-                    f"record exam_code {record.exam_code} outside taxonomy"
-                    f" of size {n_types}"
-                )
+        outside = np.flatnonzero(rows[:, 2] >= n_types)
+        if outside.size:
+            raise DataError(
+                f"record exam_code {rows[outside[0], 2]} outside taxonomy"
+                f" of size {n_types}"
+            )
+        rows.flags.writeable = False
+        self._rows = rows
+        self._records = records
         self.patients: Dict[int, PatientInfo] = {}
         for info in patients or ():
             if info.patient_id in self.patients:
                 raise DataError(f"duplicate patient info: {info.patient_id}")
             self.patients[info.patient_id] = info
+        self._patient_starts: Optional[np.ndarray] = None
         self._patient_ids: Optional[List[int]] = None
         self._exam_frequency: Optional[np.ndarray] = None
+
+    @property
+    def records(self) -> Tuple[ExamRecord, ...]:
+        """The examination events, sorted by (patient, day, exam).
+
+        A log built from sorted records returns them; any other log
+        creates them from its rows on the first read.
+        """
+        if self._records is None:
+            self._records = tuple(map(ExamRecord, *self._rows.T.tolist()))
+        return self._records
 
     # ------------------------------------------------------------------
     # Basic container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[ExamRecord]:
         return iter(self.records)
@@ -127,17 +254,40 @@ class ExamLog:
     @property
     def n_records(self) -> int:
         """Total number of examination events."""
-        return len(self.records)
+        return len(self._rows)
 
     @property
     def n_exam_types(self) -> int:
         """Number of exam types in the taxonomy (columns of the VSM)."""
         return len(self.taxonomy)
 
+    def group_starts(self, by: str = "patient") -> np.ndarray:
+        """Row index where each group of the sorted rows begins.
+
+        ``by="patient"`` groups rows by patient, ``by="visit"`` by
+        (patient, day); groups come in sorted order, so group ``g``
+        spans rows ``starts[g]`` up to ``starts[g + 1]``.
+        """
+        if by not in GROUPINGS:
+            raise DataError(f"unknown transaction grouping: {by!r}")
+        if by == "patient" and self._patient_starts is not None:
+            return self._patient_starts
+        rows = self._rows
+        if len(rows) == 0:
+            return np.empty(0, dtype=np.int64)
+        change = rows[1:, 0] != rows[:-1, 0]
+        if by == "visit":
+            change |= rows[1:, 1] != rows[:-1, 1]
+        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+        starts.flags.writeable = False
+        if by == "patient":
+            self._patient_starts = starts
+        return starts
+
     def patient_ids(self) -> List[int]:
         """Sorted ids of patients appearing in the log."""
         if self._patient_ids is None:
-            self._patient_ids = sorted({r.patient_id for r in self.records})
+            self._patient_ids = self._rows[self.group_starts(), 0].tolist()
         return self._patient_ids
 
     @property
@@ -157,10 +307,9 @@ class ExamLog:
     def exam_frequency(self) -> np.ndarray:
         """Number of records per exam type, shape ``(n_exam_types,)``."""
         if self._exam_frequency is None:
-            counts = np.zeros(self.n_exam_types, dtype=np.int64)
-            for record in self.records:
-                counts[record.exam_code] += 1
-            self._exam_frequency = counts
+            self._exam_frequency = np.bincount(
+                self._rows[:, 2], minlength=self.n_exam_types
+            ).astype(np.int64, copy=False)
         return self._exam_frequency
 
     def exam_codes_by_frequency(self) -> List[int]:
@@ -184,48 +333,51 @@ class ExamLog:
         underwent exam type ``j`` — the raw Vector Space Model of the paper
         ("a unique vector for each patient, representing his/her
         examination history, i.e. number of times he/she underwent each
-        examination").
+        examination"). One weighted ``bincount`` over the flat cell index
+        writes the float64 matrix directly.
         """
         ids = self.patient_ids()
-        index = {pid: i for i, pid in enumerate(ids)}
-        matrix = np.zeros((len(ids), self.n_exam_types), dtype=np.float64)
-        for record in self.records:
-            matrix[index[record.patient_id], record.exam_code] += 1.0
-        return matrix, ids
+        n_types = self.n_exam_types
+        cells = _run_index(self.group_starts(), len(self)) * n_types
+        cells += self._rows[:, 2]
+        matrix = np.bincount(
+            cells, weights=np.ones(len(cells)), minlength=len(ids) * n_types
+        ).astype(np.float64, copy=False)  # an empty bincount is int64
+        return matrix.reshape(len(ids), n_types), ids
 
     def to_rows(self) -> np.ndarray:
-        """Dense ``(n_records, 3)`` int64 array of the record triples.
+        """The log's read-only ``(n_records, 3)`` int64 row array.
 
         Columns are ``(patient_id, day, exam_code)`` in the log's sorted
-        record order — the same row layout the cache fingerprint hashes.
-        This is the transport representation of a log: the array can live
-        in a :class:`repro.data.blocks.SharedMatrix` segment and be
-        rebuilt in a worker with :meth:`from_rows` without pickling the
-        record objects.
+        order — the bytes the cache fingerprint hashes. This is also the
+        transport representation of a log: the array can live in a
+        :class:`repro.data.blocks.SharedMatrix` segment and be rebuilt
+        in a worker with :meth:`from_rows` without any record object.
         """
-        rows = np.empty((len(self.records), 3), dtype=np.int64)
-        for i, record in enumerate(self.records):
-            rows[i, 0] = record.patient_id
-            rows[i, 1] = record.day
-            rows[i, 2] = record.exam_code
-        return rows
+        return self._rows
 
     @classmethod
     def from_rows(
         cls,
-        rows: np.ndarray,
+        rows,
         taxonomy: Optional[ExamTaxonomy] = None,
         patients: Optional[Iterable[PatientInfo]] = None,
     ) -> "ExamLog":
-        """Rebuild a log from a :meth:`to_rows` array (exact round-trip)."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-        records = [
-            ExamRecord(
-                patient_id=int(row[0]), day=int(row[1]), exam_code=int(row[2])
-            )
-            for row in rows
-        ]
-        return cls(records, taxonomy=taxonomy, patients=patients)
+        """Build a log from an ``(n, 3)`` integer array of
+        ``(patient_id, day, exam_code)`` rows (exact :meth:`to_rows`
+        round-trip).
+
+        The log keeps its own sorted copy of the rows, so ``rows`` may
+        be released afterwards, and creates no :class:`ExamRecord`.
+        Raises :class:`DataError` on a shape other than ``(n, 3)`` or a
+        non-integer cell, and :class:`ValidationError` on a negative
+        field.
+        """
+        rows = _integer_rows(rows)
+        order = _sort_order(rows)
+        if order is not None:
+            rows = rows[order]
+        return cls._from_sorted_rows(rows, taxonomy, patients)
 
     @classmethod
     def concat(cls, logs: Sequence["ExamLog"]) -> "ExamLog":
@@ -237,12 +389,12 @@ class ExamLog:
         """
         if not logs:
             raise DataError("concat needs at least one log")
-        records: List[ExamRecord] = []
-        patients: List[PatientInfo] = []
-        for log in logs:
-            records.extend(log.records)
-            patients.extend(log.patients.values())
-        return cls(records, taxonomy=logs[0].taxonomy, patients=patients)
+        rows = np.concatenate([log.to_rows() for log in logs])
+        order = _sort_order(rows)
+        if order is not None:
+            rows = rows[order]
+        patients = [info for log in logs for info in log.patients.values()]
+        return cls._from_sorted_rows(rows, logs[0].taxonomy, patients)
 
     def transactions(self, by: str = "patient") -> List[List[str]]:
         """Itemset-mining view of the log.
@@ -255,27 +407,24 @@ class ExamLog:
             used for co-prescription pattern discovery); or
             ``"visit"`` — one transaction per (patient, day) pair,
             capturing exams prescribed together on the same day.
+
+        Each transaction lists its distinct exam names in sorted order.
         """
-        if by == "patient":
-            groups: Dict[int, set] = {}
-            for record in self.records:
-                groups.setdefault(record.patient_id, set()).add(
-                    record.exam_code
-                )
-            keys: List = sorted(groups)
-        elif by == "visit":
-            groups = {}
-            for record in self.records:
-                groups.setdefault(
-                    (record.patient_id, record.day), set()
-                ).add(record.exam_code)
-            keys = sorted(groups)
-        else:
-            raise DataError(f"unknown transaction grouping: {by!r}")
-        name_of = {e.code: e.name for e in self.taxonomy}
-        return [
-            sorted(name_of[code] for code in groups[key]) for key in keys
-        ]
+        starts = self.group_starts(by)
+        if len(starts) == 0:
+            return []
+        n_types = self.n_exam_types
+        by_name = sorted(self.taxonomy, key=attrgetter("name"))
+        name_rank = np.empty(n_types, dtype=np.int64)
+        name_rank[[exam.code for exam in by_name]] = np.arange(n_types)
+        cells = _run_index(starts, len(self)) * n_types
+        cells += name_rank[self._rows[:, 2]]
+        cells = np.unique(cells)
+        group, rank = np.divmod(cells, n_types)
+        names = [exam.name for exam in by_name]
+        flat = list(map(names.__getitem__, rank.tolist()))
+        bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(flat)]
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     # ------------------------------------------------------------------
     # Subsetting (substrate for partial mining)
@@ -289,30 +438,31 @@ class ExamLog:
         paper's horizontal partial mining which reduces the feature space
         "while retaining the total number of patients".
         """
-        keep = set(exam_codes)
-        records = [r for r in self.records if r.exam_code in keep]
-        return ExamLog(
-            records, taxonomy=self.taxonomy, patients=self.patients.values()
-        )
+        keep = np.isin(self._rows[:, 2], list(set(exam_codes)))
+        return self._subset(keep, self.patients.values())
 
     def restrict_patients(self, patient_ids: Sequence[int]) -> "ExamLog":
         """Return a new log keeping only records of the given patients."""
         keep = set(patient_ids)
-        records = [r for r in self.records if r.patient_id in keep]
         patients = [
             info for pid, info in self.patients.items() if pid in keep
         ]
-        return ExamLog(records, taxonomy=self.taxonomy, patients=patients)
+        return self._subset(np.isin(self._rows[:, 0], list(keep)), patients)
 
     def time_window(self, first_day: int, last_day: int) -> "ExamLog":
         """Return a new log restricted to days in ``[first_day, last_day]``."""
         if first_day > last_day:
             raise DataError("first_day must not exceed last_day")
-        records = [
-            r for r in self.records if first_day <= r.day <= last_day
-        ]
-        return ExamLog(
-            records, taxonomy=self.taxonomy, patients=self.patients.values()
+        days = self._rows[:, 1]
+        keep = (days >= first_day) & (days <= last_day)
+        return self._subset(keep, self.patients.values())
+
+    def _subset(
+        self, keep: np.ndarray, patients: Iterable[PatientInfo]
+    ) -> "ExamLog":
+        """A new log of the masked rows (still sorted, still valid)."""
+        return ExamLog._from_sorted_rows(
+            self._rows[keep], self.taxonomy, patients
         )
 
     # ------------------------------------------------------------------
@@ -331,7 +481,7 @@ class ExamLog:
             "age_min": min(ages) if ages else None,
             "age_max": max(ages) if ages else None,
             "days_spanned": (
-                max(r.day for r in self.records) + 1 if self.records else 0
+                int(self._rows[:, 1].max()) + 1 if len(self) else 0
             ),
         }
 

@@ -418,6 +418,10 @@ class DiabeticExamLogGenerator:
                 counts[patient_id][counts[patient_id] > 0],
             )
             days = visit_days[rng.integers(0, n_visits, size=total)]
+            # Codes ascend, so a stable day sort emits the records in the
+            # log's (patient, day, exam) order: ExamLog need not reorder.
+            order = np.argsort(days, kind="stable")
+            exam_codes, days = exam_codes[order], days[order]
             records.extend(
                 ExamRecord(
                     patient_id=patient_id,

@@ -34,9 +34,9 @@ strict JSON and break ordering); behaviour with NaN is undefined.
 from __future__ import annotations
 
 import bisect
-import copy
 import json
 import math
+import pickle
 import re
 import threading
 import time
@@ -685,7 +685,7 @@ class Cursor:
             documents = self._sorted_documents(documents)
         end = None if self._limit is None else self._skip + self._limit
         self._cache = [
-            copy.deepcopy(document)
+            _copy_document(document)
             for document in documents[self._skip : end]
         ]
         return self._cache
@@ -827,8 +827,8 @@ class Collection:
         """Insert a document; returns its ``_id`` (assigned if absent)."""
         if not isinstance(document, dict):
             raise StoreError("documents must be dicts")
-        document = copy.deepcopy(document)
         _reject_unstorable(document)
+        document = _copy_document(document)
         with self._lock:
             self._require_writable()
             if "_id" not in document:
@@ -970,7 +970,7 @@ class Collection:
                     key = (isinstance(target, bool), _index_key(target))
                     if key not in seen:
                         seen.add(key)
-                        out.append(copy.deepcopy(target))
+                        out.append(_copy_document(target))
         return out
 
     # -- update ------------------------------------------------------------
@@ -987,6 +987,7 @@ class Collection:
             raise StoreError(
                 "update documents must use operators ($set, $inc, ...)"
             )
+        _reject_unstorable(update)
         matcher = _Matcher(query)
         updated = 0
         with self._lock:
@@ -997,7 +998,7 @@ class Collection:
                 # Copy-on-write: build the replacement fully, validate
                 # it, then swap — a failure at any point leaves the
                 # stored document and the indexes untouched.
-                replacement = copy.deepcopy(document)
+                replacement = _copy_document(document)
                 _apply_update(replacement, update)
                 _reject_unstorable(replacement)
                 if replacement["_id"] != doc_id:
@@ -1165,7 +1166,7 @@ class Collection:
                 raise QueryError(f"unknown pipeline stage: {operator}")
         if rows is None:
             rows = list(self._documents.values())
-        return copy.deepcopy(rows)
+        return _copy_document(rows)
 
     # -- misc ----------------------------------------------------------------
     def __len__(self) -> int:
@@ -1198,7 +1199,7 @@ def _project(document: Document, spec: Document) -> Document:
             continue
         values = _walk_path(document, path.split("."))
         if values:
-            projected[path] = copy.deepcopy(values[0])
+            projected[path] = _copy_document(values[0])
     return projected
 
 
@@ -1264,6 +1265,18 @@ def _group(rows: List[Document], spec: Document) -> List[Document]:
     return results
 
 
+def _copy_document(value: Any) -> Any:
+    """An independent deep copy of a storable value.
+
+    A pickle round trip: several times faster than ``copy.deepcopy`` on
+    the store's JSON-shaped documents, and, like it, keeps aliasing
+    inside the value. Callers pass only values that already passed
+    :func:`_reject_unstorable` (or came out of the store), so an
+    unstorable value fails with :class:`StoreError`, never here.
+    """
+    return pickle.loads(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+
+
 def _reject_unstorable(document: Document) -> None:
     """Ensure the document is JSON-serialisable (store contract)."""
     try:
@@ -1297,7 +1310,7 @@ def _apply_update(document: Document, update: Document) -> None:
                 continue
             parent, leaf = _resolve_parent(document, path, create=True)
             if operator == "$set":
-                parent[leaf] = copy.deepcopy(operand)
+                parent[leaf] = _copy_document(operand)
             elif operator == "$inc":
                 current = parent.get(leaf, 0)
                 if not isinstance(current, (int, float)) or isinstance(
@@ -1309,7 +1322,7 @@ def _apply_update(document: Document, update: Document) -> None:
                 bucket = parent.setdefault(leaf, [])
                 if not isinstance(bucket, list):
                     raise StoreError(f"$push target {path!r} is not a list")
-                bucket.append(copy.deepcopy(operand))
+                bucket.append(_copy_document(operand))
             elif operator == "$addToSet":
                 bucket = parent.setdefault(leaf, [])
                 if not isinstance(bucket, list):
@@ -1317,7 +1330,7 @@ def _apply_update(document: Document, update: Document) -> None:
                         f"$addToSet target {path!r} is not a list"
                     )
                 if operand not in bucket:
-                    bucket.append(copy.deepcopy(operand))
+                    bucket.append(_copy_document(operand))
             else:
                 raise StoreError(f"unknown update operator: {operator}")
 

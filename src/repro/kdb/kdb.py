@@ -397,17 +397,22 @@ class DegreePredictor:
 
     def predict(self, item: KnowledgeItem) -> str:
         """Predicted degree for one item."""
-        features = item.feature_vector_fields()
-        row = np.array(
-            [[features.get(name, 0.0) for name in self.feature_names]]
-        )
-        return str(self.tree.predict(row)[0])
+        return self.predict_many([item])[0]
 
     def predict_many(
         self, items: Sequence[KnowledgeItem], attach: bool = False
     ) -> List[str]:
-        """Predicted degrees for many items."""
-        degrees = [self.predict(item) for item in items]
+        """Predicted degrees for many items, from one ``tree.predict``
+        over their stacked feature rows."""
+        if not items:
+            return []
+        rows = []
+        for item in items:
+            features = item.feature_vector_fields()
+            rows.append(
+                [features.get(name, 0.0) for name in self.feature_names]
+            )
+        degrees = [str(degree) for degree in self.tree.predict(np.array(rows))]
         if attach:
             for item, degree in zip(items, degrees):
                 item.degree = degree

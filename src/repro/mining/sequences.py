@@ -22,6 +22,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.data.records import ExamLog
 from repro.exceptions import MiningError
 
@@ -57,21 +59,24 @@ def sequences_from_log(log: ExamLog) -> List[Sequence_]:
     """One sequence per patient: visit itemsets in day order.
 
     Exams on the same day form one itemset (a visit); repeated exams on
-    a day collapse. Patients are emitted in id order.
+    a day collapse. Patients are emitted in id order. The visits are the
+    (patient, day) runs of the log's sorted row array.
     """
-    per_patient: Dict[int, Dict[int, set]] = defaultdict(dict)
-    for record in log.records:
-        visits = per_patient[record.patient_id]
-        visits.setdefault(record.day, set()).add(
-            log.taxonomy.by_code(record.exam_code).name
-        )
-    sequences = []
-    for patient_id in sorted(per_patient):
-        visits = per_patient[patient_id]
-        sequences.append(
-            [frozenset(visits[day]) for day in sorted(visits)]
-        )
-    return sequences
+    rows = log.to_rows()
+    starts = log.group_starts("visit")
+    if len(starts) == 0:
+        return []
+    names = [
+        log.taxonomy.by_code(code).name for code in range(log.n_exam_types)
+    ]
+    row_names = list(map(names.__getitem__, rows[:, 2].tolist()))
+    bounds = [*starts.tolist(), len(rows)]
+    visits = [frozenset(row_names[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # A patient's first row also starts a visit, so its position among
+    # the visit starts splits the visits by patient.
+    splits = np.searchsorted(starts, log.group_starts()).tolist()
+    splits.append(len(visits))
+    return [visits[a:b] for a, b in zip(splits, splits[1:])]
 
 
 def mine_sequences(

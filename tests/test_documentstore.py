@@ -87,6 +87,57 @@ def test_find_returns_copies(store):
     assert collection.find_one({})["nested"]["x"] == 1
 
 
+def _scramble(value):
+    """Empty every container reachable from ``value``."""
+    children = value.values() if isinstance(value, dict) else value
+    for child in list(children):
+        if isinstance(child, (dict, list)):
+            _scramble(child)
+    value.clear()
+
+
+def test_every_read_and_write_path_is_independent_of_the_store(store):
+    collection = store["c"]
+    collection.insert_one({"_id": 1, "nested": {"xs": [1, 2]}, "k": "a"})
+    operand = {"deep": [3]}
+    collection.update_one(
+        {"_id": 1}, {"$set": {"s": operand}, "$push": {"p": operand}}
+    )
+    operand["deep"].append(99)
+    reads = [
+        collection.find_one({}),
+        collection.find({}).to_list()[0],
+        collection.aggregate([{"$match": {"_id": 1}}])[0],
+        collection.aggregate([{"$project": {"nested": 1}}])[0],
+        collection.distinct("nested")[0],
+    ]
+    for read in reads:
+        _scramble(read)
+    stored = collection.find_one({})
+    assert stored["nested"] == {"xs": [1, 2]}
+    assert stored["s"] == {"deep": [3]} and stored["p"] == [{"deep": [3]}]
+
+
+def test_copies_keep_aliasing_inside_a_document(store):
+    collection = store["c"]
+    shared = {"x": [1]}
+    collection.insert_one({"_id": 1, "a": shared, "b": shared})
+    fetched = collection.find_one({})
+    assert fetched["a"] is fetched["b"]
+    assert fetched["a"] is not shared
+
+
+def test_lambda_field_raises_store_error(store):
+    collection = store["c"]
+    with pytest.raises(StoreError):
+        collection.insert_one({"f": lambda: 1})
+    collection.insert_one({"_id": 1})
+    for operator in ("$set", "$push", "$addToSet"):
+        with pytest.raises(StoreError):
+            collection.update_one({"_id": 1}, {operator: {"f": lambda: 1}})
+    assert collection.find_one({}) == {"_id": 1}
+
+
 # ----------------------------------------------------------------------
 # find / count / distinct
 # ----------------------------------------------------------------------

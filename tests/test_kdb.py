@@ -1,5 +1,6 @@
 """Tests for the Knowledge Base (six-collection data model)."""
 
+import numpy as np
 import pytest
 
 from repro.core import KnowledgeItem, SimulatedExpert
@@ -161,6 +162,35 @@ def test_predictor_attach(kdb):
     fresh = [make_item(score=0.9), make_item(score=0.1)]
     predictor.predict_many(fresh, attach=True)
     assert fresh[0].degree is not None
+
+
+def test_predict_many_matches_one_row_predictions(kdb):
+    """One batched ``tree.predict`` equals one tree call per item."""
+    expert = SimulatedExpert(seed=3)
+    for i in range(30):
+        kind = "cluster" if i % 3 else "association_rule"
+        item = kdb.store_item(make_item(kind=kind, score=i / 30))
+        kdb.record_feedback(item, "dr-a", expert.label(item))
+    predictor = kdb.train_degree_predictor()
+    fresh = [
+        make_item(kind=kind, score=score / 20)
+        for kind in ("cluster", "association_rule", "itemset")
+        for score in range(20)
+    ]
+
+    def one_row(item):
+        features = item.feature_vector_fields()
+        row = np.array(
+            [[features.get(name, 0.0) for name in predictor.feature_names]]
+        )
+        return str(predictor.tree.predict(row)[0])
+
+    expected = [one_row(item) for item in fresh]
+    assert predictor.predict_many(fresh) == expected
+    assert [predictor.predict(item) for item in fresh] == expected
+    assert len(set(expected)) > 1
+    assert predictor.predict_many([]) == []
+    assert predictor.predict_many([], attach=True) == []
 
 
 def test_save_load_roundtrip(kdb, tiny_log, tmp_path):

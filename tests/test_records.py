@@ -151,3 +151,45 @@ def test_ages_only_known_patients(tiny_log):
     ages = tiny_log.ages()
     assert len(ages) == tiny_log.n_patients
     assert all(4 <= age <= 95 for age in ages)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2]],
+        [[1, 2, 3, 4]],
+        [1, 2, 3],
+        [[1, "x", 3]],
+        [[1, "2", 3]],
+        [[1, 2, 3], [1, 2]],
+        [[1, None, 3]],
+        np.array([[1.5, 2.0, 3.0]]),
+        np.array([[1.0, 2.0, 3.0]]),
+        np.array([[True, False, True]]),
+        np.array([[2**64 - 1, 0, 0]], dtype=np.uint64),
+        [[2**70, 0, 0]],
+    ],
+)
+def test_from_rows_rejects_malformed_rows(rows):
+    with pytest.raises(DataError):
+        ExamLog.from_rows(rows, taxonomy=build_default_taxonomy(8))
+
+
+def test_from_rows_keeps_field_errors():
+    taxonomy = build_default_taxonomy(8)
+    for row in ([-1, 0, 0], [0, -1, 0], [0, 0, -1]):
+        with pytest.raises(ValidationError):
+            ExamLog.from_rows([row], taxonomy=taxonomy)
+    with pytest.raises(DataError):
+        ExamLog.from_rows([[0, 0, 8]], taxonomy=taxonomy)
+
+
+def test_from_rows_accepts_any_integer_dtype_and_empty_input():
+    taxonomy = build_default_taxonomy(8)
+    log = ExamLog.from_rows(
+        np.array([[3, 1, 2], [1, 0, 7]], dtype=np.uint8), taxonomy=taxonomy
+    )
+    assert log.to_rows().dtype == np.int64
+    assert log.to_rows().tolist() == [[1, 0, 7], [3, 1, 2]]
+    for empty in ([], np.empty((0, 3), dtype=np.int64)):
+        assert ExamLog.from_rows(empty, taxonomy=taxonomy).n_records == 0
