@@ -14,7 +14,8 @@ Two tiers share one harness:
 
 * the **smoke tier** (always, wired into ``scripts/check.sh``) runs the
   whole protocol at 20k documents — correctness on every gate, CI-safe
-  wall time;
+  wall time — and records nothing, so a gate run leaves the tree as it
+  found it;
 * the **full tier** (``REPRO_KDB_FULL=1``) runs 1,000,000 documents and
   records the headline numbers in ``benchmarks/BENCH_kdb.json``:
   indexed point and range latency versus scan, planner-vs-scan result
@@ -201,8 +202,6 @@ def _run_scale_protocol(n_items: int, tmp_path: Path, section: str):
           f" ({stats['range_speedup']:.0f}x)")
     print(f"replay / compact:    {stats['replay_s']:>9.2f} s /"
           f" {stats['compact_s']:.2f} s")
-
-    _record(section, stats)
     return stats
 
 
@@ -217,6 +216,7 @@ def test_kdb_scale_smoke(tmp_path):
 def test_kdb_scale_full_million(tmp_path):
     """Acceptance tier: 1,000,000 knowledge items (BENCH_kdb.json)."""
     stats = _run_scale_protocol(N_FULL, tmp_path, "full_1m")
+    _record("full_1m", stats)
     # sub-linear access at scale: orders of magnitude, not epsilon
     assert stats["point_speedup"] > 50
     assert stats["range_speedup"] > 50

@@ -34,7 +34,8 @@ def main() -> None:
         kdb_path = Path(workdir) / "kdb"
 
         # ---------------- session 1: cold start -----------------------
-        engine = ADAHealth(config=config, seed=5)
+        kdb = KnowledgeBase.open_sharded(kdb_path)
+        engine = ADAHealth(kdb=kdb, config=config, seed=5)
         first = engine.analyze(log, name="monday-cohort", user="dr-rossi")
         print("== session 1 (cold start) ==")
         print(first.summary())
@@ -49,11 +50,11 @@ def main() -> None:
             )
         print(f"\nrecorded {engine.kdb.feedback_count()} feedback labels"
               f" from {expert.profile.name}")
-        engine.kdb.save(kdb_path)
+        kdb.store.close()
 
         # ---------------- session 2: warm start ------------------------
         warm = ADAHealth(
-            kdb=KnowledgeBase.load(kdb_path), config=config, seed=5
+            kdb=KnowledgeBase.open_sharded(kdb_path), config=config, seed=5
         )
         second = warm.analyze(log, name="friday-cohort", user="dr-rossi")
         print("\n== session 2 (warm start from persisted K-DB) ==")
@@ -75,6 +76,7 @@ def main() -> None:
             f" {agreements}/{len(second.items)}"
         )
         print("\nK-DB after both sessions:", warm.kdb.counts())
+        warm.kdb.store.close()
 
 
 if __name__ == "__main__":

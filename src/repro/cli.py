@@ -373,12 +373,21 @@ def cmd_kdb(args) -> int:
     from repro.kdb.shards import ShardedDocumentStore
 
     directory = Path(args.directory)
-    if not (directory / "_shards.json").exists():
+    flat = not (directory / "_shards.json").exists()
+    if flat and (
+        args.kdb_command == "fsck"
+        or not (directory / "_manifest.json").exists()
+    ):
         print(f"no sharded K-DB at {directory}", file=sys.stderr)
         return 1
     if args.kdb_command == "fsck":
         return _cmd_kdb_fsck(directory, args)
     store = ShardedDocumentStore(directory)
+    if flat:
+        print(
+            f"migrated the flat K-DB at {directory} to framed shards",
+            file=sys.stderr,
+        )
     try:
         if args.kdb_command == "compact":
             before = store.pending_ops(args.collection)

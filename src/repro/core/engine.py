@@ -276,7 +276,8 @@ class ADAHealth:
         Optional :class:`repro.core.cache.AnalysisCache` for memoising
         per-goal results. When ``config.use_cache`` is set and no cache
         is given, one is created inside the engine's document store (so
-        ``kdb.save`` persists it alongside the six collections).
+        a K-DB opened with ``KnowledgeBase.open_sharded`` persists it
+        alongside the six collections).
     """
 
     def __init__(

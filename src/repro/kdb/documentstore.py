@@ -15,17 +15,15 @@ MongoDB surface the K-DB needs —
   predicates and index-ordered ``sort().limit()`` — routed through the
   query planner in :mod:`repro.kdb.planner` (``explain()`` exposes the
   chosen access plan; ``kdb.plans.*`` counters and a ``kdb.query.latency``
-  histogram land in an attached :class:`repro.obs.Metrics` registry), and
-* durable persistence as one JSON-lines file per collection (or
-  hash-sharded partitions via :mod:`repro.kdb.shards`).
+  histogram land in an attached :class:`repro.obs.Metrics` registry).
+
+A :class:`DocumentStore` lives in memory; its one on-disk form is the
+checksummed, hash-sharded directory of :mod:`repro.kdb.shards`.
 
 Documents are stored *by value* and are **immutable once stored**:
 inserts deep-copy, finds deep-copy lazily at cursor resolution, and
 updates build a fresh document and swap it in atomically — a failing
 update operator leaves the stored document (and every index) untouched.
-That immutability is what makes :meth:`Collection.snapshot` cheap:
-a snapshot is an O(n) pointer copy of the id→document map that
-concurrent writers can never mutate through.
 
 NaN float values are outside the store contract (they are not valid
 strict JSON and break ordering); behaviour with NaN is undefined.
@@ -40,7 +38,6 @@ import pickle
 import re
 import threading
 import time
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -61,7 +58,6 @@ from repro.exceptions import (
     StoreError,
 )
 from repro.kdb.planner import QueryPlan, plan_query
-from repro.kdb.storage import atomic_write as _atomic_write
 
 Document = Dict[str, Any]
 Query = Dict[str, Any]
@@ -438,17 +434,6 @@ class _HashIndex:
     def clear(self) -> None:
         self._buckets.clear()
 
-    def clone(self) -> "_HashIndex":
-        dup = type(self)(self.name, self.path, self.unique)
-        dup._buckets = {
-            key: set(bucket) for key, bucket in self._buckets.items()
-        }
-        self._clone_extra(dup)
-        return dup
-
-    def _clone_extra(self, dup: "_HashIndex") -> None:
-        pass
-
     # -- probes ----------------------------------------------------------
     def _holds_equal(self, value: Any, exclude: Any = None) -> bool:
         for key in _probe_keys(value):
@@ -528,12 +513,6 @@ class _SortedIndex(_HashIndex):
         self._groups = {}
         self._stale = False
         self.multivalue = False
-
-    def _clone_extra(self, dup: "_HashIndex") -> None:
-        dup._rep = dict(self._rep)
-        dup._groups = {}
-        dup._stale = True
-        dup.multivalue = self.multivalue
 
     def _ensure_sorted(self) -> None:
         if not self._stale:
@@ -767,8 +746,7 @@ class Collection:
     Mutations are serialised by a per-collection re-entrant lock and are
     atomic per document: a failing update operator, serialisation check
     or unique-index violation leaves the stored document and every index
-    exactly as they were. Concurrent readers should take
-    :meth:`snapshot` — an O(n) consistent, read-only view.
+    exactly as they were.
     """
 
     def __init__(self, name: str) -> None:
@@ -790,8 +768,6 @@ class Collection:
         self._write_guard: Optional[Callable[[], None]] = None
         #: Optional ``repro.obs.Metrics`` registry for query telemetry.
         self.metrics = None
-        #: True for snapshots: all mutating calls raise ``StoreError``.
-        self.read_only = False
         #: The plan of the most recent planned read (tests/diagnostics).
         self.last_plan: Optional[QueryPlan] = None
 
@@ -810,10 +786,6 @@ class Collection:
         self._write_guard = None
 
     def _require_writable(self) -> None:
-        if self.read_only:
-            raise StoreError(
-                f"collection {self.name!r} is a read-only snapshot"
-            )
         if self._write_guard is not None:
             self._write_guard()
 
@@ -1099,28 +1071,6 @@ class Collection:
         for index in self._indexes.values():
             index.remove(document)
 
-    # -- snapshots -------------------------------------------------------
-    def snapshot(self) -> "Collection":
-        """A consistent, read-only view of the collection.
-
-        O(n) pointer copies: stored documents are immutable (updates
-        swap in fresh documents), so the snapshot never observes later
-        writes. Reads on the snapshot plan through its own cloned
-        indexes; every mutating call raises :class:`StoreError`.
-        """
-        with self._lock:
-            clone = Collection(self.name)
-            clone._documents = dict(self._documents)
-            clone._seq = dict(self._seq)
-            clone._seq_counter = self._seq_counter
-            clone._next_id = self._next_id
-            clone._indexes = {
-                name: index.clone()
-                for name, index in self._indexes.items()
-            }
-            clone.read_only = True
-            return clone
-
     # -- aggregation -----------------------------------------------------
     def aggregate(self, pipeline: List[Document]) -> List[Document]:
         """Run a Mongo-style aggregation pipeline.
@@ -1372,13 +1322,14 @@ def _resolve_existing(
 
 
 class DocumentStore:
-    """A database of named collections, persistable to a directory."""
+    """An in-memory database of named collections.
+
+    :class:`repro.kdb.shards.ShardedDocumentStore` is the subclass that
+    keeps one on disk.
+    """
 
     def __init__(self) -> None:
         self._collections: Dict[str, Collection] = {}
-        #: One human-readable line per corrupt JSONL line skipped by
-        #: the most recent :meth:`load` (empty after a clean load).
-        self.load_warnings: List[str] = []
         self._metrics = None
 
     def bind_metrics(self, metrics) -> None:
@@ -1419,96 +1370,3 @@ class DocumentStore:
     def drop_collection(self, name: str) -> None:
         """Remove a collection entirely (no-op if absent)."""
         self._collections.pop(name, None)
-
-    def snapshot(self) -> "DocumentStore":
-        """A read-only point-in-time view of every collection.
-
-        Each collection's view is internally consistent (taken under
-        its write lock); the store-wide cut is best-effort across
-        collections.
-        """
-        snap = DocumentStore()
-        for name, collection in self._collections.items():
-            snap._collections[name] = collection.snapshot()
-        snap.load_warnings = list(self.load_warnings)
-        return snap
-
-    # -- persistence -------------------------------------------------------
-    def save(self, directory: Union[str, Path]) -> None:
-        """Persist every collection as ``<name>.jsonl`` under ``directory``.
-
-        Indexes are saved in a side-car manifest and rebuilt on load.
-        Every file is written to a temporary sibling and moved into
-        place with :func:`os.replace`, so a crash mid-save leaves the
-        previous complete file (or no file), never a truncated one.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        manifest = {}
-        for name, collection in self._collections.items():
-            _atomic_write(
-                directory / f"{name}.jsonl",
-                "".join(
-                    json.dumps(document, sort_keys=True) + "\n"
-                    for document in collection._documents.values()
-                ),
-            )
-            manifest[name] = [
-                {
-                    "path": index.path,
-                    "unique": index.unique,
-                    "kind": index.kind,
-                }
-                for index in collection._indexes.values()
-            ]
-        _atomic_write(
-            directory / "_manifest.json",
-            json.dumps(manifest, indent=2, sort_keys=True),
-        )
-
-    @classmethod
-    def load(cls, directory: Union[str, Path]) -> "DocumentStore":
-        """Load a store previously written by :meth:`save`.
-
-        Truncated or otherwise corrupt JSONL lines (a crash mid-append,
-        a chopped download) are skipped rather than aborting the load;
-        each skip is recorded in :attr:`load_warnings` so callers can
-        audit what was lost.
-        """
-        directory = Path(directory)
-        manifest_path = directory / "_manifest.json"
-        if not manifest_path.exists():
-            raise StoreError(f"no store manifest in {directory}")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        store = cls()
-        for name, indexes in manifest.items():
-            collection = store.collection(name)
-            data_path = directory / f"{name}.jsonl"
-            if data_path.exists():
-                with open(data_path) as handle:
-                    for lineno, line in enumerate(handle, start=1):
-                        if not line.strip():
-                            continue
-                        try:
-                            document = json.loads(line)
-                        except json.JSONDecodeError as exc:
-                            store.load_warnings.append(
-                                f"{data_path.name}:{lineno}: skipped"
-                                f" corrupt line ({exc.msg})"
-                            )
-                            continue
-                        if (
-                            isinstance(document, dict)
-                            and "_id" in document
-                        ):
-                            collection._install(document)
-                        else:
-                            collection.insert_one(document)
-            for index in indexes:
-                collection.create_index(
-                    index["path"],
-                    unique=index["unique"],
-                    kind=index.get("kind", "hash"),
-                )
-        return store

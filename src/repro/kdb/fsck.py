@@ -28,7 +28,6 @@ rebuilds the manifest, which also upgrades pre-checksum v1 files. The
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,9 +38,9 @@ from repro.kdb.framing import scan_file
 from repro.kdb.shards import (
     _LOCKFILE_NAME,
     _MANIFEST_NAME,
-    _MANIFEST_VERSION,
     _pid_alive,
     _read_lock_pid,
+    read_layout,
 )
 from repro.kdb.storage import LocalStorage
 
@@ -127,29 +126,17 @@ def _check_manifest(
         )
         return None
     try:
-        layout = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return read_layout(path)
+    except StoreError as exc:
         report.issues.append(
             FsckIssue(
                 "corrupt_manifest",
                 _MANIFEST_NAME,
-                f"manifest unreadable: {exc}",
+                f"manifest unusable: {exc}",
                 severity="fatal",
             )
         )
         return None
-    if layout.get("version") not in (1, _MANIFEST_VERSION):
-        report.issues.append(
-            FsckIssue(
-                "manifest_version",
-                _MANIFEST_NAME,
-                f"unsupported manifest version"
-                f" {layout.get('version')!r}",
-                severity="fatal",
-            )
-        )
-        return None
-    return layout
 
 
 def _check_lockfile(

@@ -10,11 +10,13 @@ Reproduces the paper's data model exactly:
     and (6) user interaction feedbacks."
 
 The backing store is :class:`repro.kdb.documentstore.DocumentStore` (the
-MongoDB substitute). On top of the six collections the K-DB offers the
-self-learning services the paper describes: recording expert feedback
-and predicting the interestingness degree of new knowledge items from
-past feedback with a classification model (a decision tree, as in the
-paper's preliminary implementation).
+MongoDB substitute): in memory, or on disk as a
+:class:`repro.kdb.shards.ShardedDocumentStore` through
+:meth:`KnowledgeBase.open_sharded`. On top of the six collections the
+K-DB offers the self-learning services the paper describes: recording
+expert feedback and predicting the interestingness degree of new
+knowledge items from past feedback with a classification model (a
+decision tree, as in the paper's preliminary implementation).
 """
 
 from __future__ import annotations
@@ -279,8 +281,9 @@ class KnowledgeBase:
         """An analysis cache living inside this knowledge base's store.
 
         Entries land in the ``analysis_cache`` collection next to the
-        six paper collections, so :meth:`save` / :meth:`load` persist
-        memoised sweep results along with the knowledge they produced.
+        six paper collections, so a knowledge base opened with
+        :meth:`open_sharded` persists memoised sweep results along with
+        the knowledge they produced.
         """
         from repro.core.cache import CACHE_COLLECTION, AnalysisCache
 
@@ -289,15 +292,6 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    def save(self, directory: Union[str, Path]) -> None:
-        """Persist the whole knowledge base to a directory."""
-        self.store.save(directory)
-
-    @classmethod
-    def load(cls, directory: Union[str, Path]) -> "KnowledgeBase":
-        """Load a knowledge base saved with :meth:`save`."""
-        return cls(store=DocumentStore.load(directory))
-
     @classmethod
     def open_sharded(
         cls,
@@ -309,9 +303,12 @@ class KnowledgeBase:
     ) -> "KnowledgeBase":
         """Open (or create) a knowledge base on sharded storage.
 
-        Mutations append to per-shard logs as they happen — no explicit
-        :meth:`save` step; call :meth:`compact` (or rely on
-        ``auto_compact_ops``) to fold logs into base partitions.
+        The one way to put a knowledge base on disk. Mutations append
+        to per-shard logs as they happen — there is no save step; call
+        :meth:`compact` (or rely on ``auto_compact_ops``) to fold logs
+        into base partitions, and ``kb.store.close()`` when done. A
+        directory written by the retired flat ``save()`` is migrated
+        on open (:mod:`repro.kdb.shards`).
         ``metrics`` is handed to the store *before* replay, so the
         ``kdb.recovery.*`` counters see what opening had to repair;
         ``storage`` swaps the I/O layer (fault injection in tests).

@@ -5,8 +5,8 @@ a :class:`~repro.kdb.documentstore.DocumentStore`) but persists each
 collection as ``N`` hash partitions on disk:
 
 * ``<collection>.shard-0007.jsonl`` — the *base*: one full document per
-  line, rewritten only by compaction (crash-safe via the same
-  ``atomic_write``/``os.replace`` discipline the flat store uses), and
+  line, rewritten only by compaction (crash-safe via
+  ``atomic_write``/``os.replace``), and
 * ``<collection>.shard-0007.log.jsonl`` — the *log*: an append-only
   stream of ``{"op": "put"|"del"|"clear", ...}`` records, one per
   mutation, flushed on every append.
@@ -18,8 +18,17 @@ shard; :meth:`ShardedDocumentStore.compact` folds the logs back into
 fresh bases (new bases are written atomically *before* the logs are
 removed, and replaying a full log over a compacted base converges to
 the same state, so a crash at any point during compaction loses
-nothing). Compaction can also run on a background thread or be
-triggered automatically every ``auto_compact_ops`` journaled ops.
+nothing). Compaction can also be triggered automatically every
+``auto_compact_ops`` journaled ops.
+
+This is the K-DB's only on-disk format. A directory written by the
+retired flat ``DocumentStore.save`` (``_manifest.json`` plus one
+``<collection>.jsonl`` each, no ``_shards.json``) is migrated once when
+it is opened: the flat files are read strictly — any malformed line
+raises :class:`~repro.exceptions.StoreError` naming the file and line,
+before a single byte is written — then written as framed bases and a
+shard manifest, and only then removed. A crash part-way through leaves
+the flat files in place, and the next open migrates again.
 
 Since PR 10 every record is written in the checksummed v2 framing of
 :mod:`repro.kdb.framing` (CRC-32 + per-file sequence number +
@@ -58,10 +67,11 @@ import os
 import threading
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.exceptions import StoreError
+from repro.exceptions import DuplicateKeyError, StoreError
 from repro.kdb.documentstore import (
+    _INDEX_KINDS,
     Collection,
     DocumentStore,
     _index_key,
@@ -80,7 +90,11 @@ _MANIFEST_NAME = "_shards.json"
 #: Current manifest version; version-1 manifests (pre-generation) are
 #: still accepted on open.
 _MANIFEST_VERSION = 2
+#: Shard numbers are written with four digits (``shard-0007``).
+_MAX_SHARDS = 10_000
 _LOCKFILE_NAME = "_shards.lock"
+#: Manifest of a flat ``DocumentStore.save`` directory (migrated on open).
+_FLAT_MANIFEST_NAME = "_manifest.json"
 
 #: Fields a shard-log record may carry (the ADA021 consumer contract;
 #: ``doc`` only on ``put``, ``id`` only on ``del``). ``_replay_log``
@@ -124,7 +138,7 @@ def _read_lock_pid(path: Path) -> Optional[int]:
     """
     try:
         content = path.read_text()
-    except OSError:
+    except (OSError, ValueError):  # ValueError: not UTF-8
         return None
     if not content.endswith("\n"):
         return None  # torn write: the holder never finished creating it
@@ -138,6 +152,103 @@ def shard_of(doc_id: Any, n_shards: int) -> int:
     """Stable shard number for a document id (CRC-32 of canonical JSON)."""
     canonical = json.dumps(doc_id, sort_keys=True, default=str)
     return zlib.crc32(canonical.encode("utf-8")) % n_shards
+
+
+def _is_count(value: Any) -> bool:
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    )
+
+
+def _read_json(path: Path) -> Any:
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise StoreError(f"{path.name}: unreadable ({exc})") from exc
+
+
+def _check_collection_name(name: str, where: str) -> None:
+    """Collection names become file names: refuse anything that would
+    address a file outside the store directory."""
+    if name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
+        raise StoreError(f"{where}: {name!r} is not a collection name")
+
+
+def _check_index_specs(indexes: Any, where: str) -> None:
+    if not isinstance(indexes, list):
+        raise StoreError(f"{where}: index list expected")
+    for spec in indexes:
+        if not (
+            isinstance(spec, dict)
+            and isinstance(spec.get("path"), str)
+            and spec["path"]
+            and isinstance(spec.get("unique", False), bool)
+            # a tuple compares by ==: an unhashable kind cannot raise
+            and spec.get("kind", "hash") in tuple(_INDEX_KINDS)
+        ):
+            raise StoreError(f"{where}: malformed index spec {spec!r}")
+
+
+def read_layout(path: Path) -> Dict[str, Any]:
+    """Parse and validate a shard manifest (``_shards.json``).
+
+    Raises :class:`StoreError` naming the file for anything replay
+    could not follow: bytes that are not UTF-8 JSON, an unsupported
+    version, a shard count outside ``1.._MAX_SHARDS`` or a malformed
+    collection entry.
+    """
+    layout = _read_json(path)
+    if not isinstance(layout, dict):
+        raise StoreError(f"{path.name}: not a shard manifest object")
+    if layout.get("version") not in (1, _MANIFEST_VERSION):
+        raise StoreError(f"unsupported shard manifest version in {path}")
+    n_shards = layout.get("n_shards")
+    if not (_is_count(n_shards) and 1 <= n_shards <= _MAX_SHARDS):
+        raise StoreError(f"{path.name}: bad n_shards {n_shards!r}")
+    collections = layout.get("collections", {})
+    if not isinstance(collections, dict):
+        raise StoreError(f"{path.name}: collections must be an object")
+    for name, info in collections.items():
+        where = f"{path.name}: collection {name!r}"
+        _check_collection_name(name, where)
+        if not isinstance(info, dict) or not _is_count(
+            info.get("generation", 0)
+        ):
+            raise StoreError(f"{where}: malformed entry")
+        _check_index_specs(info.get("indexes", []), where)
+    return layout
+
+
+def _read_flat_documents(
+    path: Path,
+) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """``(file:line, document)`` per non-blank line of a flat
+    ``<collection>.jsonl``, read strictly: a missing file, or a line
+    that is not a UTF-8 JSON object with a scalar ``_id``, raises
+    :class:`StoreError` naming the file and line."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise StoreError(f"{path.name}: unreadable ({exc})") from exc
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        at = f"{path.name}:{lineno}"
+        try:
+            text = line.decode("utf-8")
+            if not text.strip():
+                continue
+            document = json.loads(text)
+        except ValueError as exc:  # bad UTF-8 or JSON
+            raise StoreError(f"{at}: corrupt line ({exc})") from exc
+        if not (
+            isinstance(document, dict)
+            and "_id" in document
+            and not isinstance(document["_id"], (dict, list))
+        ):
+            raise StoreError(
+                f"{at}: not a stored document (an object with a scalar"
+                " _id)"
+            )
+        yield at, document
 
 
 class _ShardFiles:
@@ -224,10 +335,13 @@ class ShardedDocumentStore(DocumentStore):
     """A :class:`DocumentStore` persisted as hash-sharded partitions.
 
     Opening a directory that already holds a shard manifest replays it
-    (base files, then append logs, per shard); an empty directory
-    starts a fresh store. Every mutation is journaled synchronously to
-    the owning shard's log, so the on-disk state trails memory by at
-    most the one record being appended.
+    (base files, then append logs, per shard); a flat ``save()``
+    directory is migrated once (see the module docstring); a directory
+    without ``.jsonl`` files starts a fresh store, and one that holds
+    some but neither manifest raises :class:`StoreError`. Every
+    mutation is journaled synchronously to the owning shard's log, so
+    the on-disk state trails memory by at most the one record being
+    appended.
 
     ``storage`` is the I/O funnel every write goes through — the real
     filesystem by default, or a seeded
@@ -240,9 +354,9 @@ class ShardedDocumentStore(DocumentStore):
 
     Lock ordering: a collection's write lock is always taken *before*
     the store-wide shard lock (the journal runs inside the collection
-    lock; :meth:`compact` acquires in that same order), so background
-    compaction cannot deadlock against writers. ADA015 pins this as
-    the canonical edge of the project lock-order graph.
+    lock; :meth:`compact` acquires in that same order), so a compaction
+    started from any thread cannot deadlock against writers. ADA015
+    pins this as the canonical edge of the project lock-order graph.
 
     Cross-process safety: opening a directory takes an exclusive pid
     lockfile (``_shards.lock``, created ``O_CREAT|O_EXCL``), so a
@@ -274,8 +388,9 @@ class ShardedDocumentStore(DocumentStore):
         self._slock = threading.RLock()
         self._loading = False
         self._closed = False
-        self._compactor: Optional[threading.Thread] = None
-        self._compactor_stop = threading.Event()
+        #: One human-readable line per record that replay could not
+        #: use as-is (quarantined, out of sequence, missing ``_id``).
+        self.load_warnings: List[str] = []
         #: Collections whose on-disk history shows unexpected damage
         #: (quarantined records, sequence gaps, generation mismatches).
         #: Cleared by the compaction that rewrites them.
@@ -300,6 +415,14 @@ class ShardedDocumentStore(DocumentStore):
         try:
             if (self.directory / _MANIFEST_NAME).exists():
                 self._replay()
+            elif (self.directory / _FLAT_MANIFEST_NAME).exists():
+                self._migrate_flat()
+            elif any(self.directory.glob("*.jsonl")):
+                raise StoreError(
+                    f"{self.directory} holds .jsonl files but neither"
+                    f" {_MANIFEST_NAME} nor {_FLAT_MANIFEST_NAME};"
+                    " refusing to open it as an empty store"
+                )
             else:
                 self._write_manifest()
         except BaseException:
@@ -503,13 +626,7 @@ class ShardedDocumentStore(DocumentStore):
 
     # -- replay ----------------------------------------------------------
     def _replay(self) -> None:
-        layout_path = self.directory / _MANIFEST_NAME
-        with open(layout_path) as handle:
-            layout = json.load(handle)
-        if layout.get("version") not in (1, _MANIFEST_VERSION):
-            raise StoreError(
-                f"unsupported shard manifest version in {layout_path}"
-            )
+        layout = read_layout(self.directory / _MANIFEST_NAME)
         with self._slock:
             self.n_shards = int(layout["n_shards"])
             self._loading = True
@@ -533,6 +650,52 @@ class ShardedDocumentStore(DocumentStore):
         finally:
             with self._slock:
                 self._loading = False
+
+    def _migrate_flat(self) -> None:
+        """Rewrite a flat ``save()`` directory as framed shards, once.
+
+        Everything is parsed and installed in memory before the first
+        write, so a malformed file raises with the directory untouched.
+        Compaction then lands the framed bases and ``_shards.json``;
+        the flat files are removed only after that, manifest first, so
+        a crash in between leaves either a directory that migrates
+        again or a finished store with stray ``<name>.jsonl`` files.
+        """
+        manifest = _read_json(self.directory / _FLAT_MANIFEST_NAME)
+        if not isinstance(manifest, dict):
+            raise StoreError(
+                f"{_FLAT_MANIFEST_NAME}: expected an object of"
+                " collection -> index list"
+            )
+        with self._slock:
+            self._loading = True
+        try:
+            for name, indexes in manifest.items():
+                where = f"{_FLAT_MANIFEST_NAME}: collection {name!r}"
+                _check_collection_name(name, where)
+                _check_index_specs(indexes, where)
+                collection = self.collection(name)
+                for at, document in _read_flat_documents(
+                    self.directory / f"{name}.jsonl"
+                ):
+                    try:
+                        collection._install(document)
+                    except DuplicateKeyError as exc:
+                        raise StoreError(f"{at}: {exc}") from exc
+                for index in indexes:
+                    collection.create_index(
+                        index["path"],
+                        unique=index.get("unique", False),
+                        kind=index.get("kind", "hash"),
+                    )
+        finally:
+            with self._slock:
+                self._loading = False
+        self.compact()
+        with self._slock:
+            self.storage.remove(self.directory / _FLAT_MANIFEST_NAME)
+            for name in manifest:
+                self.storage.remove(self.directory / f"{name}.jsonl")
 
     def _replay_shard(
         self, name: str, shard: int, manifest_gen: int
@@ -667,7 +830,7 @@ class ShardedDocumentStore(DocumentStore):
         sidecar = files.quarantine_path(shard)
         existing: Set[Any] = set()
         if sidecar.exists():
-            with open(sidecar) as handle:
+            with open(sidecar, encoding="utf-8", errors="replace") as handle:
                 for line in handle:
                     try:
                         entry = json.loads(line)
@@ -810,47 +973,6 @@ class ShardedDocumentStore(DocumentStore):
                 out[name] = entry
         return out
 
-    # -- background compaction -------------------------------------------
-    def start_background_compaction(
-        self, interval_s: float = 30.0, min_pending: int = 1
-    ) -> None:
-        """Compact every ``interval_s`` seconds (when at least
-        ``min_pending`` log records accumulated) on a daemon thread."""
-        with self._slock:
-            if self._closed:
-                raise StoreError("sharded store is closed")
-            if (
-                self._compactor is not None
-                and self._compactor.is_alive()
-            ):
-                return
-            self._compactor_stop.clear()
-
-            def run() -> None:
-                while not self._compactor_stop.wait(interval_s):
-                    if self.pending_ops() >= min_pending:
-                        self.compact()
-
-            self._compactor = threading.Thread(
-                target=run, name="kdb-compactor", daemon=True
-            )
-            self._compactor.start()
-
-    def stop_background_compaction(
-        self, timeout_s: float = 5.0
-    ) -> None:
-        """Stop and join the background compaction thread (if running).
-
-        The stop event wakes the compactor out of its interval wait;
-        the join is bounded by ``timeout_s`` and happens outside the
-        shard lock — an in-flight compaction needs that lock to finish.
-        """
-        with self._slock:
-            self._compactor_stop.set()
-            thread, self._compactor = self._compactor, None
-        if thread is not None:
-            thread.join(timeout=timeout_s)
-
     # -- lifecycle -------------------------------------------------------
     def drop_collection(self, name: str) -> None:
         """Drop a collection and delete its partition files."""
@@ -863,19 +985,17 @@ class ShardedDocumentStore(DocumentStore):
         self._write_manifest()
 
     def close(self) -> None:
-        """Stop background compaction, fsync and release log handles.
+        """Release the pid lockfile, fsync and release log handles.
 
-        Joins the compactor thread first (bounded), marks the store
-        closed under the shard lock — after which every journal append
-        and compaction attempt raises — then fsyncs and closes the log
-        handles outside it, and releases the pid lockfile. Idempotent,
-        and deliberately does *not* compact: the logs are already
-        durable, and read-only tooling (``repro kdb stats``) must be
-        able to open and close a store without rewriting it.
+        Marks the store closed under the shard lock — after which every
+        journal append and compaction attempt raises — and releases the
+        lockfile, then fsyncs and closes the log handles outside it.
+        Idempotent, and deliberately does *not* compact: the logs are
+        already durable, and read-only tooling (``repro kdb stats``)
+        must be able to open and close a store without rewriting it.
         """
         if self._closed:
             return
-        self.stop_background_compaction()
         with self._slock:
             if self._closed:
                 return
@@ -900,7 +1020,6 @@ class ShardedDocumentStore(DocumentStore):
         process can immediately reopen the directory and exercise
         recovery.
         """
-        self.stop_background_compaction()
         with self._slock:
             self._closed = True
             self._has_lockfile = False

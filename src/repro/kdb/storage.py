@@ -6,9 +6,8 @@ logs, manifests, lockfiles, quarantine sidecars — goes through a
 can interpose a deterministic fault model between the store and the
 filesystem. Two implementations ship:
 
-* :class:`LocalStorage` — the real filesystem, using the same
-  tmp-file + ``fsync`` + ``os.replace`` discipline the flat store has
-  used since PR 5; and
+* :class:`LocalStorage` — the real filesystem, writing whole files
+  by the tmp-file + ``fsync`` + ``os.replace`` discipline; and
 * :class:`FaultyStorage` — a seeded wrapper that counts *write events*
   (appends, atomic writes, syncs, removals, truncations, exclusive
   creates) and can inject, at any chosen event: a torn write (the

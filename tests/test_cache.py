@@ -211,11 +211,18 @@ def test_cache_lives_inside_a_document_store():
 def test_cache_persists_with_the_knowledge_base(tmp_path):
     from repro.kdb.kdb import KnowledgeBase
 
-    kdb = KnowledgeBase()
+    kdb = KnowledgeBase.open_sharded(tmp_path / "kdb")
     kdb.analysis_cache().put("ds", "algo", {"k": 2}, [1, 0, 1])
-    kdb.save(tmp_path / "kdb")
-    reloaded = KnowledgeBase.load(tmp_path / "kdb")
-    assert reloaded.analysis_cache().get("ds", "algo", {"k": 2}) == [1, 0, 1]
+    kdb.store.close()
+    reloaded = KnowledgeBase.open_sharded(tmp_path / "kdb")
+    try:
+        assert reloaded.analysis_cache().get("ds", "algo", {"k": 2}) == [
+            1,
+            0,
+            1,
+        ]
+    finally:
+        reloaded.store.close()
 
 
 # ----------------------------------------------------------------------

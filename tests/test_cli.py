@@ -142,6 +142,37 @@ def test_kdb_stats_and_compact(capsys, tmp_path):
     assert json.loads(output)["c"]["pending_ops"] == 0
 
 
+def test_kdb_stats_and_compact_migrate_a_flat_directory(capsys, tmp_path):
+    import json
+
+    from repro.kdb.documentstore import DocumentStore
+    from tests.flat_store import write_flat_store
+
+    store = DocumentStore()
+    store["c"].insert_many([{"x": i} for i in range(5)])
+    store["c"].create_index("x", unique=True)
+    directory = write_flat_store(store, tmp_path / "kdb")
+
+    # fsck reads only the framed format
+    assert main(["kdb", "fsck", str(directory)]) == 1
+    assert "no sharded K-DB" in capsys.readouterr().err
+
+    code = main(["kdb", "stats", str(directory)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "migrated the flat K-DB" in captured.err
+    stats = json.loads(captured.out)
+    assert stats["c"]["documents"] == 5
+    assert stats["c"]["indexes"] == ["x_1"]
+    assert not (directory / "_manifest.json").exists()
+
+    directory = write_flat_store(store, tmp_path / "again")
+    code, output = run(capsys, "kdb", "compact", str(directory))
+    assert code == 0
+    code, output = run(capsys, "kdb", "stats", str(directory))
+    assert json.loads(output)["c"]["documents"] == 5
+
+
 def test_kdb_stats_missing_directory(capsys, tmp_path):
     code = main(["kdb", "stats", str(tmp_path / "nowhere")])
     err = capsys.readouterr().err

@@ -9,6 +9,8 @@ from repro.exceptions import (
     StoreError,
 )
 from repro.kdb.documentstore import DocumentStore
+from repro.kdb.shards import ShardedDocumentStore
+from tests.flat_store import write_flat_store
 
 
 @pytest.fixture()
@@ -387,30 +389,41 @@ def test_collection_drop_empties_but_keeps_indexes(people):
 
 
 # ----------------------------------------------------------------------
-# persistence
+# persistence: a flat save() directory migrates to framed shards
 # ----------------------------------------------------------------------
 def test_save_load_roundtrip(people, store, tmp_path):
     people.create_index("name")
-    store.save(tmp_path / "db")
-    loaded = DocumentStore.load(tmp_path / "db")
-    assert len(loaded["people"]) == 4
-    assert loaded["people"].find_one({"name": "ada"})["age"] == 36
-    assert "name_1" in loaded["people"].index_names()
+    write_flat_store(store, tmp_path / "db")
+    with ShardedDocumentStore(tmp_path / "db") as loaded:
+        assert len(loaded["people"]) == 4
+        assert loaded["people"].find_one({"name": "ada"})["age"] == 36
+        assert "name_1" in loaded["people"].index_names()
+    assert not (tmp_path / "db" / "_manifest.json").exists()
+    assert not (tmp_path / "db" / "people.jsonl").exists()
+    with ShardedDocumentStore(tmp_path / "db") as reopened:
+        assert reopened["people"].find_one({"name": "ada"})["age"] == 36
+        assert "name_1" in reopened["people"].index_names()
 
 
 def test_load_missing_manifest_raises(tmp_path):
-    with pytest.raises(StoreError):
-        DocumentStore.load(tmp_path / "absent")
+    with ShardedDocumentStore(tmp_path / "db") as store:
+        store["c"].insert_one({"x": 1})
+        store.compact()
+    (tmp_path / "db" / "_shards.json").unlink()
+    # shard files without their manifest: refuse, never start empty
+    with pytest.raises(StoreError, match="neither _shards.json"):
+        ShardedDocumentStore(tmp_path / "db")
+    assert not (tmp_path / "db" / "_shards.json").exists()
 
 
 def test_save_load_preserves_unique_flag(store, tmp_path):
     collection = store["c"]
     collection.create_index("email", unique=True)
     collection.insert_one({"email": "a@b.c"})
-    store.save(tmp_path / "db")
-    loaded = DocumentStore.load(tmp_path / "db")
-    with pytest.raises(DuplicateKeyError):
-        loaded["c"].insert_one({"email": "a@b.c"})
+    write_flat_store(store, tmp_path / "db")
+    with ShardedDocumentStore(tmp_path / "db") as loaded:
+        with pytest.raises(DuplicateKeyError):
+            loaded["c"].insert_one({"email": "a@b.c"})
 
 
 # ----------------------------------------------------------------------
@@ -759,48 +772,6 @@ def test_sorted_index_upgrade_from_hash(people):
 def test_unknown_index_kind_rejected(people):
     with pytest.raises(StoreError):
         people.create_index("age", kind="btree")
-
-
-# ----------------------------------------------------------------------
-# snapshots
-# ----------------------------------------------------------------------
-def test_snapshot_is_consistent_under_writes(people):
-    snap = people.snapshot()
-    people.insert_one({"name": "barbara", "age": 1, "tags": []})
-    people.update_one({"name": "ada"}, {"$inc": {"age": 1}})
-    people.delete_one({"name": "alan"})
-    assert len(snap) == 4
-    assert snap.find_one({"name": "ada"})["age"] == 36
-    assert snap.find_one({"name": "alan"}) is not None
-    assert snap.find_one({"name": "barbara"}) is None
-
-
-def test_snapshot_rejects_writes(people):
-    snap = people.snapshot()
-    with pytest.raises(StoreError):
-        snap.insert_one({"name": "x"})
-    with pytest.raises(StoreError):
-        snap.update_one({}, {"$set": {"a": 1}})
-    with pytest.raises(StoreError):
-        snap.delete_many({})
-    with pytest.raises(StoreError):
-        snap.drop()
-
-
-def test_snapshot_carries_indexes(people):
-    people.create_index("name")
-    snap = people.snapshot()
-    assert snap.explain({"name": "ada"}).kind == "point"
-    assert snap.find_one({"name": "ada"})["age"] == 36
-
-
-def test_store_snapshot_covers_all_collections(store):
-    store["a"].insert_one({"x": 1})
-    store["b"].insert_one({"y": 2})
-    snap = store.snapshot()
-    store["a"].insert_one({"x": 3})
-    assert len(snap["a"]) == 1
-    assert len(snap["b"]) == 1
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.data import ExamLog, ExamRecord, PatientInfo
 from repro.data.taxonomy import build_default_taxonomy
 from repro.exceptions import MiningError, PreprocessError
 from repro.kdb.documentstore import DocumentStore
+from repro.kdb.shards import ShardedDocumentStore
 from repro.mining import (
     DBSCAN,
     DecisionTreeClassifier,
@@ -16,6 +17,7 @@ from repro.mining import (
     sse,
 )
 from repro.preprocess import VSMBuilder, characterize_matrix
+from tests.flat_store import write_flat_store
 
 
 # ----------------------------------------------------------------------
@@ -135,10 +137,12 @@ def test_update_on_empty_store():
 def test_save_empty_store(tmp_path):
     store = DocumentStore()
     store["empty"]
-    store.save(tmp_path / "db")
-    loaded = DocumentStore.load(tmp_path / "db")
-    assert loaded.collection_names() == ["empty"]
-    assert len(loaded["empty"]) == 0
+    write_flat_store(store, tmp_path / "db")
+    with ShardedDocumentStore(tmp_path / "db") as loaded:
+        assert loaded.collection_names() == ["empty"]
+        assert len(loaded["empty"]) == 0
+    with ShardedDocumentStore(tmp_path / "db") as reopened:
+        assert reopened.collection_names() == ["empty"]
 
 
 # ----------------------------------------------------------------------

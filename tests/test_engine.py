@@ -165,7 +165,7 @@ def test_degree_prediction_kicks_in_after_feedback(small_log):
 
 
 def test_engine_with_external_kdb(small_log, tmp_path):
-    kdb = KnowledgeBase()
+    kdb = KnowledgeBase.open_sharded(tmp_path / "kdb")
     engine = ADAHealth(
         kdb=kdb,
         config=EngineConfig(
@@ -178,9 +178,12 @@ def test_engine_with_external_kdb(small_log, tmp_path):
         seed=0,
     )
     engine.analyze(small_log)
-    kdb.save(tmp_path / "kdb")
-    reloaded = KnowledgeBase.load(tmp_path / "kdb")
-    assert reloaded.counts()["discovered_knowledge"] > 0
+    kdb.store.close()
+    reloaded = KnowledgeBase.open_sharded(tmp_path / "kdb")
+    try:
+        assert reloaded.counts()["discovered_knowledge"] > 0
+    finally:
+        reloaded.store.close()
 
 
 def test_deterministic_given_seed(small_log):

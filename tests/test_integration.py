@@ -127,7 +127,7 @@ def test_full_loop_two_sessions_learning(log):
 
 
 def test_kdb_persistence_across_engines(log, tmp_path):
-    """A K-DB saved by one engine continues learning in another."""
+    """A K-DB written by one engine continues learning in another."""
     config = EngineConfig(
         k_values=(4,),
         partial_fractions=(1.0,),
@@ -135,20 +135,23 @@ def test_kdb_persistence_across_engines(log, tmp_path):
         n_folds=3,
         max_goals=2,
     )
-    first_engine = ADAHealth(config=config, seed=0)
+    kdb = KnowledgeBase.open_sharded(tmp_path / "kdb")
+    first_engine = ADAHealth(kdb=kdb, config=config, seed=0)
     result = first_engine.analyze(log, user="dr-p")
     session = result.navigate(page_size=6)
     expert = SimulatedExpert(seed=4)
     for item in session.page(0):
         session.give_feedback(item, expert.label(item))
-    first_engine.kdb.save(tmp_path / "kdb")
+    kdb.store.close()
 
-    second_engine = ADAHealth(
-        kdb=KnowledgeBase.load(tmp_path / "kdb"), config=config, seed=0
-    )
-    assert second_engine.kdb.feedback_count("dr-p") == 6
-    again = second_engine.analyze(log, name="second")
-    assert again.items
+    reopened = KnowledgeBase.open_sharded(tmp_path / "kdb")
+    try:
+        second_engine = ADAHealth(kdb=reopened, config=config, seed=0)
+        assert second_engine.kdb.feedback_count("dr-p") == 6
+        again = second_engine.analyze(log, name="second")
+        assert again.items
+    finally:
+        reopened.store.close()
 
 
 def test_ranker_adaptation_changes_order(log):

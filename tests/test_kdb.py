@@ -193,14 +193,19 @@ def test_predict_many_matches_one_row_predictions(kdb):
     assert predictor.predict_many([], attach=True) == []
 
 
-def test_save_load_roundtrip(kdb, tiny_log, tmp_path):
+def test_save_load_roundtrip(tiny_log, tmp_path):
+    kdb = KnowledgeBase.open_sharded(tmp_path / "kdb")
     dataset_id = kdb.register_dataset(tiny_log, "tiny")
     item = kdb.store_item(make_item(), dataset_id)
     kdb.record_feedback(item, "dr-a", "medium")
-    kdb.save(tmp_path / "kdb")
-    loaded = KnowledgeBase.load(tmp_path / "kdb")
-    assert loaded.counts() == kdb.counts()
-    assert loaded.feedback_count() == 1
+    counts = kdb.counts()
+    kdb.store.close()
+    loaded = KnowledgeBase.open_sharded(tmp_path / "kdb")
+    try:
+        assert loaded.counts() == counts
+        assert loaded.feedback_count() == 1
+    finally:
+        loaded.store.close()
 
 
 def test_counts_keys(kdb):

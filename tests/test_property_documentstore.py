@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kdb.documentstore import DocumentStore
+from repro.kdb.shards import ShardedDocumentStore
+from tests.flat_store import write_flat_store
 
 # JSON-safe scalar values (no NaN: NaN breaks JSON round-trips and
 # equality, which the store contract excludes anyway).
@@ -92,16 +94,17 @@ def test_save_load_identity(docs):
 
 
 def _check_save_load(docs, directory):
+    """A flat ``save()`` directory migrates to framed shards intact."""
     store = DocumentStore()
     store["c"].insert_many(docs)
-    store.save(directory)
-    loaded = DocumentStore.load(directory)
+    write_flat_store(store, directory)
     original = sorted(
         store["c"].find().to_list(), key=lambda d: str(d["_id"])
     )
-    reloaded = sorted(
-        loaded["c"].find().to_list(), key=lambda d: str(d["_id"])
-    )
+    with ShardedDocumentStore(directory, n_shards=2) as loaded:
+        reloaded = sorted(
+            loaded["c"].find().to_list(), key=lambda d: str(d["_id"])
+        )
     assert json.dumps(original, sort_keys=True, default=str) == json.dumps(
         reloaded, sort_keys=True, default=str
     )

@@ -29,14 +29,21 @@ from repro.cloud.executor import SweepResult, TaskFailure, TaskSpec
 from repro.core import ADAHealth, EngineConfig
 from repro.core.cache import AnalysisCache
 from repro.exceptions import (
+    DuplicateKeyError,
     InjectedFault,
     ReproError,
+    StoreError,
     TaskTimeoutError,
     WorkerCrashError,
 )
 from repro.kdb.documentstore import DocumentStore
+from repro.kdb.fsck import fsck
+from repro.kdb.kdb import FEEDBACK, KnowledgeBase
+from repro.kdb.shards import ShardedDocumentStore
+from repro.kdb.storage import FaultyStorage, SimulatedCrash
 from repro.obs import Metrics, validate_manifest
 from repro.obs.manifest import MANIFEST_SCHEMA, MANIFEST_SCHEMA_V1
+from tests.flat_store import write_flat_store
 
 pytestmark = pytest.mark.faults
 
@@ -575,34 +582,81 @@ def test_validate_manifest_accepts_v1_documents():
 
 
 # ----------------------------------------------------------------------
-# Regressions: crash-safe store, corrupt-tolerant cache
+# Regressions: crash-safe flat-store migration, corrupt-tolerant cache
 # ----------------------------------------------------------------------
+def _sorted_documents(collection):
+    return sorted(collection.find().to_list(), key=lambda d: d["_id"])
+
+
 def test_documentstore_save_is_atomic(tmp_path):
-    store = DocumentStore()
-    store.collection("people").insert_many(
-        [{"name": "a"}, {"name": "b"}]
-    )
-    store.save(tmp_path)
-    leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-    assert leftovers == []
-    reloaded = DocumentStore.load(tmp_path)
-    assert len(reloaded.collection("people")) == 2
-    assert reloaded.load_warnings == []
+    """Migrating a flat directory survives a crash at every write: the
+    next open finds the flat files and migrates again, or finds the
+    finished framed store; never a partial or an empty one."""
+    source = DocumentStore()
+    source["people"].insert_many([{"name": name} for name in "abcde"])
+    source["people"].create_index("name", unique=True)
+    expected = _sorted_documents(source["people"])
+    clean = FaultyStorage(seed=0)
+    ShardedDocumentStore(
+        write_flat_store(source, tmp_path / "count"),
+        n_shards=2,
+        storage=clean,
+    ).close()
+    assert clean.events >= 6
+    for crash_at in range(1, clean.events + 1):
+        directory = write_flat_store(source, tmp_path / f"crash-{crash_at}")
+        with pytest.raises(SimulatedCrash):
+            ShardedDocumentStore(
+                directory,
+                n_shards=2,
+                storage=FaultyStorage(seed=crash_at, crash_at=crash_at),
+            ).close()
+        with ShardedDocumentStore(directory, n_shards=2) as recovered:
+            assert _sorted_documents(recovered["people"]) == expected
+            assert recovered.load_warnings == []
+            with pytest.raises(DuplicateKeyError):
+                recovered["people"].insert_one({"name": "a"})
+        assert fsck(directory).clean, crash_at
 
 
-def test_documentstore_load_skips_corrupt_trailing_lines(tmp_path):
-    store = DocumentStore()
-    store.collection("people").insert_many(
-        [{"name": "a"}, {"name": "b"}]
+def test_flat_kdb_migration_is_all_or_nothing(tmp_path):
+    """A flat directory migrates whole through ``open_sharded``, or a
+    malformed line raises naming its file and line and leaves every
+    file byte-for-byte as it was."""
+    source = KnowledgeBase()
+    source.store[FEEDBACK].insert_many(
+        [{"item_id": i, "user": "dr-a", "degree": "high"} for i in range(3)]
     )
-    store.save(tmp_path)
-    # Simulate a crash mid-append: a truncated JSON line at the tail.
-    with open(tmp_path / "people.jsonl", "a") as handle:
-        handle.write('{"name": "tru')
-    reloaded = DocumentStore.load(tmp_path)
-    assert len(reloaded.collection("people")) == 2
-    assert len(reloaded.load_warnings) == 1
-    assert "people.jsonl:3" in reloaded.load_warnings[0]
+    migrated = KnowledgeBase.open_sharded(
+        write_flat_store(source.store, tmp_path / "clean")
+    )
+    try:
+        for name in source.store.collection_names():
+            assert _sorted_documents(migrated.store[name]) == (
+                _sorted_documents(source.store[name])
+            )
+            assert sorted(migrated.store[name].index_names()) == sorted(
+                source.store[name].index_names()
+            )
+    finally:
+        migrated.store.close()
+
+    damages = {
+        "torn tail": b'{"degree": "hi',
+        "not UTF-8": b"\xff\xfe\n",
+        "not an object": b"[1, 2]\n",
+        "no _id": b'{"degree": "low"}\n',
+        "duplicate _id": b'{"_id": 1}\n',
+    }
+    for damage, line in damages.items():
+        directory = write_flat_store(source.store, tmp_path / damage)
+        with open(directory / f"{FEEDBACK}.jsonl", "ab") as handle:
+            handle.write(line)
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        with pytest.raises(StoreError, match=f"{FEEDBACK}.jsonl:4: "):
+            KnowledgeBase.open_sharded(directory)
+        after = {p.name: p.read_bytes() for p in directory.iterdir()}
+        assert after == before, damage
 
 
 def test_cache_corrupt_entry_degrades_to_miss():
@@ -665,14 +719,14 @@ def test_runtime_lock_order_is_within_the_static_graph(tmp_path):
 
     The static side analyses the real ``shards.py``/``documentstore.py``
     sources; the runtime side instruments a live store with
-    :func:`track_store_locks` and hammers it from several threads with
-    auto- and background compaction enabled. A runtime-only edge means
-    the analyser has a blind spot (or the code grew an untracked path).
+    :func:`track_store_locks` and hammers it from several writer
+    threads with auto-compaction enabled while one more thread keeps
+    compacting. A runtime-only edge means the analyser has a blind
+    spot (or the code grew an untracked path).
     """
     import threading
     from pathlib import Path
 
-    from repro.kdb.shards import ShardedDocumentStore
     from repro.lint.graph import ProjectGraph, extract_summary
     from tests.locktrack import track_store_locks
 
@@ -712,15 +766,27 @@ def test_runtime_lock_order_is_within_the_static_graph(tmp_path):
         except Exception as exc:  # pragma: no cover - failure path
             failures.append(exc)
 
+    writers_done = threading.Event()
+
+    def compactor():
+        try:
+            while not writers_done.is_set():
+                store.compact()
+        except Exception as exc:  # pragma: no cover - failure path
+            failures.append(exc)
+
     threads = [
         threading.Thread(target=writer, args=(worker,))
         for worker in range(4)
     ]
+    compacting = threading.Thread(target=compactor)
+    compacting.start()
     for thread in threads:
         thread.start()
-    store.start_background_compaction(interval_s=0.001, min_pending=1)
     for thread in threads:
         thread.join()
+    writers_done.set()
+    compacting.join()
     store.compact()
     store.stats()
     store.close()

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -215,20 +214,6 @@ def test_auto_compaction_threshold(tmp_path):
     assert len(reopened["c"]) == 25
 
 
-def test_background_compaction_thread(tmp_path):
-    store = ShardedDocumentStore(tmp_path / "db", n_shards=2)
-    store["c"].insert_many([{} for _ in range(10)])
-    store.start_background_compaction(interval_s=0.05, min_pending=1)
-    deadline = threading.Event()
-    for _ in range(100):
-        if store.pending_ops() == 0:
-            break
-        deadline.wait(0.05)
-    store.stop_background_compaction()
-    assert store.pending_ops() == 0
-    assert len(_reopen(store)["c"]) == 10
-
-
 def test_compact_single_collection(sharded):
     sharded["a"].insert_one({})
     sharded["b"].insert_one({})
@@ -314,35 +299,20 @@ def test_failed_open_releases_the_lockfile(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# close() vs the background compactor
+# close() vs compaction
 # ----------------------------------------------------------------------
-def test_close_stops_and_joins_the_compactor(tmp_path):
-    store = ShardedDocumentStore(tmp_path / "db", n_shards=2)
-    store["c"].insert_many([{} for _ in range(5)])
-    store.start_background_compaction(interval_s=0.01, min_pending=1)
-    compactor = store._compactor
-    assert compactor is not None and compactor.is_alive()
-    store.close()
-    assert store._compactor is None
-    compactor.join(timeout=5.0)
-    assert not compactor.is_alive()
-
-
 def test_compaction_on_closed_store_raises(tmp_path):
     store = ShardedDocumentStore(tmp_path / "db", n_shards=2)
     store["c"].insert_one({})
     store.close()
     with pytest.raises(StoreError):
         store.compact()
-    with pytest.raises(StoreError):
-        store.start_background_compaction(interval_s=0.01)
 
 
 def test_close_then_reopen_never_races_compaction(tmp_path):
-    # Regression: close() used to leave the daemon compactor running;
-    # a reopen could then replay shards mid-rewrite. Hammer the
-    # close/reopen cycle with an aggressive compactor and check every
-    # reopen sees exactly the documents written so far.
+    # Cycle close/reopen with the writer compacting right before some
+    # closes and leaving its ops in the logs before others: every
+    # reopen must see exactly the documents written so far.
     directory = tmp_path / "db"
     expected = {}
     store = ShardedDocumentStore(directory, n_shards=2)
@@ -352,11 +322,8 @@ def test_close_then_reopen_never_races_compaction(tmp_path):
         store["c"].insert_many(docs)
         for doc in docs:
             expected[doc["_id"]] = doc["r"]
-        store.start_background_compaction(
-            interval_s=0.001, min_pending=1
-        )
-        # give the compactor a chance to be mid-flight at close
-        store.pending_ops()
+        if round_no % 2 == 0:
+            store.compact()
         store.close()
         store = ShardedDocumentStore(directory, n_shards=2)
         found = {
