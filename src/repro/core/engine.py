@@ -907,7 +907,7 @@ class ADAHealth:
         itemsets = mine_frequent_itemsets(
             transactions,
             self.config.min_support,
-            algorithm="fpgrowth",
+            algorithm="apriori",
             metrics=self.metrics,
         )
         items = extract_itemset_items(
@@ -915,7 +915,7 @@ class ADAHealth:
             end_goal=goal.name,
             top=self.config.items_per_goal,
             provenance={
-                "algorithm": "fpgrowth",
+                "algorithm": "apriori",
                 "min_support": self.config.min_support,
                 "dataset_id": dataset_id,
             },
@@ -929,7 +929,7 @@ class ADAHealth:
         itemsets = mine_frequent_itemsets(
             transactions,
             self.config.min_support,
-            algorithm="fpgrowth",
+            algorithm="apriori",
             metrics=self.metrics,
         )
         rules = generate_rules(
@@ -940,7 +940,7 @@ class ADAHealth:
             end_goal=goal.name,
             top=self.config.items_per_goal,
             provenance={
-                "algorithm": "fpgrowth+rules",
+                "algorithm": "apriori+rules",
                 "min_support": self.config.min_support,
                 "min_confidence": self.config.min_confidence,
                 "dataset_id": dataset_id,
@@ -1073,6 +1073,7 @@ class ADAHealth:
             transactions,
             log.taxonomy.parent_map(),
             self.config.generalized_min_support,
+            algorithm="apriori",
             max_length=4,
         )
         items = extract_generalized_items(
@@ -1080,7 +1081,7 @@ class ADAHealth:
             end_goal=goal.name,
             top=self.config.items_per_goal,
             provenance={
-                "algorithm": "generalized-fpgrowth",
+                "algorithm": "generalized-apriori",
                 "min_support": self.config.generalized_min_support,
                 "dataset_id": dataset_id,
             },

@@ -13,7 +13,9 @@ replayed into memory) and reports every violated durability invariant:
   switches, torn *base* lines — as damage;
 * log and base generations agree per shard (a log older than its base
   is a crashed compaction's leftover; a log *newer* than its base
-  means the base is missing or rolled back);
+  means the base is missing or rolled back), and past manifest
+  generation 0 every shard has a base (compaction writes them all
+  before the manifest records the generation);
 * no shard files for collections the manifest does not know.
 
 With ``repair=True`` the mechanical repairs run first — delete the
@@ -202,6 +204,16 @@ def _check_collection(
         base = scan_file(base_path)
         log = scan_file(log_path)
         base_gen = manifest_gen
+        if base is None and manifest_gen > 0:
+            # compaction writes every base before the manifest names
+            # its generation: a missing one lost its documents
+            report.issues.append(
+                FsckIssue(
+                    "missing_base",
+                    base_path.name,
+                    f"base missing at manifest generation {manifest_gen}",
+                )
+            )
         if base is not None:
             report.files_checked += 1
             report.records += len(base.records)

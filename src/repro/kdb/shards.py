@@ -48,7 +48,11 @@ pluggable :mod:`repro.kdb.storage` layer, so recovery can tell the
 * a **stale log** (generation older than its base) is the signature of
   a crash between compaction's base writes and its log removals: the
   ops are already folded into the base, so recovery completes the
-  interrupted removal (``kdb.recovery.stale_log``).
+  interrupted removal (``kdb.recovery.stale_log``);
+* a **missing base** past manifest generation 0 is damage, since
+  compaction lands every base before the manifest names its
+  generation: the collection is flagged degraded with a load warning
+  and ``kdb.recovery.gen_mismatch`` is metered.
 
 Pre-checksum (v1) files still replay — plain JSON lines — and upgrade
 to v2 framing on their next compaction. A journal append that fails
@@ -713,6 +717,19 @@ class ShardedDocumentStore(DocumentStore):
         state: Dict[Any, Dict[str, Any]] = {}
         base_gen = manifest_gen
         base = scan_file(files.base_path(shard))
+        if base is None and manifest_gen > 0:
+            # Compaction lands every shard's base before the manifest
+            # records its generation, so past generation 0 no crash
+            # leaves a base missing: its documents are lost.
+            with self._slock:
+                self.recovery_stats["gen_mismatch"] += 1
+                self.degraded_collections.add(name)
+                self.load_warnings.append(
+                    f"{files.base_path(shard).name}: base missing at"
+                    f" manifest generation {manifest_gen}; its"
+                    " documents are lost"
+                )
+            self._meter("gen_mismatch")
         if base is not None:
             if base.gen is not None:
                 base_gen = max(base_gen, base.gen)

@@ -98,6 +98,23 @@ def test_explicit_goal_selection(small_log):
     assert all(item.kind == "itemset" for item in result.items)
 
 
+def test_pattern_goals_name_the_apriori_miner(small_log):
+    """The itemset, rule and generalized goals run the bitset Apriori
+    and say so in every item's provenance."""
+    expected = {
+        "co-prescription-patterns": "apriori",
+        "care-pathway-rules": "apriori+rules",
+        "exam-category-profiles": "generalized-apriori",
+    }
+    result = ADAHealth(seed=0).analyze(small_log, goals=list(expected))
+    assert {run.goal.name for run in result.runs} == set(expected)
+    for run in result.runs:
+        assert run.items
+        assert {item.provenance["algorithm"] for item in run.items} == {
+            expected[run.goal.name]
+        }
+
+
 def test_unknown_goal_request_raises(small_log):
     engine = ADAHealth(seed=0)
     with pytest.raises(EndGoalError):

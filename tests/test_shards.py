@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import StoreError
 from repro.kdb.documentstore import DocumentStore
+from repro.kdb.fsck import fsck
 from repro.kdb.kdb import DISCOVERED_KNOWLEDGE, KnowledgeBase
 from repro.kdb.shards import ShardedDocumentStore, shard_of
 
@@ -202,6 +203,51 @@ def test_stale_log_replays_idempotently_over_compacted_base(sharded):
         (sharded.directory / name).write_bytes(blob)
     recovered = ShardedDocumentStore(sharded.directory)
     assert _contents(recovered) == expected
+
+
+def test_missing_base_after_compaction_is_damage(sharded):
+    """Past generation 0 every shard has a base: losing one must not
+    reopen silently with fewer documents."""
+    sharded["c"].insert_many([{"_id": i} for i in range(11)])
+    sharded.compact()
+    sharded.close()
+    victim = sharded.directory / "c.shard-0000.jsonl"
+    lost = sum(shard_of(i, 4) == 0 for i in range(11))
+    assert lost > 0
+    victim.unlink()
+
+    report = fsck(sharded.directory)
+    assert [(i.kind, i.path) for i in report.issues] == [
+        ("missing_base", victim.name)
+    ]
+    assert not report.ok
+
+    reopened = ShardedDocumentStore(sharded.directory)
+    assert len(_contents(reopened)) == 11 - lost
+    assert reopened.degraded_collections == {"c"}
+    assert any(victim.name in w for w in reopened.load_warnings)
+    assert reopened.recovery_stats["gen_mismatch"] == 1
+    reopened.close()
+
+    # repair compacts what is left: every base is back, fsck is clean
+    assert fsck(sharded.directory, repair=True).ok
+    assert fsck(sharded.directory).clean
+    final = ShardedDocumentStore(sharded.directory)
+    assert final.degraded_collections == set()
+    assert len(_contents(final)) == 11 - lost
+    final.close()
+
+
+def test_generation_zero_store_without_bases_opens_clean(sharded):
+    sharded["c"].insert_many([{"_id": i} for i in range(11)])
+    sharded.close()
+    assert not list(sharded.directory.glob("c.shard-*[0-9].jsonl"))
+    reopened = ShardedDocumentStore(sharded.directory)
+    assert len(_contents(reopened)) == 11
+    assert reopened.degraded_collections == set()
+    assert reopened.load_warnings == []
+    reopened.close()
+    assert fsck(sharded.directory).clean
 
 
 def test_auto_compaction_threshold(tmp_path):
