@@ -19,6 +19,8 @@ from repro.mining import GaussianNaiveBayes, KNeighborsClassifier
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 K_VALUES = (6, 8, 10, 15, 20)
 
 FACTORIES = {

@@ -20,6 +20,8 @@ from repro.preprocess import characterize_log
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 PAPER = {
     "n_patients": 6380,
     "n_records": 95788,

@@ -26,6 +26,8 @@ from repro.preprocess import characterize_log
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 #: The simulated user's fixed latent preference.
 PREFERRED = {"patient-segmentation", "care-pathway-rules"}
 

@@ -17,6 +17,8 @@ from repro.data import small_dataset
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 #: The blocks named in the paper's SSIII walk-through of Figure 1.
 PAPER_BLOCKS = {
     "characterization",  # Data characterization and transformation

@@ -15,6 +15,8 @@ from repro.core import ADAHealth, EngineConfig
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 
 def test_full_engine_paper_scale(paper_log, benchmark):
     def run():

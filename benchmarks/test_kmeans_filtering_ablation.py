@@ -28,6 +28,8 @@ from repro.mining.kmeans import filtering_stats
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 
 def make_blobs(n, dims, k, seed):
     rng = np.random.default_rng(seed)

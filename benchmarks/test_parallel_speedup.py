@@ -91,14 +91,16 @@ def test_parallel_table1_sweep(paper_matrix, benchmark):
         ).optimize(paper_matrix)
 
     serial_report, serial_seconds = _timed(lambda: sweep(SerialExecutor()))
-    parallel_report = None
-
-    def run_parallel():
-        nonlocal parallel_report
-        parallel_report = sweep(ProcessPoolExecutorBackend(workers=WORKERS))
-
-    benchmark.pedantic(run_parallel, rounds=1, iterations=1)
-    parallel_seconds = benchmark.stats["mean"]
+    # Timed here rather than read from benchmark.stats, which is None
+    # under --benchmark-disable.
+    parallel_report, parallel_seconds = _timed(
+        lambda: benchmark.pedantic(
+            sweep,
+            args=(ProcessPoolExecutorBackend(workers=WORKERS),),
+            rounds=1,
+            iterations=1,
+        )
+    )
 
     _assert_reports_identical(serial_report, parallel_report)
     speedup = serial_seconds / parallel_seconds
@@ -185,14 +187,15 @@ def test_warm_cache_analyze(paper_log, benchmark):
     cold, cold_seconds = _timed(
         lambda: engine.analyze(paper_log, name="cold", user="bench")
     )
-    warm = None
-
-    def run_warm():
-        nonlocal warm
-        warm = engine.analyze(paper_log, name="warm", user="bench")
-
-    benchmark.pedantic(run_warm, rounds=1, iterations=1)
-    warm_seconds = benchmark.stats["mean"]
+    warm, warm_seconds = _timed(
+        lambda: benchmark.pedantic(
+            engine.analyze,
+            args=(paper_log,),
+            kwargs={"name": "warm", "user": "bench"},
+            rounds=1,
+            iterations=1,
+        )
+    )
     ratio = warm_seconds / cold_seconds
 
     signature = lambda result: [  # noqa: E731

@@ -21,6 +21,8 @@ from repro.core import HorizontalPartialMiner, VerticalPartialMiner
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def result(paper_log):

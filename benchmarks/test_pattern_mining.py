@@ -23,6 +23,8 @@ from repro.mining import (
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 SUPPORTS = (0.4, 0.3, 0.2, 0.15)
 
 

@@ -16,6 +16,8 @@ from repro.mining import stability_profile
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 K_VALUES = (6, 8, 10, 15, 20)
 
 

@@ -22,6 +22,8 @@ from repro.core.optimizer import PAPER_K_VALUES
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 #: The paper's Table I, for side-by-side printing.
 PAPER_TABLE_1 = {
     6: (3098.32, 87.79, 90.82, 77.30),

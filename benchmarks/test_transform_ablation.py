@@ -24,6 +24,8 @@ from repro.preprocess import (
 
 from conftest import BENCH_SEED
 
+pytestmark = pytest.mark.paper
+
 COMBINATIONS = (
     ("count", "identity"),
     ("count", "l2"),

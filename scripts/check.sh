@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# The repository gate: adalint, then the tier-1 test suite.
+# The repository gate: adalint, the marker smokes, the paper's shape
+# claims, then the tier-1 test suite.
 # Usage: scripts/check.sh [extra pytest args...]
 # Mirrors .github/workflows/check.yml so local runs and CI agree.
 set -eu
@@ -38,8 +39,8 @@ EOF
 echo "==> chaos suite (seeded fault injection)"
 PYTHONPATH=src python -m pytest -x -q -m faults
 
-echo "==> block-identity smoke (out-of-core data plane)"
-PYTHONPATH=src python -m pytest -x -q -m blocks
+echo "==> shared-memory transport smoke"
+PYTHONPATH=src python -m pytest -x -q -m shm
 
 echo "==> K-DB scale smoke (sharded store + planner)"
 PYTHONPATH=src python -m pytest -x -q -m kdb_scale benchmarks/test_kdb_scale.py
@@ -51,6 +52,11 @@ echo "==> session benchmark harness smoke (ledger hooks, digest check)"
 # A tiny-cohort run of every workload: an engine change that renames a
 # callable the per-layer ledger wraps (e.g. DBSCAN.fit) fails here.
 python -m pytest -x -q sessionbench/test_smoke.py
+
+echo "==> paper shape claims"
+# EXPERIMENTS.md E1-E10 at paper scale, plus a cold analyze whose
+# ranking must match sessionbench/expected_digest.json["paper"].
+PYTHONPATH=src python -m pytest -x -q -m paper --benchmark-disable benchmarks/
 
 echo "==> tier-1 tests"
 PYTHONPATH=src python -m pytest -x -q "$@"

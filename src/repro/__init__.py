@@ -10,9 +10,11 @@ implements the engine and every substrate it needs, from scratch:
   document store;
 * :mod:`repro.preprocess` — VSM building, transforms, characterisation;
 * :mod:`repro.mining` — K-means (Lloyd + kd-tree filtering), decision
-  trees, DBSCAN, hierarchical clustering, Apriori/FP-growth, rules,
-  metrics and cross-validation;
-* :mod:`repro.cloud` — execution backends for configuration sweeps;
+  trees, naive Bayes and k-NN classifiers, DBSCAN and k-NN outlier
+  scores, Apriori/FP-growth, rules, sequences, metrics, bootstrap
+  stability and cross-validation;
+* :mod:`repro.cloud` — execution backends for configuration sweeps,
+  with shared-memory transport for process pools;
 * :mod:`repro.core` — the ADA-HEALTH engine: characterisation, viable
   end-goal identification, adaptive partial mining, algorithm
   optimisation, interestingness ranking and knowledge navigation.

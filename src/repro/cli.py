@@ -147,16 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                 " single-core hosts or small logs, otherwise a"
                 " process pool over shared memory (default: serial)",
             )
-            sub.add_argument(
-                "--block-rows",
-                type=int,
-                default=None,
-                dest="block_rows",
-                metavar="ROWS",
-                help="partition the patient matrix into ROWS-row"
-                " blocks for the out-of-core data plane (results"
-                " are byte-identical to the flat path)",
-            )
         if name == "table1":
             sub.add_argument(
                 "--k",
@@ -315,7 +305,6 @@ def cmd_analyze(args) -> int:
         retries=args.retries,
         task_timeout=args.task_timeout,
         executor=args.executor,
-        block_rows=args.block_rows,
     )
     engine = ADAHealth(config=config, seed=args.seed)
     result = engine.analyze(

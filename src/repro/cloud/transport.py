@@ -1,8 +1,8 @@
 """Shared-memory task transport: leases, handles and backend probes.
 
-The glue between the data plane (:mod:`repro.data.blocks`) and the
-executor stack: callers that fan work out over a matrix or an exam log
-take a *lease* around the dispatch —
+The glue between the shared-memory segments (:mod:`repro.data.blocks`)
+and the executor stack: callers that fan work out over a matrix or an
+exam log take a *lease* around the dispatch —
 
 ::
 
@@ -32,12 +32,7 @@ from typing import Iterator, Tuple, Union
 
 import numpy as np
 
-from repro.data.blocks import (
-    BlockedDataset,
-    SharedMatrix,
-    SharedMatrixHandle,
-    open_matrix,
-)
+from repro.data.blocks import SharedMatrix, SharedMatrixHandle, open_matrix
 from repro.data.records import ExamLog, PatientInfo
 from repro.data.taxonomy import ExamTaxonomy
 
@@ -90,8 +85,6 @@ def matrix_lease(executor, *matrices) -> Iterator[Tuple]:
     refs = []
     try:
         for matrix in matrices:
-            if isinstance(matrix, BlockedDataset):
-                matrix = matrix.matrix
             matrix = np.asarray(matrix)
             if matrix.dtype.kind == "O":
                 # Object arrays hold pointers; a flat segment cannot

@@ -63,7 +63,6 @@ from repro.core.optimizer import KMeansOptimizer, OptimizationReport
 from repro.core.partial import HorizontalPartialMiner, PartialMiningResult
 from repro.core.ranking import KnowledgeRanker, NavigationSession
 from repro.cloud.transport import log_lease, open_log
-from repro.data.blocks import BlockedDataset
 from repro.data.records import ExamLog
 from repro.exceptions import EndGoalError, EngineError
 from repro.mining.dbscan import DBSCAN
@@ -148,12 +147,6 @@ class EngineConfig:
     #: backend errors) before the fan-out backend is tripped and work
     #: falls back to a serial executor.
     breaker_threshold: int = 3
-    #: Row-block size for the out-of-core data plane. When set, the
-    #: segmentation pipeline hands the K-means optimiser a
-    #: :class:`repro.data.BlockedDataset` view of the patient matrix
-    #: (blocks are views over one backing array, so results stay
-    #: byte-identical to the flat path). None keeps the flat matrix.
-    block_rows: Optional[int] = None
 
 
 @dataclass
@@ -862,13 +855,7 @@ class ADAHealth:
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        # With block_rows set the optimiser sees a partitioned view of
-        # the same backing matrix — identical bytes, blockwise access.
-        report = optimizer.optimize(
-            BlockedDataset(matrix, cfg.block_rows)
-            if cfg.block_rows
-            else matrix
-        )
+        report = optimizer.optimize(matrix)
         best = report.best_row
         items = extract_cluster_items(
             matrix,

@@ -32,11 +32,10 @@ import numpy as np
 from repro.cloud.executor import SerialExecutor, TaskSpec
 from repro.cloud.transport import matrix_lease
 from repro.core.cache import AnalysisCache, fingerprint_array
-from repro.data.blocks import BlockedDataset, open_matrix
+from repro.data.blocks import open_matrix
 from repro.exceptions import MiningError
 from repro.obs.tracer import NULL_TRACER
 from repro.mining.decision_tree import DecisionTreeClassifier
-from repro.mining.distance import squared_euclidean
 from repro.mining.kmeans import KMeans
 from repro.mining.metrics import overall_similarity
 from repro.mining.validation import cross_validate
@@ -207,14 +206,6 @@ class KMeansOptimizer:
         the default serial executor. Ignored when an explicit
         ``executor`` is supplied — configure retries on that backend
         instead.
-    streaming:
-        When True and :meth:`optimize` receives a
-        :class:`repro.data.BlockedDataset`, each K is evaluated with
-        the one-pass minibatch :meth:`repro.mining.KMeans.partial_fit`
-        engine instead of the exact restarted Lloyd fit — O(block)
-        working memory, approximate centres. The default (False) runs
-        the exact algorithm on the blocked dataset's backing matrix,
-        producing results byte-identical to the flat path.
     """
 
     def __init__(
@@ -230,7 +221,6 @@ class KMeansOptimizer:
         tracer=None,
         metrics=None,
         retry=None,
-        streaming: bool = False,
     ) -> None:
         if not k_values:
             raise MiningError("k_values must be non-empty")
@@ -249,7 +239,6 @@ class KMeansOptimizer:
         self.seed = seed
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
-        self.streaming = streaming
 
     # ------------------------------------------------------------------
     def evaluate_k(self, data: np.ndarray, k: int) -> OptimizationRow:
@@ -281,82 +270,19 @@ class KMeansOptimizer:
             centers=model.cluster_centers_,
         )
 
-    def evaluate_k_streaming(
-        self, blocked: BlockedDataset, k: int
-    ) -> OptimizationRow:
-        """Minibatch evaluation of one K over a blocked dataset.
-
-        Feeds the blocks through :meth:`repro.mining.KMeans.partial_fit`
-        (one pass, O(block) working memory), then assigns labels and
-        accumulates the SSE blockwise against the final centres. The
-        robustness classifier protocol is unchanged.
-        """
-        model = KMeans(k, seed=self.seed, **self.kmeans_params)
-        for block in blocked.iter_blocks():
-            model.partial_fit(block)
-        centers = model.cluster_centers_
-        if centers is None:
-            raise MiningError(
-                f"streaming K={k} saw only {blocked.n_rows} rows;"
-                " need at least K"
-            )
-        label_parts: List[np.ndarray] = []
-        sse = 0.0
-        for block in blocked.iter_blocks():
-            distances = squared_euclidean(block, centers)
-            labels = np.argmin(distances, axis=1)
-            sse += float(
-                distances[np.arange(len(labels)), labels].sum()
-            )
-            label_parts.append(labels)
-        labels = np.concatenate(label_parts)
-        factory = self.classifier_factory or (
-            lambda: DecisionTreeClassifier(
-                seed=self.seed, **self.tree_params
-            )
-        )
-        metrics = cross_validate(
-            factory,
-            blocked.matrix,
-            labels,
-            n_splits=self.n_folds,
-            seed=self.seed,
-        )
-        return OptimizationRow(
-            k=k,
-            sse=sse,
-            accuracy=metrics["accuracy"],
-            avg_precision=metrics["avg_precision"],
-            avg_recall=metrics["avg_recall"],
-            overall_similarity=float(
-                overall_similarity(blocked.matrix, labels)
-            ),
-            labels=labels,
-            centers=centers,
-        )
-
     def optimize(self, data) -> OptimizationReport:
         """Run the sweep and apply the combined selection rule.
 
-        ``data`` is a matrix or a :class:`repro.data.BlockedDataset`
-        (same results either way unless ``streaming`` is on — blocks
-        are views over the backing matrix). Cached K values (same data,
-        same parameters) are restored without recomputation; only the
-        misses are dispatched to the executor, as picklable task specs.
-        With a process backend the matrix travels as a shared-memory
-        handle held by a lease for the duration of the sweep — each
-        task ships ~100 bytes instead of the matrix. Cache writes
-        happen here, in the calling process, so results computed by
-        worker processes are memoised too.
+        Cached K values (same data, same parameters) are restored
+        without recomputation; only the misses are dispatched to the
+        executor, as picklable task specs. With a process backend the
+        matrix travels as a shared-memory handle held by a lease for
+        the duration of the sweep — each task ships ~100 bytes instead
+        of the matrix. Cache writes happen here, in the calling
+        process, so results computed by worker processes are memoised
+        too.
         """
-        blocked = data if isinstance(data, BlockedDataset) else None
-        matrix = np.asarray(
-            blocked.matrix if blocked is not None else data,
-            dtype=np.float64,
-        )
-        if blocked is not None and matrix is not blocked.matrix:
-            blocked = BlockedDataset(matrix, blocked.block_rows)
-        streaming = self.streaming and blocked is not None
+        matrix = np.asarray(data, dtype=np.float64)
         with self.tracer.span(
             "kmeans-optimize",
             n_samples=int(matrix.shape[0]),
@@ -382,19 +308,10 @@ class KMeansOptimizer:
                     else:
                         rows.append(hit)
             with matrix_lease(self.executor, matrix) as (ref,):
-                if streaming:
-                    tasks = [
-                        TaskSpec(
-                            _evaluate_k_streaming_task,
-                            (self, ref, blocked.block_rows, k),
-                        )
-                        for k in pending
-                    ]
-                else:
-                    tasks = [
-                        TaskSpec(_evaluate_k_task, (self, ref, k))
-                        for k in pending
-                    ]
+                tasks = [
+                    TaskSpec(_evaluate_k_task, (self, ref, k))
+                    for k in pending
+                ]
                 outcome = self.executor.run(tasks)
             failed_k: List[int] = []
             for k, value, seconds in zip(
@@ -444,19 +361,13 @@ class KMeansOptimizer:
             )
 
     def _cell_params(self, k: int) -> Dict[str, Any]:
-        """Everything that determines one per-K row, for cache keys.
-
-        ``streaming`` is part of the key: the minibatch engine is a
-        different estimator, so its rows must never satisfy (or be
-        satisfied by) an exact sweep's lookups.
-        """
+        """Everything that determines one per-K row, for cache keys."""
         return {
             "k": k,
             "n_folds": self.n_folds,
             "tree_params": self.tree_params,
             "kmeans_params": self.kmeans_params,
             "seed": self.seed,
-            "streaming": bool(self.streaming),
         }
 
 
@@ -472,16 +383,6 @@ def _evaluate_k_task(
     """
     with open_matrix(ref) as matrix:
         return optimizer.evaluate_k(matrix, k)
-
-
-def _evaluate_k_streaming_task(
-    optimizer: "KMeansOptimizer", ref, block_rows: int, k: int
-) -> OptimizationRow:
-    """Streaming task body: rebuild the blocked view around the ref."""
-    with open_matrix(ref) as matrix:
-        return optimizer.evaluate_k_streaming(
-            BlockedDataset(matrix, block_rows), k
-        )
 
 
 def sse_plateau(

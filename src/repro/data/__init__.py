@@ -8,14 +8,13 @@ Public surface::
         DiabeticExamLogGenerator, GeneratorConfig,  # synthetic data
         paper_dataset, small_dataset, profile_labels,
         load_csv, save_csv, load_jsonl, save_jsonl,  # IO
-        BlockedDataset, SharedMatrix, SharedMatrixHandle,  # data plane
+        SharedMatrix, SharedMatrixHandle,  # shared-memory transport
         open_matrix, leaked_segments,
     )
 """
 
 from repro.data.blocks import (
     SEGMENT_PREFIX,
-    BlockedDataset,
     SharedMatrix,
     SharedMatrixHandle,
     leaked_segments,
@@ -43,7 +42,6 @@ from repro.data.taxonomy import (
 __all__ = [
     "CATEGORIES",
     "SEGMENT_PREFIX",
-    "BlockedDataset",
     "DiabeticExamLogGenerator",
     "ExamLog",
     "ExamRecord",

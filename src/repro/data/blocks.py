@@ -1,4 +1,4 @@
-"""Out-of-core data plane: shared-memory matrices and blocked datasets.
+"""Shared-memory transport: zero-copy matrices for process workers.
 
 The paper's premise is automated analysis over *large* clinical exam
 logs, but a naive parallel sweep pickles the full patient-by-exam
@@ -11,15 +11,9 @@ backend. This module provides the zero-copy alternative:
   :class:`SharedMatrixHandle` is a ~100-byte descriptor (name, shape,
   dtype, memory order), so a :class:`repro.cloud.TaskSpec` ships the
   descriptor and workers map the data instead of receiving it.
-* :class:`BlockedDataset` — fixed-size row blocks over one contiguous
-  backing matrix, with per-block fingerprints and a whole-dataset
-  fingerprint computed *streamingly* yet byte-identical to
-  :func:`repro.core.cache.fingerprint_array` on the flat matrix, so
-  the :class:`repro.core.AnalysisCache` addresses blocked and flat
-  datasets identically.
 * :func:`open_matrix` — the worker-side resolver: a context manager
-  that turns an array, a :class:`BlockedDataset` or a handle into an
-  ndarray view and guarantees the segment is detached afterwards.
+  that turns an array or a handle into an ndarray view and guarantees
+  the segment is detached afterwards.
 
 Serial and thread backends never touch shared memory: leases
 short-circuit to direct views (see :mod:`repro.cloud.transport`).
@@ -35,7 +29,6 @@ only ever attach and close.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import secrets
 from contextlib import contextmanager
@@ -271,21 +264,18 @@ class SharedMatrix:
         )
 
 
-#: Anything :func:`open_matrix` can resolve into an ndarray.
-MatrixRef = Union[np.ndarray, SharedMatrixHandle, "BlockedDataset"]
-
-
 @contextmanager
-def open_matrix(ref: MatrixRef) -> Iterator[np.ndarray]:
+def open_matrix(
+    ref: Union[np.ndarray, SharedMatrixHandle]
+) -> Iterator[np.ndarray]:
     """Resolve a matrix reference into an ndarray view.
 
-    Arrays and :class:`BlockedDataset` objects pass through unchanged
-    (serial/thread short-circuit: zero copies, zero syscalls).
-    :class:`SharedMatrixHandle` attaches the segment for the duration
-    of the ``with`` block and detaches in ``finally`` — the worker-side
-    half of the cleanup contract. Results computed from the view must
-    be fresh arrays (labels, centres, scores all are), never views into
-    the segment.
+    Arrays pass through unchanged (serial/thread short-circuit: zero
+    copies, zero syscalls). :class:`SharedMatrixHandle` attaches the
+    segment for the duration of the ``with`` block and detaches in
+    ``finally`` — the worker-side half of the cleanup contract. Results
+    computed from the view must be fresh arrays (labels, centres,
+    scores all are), never views into the segment.
     """
     if isinstance(ref, SharedMatrixHandle):
         shared = SharedMatrix.attach(ref)
@@ -293,119 +283,5 @@ def open_matrix(ref: MatrixRef) -> Iterator[np.ndarray]:
             yield shared.array
         finally:
             shared.close()
-    elif isinstance(ref, BlockedDataset):
-        yield ref.matrix
     else:
         yield np.asarray(ref)
-
-
-class BlockedDataset:
-    """Fixed-size row blocks over one contiguous backing matrix.
-
-    Blocks are *views* — no data is copied — so exact algorithms that
-    run on :attr:`matrix` produce results byte-identical to the flat
-    path, while streaming consumers iterate :meth:`iter_blocks` and
-    never hold more than ``block_rows`` rows of derived state.
-
-    Parameters
-    ----------
-    matrix:
-        The backing 2-D array. Kept with its memory order as-is — the
-        flat path and the blocked path read the very same buffer, which
-        is what makes their results byte-identical.
-    block_rows:
-        Rows per block. The final block is shorter when ``n_rows`` is
-        not a multiple; ``block_rows > n_rows`` yields a single block.
-    """
-
-    def __init__(self, matrix, block_rows: int) -> None:
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise DataError(
-                f"BlockedDataset needs a 2-D matrix, got {matrix.ndim}-D"
-            )
-        if block_rows < 1:
-            raise DataError("block_rows must be >= 1")
-        self.matrix = matrix
-        self.block_rows = int(block_rows)
-
-    # -- geometry ------------------------------------------------------
-    @property
-    def n_rows(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @property
-    def n_features(self) -> int:
-        return int(self.matrix.shape[1])
-
-    @property
-    def n_blocks(self) -> int:
-        """Number of blocks; an empty matrix has zero blocks."""
-        return -(-self.n_rows // self.block_rows)
-
-    def __len__(self) -> int:
-        return self.n_rows
-
-    # -- block access --------------------------------------------------
-    def block(self, index: int) -> np.ndarray:
-        """Row-slice view of block ``index``."""
-        if not 0 <= index < self.n_blocks:
-            raise DataError(
-                f"block index {index} out of range"
-                f" (have {self.n_blocks} blocks)"
-            )
-        start = index * self.block_rows
-        return self.matrix[start : start + self.block_rows]
-
-    def iter_blocks(self) -> Iterator[np.ndarray]:
-        """Yield every block in row order."""
-        for index in range(self.n_blocks):
-            yield self.block(index)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return self.iter_blocks()
-
-    # -- fingerprints --------------------------------------------------
-    def block_fingerprint(self, index: int) -> str:
-        """Content digest of one block.
-
-        Matches :func:`repro.core.cache.fingerprint_array` of the block
-        view, so per-block caching composes with the existing cache.
-        """
-        block = np.ascontiguousarray(self.block(index))
-        header = f"{block.shape}|{block.dtype.str}|".encode()
-        return hashlib.sha256(header + block.tobytes()).hexdigest()
-
-    def fingerprint(self) -> str:
-        """Whole-dataset digest, computed one block at a time.
-
-        Byte-identical to ``fingerprint_array(self.matrix)``: the same
-        shape/dtype header followed by the row bytes, fed to SHA-256
-        incrementally. The :class:`repro.core.AnalysisCache` therefore
-        shares entries between blocked and flat representations of the
-        same data.
-        """
-        digest = hashlib.sha256()
-        digest.update(
-            f"{self.matrix.shape}|{self.matrix.dtype.str}|".encode()
-        )
-        for block in self.iter_blocks():
-            digest.update(np.ascontiguousarray(block).tobytes())
-        return digest.hexdigest()
-
-    # -- construction --------------------------------------------------
-    @classmethod
-    def from_blocks(
-        cls, blocks: Sequence[np.ndarray], block_rows: Optional[int] = None
-    ) -> "BlockedDataset":
-        """Assemble a dataset from row blocks (stacked once, in order).
-
-        ``block_rows`` defaults to the first block's row count, which
-        round-trips ``BlockedDataset(m, r).iter_blocks()`` exactly.
-        """
-        stacked = [np.atleast_2d(np.asarray(block)) for block in blocks]
-        if not stacked:
-            raise DataError("from_blocks needs at least one block")
-        if block_rows is None:
-            block_rows = max(1, stacked[0].shape[0])
-        return cls(np.vstack(stacked), block_rows)

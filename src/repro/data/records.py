@@ -381,11 +381,9 @@ class ExamLog:
 
     @classmethod
     def concat(cls, logs: Sequence["ExamLog"]) -> "ExamLog":
-        """Merge block logs into one (shared taxonomy, disjoint patients).
+        """Merge logs into one (shared taxonomy, disjoint patients).
 
-        Used to assemble a flat log from the generator's blocked stream
-        when memory allows; patients carrying demographics in several
-        blocks must not collide.
+        Patients carrying demographics in several logs must not collide.
         """
         if not logs:
             raise DataError("concat needs at least one log")

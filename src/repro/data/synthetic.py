@@ -32,8 +32,8 @@ yields the identical log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -281,66 +281,6 @@ class DiabeticExamLogGenerator:
         ]
         records = self._materialise_records(counts, rng)
         return ExamLog(records, taxonomy=taxonomy, patients=patients)
-
-    # ------------------------------------------------------------------
-    def generate_blocks(
-        self, block_rows: int, n_patients: Optional[int] = None
-    ) -> Iterator[ExamLog]:
-        """Generate the log block-by-block, ``block_rows`` patients each.
-
-        Multi-million-record logs never fit the flat :meth:`generate`
-        path comfortably; this generator yields one independent
-        :class:`ExamLog` per patient block, so a streaming consumer
-        (blockwise count matrices, blockwise itemset mining) holds at
-        most one block of records at a time. ``n_patients`` overrides
-        the configured patient count — the scale knob for past-memory
-        datasets — while the per-patient record volume and the whole
-        statistical calibration (profiles, Zipf bands, visit model) are
-        preserved per block.
-
-        Each block draws from its own deterministically derived seed
-        (``seed * 1_000_003 + block_index``), so the blocked stream is
-        fully reproducible, though it is a *different* sample than the
-        flat :meth:`generate` draw. Patient ids are offset by the block
-        start and therefore globally unique;
-        :meth:`repro.data.ExamLog.concat` reassembles a flat log when
-        memory allows.
-        """
-        cfg = self.config
-        if block_rows < 1:
-            raise DataError("block_rows must be >= 1")
-        total = cfg.n_patients if n_patients is None else int(n_patients)
-        if total < 1:
-            raise DataError("n_patients must be >= 1")
-        taxonomy = build_default_taxonomy(cfg.n_exam_types)
-        per_patient = cfg.target_records / cfg.n_patients
-        for index, start in enumerate(range(0, total, block_rows)):
-            block_n = min(start + block_rows, total) - start
-            block_cfg = replace(
-                cfg,
-                n_patients=block_n,
-                target_records=max(1, round(per_patient * block_n)),
-            )
-            block = DiabeticExamLogGenerator(
-                block_cfg, seed=self.seed * 1_000_003 + index
-            ).generate()
-            records = [
-                ExamRecord(
-                    patient_id=record.patient_id + start,
-                    day=record.day,
-                    exam_code=record.exam_code,
-                )
-                for record in block.records
-            ]
-            patients = [
-                PatientInfo(
-                    patient_id=info.patient_id + start,
-                    age=info.age,
-                    profile=info.profile,
-                )
-                for info in block.patients.values()
-            ]
-            yield ExamLog(records, taxonomy=taxonomy, patients=patients)
 
     # ------------------------------------------------------------------
     def _draw_profiles(self, rng: np.random.Generator) -> np.ndarray:

@@ -16,16 +16,18 @@ replayed into memory) and reports every violated durability invariant:
   means the base is missing or rolled back), and past manifest
   generation 0 every shard has a base (compaction writes them all
   before the manifest records the generation);
-* no shard files for collections the manifest does not know.
+* no shard files for collections the manifest does not know (a drop
+  rewrites the manifest first, so these are most often an interrupted
+  drop's leftovers).
 
 With ``repair=True`` the mechanical repairs run first — delete the
 stale lockfile and ``.tmp`` leftovers, truncate torn log tails, remove
-stale logs — and then, if any damage remains (quarantine-level
-corruption, sequence gaps, generation disagreements), the store is
-opened once and compacted: replay quarantines the damaged lines into
-sidecars, and compaction rewrites every shard in clean v2 framing and
-rebuilds the manifest, which also upgrades pre-checksum v1 files. The
-``repro kdb fsck [--repair]`` CLI wraps this function.
+stale logs and orphan shard files — and then, if any damage remains
+(quarantine-level corruption, sequence gaps, generation disagreements),
+the store is opened once and compacted: replay quarantines the damaged
+lines into sidecars, and compaction rewrites every shard in clean v2
+framing and rebuilds the manifest, which also upgrades pre-checksum v1
+files. The ``repro kdb fsck [--repair]`` CLI wraps this function.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.kdb.shards import (
     _MANIFEST_NAME,
     _pid_alive,
     _read_lock_pid,
+    orphan_shard_files,
     read_layout,
 )
 from repro.kdb.storage import LocalStorage
@@ -57,8 +60,7 @@ class FsckIssue:
     path: str
     detail: str
     #: ``"expected"`` (crash signature, auto-repairable), ``"damage"``
-    #: (needs quarantine + compaction), ``"warning"`` (surfaced but
-    #: never auto-repaired, e.g. orphan files) or ``"fatal"``.
+    #: (needs quarantine + compaction) or ``"fatal"``.
     severity: str = "damage"
     repaired: bool = False
 
@@ -90,7 +92,7 @@ class FsckReport:
 
     @property
     def ok(self) -> bool:
-        """Clean, or everything found was repaired (warnings aside)."""
+        """Clean, or everything found was repaired."""
         for issue in self.issues:
             if issue.severity == "fatal":
                 return False
@@ -143,10 +145,11 @@ def _check_manifest(
 
 def _check_lockfile(
     directory: Path, report: FsckReport, repair: bool, storage
-) -> None:
+) -> bool:
+    """Check the pid lockfile; True when a live process holds it."""
     path = directory / _LOCKFILE_NAME
     if not path.exists():
-        return
+        return False
     holder = _read_lock_pid(path)
     if holder is not None and holder != os.getpid() and _pid_alive(holder):
         report.issues.append(
@@ -158,7 +161,7 @@ def _check_lockfile(
                 severity="fatal",
             )
         )
-        return
+        return True
     issue = FsckIssue(
         "stale_lockfile",
         _LOCKFILE_NAME,
@@ -171,6 +174,7 @@ def _check_lockfile(
         storage.remove(path)
         issue.repaired = True
     report.issues.append(issue)
+    return False
 
 
 def _check_tmp_files(
@@ -295,21 +299,24 @@ def _check_collection(
 
 
 def _check_orphans(
-    directory: Path, names: List[str], report: FsckReport
+    directory: Path,
+    names: List[str],
+    report: FsckReport,
+    repair: bool,
+    storage: Any,
 ) -> None:
-    known = set(names)
-    for path in sorted(directory.glob("*.shard-*.jsonl")):
-        collection = path.name.split(".shard-")[0]
-        if collection not in known:
-            report.issues.append(
-                FsckIssue(
-                    "orphan_file",
-                    path.name,
-                    f"shard file for {collection!r}, which the"
-                    " manifest does not list",
-                    severity="warning",
-                )
-            )
+    for path in orphan_shard_files(directory, names):
+        issue = FsckIssue(
+            "orphan_file",
+            path.name,
+            "shard file of a collection the manifest does not list"
+            " (an interrupted drop)",
+            severity="expected",
+        )
+        if repair:
+            storage.remove(path)
+            issue.repaired = True
+        report.issues.append(issue)
 
 
 def fsck(
@@ -321,11 +328,12 @@ def fsck(
 
     Returns a :class:`FsckReport`; raises :class:`StoreError` only if
     the directory does not exist. Repairs are two-phase: mechanical
-    fixes (stale lockfile / tmp leftovers / torn tails / stale logs)
-    run in place, then any remaining damage is resolved by opening the
-    store — whose replay quarantines corrupt records into sidecars —
-    and compacting, which rewrites every shard in clean v2 framing and
-    rebuilds indexes and the manifest.
+    fixes (stale lockfile / tmp leftovers / torn tails / stale logs /
+    orphan shard files) run in place, then any remaining damage is
+    resolved by opening the store — whose replay quarantines corrupt
+    records into sidecars — and compacting, which rewrites every shard
+    in clean v2 framing and rebuilds indexes and the manifest. While a
+    live process holds the store's lockfile nothing is repaired.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -333,7 +341,10 @@ def fsck(
     storage = storage if storage is not None else LocalStorage()
     report = FsckReport(directory=directory)
     layout = _check_manifest(directory, report)
-    _check_lockfile(directory, report, repair, storage)
+    if _check_lockfile(directory, report, repair, storage):
+        # A live writer may be mid-write (a fresh collection's log, a
+        # temp file, an append): report what is found, repair nothing.
+        repair = False
     _check_tmp_files(directory, report, repair, storage)
     if layout is None:
         return report
@@ -349,7 +360,7 @@ def fsck(
             repair,
             storage,
         )
-    _check_orphans(directory, list(collections), report)
+    _check_orphans(directory, list(collections), report, repair, storage)
     if repair:
         damage = [
             issue

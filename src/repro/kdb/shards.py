@@ -52,7 +52,14 @@ pluggable :mod:`repro.kdb.storage` layer, so recovery can tell the
 * a **missing base** past manifest generation 0 is damage, since
   compaction lands every base before the manifest names its
   generation: the collection is flagged degraded with a load warning
-  and ``kdb.recovery.gen_mismatch`` is metered.
+  and ``kdb.recovery.gen_mismatch`` is metered;
+* **orphan shard files** — files of a collection the manifest does not
+  list — are what a crash part-way through a drop leaves behind (the
+  drop rewrites the manifest first). Opening the store leaves them in
+  place, since a damaged manifest that lost an entry looks the same on
+  disk; ``kdb fsck`` reports them and ``--repair`` removes them, and a
+  collection re-created under that name removes its own leftovers
+  before the manifest lists it, so it starts empty.
 
 Pre-checksum (v1) files still replay — plain JSON lines — and upgrade
 to v2 framing on their next compaction. A journal append that fails
@@ -68,6 +75,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import zlib
 from pathlib import Path
@@ -99,6 +107,11 @@ _MAX_SHARDS = 10_000
 _LOCKFILE_NAME = "_shards.lock"
 #: Manifest of a flat ``DocumentStore.save`` directory (migrated on open).
 _FLAT_MANIFEST_NAME = "_manifest.json"
+#: Name of a shard file: base, log or quarantine sidecar. The suffix is
+#: fixed, so the greedy group is exactly the collection name.
+_SHARD_FILE = re.compile(
+    r"(?P<name>.+)\.shard-\d{4}\.(?:jsonl|log\.jsonl|quarantine\.jsonl)"
+)
 
 #: Fields a shard-log record may carry (the ADA021 consumer contract;
 #: ``doc`` only on ``put``, ``id`` only on ``del``). ``_replay_log``
@@ -150,6 +163,27 @@ def _read_lock_pid(path: Path) -> Optional[int]:
         return int(content.strip() or "0")
     except ValueError:
         return None
+
+
+def _shard_files(directory: Path) -> Iterator[Tuple[str, Path]]:
+    """``(collection name, path)`` of every shard file in ``directory``."""
+    for path in sorted(directory.glob("*.shard-*.jsonl")):
+        match = _SHARD_FILE.fullmatch(path.name)
+        if match is not None:
+            yield match.group("name"), path
+
+
+def orphan_shard_files(directory: Path, names: Any) -> List[Path]:
+    """Shard files of collections the manifest does not list.
+
+    A drop rewrites the manifest before it removes the dropped
+    collection's files, so these are what a crash part-way through a
+    drop leaves behind.
+    """
+    known = set(names)
+    return [
+        path for name, path in _shard_files(directory) if name not in known
+    ]
 
 
 def shard_of(doc_id: Any, n_shards: int) -> int:
@@ -499,7 +533,8 @@ class ShardedDocumentStore(DocumentStore):
     def _attach_collection(self, collection: Collection) -> None:
         name = collection.name
         with self._slock:
-            if name not in self._files:
+            created = name not in self._files
+            if created:
                 self._files[name] = _ShardFiles(
                     self.directory, name, self.n_shards, self.storage
                 )
@@ -510,6 +545,13 @@ class ShardedDocumentStore(DocumentStore):
             collection._journal = journal
             collection._write_guard = self._refuse_if_write_protected
             write_manifest = not self._loading
+            if created and write_manifest:
+                # An interrupted drop can leave this name's old files
+                # behind; remove them before the manifest lists the
+                # name again, or the next open would replay them.
+                for leftover, path in _shard_files(self.directory):
+                    if leftover == name:
+                        self.storage.remove(path)
         # The manifest fsync happens after the shard lock is released
         # (ADA018): attach only needs the lock to publish the files
         # entry and journal hook.
@@ -631,11 +673,12 @@ class ShardedDocumentStore(DocumentStore):
     # -- replay ----------------------------------------------------------
     def _replay(self) -> None:
         layout = read_layout(self.directory / _MANIFEST_NAME)
+        collections = layout.get("collections", {})
         with self._slock:
             self.n_shards = int(layout["n_shards"])
             self._loading = True
         try:
-            for name, info in layout.get("collections", {}).items():
+            for name, info in collections.items():
                 collection = self.collection(name)
                 manifest_gen = int(info.get("generation", 0))
                 with self._slock:
@@ -992,14 +1035,20 @@ class ShardedDocumentStore(DocumentStore):
 
     # -- lifecycle -------------------------------------------------------
     def drop_collection(self, name: str) -> None:
-        """Drop a collection and delete its partition files."""
+        """Drop a collection and delete its partition files.
+
+        The manifest is rewritten first: once it no longer lists the
+        collection, a crash during the removals leaves only orphan
+        files, which ``kdb fsck --repair`` or re-creating the name
+        removes.
+        """
         super().drop_collection(name)
         with self._slock:
             files = self._files.pop(name, None)
             self.degraded_collections.discard(name)
+        self._write_manifest()
         if files is not None:
             files.remove_all()
-        self._write_manifest()
 
     def close(self) -> None:
         """Release the pid lockfile, fsync and release log handles.

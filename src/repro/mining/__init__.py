@@ -4,18 +4,19 @@ Everything here is implemented from scratch on numpy — the library has
 no scikit-learn dependency. Public surface::
 
     from repro.mining import (
-        KMeans, kmeans, BisectingKMeans, AgglomerativeClustering, DBSCAN,
-        KDTree,
+        KMeans, kmeans, DBSCAN, KDTree, knn_outlier_scores,
         DecisionTreeClassifier, MajorityClassifier,
+        GaussianNaiveBayes, MultinomialNaiveBayes, KNeighborsClassifier,
         apriori, fpgrowth, mine_frequent_itemsets, Itemset,
         generate_rules, AssociationRule,
         mine_generalized_itemsets, GeneralizedItemset,
+        mine_sequences, SequentialPattern,
         sse, overall_similarity, silhouette_score, ...
+        bootstrap_stability, stability_profile,
         KFold, StratifiedKFold, cross_validate, train_test_split,
     )
 """
 
-from repro.mining.bisecting import BisectingKMeans
 from repro.mining.dbscan import DBSCAN, NOISE
 from repro.mining.decision_tree import (
     DecisionTreeClassifier,
@@ -24,25 +25,16 @@ from repro.mining.decision_tree import (
     entropy_impurity,
     gini_impurity,
 )
-from repro.mining.distance import (
-    cosine_distance,
-    cosine_similarity,
-    euclidean,
-    manhattan,
-    pairwise_distances,
-    squared_euclidean,
-)
+from repro.mining.distance import cosine_similarity, squared_euclidean
 from repro.mining.generalized import (
     GeneralizedItemset,
     extend_transactions,
     level_summary,
     mine_generalized_itemsets,
 )
-from repro.mining.hierarchical import AgglomerativeClustering, Merge
 from repro.mining.itemsets import (
     Itemset,
     apriori,
-    apriori_blocks,
     closed_itemsets,
     fpgrowth,
     itemset_index,
@@ -50,7 +42,6 @@ from repro.mining.itemsets import (
     mine_frequent_itemsets,
 )
 from repro.mining.kdtree import KDNode, KDTree
-from repro.mining.kmedoids import KMedoids
 from repro.mining.knn import KNeighborsClassifier
 from repro.mining.kmeans import (
     KMeans,
@@ -96,9 +87,7 @@ from repro.mining.validation import (
 )
 
 __all__ = [
-    "AgglomerativeClustering",
     "AssociationRule",
-    "BisectingKMeans",
     "DBSCAN",
     "DEFAULT_METRICS",
     "DecisionTreeClassifier",
@@ -109,11 +98,9 @@ __all__ = [
     "KDTree",
     "KFold",
     "KMeans",
-    "KMedoids",
     "KNeighborsClassifier",
     "MajorityClassifier",
     "MultinomialNaiveBayes",
-    "Merge",
     "NOISE",
     "SequentialPattern",
     "StratifiedKFold",
@@ -121,19 +108,16 @@ __all__ = [
     "accuracy",
     "adjusted_rand_index",
     "apriori",
-    "apriori_blocks",
     "calinski_harabasz_index",
     "bootstrap_stability",
     "classification_report",
     "closed_itemsets",
     "confusion_matrix",
-    "cosine_distance",
     "cosine_similarity",
     "cross_val_score",
     "cross_validate",
     "davies_bouldin_index",
     "entropy_impurity",
-    "euclidean",
     "extend_transactions",
     "filter_rules",
     "filtering_stats",
@@ -145,7 +129,6 @@ __all__ = [
     "knn_outlier_scores",
     "kmeans_plus_plus",
     "level_summary",
-    "manhattan",
     "maximal_itemsets",
     "mine_frequent_itemsets",
     "mine_generalized_itemsets",
@@ -153,7 +136,6 @@ __all__ = [
     "mine_sequences",
     "normalized_mutual_information",
     "overall_similarity",
-    "pairwise_distances",
     "pattern_contains",
     "precision_recall_f1",
     "purity",

@@ -40,18 +40,6 @@ def squared_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return distances
 
 
-def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances."""
-    return np.sqrt(squared_euclidean(a, b))
-
-
-def manhattan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Manhattan (L1) distances."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
-
-
 def row_norms(matrix: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -72,31 +60,3 @@ def cosine_similarity(a: np.ndarray, b: Optional[np.ndarray] = None):
         sims = (a @ b.T) / np.outer(norms_a, norms_b)
     sims = np.nan_to_num(sims, nan=0.0, posinf=0.0, neginf=0.0)
     return np.clip(sims, -1.0, 1.0)
-
-
-def cosine_distance(a: np.ndarray, b: Optional[np.ndarray] = None):
-    """Pairwise cosine distances (``1 - similarity``)."""
-    return 1.0 - cosine_similarity(a, b)
-
-
-_METRICS = {
-    "euclidean": euclidean,
-    "sqeuclidean": squared_euclidean,
-    "manhattan": manhattan,
-    "cosine": cosine_distance,
-}
-
-
-def pairwise_distances(
-    a: np.ndarray, b: Optional[np.ndarray] = None, metric: str = "euclidean"
-) -> np.ndarray:
-    """Dispatch to a named distance metric."""
-    try:
-        function = _METRICS[metric]
-    except KeyError:
-        raise MiningError(
-            f"unknown metric {metric!r}; choose from {sorted(_METRICS)}"
-        ) from None
-    if metric == "cosine":
-        return function(a, b)
-    return function(a, a if b is None else b)

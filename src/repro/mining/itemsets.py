@@ -95,13 +95,8 @@ def _popcount(mask: int) -> int:
         return bin(mask).count("1")
 
 
-def _popcounts(masks: Tuple[int, ...]) -> int:
-    """Total set bits across per-block masks (exact support merge)."""
-    return sum(_popcount(mask) for mask in masks)
-
-
 # ----------------------------------------------------------------------
-# Apriori (blockwise bitset engine)
+# Apriori (bitset engine)
 # ----------------------------------------------------------------------
 def apriori(
     transactions: Sequence[Transaction],
@@ -114,8 +109,7 @@ def apriori(
     Support counting is bitset-based: each item owns one big-int mask
     with bit ``t`` set when transaction ``t`` contains the item; a
     candidate's support is the popcount of the AND of its items' masks,
-    computed incrementally from its parent in the join step. The flat
-    call is the single-block case of :func:`apriori_blocks`.
+    computed incrementally from its parent in the join step.
 
     ``metrics`` (an ``repro.obs.Metrics`` registry) receives per-level
     candidate/pruned/survivor counters and the overall pruning ratio.
@@ -123,64 +117,26 @@ def apriori(
     Returns itemsets sorted by (length, items) for determinism.
     """
     _validate(transactions, min_support)
-    return apriori_blocks(
-        [transactions], min_support, max_length=max_length, metrics=metrics
-    )
-
-
-def apriori_blocks(
-    blocks: Iterable[Sequence[Transaction]],
-    min_support: float,
-    max_length: Optional[int] = None,
-    metrics=None,
-) -> List[Itemset]:
-    """Apriori over a *stream* of transaction blocks, merged exactly.
-
-    The out-of-core entry point: ``blocks`` may be any iterable (a
-    generator over :meth:`repro.data.DiabeticExamLogGenerator.generate_blocks`
-    output works) and is consumed **once** — only per-block, per-item
-    bitsets are retained, never the transactions themselves. Every item
-    keeps one mask *per block*; a candidate's support is the sum over
-    blocks of the popcount of the per-block AND. Because the flat
-    transaction bitset is exactly the concatenation of the per-block
-    bitsets, every join, prune and threshold decision is identical to
-    the in-memory miner: the decoded output is byte-identical to
-    :func:`apriori` (and :func:`fpgrowth`) on the concatenated
-    transactions, itemset for itemset.
-    """
-    if not 0.0 < min_support <= 1.0:
-        raise MiningError("min_support must be in (0, 1]")
-    # Single pass over the stream: fold each block into string-keyed
-    # bitsets, then remap to sorted-vocabulary ids (the id order the
-    # flat encoder would have assigned, so tie-breaks are preserved).
-    raw_masks: List[Dict[str, int]] = []
-    n = 0
-    for block in blocks:
-        masks: Dict[str, int] = {}
-        size = 0
-        for transaction in block:
-            bit = 1 << size
-            for item in set(transaction):
-                masks[item] = masks.get(item, 0) | bit
-            size += 1
-        raw_masks.append(masks)
-        n += size
-    if n == 0:
-        raise MiningError("no transactions given")
+    # One pass: fold the transactions into string-keyed bitsets, then
+    # remap to sorted-vocabulary ids (the id order the shared encoder
+    # assigns, so tie-breaks match FP-growth's).
+    raw_masks: Dict[str, int] = {}
+    for position, transaction in enumerate(transactions):
+        bit = 1 << position
+        for item in set(transaction):
+            raw_masks[item] = raw_masks.get(item, 0) | bit
+    n = len(transactions)
     min_count = _min_count(min_support, n)
-    vocabulary = sorted(set().union(*raw_masks)) if raw_masks else []
-    block_masks: List[List[int]] = [
-        [masks.get(item, 0) for item in vocabulary] for masks in raw_masks
-    ]
+    vocabulary = sorted(raw_masks)
+    item_masks = [raw_masks[item] for item in vocabulary]
 
-    # L1: per-item mask tuples double as the support index.
-    current: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    # L1: per-item masks double as the support index.
+    current: Dict[Tuple[int, ...], int] = {}
     results: Dict[FrozenSet[int], int] = {}
-    for item in range(len(vocabulary)):
-        masks_of_item = tuple(masks[item] for masks in block_masks)
-        count = _popcounts(masks_of_item)
+    for item, mask in enumerate(item_masks):
+        count = _popcount(mask)
         if count >= min_count:
-            current[(item,)] = masks_of_item
+            current[(item,)] = mask
             results[frozenset((item,))] = count
 
     length = 1
@@ -188,9 +144,9 @@ def apriori_blocks(
     total_pruned = 0
     while current and (max_length is None or length < max_length):
         length += 1
-        current, stats = _apriori_level(current, block_masks, min_count)
-        for candidate, candidate_masks in current.items():
-            results[frozenset(candidate)] = _popcounts(candidate_masks)
+        current, stats = _apriori_level(current, item_masks, min_count)
+        for candidate, mask in current.items():
+            results[frozenset(candidate)] = _popcount(mask)
         total_candidates += stats["candidates"]
         total_pruned += stats["pruned"] + stats["infrequent"]
         if metrics is not None:
@@ -212,21 +168,20 @@ def apriori_blocks(
 
 
 def _apriori_level(
-    frequent: Dict[Tuple[int, ...], Tuple[int, ...]],
-    block_masks: List[List[int]],
+    frequent: Dict[Tuple[int, ...], int],
+    item_masks: List[int],
     min_count: int,
-) -> Tuple[Dict[Tuple[int, ...], Tuple[int, ...]], Dict[str, int]]:
-    """One breadth-first level: join, prune, count via blockwise bitsets.
+) -> Tuple[Dict[Tuple[int, ...], int], Dict[str, int]]:
+    """One breadth-first level: join, prune, count via bitsets.
 
     ``frequent`` maps each (k-1)-itemset — a sorted id tuple — to its
-    per-block transaction bitsets; returns the frequent k-itemsets with
-    theirs, plus the level's mining statistics: ``candidates`` joined,
+    transaction bitset; returns the frequent k-itemsets with theirs,
+    plus the level's mining statistics: ``candidates`` joined,
     ``pruned`` by downward closure, ``infrequent`` below min support.
-    Counts merge exactly: support is the popcount sum over blocks.
     """
     frequent_keys = set(frequent)
     ordered = sorted(frequent)
-    survivors: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    survivors: Dict[Tuple[int, ...], int] = {}
     candidates = 0
     pruned = 0
     infrequent = 0
@@ -243,12 +198,9 @@ def _apriori_level(
             ):
                 pruned += 1
                 continue
-            masks = tuple(
-                mask & block[b[-1]]
-                for mask, block in zip(frequent[a], block_masks)
-            )
-            if _popcounts(masks) >= min_count:
-                survivors[candidate] = masks
+            mask = frequent[a] & item_masks[b[-1]]
+            if _popcount(mask) >= min_count:
+                survivors[candidate] = mask
             else:
                 infrequent += 1
     stats = {

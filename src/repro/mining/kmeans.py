@@ -38,7 +38,7 @@ paper cohort's 6,380 x 159 VSM (71,135 nonzeros).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -150,12 +150,6 @@ class KMeans:
         self.labels_: Optional[np.ndarray] = None
         self.inertia_: Optional[float] = None
         self.n_iter_: Optional[int] = None
-        # Streaming (partial_fit) state: per-cluster sample counts, the
-        # pre-init row buffer and the dedicated seeded generator.
-        self._stream_counts: Optional[np.ndarray] = None
-        self._stream_buffer: Optional[List[np.ndarray]] = None
-        self._stream_rng: Optional[np.random.Generator] = None
-        self.n_seen_: int = 0
 
     # ------------------------------------------------------------------
     def fit(self, data) -> "KMeans":
@@ -195,65 +189,6 @@ class KMeans:
     def fit_predict(self, data) -> np.ndarray:
         """Fit and return the labels."""
         return self.fit(data).labels_  # type: ignore[return-value]
-
-    def partial_fit(self, block) -> "KMeans":
-        """Streaming minibatch update from one row block.
-
-        The out-of-core companion to :meth:`fit`: feed the blocks of a
-        :class:`repro.data.BlockedDataset` one at a time and the model
-        never sees more than one block of data. Rows are buffered until
-        ``n_clusters`` are available, centres are then seeded once
-        (``init`` applies, drawn from a generator seeded with ``seed``),
-        and every subsequent block performs one assignment pass followed
-        by MacQueen running-mean centre updates weighted by the lifetime
-        per-cluster counts — so a centre stabilises as it accumulates
-        evidence.
-
-        This is an *approximate* single-pass method: it trades the exact
-        restarted Lloyd iterations for O(block) memory, and its centres
-        are generally close to but not identical to :meth:`fit` on the
-        concatenated data. Exact blocked clustering runs :meth:`fit` on
-        the blocked dataset's backing matrix instead (what
-        :class:`repro.core.KMeansOptimizer` does by default).
-        ``inertia_`` reports the latest block's assignment SSE against
-        the pre-update centres; do not interleave with :meth:`fit`,
-        which ignores and does not reset streaming state.
-        """
-        block = as_matrix(block)
-        if block.shape[0] == 0:
-            return self
-        if self._stream_counts is None:
-            if self._stream_buffer is None:
-                self._stream_buffer = []
-                self._stream_rng = np.random.default_rng(self.seed)
-            self._stream_buffer.append(np.array(block, dtype=np.float64))
-            buffered = np.vstack(self._stream_buffer)
-            if buffered.shape[0] < self.n_clusters:
-                return self
-            if self.init == "k-means++":
-                centers = kmeans_plus_plus(
-                    buffered, self.n_clusters, self._stream_rng
-                )
-            else:
-                centers = _random_init(
-                    buffered, self.n_clusters, self._stream_rng
-                )
-            self.cluster_centers_ = centers.copy()
-            self._stream_counts = np.zeros(self.n_clusters)
-            self._stream_buffer = None
-            block = buffered
-        centers = self.cluster_centers_
-        labels, sums, counts, inertia = _Prepared(block).lloyd_step(
-            centers
-        )
-        self._stream_counts += counts
-        occupied = counts > 0
-        centers[occupied] += (
-            sums[occupied] - counts[occupied, None] * centers[occupied]
-        ) / self._stream_counts[occupied, None]
-        self.n_seen_ += block.shape[0]
-        self.inertia_ = float(inertia)
-        return self
 
     def predict(self, data) -> np.ndarray:
         """Assign new points to the nearest fitted centre."""

@@ -11,8 +11,6 @@ benchmarks to corroborate the K chosen by Table I's combined rule.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
 from repro.exceptions import MiningError
@@ -27,9 +25,8 @@ def bootstrap_stability(
     n_replicates: int = 10,
     sample_fraction: float = 0.8,
     seed: int = 0,
-    model_factory: Optional[Callable[[int], object]] = None,
 ) -> float:
-    """Mean pairwise ARI of clusterings over bootstrap subsamples.
+    """Mean pairwise ARI of K-means clusterings over bootstrap subsamples.
 
     Parameters
     ----------
@@ -42,8 +39,6 @@ def bootstrap_stability(
         intersection of their samples.
     sample_fraction:
         Fraction of rows drawn (without replacement) per replicate.
-    model_factory:
-        ``seed -> estimator`` with ``fit_predict``; K-means by default.
 
     Returns
     -------
@@ -60,17 +55,12 @@ def bootstrap_stability(
         raise MiningError("sample larger than the dataset")
     rng = np.random.default_rng(seed)
 
-    if model_factory is None:
-        model_factory = lambda replicate_seed: KMeans(
-            n_clusters, seed=replicate_seed, n_init=2
-        )
-
     samples = []
     labelings = []
     for replicate in range(n_replicates):
         rows = np.sort(rng.choice(n, size=take, replace=False))
-        model = model_factory(seed + replicate)
-        labels = model.fit_predict(data[rows])  # type: ignore[attr-defined]
+        model = KMeans(n_clusters, seed=seed + replicate, n_init=2)
+        labels = model.fit_predict(data[rows])
         samples.append(rows)
         labelings.append(np.asarray(labels))
 

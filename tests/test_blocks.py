@@ -1,10 +1,9 @@
-"""Tests for the out-of-core data plane.
+"""Tests for the shared-memory transport.
 
 Covers the :mod:`repro.data.blocks` substrate (``SharedMatrix``
-lifecycle, ``BlockedDataset`` partitioning and fingerprints), the
-streaming generator, blockwise mining identity, the shared-memory task
-transport, adaptive backend resolution and the cleanup invariant under
-injected faults.
+lifecycle, handles, ``open_matrix``), the task transport's leases,
+adaptive backend resolution, serial/threads/process result identity
+and the cleanup invariant under injected faults.
 """
 
 import os
@@ -25,7 +24,6 @@ from repro.cloud import (
     matrix_lease,
     open_log,
 )
-from repro.core.cache import fingerprint_array
 from repro.core.engine import (
     AUTO_EXECUTOR_MIN_RECORDS,
     ADAHealth,
@@ -33,20 +31,15 @@ from repro.core.engine import (
 )
 from repro.core.optimizer import KMeansOptimizer
 from repro.data import (
-    BlockedDataset,
-    ExamLog,
     SharedMatrix,
     SharedMatrixHandle,
     leaked_segments,
     open_matrix,
     reap_segments,
 )
-from repro.data.synthetic import DiabeticExamLogGenerator, GeneratorConfig
-from repro.exceptions import DataError, MiningError
-from repro.mining.itemsets import apriori, apriori_blocks, fpgrowth
-from repro.mining.kmeans import KMeans
+from repro.exceptions import DataError
 
-pytestmark = pytest.mark.blocks
+pytestmark = pytest.mark.shm
 
 
 # ----------------------------------------------------------------------
@@ -135,9 +128,6 @@ def test_open_matrix_resolves_every_ref_kind():
     matrix = np.arange(12, dtype=np.float64).reshape(4, 3)
     with open_matrix(matrix) as resolved:
         assert resolved is matrix
-    blocked = BlockedDataset(matrix, block_rows=2)
-    with open_matrix(blocked) as resolved:
-        assert np.array_equal(resolved, matrix)
     segment = SharedMatrix.create(matrix)
     try:
         with open_matrix(segment.handle()) as resolved:
@@ -152,156 +142,6 @@ def test_handle_reports_payload_size():
         name="adarepro-x", shape=(10, 4), dtype="<f8"
     )
     assert handle.nbytes == 10 * 4 * 8
-
-
-# ----------------------------------------------------------------------
-# BlockedDataset partitioning
-# ----------------------------------------------------------------------
-def test_block_boundaries_cover_edge_cases():
-    matrix = np.arange(30, dtype=np.float64).reshape(10, 3)
-
-    ragged = BlockedDataset(matrix, block_rows=3)
-    assert ragged.n_blocks == 4
-    assert [len(block) for block in ragged.iter_blocks()] == [3, 3, 3, 1]
-
-    single = BlockedDataset(matrix, block_rows=1)
-    assert single.n_blocks == 10
-    assert all(len(block) == 1 for block in single)
-
-    oversize = BlockedDataset(matrix, block_rows=99)
-    assert oversize.n_blocks == 1
-    assert np.array_equal(oversize.block(0), matrix)
-
-    exact = BlockedDataset(matrix, block_rows=5)
-    assert exact.n_blocks == 2
-    assert len(exact) == 10
-
-    assert np.array_equal(
-        np.vstack(list(ragged.iter_blocks())), matrix
-    )
-    with pytest.raises(DataError):
-        BlockedDataset(matrix, block_rows=0)
-    with pytest.raises(DataError):
-        BlockedDataset(np.arange(5.0), block_rows=2)  # 1-D
-
-
-def test_blocks_are_views_over_one_backing_array():
-    matrix = np.arange(20, dtype=np.float64).reshape(5, 4)
-    blocked = BlockedDataset(matrix, block_rows=2)
-    for i in range(blocked.n_blocks):
-        assert np.shares_memory(blocked.block(i), blocked.matrix)
-
-
-def test_fingerprint_streams_to_the_flat_digest():
-    rng = np.random.default_rng(7)
-    matrix = rng.normal(size=(23, 6))
-    flat = fingerprint_array(matrix)
-    for block_rows in (1, 4, 7, 23, 50):
-        blocked = BlockedDataset(matrix, block_rows=block_rows)
-        assert blocked.fingerprint() == flat
-    blocked = BlockedDataset(matrix, block_rows=4)
-    for i in range(blocked.n_blocks):
-        assert blocked.block_fingerprint(i) == fingerprint_array(
-            np.ascontiguousarray(blocked.block(i))
-        )
-
-
-def test_from_blocks_round_trips():
-    matrix = np.arange(28, dtype=np.float64).reshape(7, 4)
-    blocked = BlockedDataset(matrix, block_rows=3)
-    rebuilt = BlockedDataset.from_blocks(list(blocked.iter_blocks()))
-    assert np.array_equal(rebuilt.matrix, matrix)
-    assert rebuilt.fingerprint() == blocked.fingerprint()
-
-
-# ----------------------------------------------------------------------
-# Streaming generation
-# ----------------------------------------------------------------------
-def test_generate_blocks_is_deterministic_and_concatenable():
-    config = GeneratorConfig(
-        n_patients=50, n_exam_types=20, target_records=900
-    )
-    generator = DiabeticExamLogGenerator(config, seed=9)
-    first = list(generator.generate_blocks(block_rows=16))
-    second = list(generator.generate_blocks(block_rows=16))
-    assert len(first) == len(second) == 4  # ceil(50 / 16)
-    for left, right in zip(first, second):
-        assert left.to_rows().tolist() == right.to_rows().tolist()
-
-    merged = ExamLog.concat(first)
-    assert merged.n_patients == 50
-    # patients partition cleanly across blocks: ids never collide
-    seen = [p for log in first for p in log.patients]
-    assert len(seen) == len(set(seen)) == 50
-    assert len(merged.taxonomy) == len(first[0].taxonomy)
-
-
-def test_generate_blocks_validates_inputs():
-    generator = DiabeticExamLogGenerator(
-        GeneratorConfig(n_patients=10, target_records=50), seed=0
-    )
-    with pytest.raises(DataError):
-        list(generator.generate_blocks(block_rows=0))
-
-
-# ----------------------------------------------------------------------
-# Minibatch K-means
-# ----------------------------------------------------------------------
-def test_partial_fit_recovers_separated_blobs(blobs):
-    data, labels = blobs
-    # shuffle so every block mixes the three blobs (the generator
-    # emits them grouped, which would starve the seeding buffer)
-    order = np.random.default_rng(2).permutation(len(data))
-    model = KMeans(n_clusters=3, seed=4)
-    blocked = BlockedDataset(np.asarray(data)[order], block_rows=25)
-    for block in blocked.iter_blocks():
-        model.partial_fit(block)
-    assert model.n_seen_ == len(data)
-    centers = np.sort(model.cluster_centers_.mean(axis=1))
-    assert np.allclose(centers, [0.0, 4.0, 8.0], atol=0.5)
-
-
-def test_partial_fit_buffers_until_k_rows_arrive():
-    model = KMeans(n_clusters=3, seed=0)
-    model.partial_fit(np.array([[0.0, 0.0]]))
-    assert model.cluster_centers_ is None  # still buffering
-    model.partial_fit(np.array([[4.0, 4.0], [8.0, 8.0]]))
-    assert model.cluster_centers_ is not None
-    assert model.n_seen_ == 3
-
-
-# ----------------------------------------------------------------------
-# Blockwise itemset mining
-# ----------------------------------------------------------------------
-def test_apriori_blocks_is_byte_identical_to_flat(transactions):
-    flat = apriori(transactions, min_support=0.2)
-    reference = pickle.dumps(flat)
-    assert pickle.dumps(fpgrowth(transactions, min_support=0.2)) == (
-        reference
-    )
-    for split in (1, 2, 4, len(transactions)):
-        blocks = [
-            transactions[i: i + split]
-            for i in range(0, len(transactions), split)
-        ]
-        blocked = apriori_blocks(blocks, min_support=0.2)
-        assert pickle.dumps(blocked) == reference
-
-
-def test_apriori_blocks_tolerates_empty_blocks(transactions):
-    reference = pickle.dumps(apriori(transactions, min_support=0.25))
-    blocked = apriori_blocks(
-        [[], transactions[:4], [], transactions[4:], []],
-        min_support=0.25,
-    )
-    assert pickle.dumps(blocked) == reference
-
-
-def test_apriori_blocks_rejects_an_empty_stream():
-    with pytest.raises(MiningError):
-        apriori_blocks([], min_support=0.5)
-    with pytest.raises(MiningError):
-        apriori_blocks([[]], min_support=0.5)
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +253,7 @@ def test_auto_executor_resolution(tiny_log, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# End-to-end identity: flat vs blocked, serial vs pooled
+# End-to-end identity: serial vs threads vs process
 # ----------------------------------------------------------------------
 def _analysis_document(result):
     payload = {
@@ -435,7 +275,7 @@ def _analysis_document(result):
 GOALS = ["patient-segmentation", "co-prescription-patterns"]
 
 
-def test_analyze_is_byte_identical_flat_vs_blocked_vs_pooled(tiny_log):
+def test_analyze_is_byte_identical_serial_vs_threads_vs_process(tiny_log):
     def run(**kwargs):
         engine = ADAHealth(
             config=EngineConfig(
@@ -444,15 +284,12 @@ def test_analyze_is_byte_identical_flat_vs_blocked_vs_pooled(tiny_log):
             seed=5,
         )
         return _analysis_document(
-            engine.analyze(tiny_log, name="blocked", goals=GOALS)
+            engine.analyze(tiny_log, name="pooled", goals=GOALS)
         )
 
-    flat = run()
-    assert run(block_rows=13) == flat
-    assert run(block_rows=13, executor="threads") == flat
-    assert run(
-        block_rows=13, executor="process", executor_workers=2
-    ) == flat
+    serial = run()
+    assert run(executor="threads") == serial
+    assert run(executor="process", executor_workers=2) == serial
     assert leaked_segments() == []
 
 
@@ -476,7 +313,7 @@ def test_faulty_pooled_sweep_leaks_no_segments(blobs):
     ).optimize(matrix)
     faulty = KMeansOptimizer(
         k_values=(2, 3), n_folds=3, seed=1, executor=injector
-    ).optimize(BlockedDataset(matrix, block_rows=40))
+    ).optimize(matrix)
     assert leaked_segments() == []
     assert faulty.best_row.k == clean.best_row.k
     assert [row.sse for row in faulty.rows] == [

@@ -1,4 +1,4 @@
-"""Tests for bisecting K-means, agglomerative clustering and DBSCAN."""
+"""Tests for DBSCAN."""
 
 from collections import deque
 from unittest import mock
@@ -9,110 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import MiningError, NotFittedError
-from repro.mining import (
-    DBSCAN,
-    NOISE,
-    AgglomerativeClustering,
-    BisectingKMeans,
-    KDTree,
-    adjusted_rand_index,
-)
+from repro.mining import DBSCAN, NOISE, KDTree, adjusted_rand_index
 from repro.mining import dbscan as dbscan_module
 from repro.mining.distance import squared_euclidean
-
-
-# ----------------------------------------------------------------------
-# Bisecting K-means
-# ----------------------------------------------------------------------
-def test_bisecting_recovers_blobs(blobs):
-    data, truth = blobs
-    model = BisectingKMeans(3, seed=0).fit(data)
-    assert adjusted_rand_index(truth, model.labels_) == pytest.approx(1.0)
-
-
-def test_bisecting_label_range(blobs):
-    data, __ = blobs
-    labels = BisectingKMeans(5, seed=0).fit_predict(data)
-    assert set(np.unique(labels)) == set(range(5))
-
-
-def test_bisecting_single_cluster(blobs):
-    data, __ = blobs
-    model = BisectingKMeans(1, seed=0).fit(data)
-    assert len(np.unique(model.labels_)) == 1
-
-
-def test_bisecting_inertia_positive(blobs):
-    data, __ = blobs
-    model = BisectingKMeans(3, seed=0).fit(data)
-    assert model.inertia_ > 0
-
-
-def test_bisecting_predict(blobs):
-    data, __ = blobs
-    model = BisectingKMeans(3, seed=0).fit(data)
-    assert np.array_equal(model.predict(data), model.labels_)
-
-
-def test_bisecting_validation(blobs):
-    data, __ = blobs
-    with pytest.raises(MiningError):
-        BisectingKMeans(0)
-    with pytest.raises(MiningError):
-        BisectingKMeans(500).fit(data)
-    with pytest.raises(NotFittedError):
-        BisectingKMeans(2).predict(data)
-
-
-# ----------------------------------------------------------------------
-# Agglomerative
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("linkage", ["single", "complete", "average", "ward"])
-def test_agglomerative_recovers_blobs(blobs, linkage):
-    data, truth = blobs
-    model = AgglomerativeClustering(3, linkage=linkage).fit(data)
-    assert adjusted_rand_index(truth, model.labels_) == pytest.approx(1.0)
-
-
-def test_agglomerative_merge_count(blobs):
-    data, __ = blobs
-    model = AgglomerativeClustering(3, linkage="average").fit(data)
-    assert len(model.merges_) == data.shape[0] - 1
-
-
-def test_agglomerative_n_clusters_labels(blobs):
-    data, __ = blobs
-    for k in (1, 2, 6):
-        labels = AgglomerativeClustering(k, linkage="ward").fit_predict(
-            data
-        )
-        assert len(np.unique(labels)) == k
-
-
-def test_single_linkage_heights_monotone():
-    """Single-linkage merge heights are non-decreasing."""
-    rng = np.random.default_rng(5)
-    data = rng.normal(size=(40, 2))
-    model = AgglomerativeClustering(1, linkage="single").fit(data)
-    heights = model.dendrogram_heights()
-    assert (np.diff(heights) >= -1e-9).all()
-
-
-def test_agglomerative_validation():
-    with pytest.raises(MiningError):
-        AgglomerativeClustering(0)
-    with pytest.raises(MiningError):
-        AgglomerativeClustering(2, linkage="centroid-ish")
-    with pytest.raises(MiningError):
-        AgglomerativeClustering(10).fit(np.zeros((3, 2)))
-    with pytest.raises(NotFittedError):
-        AgglomerativeClustering(2).dendrogram_heights()
-
-
-def test_agglomerative_two_points():
-    data = np.array([[0.0, 0.0], [1.0, 1.0]])
-    model = AgglomerativeClustering(2, linkage="average").fit(data)
-    assert len(np.unique(model.labels_)) == 2
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,10 @@ prefix-consistency invariant — and ``kdb fsck`` must leave the
 directory clean. A Hypothesis property drives the same invariant over
 arbitrary put/delete sequences and crash offsets.
 
+A second sweep crashes ``drop_collection`` at each of its write
+events: the reopened store holds the collection whole or not at all,
+and a collection re-created under the same name starts empty.
+
 Also here: ENOSPC write-protection, stale-lockfile takeover after a
 crash between lockfile create and pid write, v1 (pre-checksum) store
 upgrade, quarantine semantics under fault injection, and the
@@ -16,6 +20,8 @@ byte-identity of completed faulty runs.
 """
 
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +152,133 @@ def test_sweep_every_crash_point_recovers_a_prefix(tmp_path):
         final = ShardedDocumentStore(directory, n_shards=2)
         assert _contents(final) == state  # repair changed nothing
         final.close()
+
+
+def _dropped_store(directory):
+    """An 11-document, 4-shard collection ``c`` (8 documents in
+    compacted bases, 3 in the logs) beside a 2-document ``other``."""
+    store = ShardedDocumentStore(directory, n_shards=4)
+    store["c"].insert_many([{"_id": i, "v": i} for i in range(8)])
+    store["other"].insert_many([{"_id": i} for i in range(2)])
+    store.compact()
+    store["c"].insert_many([{"_id": i, "v": i} for i in range(8, 11)])
+    store.close()
+    return {i: {"_id": i, "v": i} for i in range(11)}
+
+
+def _drop(directory, storage):
+    store = ShardedDocumentStore(directory, n_shards=4, storage=storage)
+    try:
+        store.drop_collection("c")
+    finally:
+        if not storage.crashed:
+            store.close()
+        else:
+            store.simulate_crash()
+
+
+def test_sweep_every_crash_point_of_a_drop(tmp_path):
+    import shutil
+
+    full = _dropped_store(tmp_path / "seed")
+    clean = FaultyStorage(seed=0)
+    shutil.copytree(tmp_path / "seed", tmp_path / "count")
+    _drop(tmp_path / "count", clean)
+    total_events = clean.events
+    assert total_events > 10
+    outcomes = set()
+    for crash_at in range(1, total_events + 1):
+        directory = tmp_path / f"crash-{crash_at:03d}"
+        shutil.copytree(tmp_path / "seed", directory)
+        storage = FaultyStorage(seed=crash_at, crash_at=crash_at)
+        with pytest.raises(SimulatedCrash):
+            _drop(directory, storage)
+        recovered = ShardedDocumentStore(directory, n_shards=4)
+        where = f"crash at event {crash_at}"
+        # a drop is one op: the collection is whole or gone
+        if "c" in recovered.collection_names():
+            assert _contents(recovered) == full, where
+            outcomes.add("whole")
+            recovered.drop_collection("c")
+        else:
+            outcomes.add("gone")
+        assert recovered.degraded_collections == set(), (
+            f"{where}: {recovered.load_warnings}"
+        )
+        assert len(list(recovered["other"].find())) == 2, where
+        # a re-created collection never replays the dropped one's logs
+        assert _contents(recovered) == {}, where
+        recovered["c"].insert_one({"_id": "new"})
+        recovered.close()
+        reopened = ShardedDocumentStore(directory, n_shards=4)
+        assert _contents(reopened) == {"new": {"_id": "new"}}, where
+        assert reopened.degraded_collections == set(), where
+        reopened.close()
+        report = fsck(directory, repair=True)
+        assert report.ok, (
+            f"{where}: fsck still unhappy:"
+            f" {[issue.as_dict() for issue in report.issues]}"
+        )
+    assert outcomes == {"whole", "gone"}
+
+
+def _unlist(directory, name):
+    """Remove ``name`` from the manifest: the state a crash after a
+    drop's manifest rewrite leaves, and also what a damaged manifest
+    that lost an entry looks like."""
+    layout = json.loads((directory / "_shards.json").read_text())
+    del layout["collections"][name]
+    (directory / "_shards.json").write_text(json.dumps(layout))
+
+
+def test_open_keeps_the_files_of_an_unlisted_collection(tmp_path):
+    _dropped_store(tmp_path)
+    _unlist(tmp_path, "c")
+    files = sorted(path.name for path in tmp_path.glob("c.shard-*"))
+    assert files
+    store = ShardedDocumentStore(tmp_path, n_shards=4)
+    assert "c" not in store.collection_names()
+    store.close()
+    assert sorted(path.name for path in tmp_path.glob("c.shard-*")) == files
+    # re-creating the name removes its leftovers before listing it
+    store = ShardedDocumentStore(tmp_path, n_shards=4)
+    store["c"].insert_one({"_id": "new"})
+    store.close()
+    reopened = ShardedDocumentStore(tmp_path, n_shards=4)
+    assert _contents(reopened) == {"new": {"_id": "new"}}
+    assert reopened.degraded_collections == set()
+    reopened.close()
+    assert fsck(tmp_path).clean
+
+
+def test_fsck_repair_removes_an_interrupted_drops_files(tmp_path):
+    _dropped_store(tmp_path)
+    _unlist(tmp_path, "c")
+    report = fsck(tmp_path)
+    orphans = [i for i in report.issues if i.kind == "orphan_file"]
+    assert orphans and not report.ok
+    assert fsck(tmp_path, repair=True).ok
+    assert not list(tmp_path.glob("c.shard-*"))
+    assert fsck(tmp_path).clean
+
+
+def test_fsck_repairs_nothing_while_a_live_process_holds_the_store(
+    tmp_path,
+):
+    _dropped_store(tmp_path)
+    _unlist(tmp_path, "c")
+    holder = subprocess.Popen(
+        [sys.executable, "-c", "input()"], stdin=subprocess.PIPE
+    )
+    try:
+        (tmp_path / "_shards.lock").write_text(f"{holder.pid}\n")
+        report = fsck(tmp_path, repair=True)
+    finally:
+        holder.communicate(input=b"\n", timeout=10)
+    kinds = {issue.kind for issue in report.issues}
+    assert {"live_lockfile", "orphan_file"} <= kinds
+    assert not report.ok and not report.repaired
+    assert list(tmp_path.glob("c.shard-*"))
 
 
 def test_completed_faulty_run_is_byte_identical_to_clean(tmp_path):

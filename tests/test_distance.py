@@ -6,11 +6,7 @@ import pytest
 from repro.exceptions import MiningError
 from repro.mining.distance import (
     as_matrix,
-    cosine_distance,
     cosine_similarity,
-    euclidean,
-    manhattan,
-    pairwise_distances,
     row_norms,
     squared_euclidean,
 )
@@ -40,20 +36,6 @@ def test_squared_euclidean_never_negative():
     assert (distances >= 0).all()
 
 
-def test_euclidean_zero_diagonal():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(6, 3))
-    assert np.allclose(np.diag(euclidean(a, a)), 0.0, atol=1e-6)
-
-
-def test_manhattan_matches_naive():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(5, 3))
-    b = rng.normal(size=(4, 3))
-    naive = np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
-    assert np.allclose(manhattan(a, b), naive)
-
-
 def test_row_norms():
     a = np.array([[3.0, 4.0], [0.0, 0.0]])
     assert np.allclose(row_norms(a), [5.0, 0.0])
@@ -79,16 +61,6 @@ def test_cosine_scale_invariance():
     a = np.array([[1.0, 2.0, 3.0]])
     b = np.array([[2.0, 4.0, 6.0]])
     assert np.allclose(cosine_similarity(a, b), 1.0)
-    assert np.allclose(cosine_distance(a, b), 0.0)
-
-
-def test_pairwise_dispatch_and_unknown_metric():
-    a = np.ones((2, 2))
-    for metric in ("euclidean", "sqeuclidean", "manhattan", "cosine"):
-        result = pairwise_distances(a, metric=metric)
-        assert result.shape == (2, 2)
-    with pytest.raises(MiningError):
-        pairwise_distances(a, metric="hamming")
 
 
 def test_orthogonal_vectors_cosine():

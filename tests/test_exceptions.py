@@ -46,9 +46,6 @@ def test_convergence_warning_is_a_warning():
     [
         lambda X: mining.KMeans(2, seed=0).predict(X),
         lambda X: mining.KMeans(2, seed=0).transform(X),
-        lambda X: mining.KMedoids(2, seed=0).predict(X),
-        lambda X: mining.BisectingKMeans(2, seed=0).predict(X),
-        lambda X: mining.AgglomerativeClustering(2).dendrogram_heights(),
         lambda X: mining.DBSCAN(eps=1.0).n_clusters(),
         lambda X: mining.DBSCAN(eps=1.0).noise_ratio(),
         lambda X: mining.GaussianNaiveBayes().predict(X),
@@ -60,9 +57,6 @@ def test_convergence_warning_is_a_warning():
     ids=[
         "kmeans-predict",
         "kmeans-transform",
-        "kmedoids-predict",
-        "bisecting-predict",
-        "agglomerative-heights",
         "dbscan-n-clusters",
         "dbscan-noise-ratio",
         "gaussian-nb-predict",

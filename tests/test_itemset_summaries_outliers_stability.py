@@ -174,20 +174,6 @@ def test_stability_profile_keys(blobs):
     assert all(-1.0 <= value <= 1.0 for value in profile.values())
 
 
-def test_stability_custom_model(blobs):
-    from repro.mining.kmedoids import KMedoids
-
-    data, __ = blobs
-    score = bootstrap_stability(
-        data,
-        3,
-        n_replicates=4,
-        seed=0,
-        model_factory=lambda s: KMedoids(3, seed=s, n_init=1),
-    )
-    assert score > 0.8
-
-
 def test_stability_validation(blobs):
     data, __ = blobs
     with pytest.raises(MiningError):
