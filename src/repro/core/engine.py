@@ -68,6 +68,7 @@ from repro.exceptions import EndGoalError, EngineError
 from repro.mining.dbscan import DBSCAN
 from repro.mining.generalized import mine_generalized_itemsets
 from repro.mining.itemsets import mine_frequent_itemsets
+from repro.mining.outliers import rank_outliers
 from repro.mining.rules import generate_rules
 from repro.obs.manifest import RunManifestBuilder
 from repro.obs.metrics import Metrics
@@ -978,7 +979,9 @@ class ADAHealth:
         vsm = VSMBuilder(self.config.weighting).build(log)
         matrix = L2Normalizer().transform(vsm.matrix)
         eps = _eps_heuristic(matrix, seed=self.seed)
-        model = DBSCAN(eps=eps, min_samples=5).fit(matrix)
+        # One blocked distance pass gives both the neighbourhoods and
+        # each point's kNN distance.
+        model = DBSCAN(eps=eps, min_samples=5, n_neighbors=5).fit(matrix)
         item = extract_outlier_item(
             model.labels_,
             vsm.patient_ids,
@@ -993,11 +996,7 @@ class ADAHealth:
         # Attach a ranked most-atypical list (kNN distance scores) so
         # navigation can show "the N strangest histories", not just a
         # flat noise set.
-        from repro.mining.outliers import top_outliers
-
-        indexes, scores = top_outliers(
-            matrix, n_outliers=20, n_neighbors=5
-        )
+        indexes, scores = rank_outliers(model.knn_distances_, n_outliers=20)
         item.payload["most_atypical"] = [
             {
                 "patient_id": int(vsm.patient_ids[index]),

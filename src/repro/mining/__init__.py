@@ -4,7 +4,7 @@ Everything here is implemented from scratch on numpy — the library has
 no scikit-learn dependency. Public surface::
 
     from repro.mining import (
-        KMeans, kmeans, DBSCAN, KDTree, knn_outlier_scores,
+        KMeans, kmeans, DBSCAN, KDTree, knn_outlier_scores, rank_outliers,
         DecisionTreeClassifier, MajorityClassifier,
         GaussianNaiveBayes, MultinomialNaiveBayes, KNeighborsClassifier,
         apriori, fpgrowth, mine_frequent_itemsets, Itemset,
@@ -67,7 +67,11 @@ from repro.mining.metrics import (
     silhouette_score,
     sse,
 )
-from repro.mining.outliers import knn_outlier_scores, top_outliers
+from repro.mining.outliers import (
+    knn_outlier_scores,
+    rank_outliers,
+    top_outliers,
+)
 from repro.mining.rules import AssociationRule, filter_rules, generate_rules
 from repro.mining.stability import bootstrap_stability, stability_profile
 from repro.mining.sequences import (
@@ -139,6 +143,7 @@ __all__ = [
     "pattern_contains",
     "precision_recall_f1",
     "purity",
+    "rank_outliers",
     "sequences_from_log",
     "silhouette_score",
     "squared_euclidean",

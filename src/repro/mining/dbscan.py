@@ -13,6 +13,11 @@ row block at a time; a dense brute-force block waits as a bit mask until
 the CSR is assembled. Clusters grow over the CSR a whole frontier at a
 time with array operations rather than point by point.
 
+With ``n_neighbors`` set, the same pass also records each point's
+distance to its ``n_neighbors``-th nearest other point (the k-NN
+outlier score of :mod:`repro.mining.outliers`): the brute-force branch
+reads it off the distance block its region query already computed.
+
 Labelling contract (identical to a point-by-point breadth-first
 expansion in index order):
 
@@ -29,8 +34,14 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import MiningError, NotFittedError
-from repro.mining.distance import as_matrix, squared_euclidean
+from repro.mining.distance import (
+    as_matrix,
+    block_rows,
+    kth_distance,
+    squared_euclidean_blocks,
+)
 from repro.mining.kdtree import KDTree
+from repro.mining.outliers import check_n_neighbors, tree_knn_distances
 
 #: Label assigned to noise points.
 NOISE = -1
@@ -57,6 +68,10 @@ class DBSCAN:
     brute_force_dims:
         Use brute-force region queries when the data has at least this
         many columns (kd-trees lose their advantage in high dimension).
+    n_neighbors:
+        When set, ``fit`` also fills ``knn_distances_``: each point's
+        distance to its ``n_neighbors``-th nearest other point, equal
+        to :func:`repro.mining.knn_outlier_scores` bit for bit.
     """
 
     def __init__(
@@ -64,6 +79,7 @@ class DBSCAN:
         eps: float,
         min_samples: int = 5,
         brute_force_dims: int = 25,
+        n_neighbors: Optional[int] = None,
     ) -> None:
         if eps <= 0:
             raise MiningError("eps must be positive")
@@ -72,17 +88,29 @@ class DBSCAN:
         self.eps = eps
         self.min_samples = min_samples
         self.brute_force_dims = brute_force_dims
+        self.n_neighbors = n_neighbors
         self.labels_: Optional[np.ndarray] = None
         self.core_sample_indices_: Optional[np.ndarray] = None
+        self.knn_distances_: Optional[np.ndarray] = None
 
     def fit(self, data) -> "DBSCAN":
         """Cluster ``data``; returns ``self``."""
         data = as_matrix(data)
+        n = data.shape[0]
+        knn = None
+        if self.n_neighbors is not None:
+            check_n_neighbors(self.n_neighbors, n)
         if data.shape[1] >= self.brute_force_dims:
-            blocks = self._brute_blocks(data)
+            if self.n_neighbors is not None:
+                knn = np.empty(n)
+            blocks = self._brute_blocks(data, knn)
         else:
-            blocks = self._tree_blocks(data)
-        indptr, indices = _csr(data.shape[0], blocks)
+            tree = KDTree(data)
+            if self.n_neighbors is not None:
+                knn = tree_knn_distances(tree, data, self.n_neighbors)
+            blocks = self._tree_blocks(data, tree)
+        indptr, indices = _csr(n, blocks)
+        self.knn_distances_ = knn
         is_core = np.diff(indptr) >= self.min_samples
         self.labels_ = _expand(indptr, indices, is_core)
         self.core_sample_indices_ = np.nonzero(is_core)[0]
@@ -92,31 +120,37 @@ class DBSCAN:
         """Fit and return the labels (noise = -1)."""
         return self.fit(data).labels_  # type: ignore[return-value]
 
-    def _brute_blocks(self, data: np.ndarray) -> Iterator[_Block]:
-        """Radius neighbourhoods via a blocked distance computation.
+    def _brute_blocks(
+        self, data: np.ndarray, knn: Optional[np.ndarray]
+    ) -> Iterator[_Block]:
+        """Radius neighbourhoods via a blocked distance computation,
+        filling ``knn`` (when given) from the same blocks.
 
         A block with more than one neighbour per 32 pairs is held as a
         bit mask (1 bit per pair, unpacked by :func:`_csr`), which is
         then smaller than its int32 columns (32 bits per neighbour).
         """
-        n = data.shape[0]
         eps2 = self.eps * self.eps
-        block = max(1, 2_000_000 // max(n, 1))
-        for start in range(0, n, block):
-            chunk = data[start : start + block]
-            within = squared_euclidean(chunk, data) <= eps2
+        for start, dist2 in squared_euclidean_blocks(data):
+            within = dist2 <= eps2
+            if knn is not None:
+                # The query point is its own nearest neighbour.
+                knn[start : start + len(dist2)] = kth_distance(
+                    dist2, self.n_neighbors
+                )
             counts = within.sum(axis=1)
             if 32 * int(counts.sum()) > within.size:
                 yield counts, np.packbits(within, axis=1)
             else:
                 yield counts, _columns(within)
 
-    def _tree_blocks(self, data: np.ndarray) -> Iterator[_Block]:
+    def _tree_blocks(
+        self, data: np.ndarray, tree: KDTree
+    ) -> Iterator[_Block]:
         """Radius neighbourhoods via kd-tree queries, one row block at a
         time."""
         n = data.shape[0]
-        tree = KDTree(data)
-        block = max(1, 2_000_000 // max(n, 1))
+        block = block_rows(n)
         for start in range(0, n, block):
             hits = [
                 tree.query_radius(row, self.eps)

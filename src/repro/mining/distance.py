@@ -1,12 +1,15 @@
 """Distance and similarity primitives shared by the mining algorithms.
 
 All functions operate on 2-D ``numpy`` arrays with observations in rows
-and accept ``float64`` data; they are pure and allocate their outputs.
+and accept ``float64`` data; they are pure and allocate their outputs,
+except :func:`squared_euclidean_blocks`, which writes every block into
+the same two reused buffers, and :func:`kth_distance`, which partitions
+its block in place.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +41,49 @@ def squared_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     distances = aa + bb - 2.0 * (a @ b.T)
     np.maximum(distances, 0.0, out=distances)
     return distances
+
+
+def block_rows(n: int) -> int:
+    """Rows per block of distances to ``n`` points: about 2M entries,
+    one ~16 MB float64 buffer."""
+    return max(1, 2_000_000 // max(n, 1))
+
+
+def squared_euclidean_blocks(
+    queries: np.ndarray, data: Optional[np.ndarray] = None
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield ``(start, block)`` over ``queries`` in row blocks.
+
+    ``block`` equals ``squared_euclidean(queries[start:start + rows],
+    data)`` bit for bit (same operations in the same order), where
+    ``rows`` is :func:`block_rows` of ``len(data)`` (``data`` defaults
+    to ``queries``). Every block is written into the same two
+    preallocated buffers, so a block is only valid until the next one
+    is requested; a consumer may overwrite it in place. The buffers are
+    released when the generator finishes or is closed.
+    """
+    data = queries if data is None else data
+    n = data.shape[0]
+    rows = min(block_rows(n), queries.shape[0])
+    bb = np.einsum("ij,ij->i", data, data)[None, :]
+    product = np.empty((rows, n))
+    block = np.empty((rows, n))
+    for start in range(0, queries.shape[0], rows):
+        chunk = queries[start : start + rows]
+        aa = np.einsum("ij,ij->i", chunk, chunk)[:, None]
+        twice = np.matmul(chunk, data.T, out=product[: len(chunk)])
+        twice *= 2.0
+        out = np.add(aa, bb, out=block[: len(chunk)])
+        np.subtract(out, twice, out=out)
+        np.maximum(out, 0.0, out=out)
+        yield start, out
+
+
+def kth_distance(block: np.ndarray, k: int) -> np.ndarray:
+    """Square root of each row's ``k``-th smallest entry (0-based) of a
+    block of squared distances, which is partitioned in place."""
+    block.partition(k, axis=1)
+    return np.sqrt(block[:, k])
 
 
 def row_norms(matrix: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import MiningError, NotFittedError
-from repro.mining.distance import as_matrix, squared_euclidean
+from repro.mining.distance import as_matrix, squared_euclidean_blocks
 from repro.mining.kdtree import KDTree
 
 
@@ -82,10 +82,7 @@ class KNeighborsClassifier:
                 distances, indexes = self._tree.query(row, k=k)
                 votes[i] = self._vote(distances, indexes, n_classes)
         else:
-            block = max(1, 4_000_000 // max(self._data.shape[0], 1))
-            for start in range(0, data.shape[0], block):
-                chunk = data[start : start + block]
-                dist2 = squared_euclidean(chunk, self._data)
+            for start, dist2 in squared_euclidean_blocks(data, self._data):
                 nearest = np.argpartition(dist2, k - 1, axis=1)[:, :k]
                 for offset, (row_indexes, row_dist2) in enumerate(
                     zip(nearest, dist2)

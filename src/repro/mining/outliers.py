@@ -8,13 +8,35 @@ examination histories" rather than an unordered noise set.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.exceptions import MiningError
-from repro.mining.distance import as_matrix, squared_euclidean
+from repro.mining.distance import (
+    as_matrix,
+    kth_distance,
+    squared_euclidean_blocks,
+)
 from repro.mining.kdtree import KDTree
+
+
+def check_n_neighbors(n_neighbors: int, n: int) -> None:
+    """Raise unless every point has ``n_neighbors`` other points."""
+    if not 1 <= n_neighbors < n:
+        raise MiningError("need 1 <= n_neighbors < n_points")
+
+
+def tree_knn_distances(
+    tree: KDTree, data: np.ndarray, n_neighbors: int
+) -> np.ndarray:
+    """k-NN distances by one kd-tree query per point of ``data``."""
+    k = n_neighbors + 1  # the query returns the point itself first
+    scores = np.empty(data.shape[0])
+    for i, row in enumerate(data):
+        distances, __ = tree.query(row, k=k)
+        scores[i] = float(np.sort(distances)[-1])
+    return scores
 
 
 def knn_outlier_scores(
@@ -25,27 +47,31 @@ def knn_outlier_scores(
     """Distance to each point's ``n_neighbors``-th nearest neighbour.
 
     Higher = more isolated. The point itself is excluded from its own
-    neighbourhood.
+    neighbourhood. Wide data is scored from the reused distance blocks
+    of :func:`repro.mining.distance.squared_euclidean_blocks`, the same
+    pass ``DBSCAN(n_neighbors=...)`` runs.
     """
     data = as_matrix(data)
     n = data.shape[0]
-    if not 1 <= n_neighbors < n:
-        raise MiningError("need 1 <= n_neighbors < n_points")
-    k = n_neighbors + 1  # the query returns the point itself first
-    scores = np.empty(n)
+    check_n_neighbors(n_neighbors, n)
     if data.shape[1] < brute_force_dims:
-        tree = KDTree(data)
-        for i in range(n):
-            distances, __ = tree.query(data[i], k=k)
-            scores[i] = float(np.sort(distances)[-1])
-    else:
-        block = max(1, 4_000_000 // max(n, 1))
-        for start in range(0, n, block):
-            chunk = data[start : start + block]
-            dist2 = squared_euclidean(chunk, data)
-            part = np.partition(dist2, k - 1, axis=1)[:, k - 1]
-            scores[start : start + len(chunk)] = np.sqrt(part)
+        return tree_knn_distances(KDTree(data), data, n_neighbors)
+    scores = np.empty(n)
+    for start, dist2 in squared_euclidean_blocks(data):
+        # The query point is its own nearest neighbour.
+        scores[start : start + len(dist2)] = kth_distance(dist2, n_neighbors)
     return scores
+
+
+def rank_outliers(
+    scores: np.ndarray, n_outliers: int = 10
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Return ``(indexes, scores)`` of the ``n_outliers`` highest
+    scores, ordered most-atypical first (ties by index)."""
+    if n_outliers < 1:
+        raise MiningError("n_outliers must be >= 1")
+    order = np.argsort(-scores, kind="stable")[:n_outliers]
+    return order, scores[order]
 
 
 def top_outliers(
@@ -55,9 +81,7 @@ def top_outliers(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Return ``(indexes, scores)`` of the most isolated points,
     ordered most-atypical first."""
-    if n_outliers < 1:
+    if n_outliers < 1:  # before the O(n^2) scoring pass
         raise MiningError("n_outliers must be >= 1")
     scores = knn_outlier_scores(data, n_neighbors=n_neighbors)
-    n_outliers = min(n_outliers, len(scores))
-    order = np.argsort(-scores, kind="stable")[:n_outliers]
-    return order, scores[order]
+    return rank_outliers(scores, n_outliers)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import KMeansOptimizer, OptimizationRow, sse_plateau
+from repro.core.cache import AnalysisCache, fingerprint_array
 from repro.core.optimizer import PAPER_K_VALUES
 from repro.exceptions import MiningError
 from repro.preprocess import L2Normalizer, VSMBuilder
@@ -168,3 +169,41 @@ def test_separable_data_small_k_wins(blobs):
     assert report.best_row.combined == pytest.approx(1.0, abs=0.02)
     worst = max(report.rows, key=lambda row: row.k)
     assert worst.combined < report.best_row.combined
+
+
+def _tied_row(k):
+    """A row whose combined score is exactly 1.0, whatever its K."""
+    return OptimizationRow(k=k, sse=100.0 / k, accuracy=1.0,
+                           avg_precision=1.0, avg_recall=1.0,
+                           overall_similarity=0.5)
+
+
+class _TiedOptimizer(KMeansOptimizer):
+    """Computes every K as a tied row and records which it computed."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.computed = []
+
+    def evaluate_k(self, data, k):
+        self.computed.append(k)
+        return _tied_row(k)
+
+
+@pytest.mark.parametrize("cached_k, computed_k", [(4, 6), (6, 4)])
+def test_a_combined_tie_selects_the_smallest_k(matrix, cached_k, computed_k):
+    """On the paper cohort K = 4 and K = 6 both score combined == 1.0;
+    the sweep picks the smallest tied K, whether the tied rows come
+    from the cache or from a fresh evaluation."""
+    cache = AnalysisCache()
+    optimizer = _TiedOptimizer(k_values=(4, 6), n_folds=2, cache=cache)
+    cache.put(
+        fingerprint_array(matrix),
+        "kmeans-optimizer-row",
+        optimizer._cell_params(cached_k),
+        _tied_row(cached_k).to_document(),
+    )
+    report = optimizer.optimize(matrix)
+    assert optimizer.computed == [computed_k]
+    assert [row.combined for row in report.rows] == [1.0, 1.0]
+    assert report.best_k == 4
