@@ -4,10 +4,14 @@ A cold ``ADAHealth.analyze`` runs the outlier goal (paper §IV) as one
 ``DBSCAN(n_neighbors=5)`` fit over the L2-normalised 6,380 × 159 VSM:
 one blocked distance pass gives the radius neighbourhoods and every
 patient's 5th-neighbour distance. Before, the goal ran DBSCAN and
-``knn_outlier_scores`` as two passes over the same matrix
-(``tests/outlier_reference.py``). On the paper cohort the fused pass
-must give identical labels, kNN scores bitwise equal to the two-pass
-reference, and the same 20 ``most_atypical`` entries. Run from the
+``knn_outlier_scores`` as two passes over the same matrix, and DBSCAN
+grew its clusters over a CSR of the neighbourhoods
+(``tests/outlier_reference.py``). On the paper cohort the pass must
+give labels identical to the CSR reference, kNN scores bitwise equal to
+the two-pass reference, and the same 20 ``most_atypical`` entries. The
+whole goal runs in one ~16 MB distance buffer plus the stored
+neighbour blocks: its traced peak stays below 40 MiB (54.4 MiB with
+two buffers, the CSR and the raw VSM held alongside). Run from the
 repository root::
 
     PYTHONPATH=src python -m pytest -q -m paper --benchmark-disable \\
@@ -16,12 +20,13 @@ repository root::
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core import ADAHealth, EngineConfig
+from repro.core import DEFAULT_END_GOALS, ADAHealth, EngineConfig
 from repro.mining import DBSCAN
 from repro.preprocess import VSMBuilder
 from tests.outlier_reference import assert_same_outlier_pass
@@ -66,3 +71,16 @@ def test_paper_outlier_pass_matches_the_two_pass_reference(
         for index in order
     ]
     assert item.payload["most_atypical"] == expected
+
+
+def test_paper_outlier_goal_peak_memory(paper_log):
+    (goal,) = [g for g in DEFAULT_END_GOALS if g.name == "outlier-screening"]
+    engine = ADAHealth(seed=BENCH_SEED)
+    tracemalloc.start()
+    try:
+        run = engine._run_outliers(goal, paper_log, "paper")
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.items[0].payload["most_atypical"]
+    assert peak < 40 * 2**20

@@ -977,14 +977,17 @@ class ADAHealth:
 
     def _run_outliers(self, goal, log, dataset_id) -> GoalRun:
         vsm = VSMBuilder(self.config.weighting).build(log)
+        patient_ids = vsm.patient_ids
+        # Only the normalised matrix lives through the distance pass.
         matrix = L2Normalizer().transform(vsm.matrix)
+        del vsm
         eps = _eps_heuristic(matrix, seed=self.seed)
         # One blocked distance pass gives both the neighbourhoods and
         # each point's kNN distance.
         model = DBSCAN(eps=eps, min_samples=5, n_neighbors=5).fit(matrix)
         item = extract_outlier_item(
             model.labels_,
-            vsm.patient_ids,
+            patient_ids,
             end_goal=goal.name,
             provenance={
                 "algorithm": "dbscan",
@@ -999,7 +1002,7 @@ class ADAHealth:
         indexes, scores = rank_outliers(model.knn_distances_, n_outliers=20)
         item.payload["most_atypical"] = [
             {
-                "patient_id": int(vsm.patient_ids[index]),
+                "patient_id": int(patient_ids[index]),
                 "score": float(score),
             }
             for index, score in zip(indexes, scores)

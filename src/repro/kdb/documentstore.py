@@ -843,16 +843,20 @@ class Collection:
 
     # -- find --------------------------------------------------------------
     def _matched(
-        self, query: Optional[Query]
+        self, query: Optional[Query], first: bool = False
     ) -> Tuple[List[Document], QueryPlan]:
-        """Planner-routed matching: returns (stored references, plan)."""
-        query = query or {}
+        """Planner-routed matching: returns (stored references in
+        insertion order, plan); with ``first``, only the first match."""
+        query = {} if query is None else query
         matcher = _Matcher(query)
         start = time.perf_counter()
         candidates, plan = plan_query(self, query)
-        matched = [
-            document for document in candidates if matcher(document)
-        ]
+        matched = []
+        for document in candidates:
+            if matcher(document):
+                matched.append(document)
+                if first:
+                    break
         plan.returned = len(matched)
         plan.elapsed_s = time.perf_counter() - start
         self._record_plan(plan)
@@ -960,13 +964,12 @@ class Collection:
                 "update documents must use operators ($set, $inc, ...)"
             )
         _reject_unstorable(update)
-        matcher = _Matcher(query)
         updated = 0
         with self._lock:
             self._require_writable()
-            for doc_id, document in list(self._documents.items()):
-                if not matcher(document):
-                    continue
+            matched, __ = self._matched(query, first=not many)
+            for document in matched:
+                doc_id = document["_id"]
                 # Copy-on-write: build the replacement fully, validate
                 # it, then swap — a failure at any point leaves the
                 # stored document and the indexes untouched.
@@ -985,8 +988,6 @@ class Collection:
                 self._documents[doc_id] = replacement
                 self._notify("put", replacement)
                 updated += 1
-                if not many:
-                    break
         return updated
 
     # -- delete ------------------------------------------------------------
@@ -999,17 +1000,12 @@ class Collection:
         return self._delete(query or {}, many=True)
 
     def _delete(self, query: Query, many: bool) -> int:
-        matcher = _Matcher(query)
         with self._lock:
             self._require_writable()
-            victims = []
-            for doc_id, document in self._documents.items():
-                if matcher(document):
-                    victims.append(doc_id)
-                    if not many:
-                        break
-            for doc_id in victims:
-                document = self._documents.pop(doc_id)
+            victims, __ = self._matched(query, first=not many)
+            for document in victims:
+                doc_id = document["_id"]
+                del self._documents[doc_id]
                 self._index_remove(document)
                 self._seq.pop(doc_id, None)
                 self._notify("del", doc_id)

@@ -7,11 +7,12 @@ the noise label ``-1`` instead of being forced into a cluster.
 
 Region queries run through the kd-tree for low/medium dimensionality and
 fall back to brute force for very wide data (kd-trees degrade there).
-Either way the neighbourhoods land in one CSR structure (int64
-``indptr``, int32 ``indices``: ~4 bytes per neighbour pair), built one
-row block at a time; a dense brute-force block waits as a bit mask until
-the CSR is assembled. Clusters grow over the CSR a whole frontier at a
-time with array operations rather than point by point.
+Either way the neighbourhoods are stored one row block at a time, as
+they come: a dense brute-force block as a packed bit mask (1 bit per
+pair), any other block as its int32 neighbour columns (4 bytes per
+pair). Clusters grow straight over those blocks, a whole frontier at a
+time: the frontier's rows are ORed (bit blocks) or scattered (column
+blocks) into one "reached" bit vector, which is unpacked once per step.
 
 With ``n_neighbors`` set, the same pass also records each point's
 distance to its ``n_neighbors``-th nearest other point (the k-NN
@@ -46,9 +47,10 @@ from repro.mining.outliers import check_n_neighbors, tree_knn_distances
 #: Label assigned to noise points.
 NOISE = -1
 
-#: Neighbour entries one frontier gather touches at most (unless a
-#: single row is longer), bounding its int64 temporaries to a few MB.
-_GATHER = 1 << 18
+#: Bytes of stored neighbourhoods one frontier gather copies at most
+#: (unless a single row is longer): ``ceil(n / 8)`` per bit-mask row, 4
+#: per neighbour of a column row.
+_FRONTIER_CHUNK = 1 << 18
 
 #: One row block of neighbourhoods: per-row counts, then either the
 #: concatenated int32 columns or a uint8 bit mask from ``np.packbits``.
@@ -109,10 +111,8 @@ class DBSCAN:
             if self.n_neighbors is not None:
                 knn = tree_knn_distances(tree, data, self.n_neighbors)
             blocks = self._tree_blocks(data, tree)
-        indptr, indices = _csr(n, blocks)
+        self.labels_, is_core = _label(n, list(blocks), self.min_samples)
         self.knn_distances_ = knn
-        is_core = np.diff(indptr) >= self.min_samples
-        self.labels_ = _expand(indptr, indices, is_core)
         self.core_sample_indices_ = np.nonzero(is_core)[0]
         return self
 
@@ -127,22 +127,19 @@ class DBSCAN:
         filling ``knn`` (when given) from the same blocks.
 
         A block with more than one neighbour per 32 pairs is held as a
-        bit mask (1 bit per pair, unpacked by :func:`_csr`), which is
-        then smaller than its int32 columns (32 bits per neighbour).
+        bit mask (1 bit per pair), which is then smaller than its int32
+        columns (32 bits per neighbour).
         """
         eps2 = self.eps * self.eps
         for start, dist2 in squared_euclidean_blocks(data):
-            within = dist2 <= eps2
+            # Before the partition below reorders the block.
+            block = _radius_block(dist2 <= eps2)
             if knn is not None:
                 # The query point is its own nearest neighbour.
                 knn[start : start + len(dist2)] = kth_distance(
                     dist2, self.n_neighbors
                 )
-            counts = within.sum(axis=1)
-            if 32 * int(counts.sum()) > within.size:
-                yield counts, np.packbits(within, axis=1)
-            else:
-                yield counts, _columns(within)
+            yield block
 
     def _tree_blocks(
         self, data: np.ndarray, tree: KDTree
@@ -176,6 +173,15 @@ class DBSCAN:
         return float((self.labels_ == NOISE).mean())
 
 
+def _radius_block(within: np.ndarray) -> _Block:
+    """A boolean block's row counts with its bit mask or its columns,
+    whichever is smaller."""
+    counts = within.sum(axis=1)
+    if 32 * int(counts.sum()) > within.size:
+        return counts, np.packbits(within, axis=1)
+    return counts, _columns(within)
+
+
 def _columns(within: np.ndarray) -> np.ndarray:
     """Column indexes of a boolean block's true entries, row by row."""
     # Flat offsets stay below max(2_000_000, n), so int32 holds them.
@@ -184,87 +190,104 @@ def _columns(within: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _csr(n: int, blocks: Iterator[_Block]) -> Tuple[np.ndarray, np.ndarray]:
-    """Assemble row blocks into CSR ``(indptr, indices)``.
+def _label(
+    n: int, blocks: List[_Block], min_samples: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cluster labels and the core mask of the neighbour relation held
+    in ``blocks`` (consecutive row blocks of ``n`` points).
 
-    Each block is released as soon as it is copied into ``indices``, not
-    all of them after the last copy.
+    Clusters are labelled in order of their lowest core index. Each one
+    grows from its seed one frontier at a time: the frontier's
+    still-unlabelled neighbours join the cluster, and the core points
+    among them form the next frontier. A point, once labelled, keeps
+    its label, so a border point stays with the first (lowest-numbered)
+    cluster that reaches it.
     """
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    parts: List[np.ndarray] = []
-    row = 0
-    for counts, part in blocks:
-        indptr[row + 1 : row + 1 + len(counts)] = counts
-        row += len(counts)
-        parts.append(part)
-    np.cumsum(indptr, out=indptr)
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    parts.reverse()
-    at = 0
-    while parts:
-        part = parts.pop()
-        if part.dtype == np.uint8:  # a bit-mask block
-            part = _columns(np.unpackbits(part, axis=1, count=n).view(bool))
-        indices[at : at + part.size] = part
-        at += part.size
-    return indptr, indices
-
-
-def _expand(
-    indptr: np.ndarray, indices: np.ndarray, is_core: np.ndarray
-) -> np.ndarray:
-    """Label clusters in order of their lowest core index.
-
-    Each cluster grows from its seed one frontier at a time: the
-    frontier's still-unlabelled neighbours join the cluster, and the
-    core points among them form the next frontier. A point, once
-    labelled, keeps its label, so a border point stays with the first
-    (lowest-numbered) cluster that reaches it.
-    """
-    labels = np.full(len(is_core), NOISE, dtype=int)
+    relation = _Relation(n, blocks)
+    is_core = relation.counts >= min_samples
+    labels = np.full(n, NOISE, dtype=int)
+    unlabelled = np.ones(n, dtype=bool)
     cluster = 0
     for seed in np.flatnonzero(is_core).tolist():
-        if labels[seed] != NOISE:
+        if not unlabelled[seed]:
             continue
+        unlabelled[seed] = False
         labels[seed] = cluster
         frontier = np.array([seed])
         while frontier.size:
-            frontier = _advance(
-                frontier, indptr, indices, labels, is_core, cluster
-            )
+            reached = relation.reached(frontier)
+            reached &= unlabelled
+            fresh = np.flatnonzero(reached)
+            unlabelled[fresh] = False
+            labels[fresh] = cluster
+            frontier = fresh[is_core[fresh]]
         cluster += 1
-    return labels
+    return labels, is_core
 
 
-def _advance(
-    frontier: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    labels: np.ndarray,
-    is_core: np.ndarray,
-    cluster: int,
-) -> np.ndarray:
-    """Give ``frontier``'s unlabelled neighbours ``cluster``; return the
-    core points among them.
+class _Relation:
+    """The stored row blocks of a directed neighbour relation, with the
+    per-row offsets a column block needs to find a row's neighbours."""
 
-    The frontier's neighbour rows are gathered in chunks of about
-    :data:`_GATHER` entries.
-    """
-    starts = indptr[frontier]
-    lengths = indptr[frontier + 1] - starts
+    def __init__(self, n: int, blocks: List[_Block]) -> None:
+        self.n = n
+        self.parts = [part for __, part in blocks]
+        self.offsets: List[Optional[np.ndarray]] = []
+        bounds = [0]
+        for counts, part in blocks:
+            bounds.append(bounds[-1] + len(counts))
+            if part.dtype == np.uint8:  # a bit-mask block
+                self.offsets.append(None)
+            else:
+                offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+                np.cumsum(counts, out=offsets[1:])
+                self.offsets.append(offsets)
+        self.bounds = np.array(bounds)
+        self.counts = np.concatenate([counts for counts, __ in blocks])
+
+    def reached(self, frontier: np.ndarray) -> np.ndarray:
+        """Boolean mask of the points some row of ``frontier`` (sorted
+        ascending) reaches."""
+        packed = np.zeros(-(-self.n // 8), dtype=np.uint8)
+        hit: Optional[np.ndarray] = None
+        cuts = np.searchsorted(frontier, self.bounds)
+        for b in np.flatnonzero(cuts[1:] > cuts[:-1]).tolist():
+            rows = frontier[cuts[b] : cuts[b + 1]] - self.bounds[b]
+            part = self.parts[b]
+            offsets = self.offsets[b]
+            if offsets is None:
+                step = max(1, _FRONTIER_CHUNK // part.shape[1])
+                for lo in range(0, len(rows), step):
+                    picked = part[rows[lo : lo + step]]
+                    packed |= np.bitwise_or.reduce(picked, axis=0)
+            else:
+                if hit is None:
+                    hit = np.zeros(self.n, dtype=bool)
+                _scatter(rows, offsets, part, hit)
+        reached = np.unpackbits(packed, count=self.n).view(bool)
+        if hit is not None:
+            reached |= hit
+        return reached
+
+
+def _scatter(
+    rows: np.ndarray, offsets: np.ndarray, columns: np.ndarray, hit: np.ndarray
+) -> None:
+    """Set ``hit`` at the neighbour columns of a column block's ``rows``,
+    gathered in chunks of about :data:`_FRONTIER_CHUNK` bytes."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
     ends = np.cumsum(lengths)
-    reached: List[np.ndarray] = []
     lo = 0
-    while lo < len(frontier):
+    while lo < len(rows):
         done = ends[lo] - lengths[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, done + _GATHER, "right")))
+        hi = max(
+            lo + 1,
+            int(np.searchsorted(ends, done + _FRONTIER_CHUNK // 4, "right")),
+        )
         counts = lengths[lo:hi]
-        # Entry k of the chunk comes from indices[k + shift of its row].
+        # Entry k of the chunk comes from columns[k + shift of its row].
         shift = starts[lo:hi] - (ends[lo:hi] - counts - done)
         where = np.arange(ends[hi - 1] - done) + np.repeat(shift, counts)
-        neighbours = indices[where]
-        fresh = np.unique(neighbours[labels[neighbours] == NOISE])
-        labels[fresh] = cluster
-        reached.append(fresh[is_core[fresh]])
+        hit[columns[where]] = True
         lo = hi
-    return np.concatenate(reached)

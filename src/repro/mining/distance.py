@@ -3,8 +3,8 @@
 All functions operate on 2-D ``numpy`` arrays with observations in rows
 and accept ``float64`` data; they are pure and allocate their outputs,
 except :func:`squared_euclidean_blocks`, which writes every block into
-the same two reused buffers, and :func:`kth_distance`, which partitions
-its block in place.
+one reused buffer, and :func:`kth_distance`, which partitions its block
+in place.
 """
 
 from __future__ import annotations
@@ -49,33 +49,44 @@ def block_rows(n: int) -> int:
     return max(1, 2_000_000 // max(n, 1))
 
 
+#: Entries of the scratch row band :func:`squared_euclidean_blocks`
+#: forms ``|x|^2 + |y|^2`` in: 1 MB of float64, cache-sized.
+_SCRATCH = 1 << 17
+
+
 def squared_euclidean_blocks(
     queries: np.ndarray, data: Optional[np.ndarray] = None
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield ``(start, block)`` over ``queries`` in row blocks.
 
     ``block`` equals ``squared_euclidean(queries[start:start + rows],
-    data)`` bit for bit (same operations in the same order), where
-    ``rows`` is :func:`block_rows` of ``len(data)`` (``data`` defaults
-    to ``queries``). Every block is written into the same two
-    preallocated buffers, so a block is only valid until the next one
-    is requested; a consumer may overwrite it in place. The buffers are
+    data)`` bit for bit (same operands, same operations in the same
+    order), where ``rows`` is :func:`block_rows` of ``len(data)``
+    (``data`` defaults to ``queries``). The product ``chunk @ dataᵀ``
+    is written straight into one preallocated buffer and doubled in
+    place; each band of rows then subtracts it from ``|x|^2 + |y|^2``
+    formed in a small scratch array, back into the buffer. Every block
+    is that same buffer, so a block is only valid until the next one is
+    requested; a consumer may overwrite it in place. The buffers are
     released when the generator finishes or is closed.
     """
     data = queries if data is None else data
     n = data.shape[0]
     rows = min(block_rows(n), queries.shape[0])
+    band = min(rows, max(1, _SCRATCH // n))
     bb = np.einsum("ij,ij->i", data, data)[None, :]
-    product = np.empty((rows, n))
     block = np.empty((rows, n))
+    scratch = np.empty((band, n))
     for start in range(0, queries.shape[0], rows):
         chunk = queries[start : start + rows]
         aa = np.einsum("ij,ij->i", chunk, chunk)[:, None]
-        twice = np.matmul(chunk, data.T, out=product[: len(chunk)])
-        twice *= 2.0
-        out = np.add(aa, bb, out=block[: len(chunk)])
-        np.subtract(out, twice, out=out)
-        np.maximum(out, 0.0, out=out)
+        out = np.matmul(chunk, data.T, out=block[: len(chunk)])
+        out *= 2.0
+        for lo in range(0, len(chunk), band):
+            twice = out[lo : lo + band]
+            total = np.add(aa[lo : lo + band], bb, out=scratch[: len(twice)])
+            np.subtract(total, twice, out=twice)
+            np.maximum(twice, 0.0, out=twice)
         yield start, out
 
 

@@ -54,7 +54,7 @@ class L2Normalizer:
         norms = np.sqrt(np.einsum("ij,ij->i", data, data))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = data / norms[:, None]
-        return np.nan_to_num(out)
+        return np.nan_to_num(out, copy=False)
 
     def fit_transform(self, data) -> np.ndarray:
         return self.fit(data).transform(data)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import PreprocessError
 from repro.preprocess import (
@@ -9,6 +11,7 @@ from repro.preprocess import (
     characterize_matrix,
     feature_profiles,
 )
+from repro.preprocess.characterization import _standardized_moment
 
 
 def test_basic_dimensions(small_log):
@@ -100,3 +103,35 @@ def test_feature_profiles_match_matrix(handmade_log):
     assert by_index[2].frequency == 3
     assert by_index[0].frequency == 2
     assert by_index[2].patient_coverage == pytest.approx(1 / 3)
+
+
+def direct_moment(values: np.ndarray, order: int) -> float:
+    """The standardised moment as one power per element."""
+    centered = values - values.mean()
+    return float((centered**order).mean() / values.std() ** order)
+
+
+moment_inputs = st.one_of(
+    # Exam counts: few distinct integral values.
+    st.lists(st.integers(1, 12), min_size=1, max_size=300),
+    # Weighted or normalised values: mostly distinct.
+    st.lists(
+        st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=300,
+    ),
+    # Constant input: the standard deviation is 0.
+    st.tuples(st.floats(0.0, 1e3), st.integers(1, 50)).map(
+        lambda pair: [pair[0]] * pair[1]
+    ),
+)
+
+
+@given(values=moment_inputs, order=st.sampled_from([3, 4]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_standardized_moment_is_bit_equal_to_the_direct_form(values, order):
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = direct_moment(values, order)
+        got = _standardized_moment(values, order)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()

@@ -113,9 +113,9 @@ def reference_dbscan(data, eps, min_samples, brute_force_dims=25):
 
 def assert_matches_reference(data, eps, min_samples, brute_force_dims):
     labels, core = reference_dbscan(data, eps, min_samples, brute_force_dims)
-    # A tiny gather bound splits every frontier into many chunks.
-    for gather in (dbscan_module._GATHER, 3):
-        with mock.patch.object(dbscan_module, "_GATHER", gather):
+    # A tiny chunk bound splits every frontier gather into many chunks.
+    for chunk in (dbscan_module._FRONTIER_CHUNK, 3):
+        with mock.patch.object(dbscan_module, "_FRONTIER_CHUNK", chunk):
             model = DBSCAN(eps, min_samples, brute_force_dims).fit(data)
         assert model.labels_.dtype == labels.dtype
         assert np.array_equal(model.labels_, labels)
@@ -169,8 +169,9 @@ def test_dbscan_matches_reference_edge_cases(
 
 @pytest.mark.parametrize("brute_force_dims", [1, 999])
 def test_dbscan_matches_reference_one_huge_cluster(brute_force_dims):
-    # 600 mutual neighbours: the second frontier gathers 359k entries,
-    # two chunks at the default gather bound.
+    # 600 mutual neighbours: on the kd-tree branch the second frontier
+    # gathers 359k neighbour columns, several chunks at the default
+    # bound.
     data = np.random.default_rng(2).normal(size=(600, 2))
     model = assert_matches_reference(data, 100.0, 5, brute_force_dims)
     assert model.n_clusters() == 1

@@ -303,6 +303,43 @@ def test_delete_one(people):
     assert people.count_documents() == 3
 
 
+@pytest.mark.parametrize("indexed", [False, True])
+def test_update_and_delete_one_take_the_first_match_in_insertion_order(
+    store, indexed
+):
+    collection = store["c"]
+    # Ids out of order, and the first match re-inserted last: the
+    # first match is by insertion, not by id or hash bucket.
+    collection.insert_many(
+        [{"_id": 9, "t": "x"}, {"_id": 2, "t": "x"}, {"_id": 5, "t": "y"}]
+    )
+    collection.delete_one({"_id": 9})
+    collection.insert_one({"_id": 9, "t": "x"})
+    collection.insert_one({"_id": 1, "t": "x"})
+    if indexed:
+        collection.create_index("t")
+    assert collection.update_one({"t": "x"}, {"$set": {"hit": 1}}) == 1
+    assert collection.last_plan.kind == ("point" if indexed else "scan")
+    assert [doc["_id"] for doc in collection.find({"hit": 1})] == [2]
+    assert collection.update_many({"t": "x"}, {"$inc": {"n": 1}}) == 3
+    assert collection.delete_one({"t": "x"}) == 1
+    assert [doc["_id"] for doc in collection.find({"t": "x"})] == [9, 1]
+    assert collection.delete_many({"t": "x"}) == 2
+    assert [doc["_id"] for doc in collection.find()] == [5]
+
+
+def test_update_and_delete_by_id_probe_one_document(people):
+    target = people.find_one({"name": "alan"})["_id"]
+    assert people.update_one({"_id": target}, {"$set": {"age": 42}}) == 1
+    assert people.last_plan.kind == "point"
+    assert people.last_plan.examined == 1
+    assert people.find_one({"_id": target})["age"] == 42
+    assert people.delete_one({"_id": target}) == 1
+    assert people.last_plan.examined == 1
+    assert people.update_one({"_id": target}, {"$set": {"age": 1}}) == 0
+    assert people.last_plan.examined == 0
+
+
 def test_delete_many_with_query(people):
     assert people.delete_many({"age": {"$gt": 40}}) == 3
     assert people.count_documents() == 1

@@ -1,29 +1,39 @@
 """The outlier goal's one blocked distance pass.
 
 ``DBSCAN(n_neighbors=...)`` reads its radius neighbourhoods and each
-point's k-NN distance off the same reused distance blocks
-(``repro.mining.distance.squared_euclidean_blocks``);
-``tests/outlier_reference.py`` keeps the two separate passes it
-replaced. Labels and core points must be identical to the reference,
-the fused k-NN distances bitwise equal to ``knn_outlier_scores`` and
-within 2 ulp of the reference scores.
+point's k-NN distance off the same reused distance block
+(``repro.mining.distance.squared_euclidean_blocks``), and labels its
+clusters straight from the stored neighbour blocks;
+``tests/outlier_reference.py`` keeps the two separate passes and the
+CSR expansion it replaced. Labels and core points must be identical to
+the reference, the fused k-NN distances bitwise equal to
+``knn_outlier_scores`` and within 2 ulp of the reference scores.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import MiningError
 from repro.mining import DBSCAN, knn_outlier_scores, rank_outliers
+from repro.mining import dbscan as dbscan_module
+from repro.mining.dbscan import _columns, _label
 from repro.mining.distance import (
     block_rows,
     squared_euclidean,
     squared_euclidean_blocks,
 )
-from tests.outlier_reference import ReferenceDBSCAN, assert_same_outlier_pass
+from tests.outlier_reference import (
+    ReferenceDBSCAN,
+    assert_same_outlier_pass,
+    reference_labels,
+)
 
 #: Rows of the equivalence matrices: several 800-row blocks of the
 #: fused pass (the last one short) and two of the reference scores.
@@ -83,6 +93,75 @@ def test_blocks_reuse_one_buffer():
 
 
 # ----------------------------------------------------------------------
+# cluster expansion over the stored blocks against the CSR reference
+# ----------------------------------------------------------------------
+def as_blocks(relation: np.ndarray, heights, kinds):
+    """Row blocks of a boolean relation, each a bit mask or columns."""
+    blocks, start = [], 0
+    for height, kind in zip(heights, kinds):
+        rows = relation[start : start + height]
+        start += height
+        part = np.packbits(rows, axis=1) if kind else _columns(rows)
+        blocks.append((rows.sum(axis=1), part))
+    return blocks
+
+
+@st.composite
+def relations(draw):
+    """A directed relation (asymmetric, self loops optional) split into
+    blocks of random heights and kinds."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.02, 0.08, 0.2, 0.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    relation = np.random.default_rng(seed).random((n, n)) < density
+    heights = []
+    while sum(heights) < n:
+        heights.append(draw(st.integers(1, n - sum(heights))))
+    kinds = draw(
+        st.lists(st.booleans(), min_size=len(heights), max_size=len(heights))
+    )
+    return relation, heights, kinds, draw(st.integers(1, 5))
+
+
+def assert_same_labels(relation, heights, kinds, min_samples):
+    n = len(relation)
+    expected, expected_core = reference_labels(
+        n, as_blocks(relation, heights, kinds), min_samples
+    )
+    for chunk in (dbscan_module._FRONTIER_CHUNK, 3):
+        with mock.patch.object(dbscan_module, "_FRONTIER_CHUNK", chunk):
+            labels, is_core = _label(
+                n, as_blocks(relation, heights, kinds), min_samples
+            )
+        assert labels.dtype == expected.dtype
+        np.testing.assert_array_equal(labels, expected)
+        np.testing.assert_array_equal(is_core, expected_core)
+
+
+@given(case=relations())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_block_expansion_matches_the_csr_reference(case):
+    assert_same_labels(*case)
+
+
+@pytest.mark.parametrize("kinds", [[True, False], [False, True]])
+def test_block_expansion_gives_a_shared_border_point_the_lowest_cluster(
+    kinds,
+):
+    # Cores 0-2 and 4-6 form two clusters, each reaching point 3; point
+    # 3 reaches nothing (the relation is asymmetric) and is not core.
+    # Point 7 is reached only by cluster 1 and reaches cluster 0.
+    relation = np.zeros((8, 8), dtype=bool)
+    relation[0:3, 0:4] = True
+    relation[4:7, 3:8] = True
+    relation[7, 0] = True
+    assert_same_labels(relation, [4, 4], kinds, 3)
+    labels, is_core = _label(8, as_blocks(relation, [4, 4], kinds), 3)
+    assert labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert np.flatnonzero(is_core).tolist() == [0, 1, 2, 4, 5, 6]
+
+
+# ----------------------------------------------------------------------
 # the fused pass against the two reference passes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1])
@@ -136,19 +215,21 @@ def test_rank_outliers_orders_by_score_then_index():
 # memory guard
 # ----------------------------------------------------------------------
 @pytest.mark.bench_smoke
-def test_fused_pass_peak_memory_stays_within_two_buffers():
-    """The pass allocates two reused block buffers, not fresh
-    temporaries per block: its traced peak stays below 2.5 buffers plus
-    the CSR neighbourhoods it returns."""
+def test_fused_pass_peak_memory_stays_within_one_buffer():
+    """The pass allocates one reused distance buffer, not fresh
+    temporaries per block, and labels from the neighbour blocks it
+    stores, with no CSR: its traced peak stays below 1.3 buffers (the
+    buffer, its boolean ``<= eps`` mask at 1/8 of it and a ~1 MB
+    scratch band) plus those blocks."""
     data = gaussian_rows(5, n=3000, dims=40)
     eps = 2.46
     buffer_bytes = block_rows(len(data)) * len(data) * 8
-    reference = ReferenceDBSCAN(eps, min_samples=5).fit(data)
-    n_pairs = sum(
-        int((block <= eps * eps).sum())
-        for __, block in squared_euclidean_blocks(data)
+    reference = ReferenceDBSCAN(eps, min_samples=5)
+    stored_bytes = sum(
+        counts.nbytes + part.nbytes
+        for counts, part in reference._brute_blocks(data, None)
     )
-    csr_bytes = (len(data) + 1) * 8 + n_pairs * 4
+    reference.fit(data)
     tracemalloc.start()
     try:
         model = DBSCAN(eps, min_samples=5, n_neighbors=5).fit(data)
@@ -156,4 +237,4 @@ def test_fused_pass_peak_memory_stays_within_two_buffers():
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(model.labels_, reference.labels_)
-    assert peak < 2.5 * buffer_bytes + csr_bytes
+    assert peak < 1.3 * buffer_bytes + stored_bytes
