@@ -1,14 +1,14 @@
-"""E14 — the K-DB at EHR scale: sharded storage + query planner.
+"""E14 — the K-DB at EHR scale: sharded storage + indexed reads.
 
 The paper stores the Knowledge Base "on a cluster of MongoDBs"; the
 EHR-mining survey in PAPERS.md puts real workloads at millions of
 records. This benchmark drives the reproduction's substitute store to
 that scale: knowledge-item documents are bulk-inserted into a
-:class:`~repro.kdb.shards.ShardedDocumentStore`, point (``bucket``)
-and range (``score``) queries are timed first as full scans and then
-through the planner's hash/sorted indexes, and the shard files are
-closed, replayed and compacted with every document verified across the
-round trip.
+:class:`~repro.kdb.shards.ShardedDocumentStore`, an equality
+(``bucket``) query is timed first as a full scan and then through a
+hash index, the top 10 by ``score`` are read through a sorted index's
+ordered view, and the shard files are closed, replayed and compacted
+with every document verified across the round trip.
 
 Two tiers share one harness:
 
@@ -18,8 +18,9 @@ Two tiers share one harness:
   found it;
 * the **full tier** (``REPRO_KDB_FULL=1``) runs 1,000,000 documents and
   records the headline numbers in ``benchmarks/BENCH_kdb.json``:
-  indexed point and range latency versus scan, planner-vs-scan result
-  identity, index build time, replay and compaction time.
+  indexed point latency versus scan, indexed-vs-scan result identity,
+  index build time, index-ordered top-10 time, replay and compaction
+  time.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ def _canonical(rows) -> str:
 
 def _run_scale_protocol(n_items: int, tmp_path: Path, section: str):
     point_query = {"bucket": 7}
-    range_query = {"score": {"$gte": 0.4995, "$lt": 0.5005}}
     stats: dict = {"n_items": n_items, "n_shards": N_SHARDS}
 
     store = ShardedDocumentStore(tmp_path / "kdb", n_shards=N_SHARDS)
@@ -106,58 +106,46 @@ def _run_scale_protocol(n_items: int, tmp_path: Path, section: str):
     scan_point_s, scan_point = _timed(
         lambda: items.find(point_query).to_list()
     )
-    scan_range_s, scan_range = _timed(
-        lambda: items.find(range_query).to_list()
-    )
-    assert items.explain(point_query).kind == "scan"
-    assert items.explain(range_query).kind == "scan"
+    assert items.last_plan.kind == "scan"
 
     # -- index build ----------------------------------------------------
     start = time.perf_counter()
     items.create_index("bucket")
     items.create_index("score", kind="sorted")
-    items.find(range_query).to_list()  # warm the lazy sorted view
     stats["index_build_s"] = time.perf_counter() - start
 
     indexed_point_s, indexed_point = _timed(
         lambda: items.find(point_query).to_list()
     )
-    indexed_range_s, indexed_range = _timed(
-        lambda: items.find(range_query).to_list()
-    )
-    point_plan = items.explain(point_query)
-    range_plan = items.explain(range_query)
+    point_plan = items.last_plan
     assert point_plan.kind == "point" and point_plan.index == "bucket_1"
-    assert range_plan.kind == "range" and range_plan.index == "score_1"
 
-    # planner-vs-scan: byte-identical result sets
+    # indexed vs scan: byte-identical result sets
     assert _canonical(indexed_point) == _canonical(scan_point)
-    assert _canonical(indexed_range) == _canonical(scan_range)
-    assert len(scan_point) > 0 and len(scan_range) > 0
+    assert len(scan_point) > 0
 
     # indexed access must beat the scan it replaces
     assert indexed_point_s < scan_point_s
-    assert indexed_range_s < scan_range_s
 
-    # index-ordered top-k: resolves via the sorted index, same answer
-    # as a full sort
+    # index-ordered top-k: resolves via the sorted index's ordered view
+    # (built on the first walk), same answer as a full sort
     top_indexed_s, top_indexed = _timed(
         lambda: items.find({}).sort("score", -1).limit(10).to_list()
     )
     top_scores = [row["score"] for row in top_indexed]
     assert top_scores == sorted(top_scores, reverse=True)
     assert len(top_indexed) == 10
+    assert top_scores == sorted(
+        (document["score"] for document in items._documents.values()),
+        reverse=True,
+    )[:10]
 
     stats.update(
         scan_point_s=scan_point_s,
-        scan_range_s=scan_range_s,
         indexed_point_s=indexed_point_s,
-        indexed_range_s=indexed_range_s,
         point_speedup=scan_point_s / indexed_point_s,
-        range_speedup=scan_range_s / indexed_range_s,
         top10_sorted_s=top_indexed_s,
         point_rows=len(scan_point),
-        range_rows=len(scan_range),
         planner_identical=True,
     )
 
@@ -197,9 +185,7 @@ def _run_scale_protocol(n_items: int, tmp_path: Path, section: str):
     print(f"point query:         {scan_point_s * 1e3:>9.2f} ms scan"
           f" -> {indexed_point_s * 1e3:.3f} ms indexed"
           f" ({stats['point_speedup']:.0f}x)")
-    print(f"range query:         {scan_range_s * 1e3:>9.2f} ms scan"
-          f" -> {indexed_range_s * 1e3:.3f} ms indexed"
-          f" ({stats['range_speedup']:.0f}x)")
+    print(f"top 10 by score:     {top_indexed_s * 1e3:>9.2f} ms")
     print(f"replay / compact:    {stats['replay_s']:>9.2f} s /"
           f" {stats['compact_s']:.2f} s")
     return stats
@@ -219,4 +205,3 @@ def test_kdb_scale_full_million(tmp_path):
     _record("full_1m", stats)
     # sub-linear access at scale: orders of magnitude, not epsilon
     assert stats["point_speedup"] > 50
-    assert stats["range_speedup"] > 50

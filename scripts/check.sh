@@ -42,7 +42,7 @@ PYTHONPATH=src python -m pytest -x -q -m faults
 echo "==> shared-memory transport smoke"
 PYTHONPATH=src python -m pytest -x -q -m shm
 
-echo "==> K-DB scale smoke (sharded store + planner)"
+echo "==> K-DB scale smoke (sharded store + indexed reads)"
 PYTHONPATH=src python -m pytest -x -q -m kdb_scale benchmarks/test_kdb_scale.py
 
 echo "==> crash-consistency sweep (fault injection + fsck recovery)"

@@ -1,6 +1,11 @@
 """Knowledge Base (K-DB) and its embedded document store."""
 
-from repro.kdb.documentstore import Collection, Cursor, DocumentStore
+from repro.kdb.documentstore import (
+    Collection,
+    Cursor,
+    DocumentStore,
+    QueryPlan,
+)
 from repro.kdb.kdb import (
     COLLECTIONS,
     DEGREES,
@@ -14,7 +19,6 @@ from repro.kdb.kdb import (
     KnowledgeBase,
 )
 from repro.kdb.fsck import FsckIssue, FsckReport, fsck
-from repro.kdb.planner import QueryPlan, plan_query
 from repro.kdb.shards import ShardedDocumentStore, shard_of
 from repro.kdb.storage import (
     FaultyStorage,
@@ -44,6 +48,5 @@ __all__ = [
     "SimulatedCrash",
     "TRANSFORMED_DATASETS",
     "fsck",
-    "plan_query",
     "shard_of",
 ]

@@ -1,21 +1,29 @@
 """Embedded document store with a MongoDB-like API.
 
 The paper stores the ADA-HEALTH Knowledge Base "on a cluster of
-MongoDBs". This module is the reproduction's substitute substrate: an
-embedded, dependency-free document database exposing the subset of the
-MongoDB surface the K-DB needs —
+MongoDBs" and uses it as a six-collection document repository. This
+module is the reproduction's substitute substrate: an embedded,
+dependency-free document database with the part of the MongoDB surface
+the K-DB actually runs —
 
-* collections of JSON-like documents with automatic ``_id`` assignment,
-* rich query documents (``$eq $ne $gt $gte $lt $lte $in $nin $and $or
-  $nor $not $exists $regex $size $all $elemMatch`` plus implicit equality
-  and dot-path addressing with MongoDB array-traversal semantics),
-* update operators (``$set $unset $inc $push $pull $addToSet``),
-* secondary indexes — equality ``hash`` indexes (optionally unique) and
-  ``sorted`` indexes that additionally serve ``$gt/$gte/$lt/$lte`` range
-  predicates and index-ordered ``sort().limit()`` — routed through the
-  query planner in :mod:`repro.kdb.planner` (``explain()`` exposes the
-  chosen access plan; ``kdb.plans.*`` counters and a ``kdb.query.latency``
-  histogram land in an attached :class:`repro.obs.Metrics` registry).
+* collections of JSON-like documents with automatic ``_id`` assignment;
+* queries by implicit equality on dot paths, fanning out over arrays
+  like MongoDB (``{"goals.name": "rules"}`` matches a document whose
+  ``goals`` list holds one such element). A ``$``-prefixed key, a key
+  that is not a string, or a value that is not JSON (a set, a tuple...)
+  anywhere in a query raises :class:`~repro.exceptions.QueryError`;
+* ``update_one`` with ``$set`` (a missing dot path is created);
+* cursors with ``sort(path, direction)`` and ``limit``;
+* ``aggregate`` with ``$group`` (``$count``, ``$avg``, ``$max``
+  accumulators) and ``$sort`` stages;
+* secondary indexes: equality ``hash`` indexes (optionally unique) and
+  ``sorted`` indexes that also serve index-ordered ``sort().limit()``.
+
+Each read picks its access path in :meth:`Collection._plan`: an ``_id``
+point probe, else the first index on a queried path, else a scan.
+``last_plan`` records the choice; ``kdb.plans.*`` counters and a
+``kdb.query.latency`` histogram land in an attached
+:class:`repro.obs.Metrics` registry.
 
 A :class:`DocumentStore` lives in memory; its one on-disk form is the
 checksummed, hash-sharded directory of :mod:`repro.kdb.shards`.
@@ -23,7 +31,10 @@ checksummed, hash-sharded directory of :mod:`repro.kdb.shards`.
 Documents are stored *by value* and are **immutable once stored**:
 inserts deep-copy, finds deep-copy lazily at cursor resolution, and
 updates build a fresh document and swap it in atomically — a failing
-update operator leaves the stored document (and every index) untouched.
+update leaves the stored document (and every index) untouched. A
+document must survive the shard journal's JSON round trip unchanged,
+so a write holding a non-string key or a tuple anywhere is refused with
+:class:`~repro.exceptions.StoreError` before anything changes.
 
 NaN float values are outside the store contract (they are not valid
 strict JSON and break ordering); behaviour with NaN is undefined.
@@ -31,13 +42,12 @@ strict JSON and break ordering); behaviour with NaN is undefined.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import pickle
-import re
 import threading
 import time
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -48,7 +58,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.exceptions import (
@@ -57,21 +66,13 @@ from repro.exceptions import (
     QueryError,
     StoreError,
 )
-from repro.kdb.planner import QueryPlan, plan_query
 
 Document = Dict[str, Any]
 Query = Dict[str, Any]
 
-_COMPARISONS: Dict[str, Callable[[Any, Any], bool]] = {
-    "$eq": lambda value, operand: _values_equal(value, operand),
-    "$ne": lambda value, operand: not _values_equal(value, operand),
-    "$gt": lambda value, operand: _ordered(value, operand) and value > operand,
-    "$gte": lambda value, operand: _ordered(value, operand)
-    and value >= operand,
-    "$lt": lambda value, operand: _ordered(value, operand) and value < operand,
-    "$lte": lambda value, operand: _ordered(value, operand)
-    and value <= operand,
-}
+#: Leaf types that come back from ``json.loads`` as they went in
+#: (``bool`` is an ``int``).
+_JSON_SCALARS = (str, int, float, type(None))
 
 _QUERY_BUCKETS: Optional[Tuple[float, ...]] = None
 
@@ -94,210 +95,97 @@ def _values_equal(value: Any, operand: Any) -> bool:
     return value == operand
 
 
-def _ordered(value: Any, operand: Any) -> bool:
-    """True when the two values are comparable with ``<``/``>``."""
-    if value is None or operand is None:
-        return False
-    if isinstance(value, bool) or isinstance(operand, bool):
-        return False
-    number = (int, float)
-    if isinstance(value, number) and isinstance(operand, number):
-        return True
-    return type(value) is type(operand) and isinstance(value, str)
-
-
 def _walk_path(document: Any, path: Sequence[str]) -> List[Any]:
     """Resolve a dot path, fanning out over arrays like MongoDB.
 
-    Returns the list of values reachable at the path ( possibly empty).
+    Returns the list of values reachable at the path (possibly empty).
     A list encountered mid-path is traversed element-wise; a list at the
     end of the path is returned whole *and* its elements are candidates
     for comparison (handled by the matcher).
     """
     if not path:
         return [document]
-    head, *rest = path
-    results: List[Any] = []
     if isinstance(document, dict):
-        if head in document:
-            results.extend(_walk_path(document[head], rest))
-    elif isinstance(document, list):
-        if head.isdigit():
-            index = int(head)
-            if 0 <= index < len(document):
-                results.extend(_walk_path(document[index], rest))
+        head, *rest = path
+        return _walk_path(document[head], rest) if head in document else []
+    results: List[Any] = []
+    if isinstance(document, list):
         for element in document:
             if isinstance(element, (dict, list)):
-                results.extend(_walk_path(element, [head] + rest))
+                results.extend(_walk_path(element, path))
     return results
 
 
-class _Matcher:
-    """Compiles a query document into a predicate over documents.
-
-    ``$regex`` patterns are compiled once per matcher (i.e. once per
-    query) and cached; a malformed pattern surfaces as
-    :class:`QueryError` instead of a raw :class:`re.error`.
-    """
-
-    def __init__(self, query: Query) -> None:
-        if not isinstance(query, dict):
-            raise QueryError("query must be a dict")
-        self._query = query
-        self._regex_cache: Dict[str, "re.Pattern[str]"] = {}
-
-    def __call__(self, document: Document) -> bool:
-        return self._match_query(self._query, document)
-
-    # -- query-level -----------------------------------------------------
-    def _match_query(self, query: Query, document: Document) -> bool:
-        for key, condition in query.items():
-            if key == "$and":
-                self._require_clause_list(key, condition)
-                if not all(
-                    self._match_query(clause, document)
-                    for clause in condition
-                ):
-                    return False
-            elif key == "$or":
-                self._require_clause_list(key, condition)
-                if not any(
-                    self._match_query(clause, document)
-                    for clause in condition
-                ):
-                    return False
-            elif key == "$nor":
-                self._require_clause_list(key, condition)
-                if any(
-                    self._match_query(clause, document)
-                    for clause in condition
-                ):
-                    return False
-            elif key.startswith("$"):
-                raise QueryError(f"unknown top-level operator: {key}")
-            else:
-                if not self._match_field(key, condition, document):
-                    return False
-        return True
-
-    @staticmethod
-    def _require_clause_list(operator: str, condition: Any) -> None:
-        if not isinstance(condition, list) or not condition:
-            raise QueryError(f"{operator} requires a non-empty list")
-
-    # -- field-level -----------------------------------------------------
-    def _match_field(
-        self, path: str, condition: Any, document: Document
-    ) -> bool:
-        values = _walk_path(document, path.split("."))
-        if isinstance(condition, dict) and any(
-            key.startswith("$") for key in condition
-        ):
-            return self._match_operators(path, condition, values)
-        # Implicit equality: match the value itself or any array element.
-        return self._equality_any(values, condition)
-
-    @staticmethod
-    def _equality_any(values: List[Any], operand: Any) -> bool:
-        for value in values:
-            if _values_equal(value, operand):
-                return True
-            if isinstance(value, list) and any(
-                _values_equal(element, operand) for element in value
-            ):
-                return True
-        return False
-
-    def _match_operators(
-        self, path: str, condition: Dict[str, Any], values: List[Any]
-    ) -> bool:
-        candidates = list(values)
-        for value in values:
-            if isinstance(value, list):
-                candidates.extend(value)
-        for operator, operand in condition.items():
-            if not self._apply_operator(
-                path, operator, operand, values, candidates
-            ):
-                return False
-        return True
-
-    def _compiled_regex(self, operand: Any) -> "re.Pattern[str]":
-        if isinstance(operand, re.Pattern):
-            return operand
-        if not isinstance(operand, str):
-            raise QueryError("$regex requires a string pattern")
-        pattern = self._regex_cache.get(operand)
-        if pattern is None:
-            try:
-                pattern = re.compile(operand)
-            except re.error as exc:
+def _check_query(value: Any) -> None:
+    """Refuse a query (or part of one) the store cannot answer."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise QueryError(f"query keys must be strings: {key!r}")
+            if key.startswith("$"):
                 raise QueryError(
-                    f"invalid $regex pattern {operand!r}: {exc}"
-                ) from exc
-            self._regex_cache[operand] = pattern
-        return pattern
+                    f"unsupported query operator {key!r}: the store"
+                    " matches by implicit equality only"
+                )
+            _check_query(item)
+    elif isinstance(value, list):
+        for item in value:
+            _check_query(item)
+    elif not isinstance(value, _JSON_SCALARS):
+        raise QueryError(
+            f"a {type(value).__name__} never equals a stored value"
+        )
 
-    def _apply_operator(
-        self,
-        path: str,
-        operator: str,
-        operand: Any,
-        values: List[Any],
-        candidates: List[Any],
-    ) -> bool:
-        if operator in _COMPARISONS:
-            compare = _COMPARISONS[operator]
-            if operator == "$ne":
-                return all(compare(value, operand) for value in candidates)
-            return any(compare(value, operand) for value in candidates)
-        if operator == "$in":
-            if not isinstance(operand, list):
-                raise QueryError("$in requires a list")
-            return any(
-                self._equality_any(values, wanted) for wanted in operand
-            )
-        if operator == "$nin":
-            if not isinstance(operand, list):
-                raise QueryError("$nin requires a list")
-            return not any(
-                self._equality_any(values, unwanted) for unwanted in operand
-            )
-        if operator == "$exists":
-            return bool(values) == bool(operand)
-        if operator == "$not":
-            if not isinstance(operand, dict):
-                raise QueryError("$not requires an operator document")
-            return not self._match_operators(path, operand, values)
-        if operator == "$regex":
-            pattern = self._compiled_regex(operand)
-            return any(
-                isinstance(value, str) and pattern.search(value)
-                for value in candidates
-            )
-        if operator == "$size":
-            return any(
-                isinstance(value, list) and len(value) == operand
-                for value in values
-            )
-        if operator == "$all":
-            if not isinstance(operand, list):
-                raise QueryError("$all requires a list")
-            return all(
-                self._equality_any(values, wanted) for wanted in operand
-            )
-        if operator == "$elemMatch":
-            if not isinstance(operand, dict):
-                raise QueryError("$elemMatch requires a query document")
-            inner = _Matcher(operand)
-            for value in values:
-                if isinstance(value, list) and any(
-                    isinstance(element, dict) and inner(element)
-                    for element in value
-                ):
-                    return True
-            return False
-        raise QueryError(f"unknown operator: {operator}")
+
+def _conditions(query: Optional[Query]) -> Tuple[Query, List[Tuple]]:
+    """The checked query and its ``(path parts, operand)`` pairs."""
+    query = {} if query is None else query
+    if not isinstance(query, dict):
+        raise QueryError("query must be a dict")
+    _check_query(query)
+    return query, [
+        (path.split("."), operand) for path, operand in query.items()
+    ]
+
+
+def _equality_any(values: List[Any], operand: Any) -> bool:
+    """Implicit equality: a value itself or any array element matches."""
+    for value in values:
+        if _values_equal(value, operand):
+            return True
+        if isinstance(value, list) and any(
+            _values_equal(element, operand) for element in value
+        ):
+            return True
+    return False
+
+
+def _matches(document: Document, conditions: List[Tuple]) -> bool:
+    return all(
+        _equality_any(_walk_path(document, parts), operand)
+        for parts, operand in conditions
+    )
+
+
+@dataclass
+class QueryPlan:
+    """How one read was served: the access path and its yield."""
+
+    collection: str
+    kind: str  # "point" | "scan"
+    index: Optional[str] = None
+    path: Optional[str] = None
+    #: Documents admitted by the access path (before matching).
+    examined: int = 0
+    #: Documents that matched.
+    returned: int = 0
+    #: Wall-clock seconds for plan + match.
+    elapsed_s: float = 0.0
+
+    @property
+    def indexed(self) -> bool:
+        """True when the plan avoided a full collection scan."""
+        return self.kind != "scan"
 
 
 class _OrderedValue:
@@ -336,6 +224,13 @@ def _rank(value: Any) -> Tuple:
 def _sort_key(document: Document, path: str) -> Tuple:
     values = _walk_path(document, path.split("."))
     return _rank(values[0] if values else None)
+
+
+def _check_sort(path: Any, direction: Any) -> None:
+    if not isinstance(path, str):
+        raise QueryError(f"sort takes one dot path, not {path!r}")
+    if direction not in (1, -1):
+        raise QueryError(f"sort direction must be 1 or -1: {direction!r}")
 
 
 # ----------------------------------------------------------------------
@@ -466,11 +361,10 @@ class _HashIndex:
 class _SortedIndex(_HashIndex):
     """Hash index plus a lazily rebuilt ordered view of its keys.
 
-    Additionally serves ``$gt/$gte/$lt/$lte`` range predicates and
-    index-ordered iteration for ``sort().limit()``. The ordered view is
-    marked stale on bucket creation/removal and rebuilt in O(k log k)
-    on the next ordered operation — appends stay O(1), so bulk loads do
-    not pay per-insert re-sorting.
+    The ordered view serves index-ordered iteration for
+    ``sort().limit()``. It is marked stale on bucket creation/removal
+    and rebuilt in O(k log k) on the next ordered walk — appends stay
+    O(1), so bulk loads do not pay per-insert re-sorting.
     """
 
     kind = "sorted"
@@ -480,10 +374,8 @@ class _SortedIndex(_HashIndex):
         # typed key -> representative value (all values in a bucket are
         # == equal, so any one of them orders the bucket)
         self._rep: Dict[Tuple[str, Any], Any] = {}
-        # type name -> (sorted _OrderedValue list, parallel typed keys)
-        self._groups: Dict[
-            str, Tuple[List[_OrderedValue], List[Tuple[str, Any]]]
-        ] = {}
+        # type name -> typed keys in value order
+        self._groups: Dict[str, List[Tuple[str, Any]]] = {}
         self._stale = False
         #: True once any document contributed other than exactly one
         #: scalar value at the path — index-ordered sort is then disabled
@@ -525,50 +417,8 @@ class _SortedIndex(_HashIndex):
         self._groups = {}
         for typename, entries in grouped.items():
             entries.sort(key=lambda pair: pair[0])
-            self._groups[typename] = (
-                [ov for ov, __ in entries],
-                [key for __, key in entries],
-            )
+            self._groups[typename] = [key for __, key in entries]
         self._stale = False
-
-    def range_ids(
-        self,
-        lower: Optional[Tuple[Any, bool]],
-        upper: Optional[Tuple[Any, bool]],
-    ) -> set:
-        """Candidate ids for a range predicate (superset; the matcher
-        re-filters). Bounds are ``(operand, inclusive)`` or None."""
-        self._ensure_sorted()
-        operand = (lower or upper)[0]  # type: ignore[index]
-        typenames = (
-            ("str",) if isinstance(operand, str) else ("float", "int")
-        )
-        ids: set = set()
-        for typename in typenames:
-            group = self._groups.get(typename)
-            if not group:
-                continue
-            ovs, keys = group
-            lo, hi = 0, len(ovs)
-            if lower is not None:
-                wrapped = _OrderedValue(lower[0])
-                lo = (
-                    bisect.bisect_left(ovs, wrapped)
-                    if lower[1]
-                    else bisect.bisect_right(ovs, wrapped)
-                )
-            if upper is not None:
-                wrapped = _OrderedValue(upper[0])
-                hi = (
-                    bisect.bisect_right(ovs, wrapped)
-                    if upper[1]
-                    else bisect.bisect_left(ovs, wrapped)
-                )
-            for key in keys[lo:hi]:
-                bucket = self._buckets.get(key)
-                if bucket:
-                    ids |= bucket
-        return ids
 
     def ordered_ids(
         self, seq: Dict[Any, int], reverse: bool = False
@@ -584,7 +434,7 @@ class _SortedIndex(_HashIndex):
         if reverse:
             typenames = typenames[::-1]
         for typename in typenames:
-            __, keys = self._groups[typename]
+            keys = self._groups[typename]
             ordered_keys: Iterable[Tuple[str, Any]] = (
                 reversed(keys) if reverse else keys
             )
@@ -603,55 +453,40 @@ _INDEX_KINDS: Dict[str, type] = {
 
 
 class Cursor:
-    """Lazy result set supporting ``sort``/``skip``/``limit`` chaining.
+    """Lazy result set supporting ``sort``/``limit`` chaining.
 
     Stored documents are immutable, so the cursor holds references and
     deep-copies **lazily at resolution, after slicing** — a ``limit(5)``
     over a million matches copies five documents, not a million. The
     resolved view is memoised; chaining invalidates the memo.
 
-    When the owning collection has a ``sorted`` index on a single-path
-    sort key, resolution walks the index in order instead of sorting,
-    stopping early once ``skip + limit`` documents are produced.
+    When the owning collection has a ``sorted`` index on the sort path,
+    resolution walks the index in order instead of sorting, stopping
+    early once ``limit`` documents are produced.
     """
 
     def __init__(
         self,
         documents: List[Document],
-        plan: Optional[QueryPlan] = None,
         index_order: Optional[Callable[..., Optional[Iterator[Any]]]] = None,
     ) -> None:
         self._documents = documents
-        #: The access plan that produced this cursor (None when the
-        #: cursor was built from a detached document list).
-        self.plan = plan
         self._index_order = index_order
-        self._sort_spec: List[Tuple[str, int]] = []
-        self._skip = 0
+        self._sort: Optional[Tuple[str, int]] = None
         self._limit: Optional[int] = None
         self._cache: Optional[List[Document]] = None
 
-    def sort(self, key: Union[str, List[Tuple[str, int]]], direction: int = 1):
-        """Sort by a dot-path (or list of ``(path, direction)`` pairs)."""
-        if isinstance(key, str):
-            self._sort_spec = [(key, direction)]
-        else:
-            self._sort_spec = list(key)
-        self._cache = None
-        return self
-
-    def skip(self, count: int) -> "Cursor":
-        """Skip the first ``count`` results."""
-        if count < 0:
-            raise QueryError("skip must be non-negative")
-        self._skip = count
+    def sort(self, path: str, direction: int = 1) -> "Cursor":
+        """Sort by a dot path, ascending (1) or descending (-1)."""
+        _check_sort(path, direction)
+        self._sort = (path, direction)
         self._cache = None
         return self
 
     def limit(self, count: int) -> "Cursor":
         """Return at most ``count`` results."""
-        if count < 0:
-            raise QueryError("limit must be non-negative")
+        if not isinstance(count, int) or count < 0:
+            raise QueryError(f"limit must be a non-negative int: {count!r}")
         self._limit = count
         self._cache = None
         return self
@@ -660,34 +495,29 @@ class Cursor:
         if self._cache is not None:
             return self._cache
         documents = self._documents
-        if self._sort_spec:
-            documents = self._sorted_documents(documents)
-        end = None if self._limit is None else self._skip + self._limit
+        if self._sort is not None:
+            documents = self._sorted_documents(documents, *self._sort)
         self._cache = [
             _copy_document(document)
-            for document in documents[self._skip : end]
+            for document in documents[: self._limit]
         ]
         return self._cache
 
     def _sorted_documents(
-        self, documents: List[Document]
+        self, documents: List[Document], path: str, direction: int
     ) -> List[Document]:
-        if self._index_order is not None and len(self._sort_spec) == 1:
-            path, direction = self._sort_spec[0]
-            ordered_ids = self._index_order(path, direction < 0)
+        reverse = direction < 0
+        if self._index_order is not None:
+            ordered_ids = self._index_order(path, reverse)
             if ordered_ids is not None:
                 return self._index_sorted(
-                    documents, path, ordered_ids, direction < 0
+                    documents, path, ordered_ids, reverse
                 )
-        for path, direction in reversed(self._sort_spec):
-
-            def sort_key(document: Document, path=path) -> Tuple:
-                return _sort_key(document, path)
-
-            documents = sorted(
-                documents, key=sort_key, reverse=(direction < 0)
-            )
-        return documents
+        return sorted(
+            documents,
+            key=lambda document: _sort_key(document, path),
+            reverse=reverse,
+        )
 
     def _index_sorted(
         self,
@@ -705,9 +535,7 @@ class Cursor:
                 nulls.append(document)
             else:
                 by_id[document["_id"]] = document
-        target = (
-            None if self._limit is None else self._skip + self._limit
-        )
+        target = self._limit
         ordered: List[Document] = []
 
         def fill_from_index() -> None:
@@ -744,8 +572,8 @@ class Collection:
     """A named collection of documents inside a :class:`DocumentStore`.
 
     Mutations are serialised by a per-collection re-entrant lock and are
-    atomic per document: a failing update operator, serialisation check
-    or unique-index violation leaves the stored document and every index
+    atomic per document: a failing update, serialisation check or
+    unique-index violation leaves the stored document and every index
     exactly as they were.
     """
 
@@ -755,7 +583,7 @@ class Collection:
         self._next_id = 1
         self._indexes: Dict[str, _HashIndex] = {}
         # insertion sequence per _id: deterministic candidate ordering
-        # (planner output and index-sort ties match scan order exactly)
+        # (planned reads and index-sort ties match scan order exactly)
         self._seq: Dict[Any, int] = {}
         self._seq_counter = 0
         self._version = 0
@@ -809,6 +637,8 @@ class Collection:
                 document["_id"] = self._next_id
                 self._next_id += 1
             doc_id = document["_id"]
+            if isinstance(doc_id, (dict, list)):
+                raise StoreError(f"_id must be a scalar: {doc_id!r}")
             if doc_id in self._documents:
                 raise DuplicateKeyError(
                     f"duplicate _id in {self.name!r}: {doc_id!r}"
@@ -842,25 +672,62 @@ class Collection:
             self._version += 1
 
     # -- find --------------------------------------------------------------
+    def _plan(self, query: Query) -> Tuple[List[Document], QueryPlan]:
+        """Choose the access path for a checked query.
+
+        An ``_id`` point probe, else the first hash or sorted index on
+        a queried path, else a scan. Candidates are stored references
+        in insertion order and a superset of the matches (multikey
+        buckets admit false positives; the caller re-matches).
+        """
+        documents = self._documents
+        probe = query.get("_id")
+        if probe is not None and not isinstance(probe, (dict, list)):
+            plan = QueryPlan(self.name, "point", index="_id_", path="_id")
+            ids = {probe} if probe in documents else set()
+        else:
+            for path, operand in query.items():
+                index = self._index_on(path)
+                if index is not None:
+                    plan = QueryPlan(
+                        self.name, "point", index=index.name, path=path
+                    )
+                    ids = index.lookup(operand)
+                    break
+            else:
+                candidates = list(documents.values())
+                return candidates, QueryPlan(
+                    self.name, "scan", examined=len(candidates)
+                )
+        candidates = [
+            documents[doc_id]
+            for doc_id in sorted(
+                (doc_id for doc_id in ids if doc_id in documents),
+                key=self._seq.__getitem__,
+            )
+        ]
+        plan.examined = len(candidates)
+        return candidates, plan
+
     def _matched(
         self, query: Optional[Query], first: bool = False
-    ) -> Tuple[List[Document], QueryPlan]:
-        """Planner-routed matching: returns (stored references in
-        insertion order, plan); with ``first``, only the first match."""
-        query = {} if query is None else query
-        matcher = _Matcher(query)
+    ) -> List[Document]:
+        """Planned matching: stored references in insertion order (with
+        ``first``, only the first match); the plan lands in
+        ``last_plan``."""
+        query, conditions = _conditions(query)
         start = time.perf_counter()
-        candidates, plan = plan_query(self, query)
+        candidates, plan = self._plan(query)
         matched = []
         for document in candidates:
-            if matcher(document):
+            if _matches(document, conditions):
                 matched.append(document)
                 if first:
                     break
         plan.returned = len(matched)
         plan.elapsed_s = time.perf_counter() - start
         self._record_plan(plan)
-        return matched, plan
+        return matched
 
     def _record_plan(self, plan: QueryPlan) -> None:
         self.last_plan = plan
@@ -874,7 +741,7 @@ class Collection:
         ).observe(plan.elapsed_s or 0.0)
 
     def _index_on(self, path: str) -> Optional[_HashIndex]:
-        """The index covering ``path``, if any (planner hook)."""
+        """The index covering ``path``, if any."""
         for index in self._indexes.values():
             if index.path == path:
                 return index
@@ -900,22 +767,16 @@ class Collection:
     def find(self, query: Optional[Query] = None) -> Cursor:
         """Return a cursor over documents matching ``query`` (all if None).
 
-        The access path is chosen by :func:`repro.kdb.planner.plan_query`
-        (``cursor.plan`` carries the EXPLAIN-style record); documents are
+        ``last_plan`` records the access path; documents are
         deep-copied lazily when the cursor resolves.
         """
-        matched, plan = self._matched(query)
+        matched = self._matched(query)
         found_version = self._version
 
         def index_order(path: str, reverse: bool):
             return self._index_order(path, reverse, version=found_version)
 
-        return Cursor(matched, plan=plan, index_order=index_order)
-
-    def explain(self, query: Optional[Query] = None) -> QueryPlan:
-        """The access plan for ``query``, without executing it."""
-        __, plan = plan_query(self, query or {})
-        return plan
+        return Cursor(matched, index_order=index_order)
 
     def find_one(self, query: Optional[Query] = None) -> Optional[Document]:
         """Return one matching document, or None."""
@@ -925,70 +786,46 @@ class Collection:
 
     def count_documents(self, query: Optional[Query] = None) -> int:
         """Number of documents matching ``query``."""
-        matched, __ = self._matched(query)
-        return len(matched)
-
-    def distinct(self, path: str, query: Optional[Query] = None) -> List[Any]:
-        """Distinct values reachable at ``path`` among matching documents.
-
-        Distinctness follows the store's equality (:func:`_values_equal`):
-        ``True`` and ``1`` are different values, ``1`` and ``1.0`` are
-        the same.
-        """
-        matched, __ = self._matched(query)
-        parts = path.split(".")
-        seen: set = set()
-        out: List[Any] = []
-        for document in matched:
-            for value in _walk_path(document, parts):
-                targets = value if isinstance(value, list) else [value]
-                for target in targets:
-                    key = (isinstance(target, bool), _index_key(target))
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(_copy_document(target))
-        return out
+        return len(self._matched(query))
 
     # -- update ------------------------------------------------------------
     def update_one(self, query: Query, update: Document) -> int:
-        """Apply an update document to the first match; returns 0 or 1."""
-        return self._update(query, update, many=False)
-
-    def update_many(self, query: Query, update: Document) -> int:
-        """Apply an update document to all matches; returns match count."""
-        return self._update(query, update, many=True)
-
-    def _update(self, query: Query, update: Document, many: bool) -> int:
-        if not update or not all(k.startswith("$") for k in update):
+        """Apply ``{"$set": {path: value, ...}}`` to the first match;
+        returns 0 or 1. A missing dot path is created."""
+        if not isinstance(update, dict) or list(update) != ["$set"]:
             raise StoreError(
-                "update documents must use operators ($set, $inc, ...)"
+                "update documents take exactly one operator: $set"
             )
-        _reject_unstorable(update)
-        updated = 0
+        fields = update["$set"]
+        if not isinstance(fields, dict):
+            raise StoreError("$set requires a field document")
+        _reject_unstorable(fields)
         with self._lock:
             self._require_writable()
-            matched, __ = self._matched(query, first=not many)
-            for document in matched:
-                doc_id = document["_id"]
-                # Copy-on-write: build the replacement fully, validate
-                # it, then swap — a failure at any point leaves the
-                # stored document and the indexes untouched.
-                replacement = _copy_document(document)
-                _apply_update(replacement, update)
-                _reject_unstorable(replacement)
-                if replacement["_id"] != doc_id:
-                    raise StoreError("updates may not modify _id")
-                self._index_remove(document)
-                try:
-                    self._index_add(replacement)
-                except DuplicateKeyError:
-                    self._index_remove(replacement)
-                    self._index_add(document)
-                    raise
-                self._documents[doc_id] = replacement
-                self._notify("put", replacement)
-                updated += 1
-        return updated
+            matched = self._matched(query, first=True)
+            if not matched:
+                return 0
+            document = matched[0]
+            doc_id = document["_id"]
+            # Copy-on-write: build the replacement fully, then swap — a
+            # failure at any point leaves the stored document and the
+            # indexes untouched.
+            replacement = _copy_document(document)
+            for path, value in fields.items():
+                parent, leaf = _resolve_parent(replacement, path)
+                parent[leaf] = _copy_document(value)
+            if replacement["_id"] != doc_id:
+                raise StoreError("updates may not modify _id")
+            self._index_remove(document)
+            try:
+                self._index_add(replacement)
+            except DuplicateKeyError:
+                self._index_remove(replacement)
+                self._index_add(document)
+                raise
+            self._documents[doc_id] = replacement
+            self._notify("put", replacement)
+        return 1
 
     # -- delete ------------------------------------------------------------
     def delete_one(self, query: Query) -> int:
@@ -997,12 +834,12 @@ class Collection:
 
     def delete_many(self, query: Optional[Query] = None) -> int:
         """Delete all matching documents; returns the count deleted."""
-        return self._delete(query or {}, many=True)
+        return self._delete(query, many=True)
 
-    def _delete(self, query: Query, many: bool) -> int:
+    def _delete(self, query: Optional[Query], many: bool) -> int:
         with self._lock:
             self._require_writable()
-            victims, __ = self._matched(query, first=not many)
+            victims = self._matched(query, first=not many)
             for document in victims:
                 doc_id = document["_id"]
                 del self._documents[doc_id]
@@ -1018,9 +855,9 @@ class Collection:
         """Create an index on a dot path; returns the index name.
 
         ``kind="hash"`` serves equality probes; ``kind="sorted"`` also
-        serves range predicates and index-ordered ``sort().limit()``.
-        Re-creating an existing index is a no-op, except that asking for
-        ``"sorted"`` where a hash index exists upgrades it in place.
+        serves index-ordered ``sort().limit()``. Re-creating an
+        existing index is a no-op, except that asking for ``"sorted"``
+        where a hash index exists upgrades it in place.
         """
         if kind not in _INDEX_KINDS:
             raise StoreError(f"unknown index kind: {kind!r}")
@@ -1038,13 +875,6 @@ class Collection:
             self._indexes[name] = index
             self._notify("index")
         return name
-
-    def drop_index(self, name: str) -> None:
-        """Drop an index by name."""
-        with self._lock:
-            self._require_writable()
-            if self._indexes.pop(name, None) is not None:
-                self._notify("index")
 
     def index_names(self) -> List[str]:
         """Names of the existing indexes."""
@@ -1069,49 +899,33 @@ class Collection:
 
     # -- aggregation -----------------------------------------------------
     def aggregate(self, pipeline: List[Document]) -> List[Document]:
-        """Run a Mongo-style aggregation pipeline.
+        """Run a pipeline of ``$group`` and ``$sort`` stages.
 
-        Supported stages: ``$match`` (query document), ``$group`` (by a
-        ``_id`` expression with ``$sum/$avg/$min/$max/$count/$push``
-        accumulators; field references use the ``"$path"`` syntax),
-        ``$sort`` (``{path: 1|-1}``), ``$limit``, ``$skip`` and
-        ``$project`` (1-valued field inclusion).
-
-        A leading ``$match`` is pushed through the query planner, and
-        only the rows that survive the whole pipeline are deep-copied —
-        the collection is never copied wholesale up front.
+        ``$group`` takes an ``_id`` expression and ``$count``, ``$avg``
+        or ``$max`` accumulators; field references use the ``"$path"``
+        syntax. ``$sort`` takes ``{path: 1|-1, ...}``. Only the result
+        rows are deep-copied — the collection never is.
         """
-        rows: Optional[List[Document]] = None
+        if not isinstance(pipeline, list):
+            raise QueryError("a pipeline is a list of stages")
+        rows: List[Document] = list(self._documents.values())
         for stage in pipeline:
             if not isinstance(stage, dict) or len(stage) != 1:
                 raise QueryError("each stage must be a single-key dict")
             operator, spec = next(iter(stage.items()))
-            if rows is None and operator == "$match":
-                rows, __ = self._matched(spec)
-                continue
-            if rows is None:
-                rows = list(self._documents.values())
-            if operator == "$match":
-                matcher = _Matcher(spec)
-                rows = [row for row in rows if matcher(row)]
-            elif operator == "$group":
+            if not isinstance(spec, dict):
+                raise QueryError(f"{operator!r} takes a document")
+            if operator == "$group":
                 rows = _group(rows, spec)
             elif operator == "$sort":
                 for path, direction in reversed(list(spec.items())):
+                    _check_sort(path, direction)
                     rows.sort(
                         key=lambda row, p=path: _sort_key(row, p),
                         reverse=direction < 0,
                     )
-            elif operator == "$limit":
-                rows = rows[: int(spec)]
-            elif operator == "$skip":
-                rows = rows[int(spec):]
-            elif operator == "$project":
-                rows = [_project(row, spec) for row in rows]
             else:
-                raise QueryError(f"unknown pipeline stage: {operator}")
-        if rows is None:
-            rows = list(self._documents.values())
+                raise QueryError(f"unknown pipeline stage: {operator!r}")
         return _copy_document(rows)
 
     # -- misc ----------------------------------------------------------------
@@ -1138,23 +952,23 @@ def _resolve_expression(document: Document, expression: Any) -> Any:
     return expression
 
 
-def _project(document: Document, spec: Document) -> Document:
-    projected: Document = {}
-    for path, include in spec.items():
-        if not include:
-            continue
-        values = _walk_path(document, path.split("."))
-        if values:
-            projected[path] = _copy_document(values[0])
-    return projected
-
-
-_ACCUMULATORS = ("$sum", "$avg", "$min", "$max", "$count", "$push")
-
-
 def _group(rows: List[Document], spec: Document) -> List[Document]:
     if "_id" not in spec:
         raise QueryError("$group requires an _id expression")
+    accumulators = []
+    for field_name, accumulator in spec.items():
+        if field_name == "_id":
+            continue
+        if not isinstance(accumulator, dict) or len(accumulator) != 1:
+            raise QueryError(
+                f"accumulator for {field_name!r} must be a"
+                f" single-operator dict"
+            )
+        operator, operand = next(iter(accumulator.items()))
+        if operator not in ("$count", "$avg", "$max"):
+            raise QueryError(f"unknown accumulator: {operator!r}")
+        accumulators.append((field_name, operator, operand))
+
     buckets: Dict[Any, List[Document]] = {}
     bucket_keys: Dict[Any, Any] = {}
     for row in rows:
@@ -1167,46 +981,25 @@ def _group(rows: List[Document], spec: Document) -> List[Document]:
     for key in sorted(buckets, key=lambda k: (str(type(k)), str(k))):
         members = buckets[key]
         out: Document = {"_id": bucket_keys[key]}
-        for field_name, accumulator in spec.items():
-            if field_name == "_id":
-                continue
-            if (
-                not isinstance(accumulator, dict)
-                or len(accumulator) != 1
-            ):
-                raise QueryError(
-                    f"accumulator for {field_name!r} must be a"
-                    f" single-operator dict"
-                )
-            operator, operand = next(iter(accumulator.items()))
-            if operator not in _ACCUMULATORS:
-                raise QueryError(f"unknown accumulator: {operator}")
+        for field_name, operator, operand in accumulators:
             if operator == "$count":
                 out[field_name] = len(members)
                 continue
-            values = [
-                _resolve_expression(member, operand)
-                for member in members
-            ]
-            if operator == "$push":
-                out[field_name] = values
-                continue
             numbers = [
                 value
-                for value in values
+                for value in (
+                    _resolve_expression(member, operand)
+                    for member in members
+                )
                 if isinstance(value, (int, float))
                 and not isinstance(value, bool)
             ]
-            if operator == "$sum":
-                out[field_name] = sum(numbers)
+            if not numbers:
+                out[field_name] = None
             elif operator == "$avg":
-                out[field_name] = (
-                    sum(numbers) / len(numbers) if numbers else None
-                )
-            elif operator == "$min":
-                out[field_name] = min(numbers) if numbers else None
-            elif operator == "$max":
-                out[field_name] = max(numbers) if numbers else None
+                out[field_name] = sum(numbers) / len(numbers)
+            else:
+                out[field_name] = max(numbers)
         results.append(out)
     return results
 
@@ -1223,97 +1016,54 @@ def _copy_document(value: Any) -> Any:
     return pickle.loads(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
 
 
+def _json_shape_error(value: Any) -> Optional[str]:
+    """Why ``value`` would not come back unchanged from the journal's
+    JSON round trip, or None when it would. Keys must be strings (a
+    non-string key is written as a string, or cannot be sorted next to
+    one), and a tuple would be read back as a list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                return f"non-string key {key!r}"
+            if not isinstance(item, _JSON_SCALARS):
+                error = _json_shape_error(item)
+                if error is not None:
+                    return error
+    elif isinstance(value, list):
+        for item in value:
+            if not isinstance(item, _JSON_SCALARS):
+                error = _json_shape_error(item)
+                if error is not None:
+                    return error
+    elif isinstance(value, tuple):
+        return "a tuple (store a list)"
+    elif not isinstance(value, _JSON_SCALARS):
+        return f"a {type(value).__name__} value is not JSON"
+    return None
+
+
 def _reject_unstorable(document: Document) -> None:
-    """Ensure the document is JSON-serialisable (store contract)."""
+    """Ensure the document survives the journal's JSON round trip."""
     try:
-        json.dumps(document)
-    except (TypeError, ValueError) as exc:
-        raise StoreError(f"document is not JSON-serialisable: {exc}") from exc
-
-
-def _apply_update(document: Document, update: Document) -> None:
-    for operator, fields in update.items():
-        if not isinstance(fields, dict):
-            raise StoreError(f"{operator} requires a field document")
-        for path, operand in fields.items():
-            if operator in ("$unset", "$pull"):
-                # Removal operators never materialise missing paths:
-                # a miss anywhere along the dot path is a no-op.
-                resolved = _resolve_existing(document, path)
-                if resolved is None:
-                    continue
-                parent, leaf = resolved
-                if operator == "$unset":
-                    parent.pop(leaf, None)
-                else:
-                    bucket = parent.get(leaf)
-                    if isinstance(bucket, list):
-                        parent[leaf] = [
-                            element
-                            for element in bucket
-                            if not _values_equal(element, operand)
-                        ]
-                continue
-            parent, leaf = _resolve_parent(document, path, create=True)
-            if operator == "$set":
-                parent[leaf] = _copy_document(operand)
-            elif operator == "$inc":
-                current = parent.get(leaf, 0)
-                if not isinstance(current, (int, float)) or isinstance(
-                    current, bool
-                ):
-                    raise StoreError(f"$inc target {path!r} is not numeric")
-                parent[leaf] = current + operand
-            elif operator == "$push":
-                bucket = parent.setdefault(leaf, [])
-                if not isinstance(bucket, list):
-                    raise StoreError(f"$push target {path!r} is not a list")
-                bucket.append(_copy_document(operand))
-            elif operator == "$addToSet":
-                bucket = parent.setdefault(leaf, [])
-                if not isinstance(bucket, list):
-                    raise StoreError(
-                        f"$addToSet target {path!r} is not a list"
-                    )
-                if operand not in bucket:
-                    bucket.append(_copy_document(operand))
-            else:
-                raise StoreError(f"unknown update operator: {operator}")
+        error = _json_shape_error(document)
+    except RecursionError:
+        error = "circular or too deeply nested"
+    if error is not None:
+        raise StoreError(f"document does not round-trip as JSON: {error}")
 
 
 def _resolve_parent(
-    document: Document, path: str, create: bool
+    document: Document, path: str
 ) -> Tuple[Dict[str, Any], str]:
     """Return (parent dict, leaf key) for a dot path, creating dicts."""
     parts = path.split(".")
     node: Any = document
     for part in parts[:-1]:
-        if isinstance(node, dict):
-            if part not in node:
-                if not create:
-                    raise StoreError(f"path does not exist: {path!r}")
-                node[part] = {}
-            node = node[part]
-        else:
+        if not isinstance(node, dict):
             raise StoreError(f"cannot descend into non-dict at {part!r}")
+        node = node.setdefault(part, {})
     if not isinstance(node, dict):
         raise StoreError(f"cannot address leaf of non-dict at {path!r}")
-    return node, parts[-1]
-
-
-def _resolve_existing(
-    document: Document, path: str
-) -> Optional[Tuple[Dict[str, Any], str]]:
-    """Like :func:`_resolve_parent` but never creates or raises: returns
-    None when any segment of the path is missing or not a dict."""
-    parts = path.split(".")
-    node: Any = document
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    if not isinstance(node, dict):
-        return None
     return node, parts[-1]
 
 

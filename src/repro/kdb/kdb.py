@@ -75,8 +75,9 @@ class KnowledgeBase:
             self.store.collection(name)
         self.store.collection(RUNS)
         self.store[DISCOVERED_KNOWLEDGE].create_index("end_goal")
-        # Sorted: score range filters and run_history's started_at sort
-        # ride the index instead of scanning.
+        # Sorted: index-ordered sort().limit() by score, and
+        # run_history's started_at sort, ride the index instead of
+        # sorting a scan.
         self.store[DISCOVERED_KNOWLEDGE].create_index("score", kind="sorted")
         self.store[FEEDBACK].create_index("item_id")
         self.store[RUNS].create_index("started_at", kind="sorted")
@@ -173,7 +174,8 @@ class KnowledgeBase:
     def items(
         self, query: Optional[Dict] = None
     ) -> List[KnowledgeItem]:
-        """Load knowledge items matching a store query."""
+        """Load knowledge items matching an equality query (a store
+        query with a ``$`` operator raises ``QueryError``)."""
         return [
             KnowledgeItem.from_document(document)
             for document in self.store[DISCOVERED_KNOWLEDGE].find(query)

@@ -22,23 +22,13 @@ from typing import FrozenSet, Optional
 
 _OPERATOR = re.compile(r"\$\w+\Z")
 
-#: Modules whose source defines the store's operator surface: the
-#: document store itself plus the query planner (which routes — and
-#: therefore names — the indexable operators).
-_DOCSTORE_MODULES = (
-    "repro.kdb.documentstore",
-    "repro.kdb.planner",
-)
+#: Modules whose source defines the store's operator surface.
+_DOCSTORE_MODULES = ("repro.kdb.documentstore",)
 
-#: Operator set shipped with documentstore v1, used only as a fallback.
+#: The operator set of the current document store, used only as a
+#: fallback (a test pins it to the set derived from source).
 _DOCSTORE_FALLBACK = frozenset(
-    {
-        "$eq", "$ne", "$gt", "$gte", "$lt", "$lte", "$in", "$nin",
-        "$and", "$or", "$nor", "$not", "$exists", "$regex", "$size",
-        "$all", "$elemMatch", "$set", "$unset", "$inc", "$push",
-        "$pull", "$addToSet", "$match", "$group", "$sort", "$limit",
-        "$skip", "$project", "$sum", "$avg", "$min", "$max", "$count",
-    }
+    {"$set", "$group", "$sort", "$count", "$avg", "$max"}
 )
 
 
@@ -62,12 +52,10 @@ def docstore_operators() -> FrozenSet[str]:
     """Every ``$operator`` the document store implements.
 
     Extraction rule: any string constant in the store's implementing
-    modules (:data:`_DOCSTORE_MODULES` — ``documentstore`` and the
-    query ``planner``) that is exactly a ``$word`` token. Comparison
-    tables (``_COMPARISONS``), structural-operator branches, update
-    operators, aggregation stages and the planner's routing tables all
-    surface their operators as such constants, so the set tracks the
-    implementation for free.
+    modules (:data:`_DOCSTORE_MODULES`) that is exactly a ``$word``
+    token. The ``$set`` update, the aggregation stages and the
+    accumulators all surface their operators as such constants, so the
+    set tracks the implementation for free.
     """
     found = set()
     for module in _DOCSTORE_MODULES:

@@ -128,7 +128,7 @@ _BAD = {
                 pass
         """,
     DocstoreOperatorSet: """
-        QUERY = {"age": {"$gte": 10, "$nearby": 1}}
+        QUERY = {"note": {"$regex": "^rare"}}
         """,
     ManifestSchemaKeys: """
         def read_manifest(manifest):
@@ -201,7 +201,13 @@ _GOOD = {
                 log.warning("work failed: %s", exc)
         """,
     DocstoreOperatorSet: """
-        QUERY = {"age": {"$gte": 10, "$lte": 80}, "sex": {"$in": ["F"]}}
+        UPDATE = {"$set": {"degree": "high"}}
+        PIPELINE = [
+            {"$group": {"_id": "$kind", "n": {"$count": True},
+                        "mean": {"$avg": "$score"},
+                        "top": {"$max": "$score"}}},
+            {"$sort": {"n": -1}},
+        ]
         """,
     ManifestSchemaKeys: """
         def read_manifest(manifest):
@@ -477,8 +483,21 @@ def test_ada023_dynamic_mode_and_reads():
 # ----------------------------------------------------------------------
 def test_docstore_operator_contract_matches_module():
     operators = docstore_operators()
-    assert {"$eq", "$gt", "$in", "$and", "$or", "$exists"} <= operators
-    assert "$nearby" not in operators
+    assert operators == {"$set", "$group", "$sort", "$count", "$avg", "$max"}
+
+
+def test_docstore_operator_fallback_matches_the_derived_set():
+    """The baked-in fallback cannot drift from the store's source."""
+    from repro.lint.contracts import (
+        _DOCSTORE_FALLBACK,
+        _DOCSTORE_MODULES,
+        _module_tree,
+    )
+
+    # derived, not the fallback itself: every module's source is found
+    assert all(_module_tree(module) for module in _DOCSTORE_MODULES)
+    assert docstore_operators() == _DOCSTORE_FALLBACK
+
 
 
 def test_manifest_contract_matches_module():

@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import QueryError
 from repro.kdb.documentstore import DocumentStore
 from repro.kdb.shards import ShardedDocumentStore
 from tests.flat_store import write_flat_store
@@ -120,12 +122,16 @@ def _check_save_load(docs, directory):
 )
 @settings(max_examples=50, deadline=None)
 def test_range_query_partitions(docs, threshold):
-    """$lt and $gte on the same threshold partition the collection."""
+    """Equality probes on every stored value partition the collection
+    (range operators are refused)."""
     collection = DocumentStore()["c"]
     collection.insert_many(docs)
-    below = collection.count_documents({"v": {"$lt": threshold}})
-    at_or_above = collection.count_documents({"v": {"$gte": threshold}})
-    assert below + at_or_above == len(docs)
+    values = {doc["v"] for doc in docs} | {threshold}
+    assert sum(
+        collection.count_documents({"v": value}) for value in values
+    ) == len(docs)
+    with pytest.raises(QueryError):
+        collection.count_documents({"v": {"$lt": threshold}})
 
 
 @given(st.lists(documents, min_size=1, max_size=10))

@@ -663,11 +663,12 @@ def test_cache_corrupt_entry_degrades_to_miss():
     metrics = Metrics()
     cache = AnalysisCache(metrics=metrics)
     cache.put("ds", "algo", {"k": 1}, {"value": 10})
-    # Corrupt the stored entry in place: payload key vanishes.
+    # Corrupt the stored entry: it comes back without its payload.
     key = cache.key("ds", "algo", {"k": 1})
-    cache.collection.update_many(
-        {"key": key}, {"$unset": {"payload": ""}}
-    )
+    entry = cache.collection.find_one({"key": key})
+    cache.collection.delete_many({"key": key})
+    del entry["payload"]
+    cache.collection.insert_one(entry)
     assert cache.get("ds", "algo", {"k": 1}) is None
     assert cache.corrupt == 1
     assert metrics.snapshot()["counters"]["cache.corrupt"] == 1

@@ -1,7 +1,7 @@
-"""Tests for the sharded K-DB persistence layer and query planner
-round-trip properties: shard placement, journal replay, compaction
-crash-safety, and Hypothesis identity properties (save/load/compact
-round trips; planner-vs-scan result equality on randomized queries)."""
+"""Tests for the sharded K-DB persistence layer and the store's access
+paths: shard placement, journal replay, compaction crash-safety, and
+Hypothesis identity properties (save/load/compact round trips; indexed
+vs scanned results of randomized equality queries and sorts)."""
 
 import json
 import os
@@ -71,10 +71,14 @@ def test_inserts_replay_after_reopen(sharded):
 
 def test_updates_and_deletes_replay(sharded):
     collection = sharded["c"]
-    collection.insert_many([{"_id": i, "n": i} for i in range(10)])
-    collection.update_many({"n": {"$gte": 5}}, {"$inc": {"n": 100}})
-    collection.delete_many({"n": {"$lt": 3}})
+    collection.insert_many([{"_id": i, "n": i % 4} for i in range(10)])
+    for doc_id in (5, 7, 9):
+        collection.update_one({"_id": doc_id}, {"$set": {"n": 100 + doc_id}})
+    collection.update_one({"n": 2}, {"$set": {"tag.first": True}})
+    collection.delete_one({"n": 0})
+    collection.delete_many({"n": 1})
     expected = _contents(sharded)
+    assert len(expected) == 8 and expected["2"]["tag"] == {"first": True}
     reopened = _reopen(sharded)
     assert _contents(reopened) == expected
 
@@ -96,7 +100,12 @@ def test_indexes_persist_in_manifest(sharded):
     collection.create_index("n", kind="sorted")
     reopened = _reopen(sharded)
     assert reopened["c"].index_names() == ["n_1"]
-    assert reopened["c"].explain({"n": {"$gt": 2}}).kind == "range"
+    assert reopened["c"].find_one({"n": 3}) == {"_id": 4, "n": 3}
+    plan = reopened["c"].last_plan
+    assert plan.kind == "point" and plan.index == "n_1"
+    assert reopened["c"]._index_order("n", True) is not None
+    top = reopened["c"].find().sort("n", -1).limit(2).to_list()
+    assert [doc["n"] for doc in top] == [4, 3]
 
 
 def test_new_ids_continue_after_replay(sharded):
@@ -169,8 +178,8 @@ def test_interior_corruption_is_quarantined_not_dropped(sharded):
 # ----------------------------------------------------------------------
 def test_compact_folds_logs_into_bases(sharded):
     collection = sharded["c"]
-    collection.insert_many([{"_id": i, "n": i} for i in range(30)])
-    collection.delete_many({"n": {"$lt": 10}})
+    collection.insert_many([{"_id": i, "low": i < 10} for i in range(30)])
+    collection.delete_many({"low": True})
     expected = _contents(sharded)
     assert sharded.pending_ops() > 0
     sharded.compact()
@@ -487,35 +496,34 @@ def test_property_shard_round_trip_identity(tmp_path_factory, docs, n):
     assert compacted.load_warnings == []
 
 
-operators = st.sampled_from(["$eq", "$gt", "$gte", "$lt", "$lte", "$in"])
-
-
 @given(
     st.lists(documents, min_size=1, max_size=20),
     field_names,
-    operators,
-    scalars,
+    st.one_of(scalars, st.lists(scalars, max_size=3)),
+    st.sampled_from(["hash", "sorted"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_property_planner_matches_scan(docs, path, operator, operand):
-    """The same query answered with and without indexes is identical."""
-    if operator == "$in":
-        query = {path: {"$in": [operand]}}
-    else:
-        query = {path: {operator: operand}}
-
+def test_property_planner_matches_scan(docs, path, operand, kind):
+    """The same equality query answered with and without an index is
+    identical, in order, sorted or not."""
+    query = {path: operand}
     scan_collection = DocumentStore()["c"]
     scan_collection.insert_many(docs)
     scanned = scan_collection.find(query).to_list()
     assert scan_collection.last_plan.kind == "scan"
 
-    indexed_store = DocumentStore()
-    indexed_collection = indexed_store["c"]
-    indexed_collection.create_index(path, kind="sorted")
+    indexed_collection = DocumentStore()["c"]
+    indexed_collection.create_index(path, kind=kind)
     indexed_collection.insert_many(docs)
     planned = indexed_collection.find(query).to_list()
+    assert indexed_collection.last_plan.kind == "point"
 
     assert planned == scanned
+    for direction in (1, -1):
+        assert (
+            indexed_collection.find(query).sort(path, direction).to_list()
+            == scan_collection.find(query).sort(path, direction).to_list()
+        )
 
 
 @given(st.lists(documents, min_size=1, max_size=20), field_names)
