@@ -201,30 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
         "reap", help="unlink every leaked library segment"
     )
 
-    lint = commands.add_parser(
+    # ``repro lint ARGS`` hands ARGS unchanged to ``python -m
+    # repro.lint``, whose parser owns them (see ``main``).
+    commands.add_parser(
         "lint",
-        help="check the engine's determinism/parallelism invariants",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: src,"
-        " benchmarks and examples)",
-    )
-    lint.add_argument("--json", action="store_true", dest="as_json")
-    lint.add_argument("--select", default=None)
-    lint.add_argument("--ignore", default=None)
-    lint.add_argument(
-        "--list-rules", action="store_true", dest="list_rules"
-    )
-    lint.add_argument("--jobs", type=int, default=1)
-    lint.add_argument(
-        "--backend",
-        choices=("serial", "threads", "process"),
-        default="threads",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true", dest="no_cache"
+        add_help=False,
+        help="check the engine's determinism/parallelism invariants"
+        " (options: python -m repro.lint --help)",
     )
     return parser
 
@@ -432,22 +415,7 @@ def cmd_shm(args) -> int:
 def cmd_lint(args) -> int:
     from repro.lint.cli import main as lint_main
 
-    argv = list(args.paths)
-    if args.as_json:
-        argv.append("--json")
-    if args.select:
-        argv.extend(["--select", args.select])
-    if args.ignore:
-        argv.extend(["--ignore", args.ignore])
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.jobs != 1:
-        argv.extend(["--jobs", str(args.jobs)])
-    if args.backend != "threads":
-        argv.extend(["--backend", args.backend])
-    if args.no_cache:
-        argv.append("--no-cache")
-    return lint_main(argv)
+    return lint_main(args.lint_args)
 
 
 _COMMANDS = {
@@ -465,7 +433,12 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "lint":
+        args.lint_args = extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _COMMANDS[args.command](args)
     except ReproError as error:

@@ -23,8 +23,7 @@ Determinism guarantees: backoff delays are derived from
 ``default_rng((seed, task_index, attempt))`` and fault schedules from
 ``default_rng(seed)``, so a given (policy, injector, task list) triple
 always fails, hangs and recovers identically. All sleeping for backoff
-purposes lives here — adalint rule ADA013 forbids ad-hoc
-``time.sleep`` retry loops anywhere else.
+purposes lives here.
 
 This module deliberately avoids importing :mod:`repro.cloud.executor`
 at module level (the executors import :class:`RetryPolicy` helpers'
@@ -136,8 +135,8 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * float(rng.random()))
 
     def sleep(self, attempt: int, task_index: int = 0) -> None:
-        """Sleep out the backoff for ``attempt`` (the one sanctioned
-        home of retry sleeping — see ADA013)."""
+        """Sleep out the backoff for ``attempt`` (the one home of
+        retry sleeping)."""
         delay = self.delay_for(attempt, task_index)
         if delay > 0.0:
             time.sleep(delay)

@@ -41,21 +41,12 @@ from repro.kdb.documentstore import Collection, DocumentStore
 #: Default collection name for cache entries inside a document store.
 CACHE_COLLECTION = "analysis_cache"
 
-#: Fields of one cache-entry document (the ADA021 consumer contract;
-#: ``crc`` checksums the canonical-JSON payload so on-disk damage
-#: surfaces as a metered corrupt-miss instead of a poisoned hit).
-CACHE_ENTRY_FIELDS = (
-    "key",
-    "dataset",
-    "algorithm",
-    "params",
-    "payload",
-    "crc",
-)
-
-
 def payload_crc(payload: Any) -> str:
-    """CRC-32 (hex) of a payload's canonical JSON form."""
+    """CRC-32 (hex) of a payload's canonical JSON form.
+
+    Stored as an entry's ``crc`` so on-disk damage surfaces as a
+    metered corrupt miss instead of a poisoned hit.
+    """
     encoded = json.dumps(payload, sort_keys=True, default=str)
     return f"{zlib.crc32(encoded.encode('utf-8')) & 0xFFFFFFFF:08x}"
 

@@ -38,6 +38,21 @@ _LINE_ERRORS = (
 )
 
 
+def _field(obj: Dict, key: str, kind: type) -> object:
+    """``obj[key]``, which must be exactly of JSON type ``kind``.
+
+    A JSON line carries its own types, so ``true`` or ``3.5`` where an
+    integer belongs is refused rather than truncated (the CSV reader's
+    ``int()`` refuses them too).
+    """
+    value = obj[key]
+    if type(value) is not kind:
+        raise TypeError(
+            f"field {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def _malformed(path: Path, line: int, error: Exception) -> DataError:
     """A :class:`DataError` locating ``error`` at ``path:line``."""
     if isinstance(error, json.JSONDecodeError):
@@ -94,7 +109,16 @@ def load_csv(directory: PathLike) -> ExamLog:
     records: List[ExamRecord] = []
     with open(records_path, newline="") as handle:
         reader = csv.DictReader(handle)
-        missing = set(_RECORD_FIELDS) - set(reader.fieldnames or ())
+        try:
+            # The header read decodes the file's first buffer, so an
+            # undecodable byte or a broken line near the start fails
+            # here, before the rows.
+            header = reader.fieldnames or ()
+        except _LINE_ERRORS as error:
+            raise _malformed(
+                records_path, max(reader.line_num, 1), error
+            ) from error
+        missing = set(_RECORD_FIELDS) - set(header)
         if missing:
             raise DataError(f"records.csv missing columns: {sorted(missing)}")
         try:
@@ -212,18 +236,22 @@ def load_jsonl(path: PathLike) -> ExamLog:
                 raise DataError("not an exam_log JSON-lines file")
             exam_types = [
                 ExamType(
-                    code=entry["code"],
-                    name=entry["name"],
-                    category=entry["category"],
-                    rank=entry["rank"],
+                    code=_field(entry, "code", int),
+                    name=_field(entry, "name", str),
+                    category=_field(entry, "category", str),
+                    rank=_field(entry, "rank", int),
                 )
                 for entry in header["taxonomy"]
             ]
             patients = [
                 PatientInfo(
-                    patient_id=entry["patient_id"],
-                    age=entry["age"],
-                    profile=entry.get("profile"),
+                    patient_id=_field(entry, "patient_id", int),
+                    age=_field(entry, "age", int),
+                    profile=(
+                        None
+                        if entry.get("profile") is None
+                        else _field(entry, "profile", str)
+                    ),
                 )
                 for entry in header.get("patients", [])
             ]
@@ -239,9 +267,9 @@ def load_jsonl(path: PathLike) -> ExamLog:
                 obj = json.loads(text)
                 records.append(
                     ExamRecord(
-                        patient_id=obj["patient_id"],
-                        day=obj["day"],
-                        exam_code=obj["exam_code"],
+                        patient_id=_field(obj, "patient_id", int),
+                        day=_field(obj, "day", int),
+                        exam_code=_field(obj, "exam_code", int),
                     )
                 )
         except _LINE_ERRORS as error:

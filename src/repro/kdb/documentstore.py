@@ -249,6 +249,15 @@ def _typed_key(value: Any) -> Tuple[str, Any]:
     return (type(value).__name__, _index_key(value))
 
 
+def _group_key(value: Any) -> Tuple[str, Any]:
+    """``$group`` bucket key: values share a bucket exactly when
+    :func:`_values_equal` holds, so ``1`` and ``1.0`` group together
+    and ``True`` stays apart from both."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return ("number", value)
+    return _typed_key(value)
+
+
 def _probe_keys(value: Any) -> List[Tuple[str, Any]]:
     """Typed keys whose buckets may contain documents whose value equals
     ``value`` under :func:`_values_equal` (int/float cross-type hits)."""
@@ -973,12 +982,16 @@ def _group(rows: List[Document], spec: Document) -> List[Document]:
     bucket_keys: Dict[Any, Any] = {}
     for row in rows:
         key_value = _resolve_expression(row, spec["_id"])
-        key = _index_key(key_value)
+        key = _group_key(key_value)
         buckets.setdefault(key, []).append(row)
         bucket_keys[key] = key_value
 
+    def order(key: Any) -> Tuple[str, str]:
+        raw = _index_key(bucket_keys[key])
+        return (str(type(raw)), str(raw))
+
     results: List[Document] = []
-    for key in sorted(buckets, key=lambda k: (str(type(k)), str(k))):
+    for key in sorted(buckets, key=order):
         members = buckets[key]
         out: Document = {"_id": bucket_keys[key]}
         for field_name, operator, operand in accumulators:

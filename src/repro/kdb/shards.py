@@ -113,11 +113,6 @@ _SHARD_FILE = re.compile(
     r"(?P<name>.+)\.shard-\d{4}\.(?:jsonl|log\.jsonl|quarantine\.jsonl)"
 )
 
-#: Fields a shard-log record may carry (the ADA021 consumer contract;
-#: ``doc`` only on ``put``, ``id`` only on ``del``). ``_replay_log``
-#: is the reading side.
-LOG_RECORD_FIELDS = ("op", "doc", "id")
-
 #: Metric counters the recovery path maintains (pre-registered by
 #: :meth:`ShardedDocumentStore.bind_metrics` so snapshots always carry
 #: them; mirrored in :attr:`ShardedDocumentStore.recovery_stats`).
@@ -552,9 +547,9 @@ class ShardedDocumentStore(DocumentStore):
                 for leftover, path in _shard_files(self.directory):
                     if leftover == name:
                         self.storage.remove(path)
-        # The manifest fsync happens after the shard lock is released
-        # (ADA018): attach only needs the lock to publish the files
-        # entry and journal hook.
+        # The manifest fsync happens after the shard lock is released:
+        # attach only needs the lock to publish the files entry and
+        # journal hook.
         if write_manifest:
             self._write_manifest()
 
@@ -626,7 +621,7 @@ class ShardedDocumentStore(DocumentStore):
         # Both follow-ups run outside the shard lock: compacting from
         # inside it would acquire the collection lock *after* the shard
         # lock — the exact inversion of the documented order (ADA015) —
-        # and the manifest write fsyncs (ADA018). The journal runs
+        # and the manifest write fsyncs. The journal runs
         # under the collection lock, so compacting here re-enters it in
         # the documented collection-before-store order.
         if index_changed:
@@ -1069,8 +1064,8 @@ class ShardedDocumentStore(DocumentStore):
             file_list = list(self._files.values())
             self._release_lockfile()
         # Safe outside the lock: _closed is set, so no journal append
-        # can race these handles, and fsync under a hot lock is the
-        # ADA018 anti-pattern.
+        # can race these handles, and an fsync under a hot lock would
+        # stall every writer.
         for files in file_list:
             files.close_handles(sync=True)
 

@@ -1,21 +1,24 @@
 """adalint: AST-based invariant checks for the ADA-HEALTH engine.
 
-PRs 1-2 made correctness depend on contracts no unit test can see
-directly: goal pipelines must be picklable to fan out through process
-pools, cache keys must be deterministic, miners must draw randomness
-only from seeded generators, and run manifests must conform to
-``ada-health/run-manifest/v1``. This package turns those unwritten
-rules into a zero-dependency static-analysis pass over :mod:`ast`:
+The engine's correctness rests on contracts a unit test sees only when
+they break under load: goal pipelines must be picklable and
+effect-free to fan out through process pools, miners must draw
+randomness only from seeded generators, locks must be taken in one
+global order, and every K-DB write must pass through the storage
+layer the crash sweep injects faults into. This package checks them
+statically with :mod:`ast`, no dependencies:
 
 ========  =============================================================
 ADA001    mining/core randomness only via ``np.random.default_rng(seed)``
 ADA002    no wall-clock reads in mining or cache-key paths
 ADA003    no lambdas/closures handed to ``TaskSpec`` / process pools
-ADA004    no mutable default arguments
-ADA005    no bare ``assert`` for runtime invariants in library code
-ADA006    ``except Exception`` must re-raise, report, or justify
-ADA007    query documents only use operators documentstore implements
-ADA008    manifest keys must exist in ``ada-health/run-manifest/v1``
+ADA009    tasks handed to workers are transitively effect-free
+ADA012    suppression pragmas and config ids name known, used rules
+ADA014    ndarrays travel to workers by shared-memory lease, not pickle
+ADA015    no cycles in the project-wide lock-order graph
+ADA016    lock-guarded attributes are written under their lock
+ADA017    resources with a release protocol are released on all paths
+ADA023    K-DB writes go through ``repro.kdb.storage``
 ========  =============================================================
 
 Run it with ``python -m repro.lint [paths]`` (or ``repro lint``); it

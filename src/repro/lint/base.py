@@ -36,18 +36,12 @@ class RuleContext:
     source: str
     tree: ast.AST
     lines: List[str] = field(default_factory=list)
-    #: ``lineno -> comment text`` (including the leading ``#``), from
-    #: tokenize — so rules can honour justification comments.
-    comments: Dict[int, str] = field(default_factory=dict)
     #: Whole-program view (:class:`repro.lint.graph.ProjectGraph`) when
     #: the runner built one; inter-procedural rules fall back to a
     #: single-file graph when absent (the unit-test path).
     project: Optional[Any] = None
     #: Dotted module name of this file within the project graph.
     module: str = ""
-
-    def comment_on(self, lineno: int) -> str:
-        return self.comments.get(lineno, "")
 
 
 class Rule(ast.NodeVisitor):
@@ -94,7 +88,7 @@ class Rule(ast.NodeVisitor):
         severity: Optional[str] = None,
     ) -> None:
         """Record a violation anchored at ``node``."""
-        assert self.context is not None  # adalint: disable=ADA005
+        assert self.context is not None
         self.findings.append(
             Finding(
                 path=self.context.path,
@@ -154,7 +148,6 @@ def all_rules() -> List[Type[Rule]]:
         rules_determinism,
         rules_parallelism,
         rules_robustness,
-        rules_schema,
     )
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]

@@ -3,8 +3,7 @@
 Exit status is 0 when the tree is clean and 1 when there are findings
 (any severity), so the command can gate commits and CI. ``--format
 json`` emits the ``adalint/findings/v1`` document and ``--format
-sarif`` a SARIF 2.1.0 log (for code-scanning upload); ``--json`` stays
-as an alias of ``--format json``.
+sarif`` a SARIF 2.1.0 log (for code-scanning upload).
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description=(
             "adalint: AST-based invariant checks for the ADA-HEALTH"
-            " engine (parallelism, determinism and schema contracts)"
+            " engine (determinism, parallelism, locking and storage"
+            " contracts)"
         ),
     )
     parser.add_argument(
@@ -46,11 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="output_format",
         help="output format: human lines (default), the"
         " adalint/findings/v1 JSON document, or a SARIF 2.1.0 log",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="alias for --format json",
     )
     parser.add_argument(
         "--select",
@@ -73,35 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint files in parallel over N workers (default: 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "threads", "process"),
-        default="threads",
-        help="repro.cloud executor backend for --jobs (default:"
-        " threads)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache (.adalint-cache/)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="incremental cache directory (default:"
-        " <root>/.adalint-cache)",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="also print parse/cache statistics and per-rule"
-        " profiling to stderr",
+        help="also print per-rule profiling to stderr",
     )
     return parser
 
@@ -153,27 +122,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.config:
         config = load_config(Path(args.config))
 
-    if args.no_cache:
-        cache = None
-    elif args.cache_dir:
-        cache = args.cache_dir
-    else:
-        cache = True
-
     report = lint_paths(
         paths,
         config=config,
         root=root,
         select=_split_ids(args.select),
         ignore=_split_ids(args.ignore),
-        jobs=max(1, args.jobs),
-        backend=args.backend,
-        cache=cache,
     )
-    output_format = "json" if args.json else args.output_format
-    if output_format == "json":
+    if args.output_format == "json":
         print(json.dumps(report.to_document(), indent=2, sort_keys=True))
-    elif output_format == "sarif":
+    elif args.output_format == "sarif":
         document = sarif_document(
             report.findings,
             rules=all_rules(),

@@ -30,12 +30,6 @@ except ImportError:  # pragma: no cover - py39/py310 fallback
     tomllib = None
 
 
-#: Paths no lint run should ever look at, regardless of project
-#: config: the linter's own cache and emitted SARIF logs (generated
-#: outputs, not source).
-DEFAULT_EXCLUDES = (".adalint-cache", "*.sarif")
-
-
 @dataclass
 class LintConfig:
     """Resolved adalint configuration."""
@@ -70,8 +64,7 @@ class LintConfig:
 
     def file_excluded(self, relpath: str) -> bool:
         return any(
-            path_matches(relpath, pattern)
-            for pattern in (*DEFAULT_EXCLUDES, *self.exclude)
+            path_matches(relpath, pattern) for pattern in self.exclude
         )
 
 

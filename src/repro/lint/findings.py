@@ -22,8 +22,8 @@ SEVERITIES = ("error", "warning")
 #: Schema tag stamped on every JSON report (bump on breaking changes).
 FINDINGS_SCHEMA = "adalint/findings/v1"
 
-#: Top-level fields of the JSON report (the ADA021 consumer contract;
-#: ``rule_stats`` is present only when profiling ran).
+#: Top-level fields of the JSON report (``rule_stats`` is present only
+#: when profiling ran).
 FINDINGS_FIELDS = (
     "schema",
     "files_checked",
@@ -218,9 +218,7 @@ def sarif_document(
             }
         results.append(result)
     return {
-        # SARIF spells its schema pointer "$schema"; it is not a
-        # docstore query operator.
-        "$schema": _SARIF_SCHEMA_URI,  # adalint: disable=ADA007
+        "$schema": _SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,
         "runs": [{"tool": {"driver": driver}, "results": results}],
     }

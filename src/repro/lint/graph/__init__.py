@@ -1,15 +1,14 @@
 """Whole-program analysis layer for adalint.
 
-``summary`` extracts serialisable per-module facts from ``ast`` (the
-target modules are never imported); ``project`` links them into a
-:class:`ProjectGraph` with cross-module call resolution, an import
-graph and a transitive effect fixed point. The dataflow rules
-(ADA009–ADA012) and the incremental runner cache are built on top.
+``summary`` extracts per-module facts from ``ast`` (the target modules
+are never imported); ``project`` links them into a
+:class:`ProjectGraph` with cross-module call resolution, a transitive
+effect fixed point and the project-wide lock-order graph. ADA009 reads
+the effects; ADA015 and ADA016 read the lock model.
 """
 
 from repro.lint.graph.project import ProjectGraph
 from repro.lint.graph.summary import (
-    GRAPH_VERSION,
     CallSite,
     ClassInfo,
     Effect,
@@ -20,7 +19,6 @@ from repro.lint.graph.summary import (
 )
 
 __all__ = [
-    "GRAPH_VERSION",
     "CallSite",
     "ClassInfo",
     "Effect",

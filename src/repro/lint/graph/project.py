@@ -59,18 +59,6 @@ class LockEdge:
         return f"{where} acquires {dst} while holding {src}"
 
 
-@dataclass(frozen=True)
-class BlockingEvidence:
-    """Origin site of one (possibly transitive) blocking operation."""
-
-    op: str
-    module: str
-    qualname: str
-    line: int
-
-    def sort_key(self) -> Tuple:
-        return (self.module, self.qualname, self.line, self.op)
-
 #: Builtins that are classes the resolver should not chase.
 _BUILTIN_NAMES = frozenset(
     {
@@ -112,7 +100,6 @@ class ProjectGraph:
         self._callees: Dict[str, List[Tuple[str, CallSite]]] = {}
         self._resolved = False
         self._acquired: Dict[str, FrozenSet[str]] = {}
-        self._blocking: Dict[str, Tuple[BlockingEvidence, ...]] = {}
         self._lock_edges: Optional[Tuple[LockEdge, ...]] = None
         self._entry_held: Optional[Dict[str, FrozenSet[str]]] = None
 
@@ -352,10 +339,6 @@ class ProjectGraph:
                 if callee is not None and callee != qualid:
                     edges.append((callee, site))
             self._callees[qualid] = edges
-
-    def callees(self, qualid: str) -> List[Tuple[str, CallSite]]:
-        self._link()
-        return self._callees.get(qualid, [])
 
     def effects(self, qualid: str) -> Tuple[Effect, ...]:
         """Transitive effects of ``qualid`` (direct + via callees).
@@ -702,66 +685,9 @@ class ProjectGraph:
             for qualid, value in entry.items()
         }
 
-    def transitive_blocking(
-        self, qualid: str
-    ) -> Tuple[BlockingEvidence, ...]:
-        """Blocking operations reachable from ``qualid``."""
-        self._link()
-        cached = self._blocking.get(qualid)
-        if cached is not None:
-            return cached
-        in_progress: Set[str] = set()
-
-        def compute(target: str) -> Tuple[BlockingEvidence, ...]:
-            done = self._blocking.get(target)
-            if done is not None:
-                return done
-            info = self.function(target)
-            if info is None:
-                return ()
-            module = target.partition(":")[0]
-            direct = tuple(
-                BlockingEvidence(
-                    op=op.op,
-                    module=module,
-                    qualname=info.qualname,
-                    line=op.line,
-                )
-                for op in info.blocking
-            )
-            if target in in_progress:
-                return direct
-            in_progress.add(target)
-            collected = list(direct)
-            for callee, _ in self._callees.get(target, []):
-                collected.extend(compute(callee))
-            in_progress.discard(target)
-            result = tuple(
-                sorted(set(collected), key=BlockingEvidence.sort_key)
-            )
-            self._blocking[target] = result
-            return result
-
-        return compute(qualid)
-
     # ------------------------------------------------------------------
-    # Reachability / import graph
+    # Call-path evidence
     # ------------------------------------------------------------------
-    def reachable_from(self, qualid: str) -> Set[str]:
-        """Every function reachable from ``qualid`` (inclusive)."""
-        self._link()
-        seen: Set[str] = set()
-        frontier = deque([qualid])
-        while frontier:
-            current = frontier.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            for callee, _ in self._callees.get(current, []):
-                if callee not in seen:
-                    frontier.append(callee)
-        return seen
-
     def call_path(
         self, start: str, condition
     ) -> Optional[List[str]]:
@@ -784,55 +710,6 @@ class ProjectGraph:
                     parents[callee] = current
                     frontier.append(callee)
         return None
-
-    def imported_modules(self, module: str) -> Set[str]:
-        """Project modules that ``module`` imports (directly)."""
-        summary = self.modules.get(module)
-        if summary is None:
-            return set()
-        targets: Set[str] = set()
-        for target_module, symbol in summary.imports.values():
-            candidates = [target_module]
-            if symbol is not None and target_module:
-                candidates.append(f"{target_module}.{symbol}")
-            elif symbol is not None:
-                candidates.append(symbol)
-            for candidate in candidates:
-                if candidate in self.modules and candidate != module:
-                    targets.add(candidate)
-                    break
-                # ``import repro.core.engine`` binds "repro"; walk up.
-                probe = candidate
-                while probe and probe not in self.modules:
-                    probe = probe.rpartition(".")[0]
-                if probe and probe != module:
-                    targets.add(probe)
-                    break
-        return targets
-
-    def import_closure(self, module: str) -> FrozenSet[str]:
-        """``module`` plus everything it transitively imports."""
-        seen: Set[str] = set()
-        frontier = deque([module])
-        while frontier:
-            current = frontier.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(
-                target
-                for target in self.imported_modules(current)
-                if target not in seen
-            )
-        return frozenset(seen)
-
-    def dependents(self, module: str) -> Set[str]:
-        """Modules whose import closure contains ``module``."""
-        return {
-            other
-            for other in self.modules
-            if other != module and module in self.import_closure(other)
-        }
 
 
 def _binding_root(

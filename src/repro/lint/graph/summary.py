@@ -5,12 +5,8 @@ target module is **never imported**. A summary records everything the
 whole-program layer needs to link modules together without re-reading
 source: the symbol table (functions, classes, imports, module-level
 names), and per function its parameters, call sites (with enough
-structure to resolve callees and map arguments), *direct* side effects,
-``raise`` statements and ``EngineConfig`` attribute reads.
-
-Summaries are plain-data and JSON-serialisable, so the incremental lint
-cache can persist them keyed on the file's content hash: a warm run
-rebuilds the project graph without parsing a single file.
+structure to resolve callees and map arguments) and *direct* side
+effects.
 
 Direct-effect inference recognises six kinds (the transitive closure
 is computed by :class:`repro.lint.graph.project.ProjectGraph`):
@@ -36,15 +32,13 @@ is computed by :class:`repro.lint.graph.project.ProjectGraph`):
     ``p.items.append(...)``); at call boundaries the project graph
     re-maps these onto the *caller's* arguments.
 
-Since ``adalint-graph/2`` a summary also carries the concurrency
-surface the ADA015–ADA018 rules consume:
+A summary also carries the concurrency surface the ADA015/ADA016
+rules consume:
 
 * lock **acquisitions** (``with self._lock:`` / ``lock.acquire()``)
   with the locks already held at that point — the raw material of the
   project-wide lock-order graph;
-* the **held-lock set** at every call site, self-attribute write and
-  blocking operation (``time.sleep``, ``os.fsync``, executor
-  ``submit``/``result``, ``wait``/``join``/``shutdown``);
+* the **held-lock set** at every call site and self-attribute write;
 * per class, which attributes are **lock factories**
   (``self._lock = threading.RLock()``) and whether any method spawns a
   ``threading.Thread``.
@@ -61,21 +55,17 @@ rather than guessing), conditional effects count unconditionally, and
 ``Optional[...]``-subscripted annotations are not used for receiver
 typing. On the concurrency side: a bare ``.acquire()`` is treated as
 held for the remainder of the function (``release()`` is not tracked),
-only attributes whose name contains ``lock`` are considered lock
-candidates, and conditional blocking calls count unconditionally.
+and only attributes whose name contains ``lock`` are considered lock
+candidates.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lint.base import dotted_name
-
-#: Bump when the summary format or extraction logic changes; part of
-#: every summary-cache key, so stale summaries are never reused.
-GRAPH_VERSION = "adalint-graph/3"
 
 #: Method names that mutate their receiver in place.
 _MUTATORS = frozenset(
@@ -123,20 +113,6 @@ class Effect:
         return (self.kind, self.detail, self.module, self.qualname,
                 self.line)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "detail": self.detail,
-            "module": self.module,
-            "qualname": self.qualname,
-            "line": self.line,
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "Effect":
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -166,29 +142,6 @@ class CallSite:
     #: Lock references held when the call executes (lexically).
     held_locks: Tuple[str, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "ref": list(self.ref),
-            "arg_roots": list(self.arg_roots),
-            "kwarg_roots": [list(pair) for pair in self.kwarg_roots],
-            "receiver_root": self.receiver_root,
-            "held_locks": list(self.held_locks),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "CallSite":
-        return cls(
-            line=doc["line"],
-            ref=tuple(doc["ref"]),
-            arg_roots=tuple(doc["arg_roots"]),
-            kwarg_roots=tuple(
-                (name, root) for name, root in doc["kwarg_roots"]
-            ),
-            receiver_root=doc["receiver_root"],
-            held_locks=tuple(doc.get("held_locks", ())),
-        )
-
 
 @dataclass(frozen=True)
 class LockAcquire:
@@ -203,21 +156,6 @@ class LockAcquire:
     ref: str
     under: Tuple[str, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "ref": self.ref,
-            "under": list(self.under),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "LockAcquire":
-        return cls(
-            line=doc["line"],
-            ref=doc["ref"],
-            under=tuple(doc["under"]),
-        )
-
 
 @dataclass(frozen=True)
 class AttrWrite:
@@ -226,45 +164,6 @@ class AttrWrite:
     attr: str
     line: int
     held: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "attr": self.attr,
-            "line": self.line,
-            "held": list(self.held),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "AttrWrite":
-        return cls(
-            attr=doc["attr"],
-            line=doc["line"],
-            held=tuple(doc["held"]),
-        )
-
-
-@dataclass(frozen=True)
-class BlockingOp:
-    """One potentially blocking call (sleep/fsync/submit/result/...)."""
-
-    op: str  #: the offending chain, e.g. ``time.sleep`` or ``.join``
-    line: int
-    held: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "op": self.op,
-            "line": self.line,
-            "held": list(self.held),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "BlockingOp":
-        return cls(
-            op=doc["op"],
-            line=doc["line"],
-            held=tuple(doc["held"]),
-        )
 
 
 @dataclass
@@ -278,12 +177,6 @@ class FunctionInfo:
     class_name: Optional[str] = None
     direct_effects: List[Effect] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
-    #: ``(exception chain, line)``; the chain is '' for bare ``raise``
-    #: and for non-name expressions (both are skipped by ADA011).
-    raises: List[Tuple[str, int]] = field(default_factory=list)
-    #: ``(field, line)`` for reads of ``self.config.<field>`` (or a
-    #: local alias of ``self.config``) — the ADA010 surface.
-    config_reads: List[Tuple[str, int]] = field(default_factory=list)
     #: Return-annotation chain ('' when absent) — lets the linker type
     #: receivers assigned from ``self.method(...)`` calls.
     returns: str = ""
@@ -291,101 +184,21 @@ class FunctionInfo:
     acquires: List[LockAcquire] = field(default_factory=list)
     #: Writes/mutations of ``self`` attributes, with held locks.
     attr_writes: List[AttrWrite] = field(default_factory=list)
-    #: Potentially blocking calls, with held locks.
-    blocking: List[BlockingOp] = field(default_factory=list)
-
-    @property
-    def is_public(self) -> bool:
-        parts = self.qualname.split(".")
-        name = parts[-1]
-        if name.startswith("_") and not (
-            name.startswith("__") and name.endswith("__")
-        ):
-            return False
-        return all(not part.startswith("_") for part in parts[:-1])
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "params": list(self.params),
-            "annotations": dict(self.annotations),
-            "class_name": self.class_name,
-            "direct_effects": [e.to_dict() for e in self.direct_effects],
-            "calls": [c.to_dict() for c in self.calls],
-            "raises": [list(pair) for pair in self.raises],
-            "config_reads": [list(pair) for pair in self.config_reads],
-            "returns": self.returns,
-            "acquires": [a.to_dict() for a in self.acquires],
-            "attr_writes": [w.to_dict() for w in self.attr_writes],
-            "blocking": [b.to_dict() for b in self.blocking],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qualname=doc["qualname"],
-            line=doc["line"],
-            params=list(doc["params"]),
-            annotations=dict(doc["annotations"]),
-            class_name=doc["class_name"],
-            direct_effects=[
-                Effect.from_dict(e) for e in doc["direct_effects"]
-            ],
-            calls=[CallSite.from_dict(c) for c in doc["calls"]],
-            raises=[(chain, line) for chain, line in doc["raises"]],
-            config_reads=[
-                (name, line) for name, line in doc["config_reads"]
-            ],
-            returns=doc.get("returns", ""),
-            acquires=[
-                LockAcquire.from_dict(a) for a in doc.get("acquires", [])
-            ],
-            attr_writes=[
-                AttrWrite.from_dict(w)
-                for w in doc.get("attr_writes", [])
-            ],
-            blocking=[
-                BlockingOp.from_dict(b) for b in doc.get("blocking", [])
-            ],
-        )
 
 
 @dataclass
 class ClassInfo:
-    """Summary of one class: bases, methods and concurrency traits."""
+    """Summary of one class: bases and concurrency traits."""
 
     name: str
     line: int
     bases: List[str] = field(default_factory=list)  #: dotted chains
-    methods: List[str] = field(default_factory=list)
     #: Attributes assigned a lock factory (``threading.Lock()`` /
     #: ``RLock()`` / anything ``*Lock(...)``) on ``self``.
     lock_attrs: List[str] = field(default_factory=list)
     #: True when any method constructs a ``threading.Thread`` — such a
     #: class is treated as multi-threaded by ADA016.
     spawns_threads: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "lock_attrs": list(self.lock_attrs),
-            "spawns_threads": self.spawns_threads,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "ClassInfo":
-        return cls(
-            name=doc["name"],
-            line=doc["line"],
-            bases=list(doc["bases"]),
-            methods=list(doc["methods"]),
-            lock_attrs=list(doc.get("lock_attrs", [])),
-            spawns_threads=doc.get("spawns_threads", False),
-        )
 
 
 @dataclass
@@ -401,47 +214,6 @@ class ModuleSummary:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     module_names: List[str] = field(default_factory=list)
-    parse_failed: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "graph_version": GRAPH_VERSION,
-            "module": self.module,
-            "relpath": self.relpath,
-            "imports": {
-                name: list(target) for name, target in self.imports.items()
-            },
-            "functions": {
-                name: info.to_dict()
-                for name, info in self.functions.items()
-            },
-            "classes": {
-                name: info.to_dict() for name, info in self.classes.items()
-            },
-            "module_names": list(self.module_names),
-            "parse_failed": self.parse_failed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=doc["module"],
-            relpath=doc["relpath"],
-            imports={
-                name: (target[0], target[1])
-                for name, target in doc["imports"].items()
-            },
-            functions={
-                name: FunctionInfo.from_dict(info)
-                for name, info in doc["functions"].items()
-            },
-            classes={
-                name: ClassInfo.from_dict(info)
-                for name, info in doc["classes"].items()
-            },
-            module_names=list(doc["module_names"]),
-            parse_failed=doc.get("parse_failed", False),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -485,7 +257,6 @@ def extract_summary(
         try:
             tree = ast.parse(source_or_tree)
         except SyntaxError:
-            summary.parse_failed = True
             return summary
     package = _package_of(module, relpath)
     _collect_imports(tree, package, summary)
@@ -543,7 +314,6 @@ def _extract_class(node: ast.ClassDef, summary: ModuleSummary) -> None:
     summary.classes[node.name] = info
     for item in node.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info.methods.append(item.name)
             _extract_function(item, node.name, summary)
 
 
@@ -602,7 +372,7 @@ def _extract_function(
 
 
 class _FunctionExtractor(ast.NodeVisitor):
-    """Single-function pass: effects, call sites, raises, config reads."""
+    """Single-function pass: effects, call sites, locks, self writes."""
 
     def __init__(
         self, node, info: FunctionInfo, summary: ModuleSummary
@@ -616,7 +386,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         ) else None
         self.globals_declared: set = set()
         self.local_types: Dict[str, str] = {}
-        self.config_aliases: set = set()
         self.nested: List[Tuple[ast.AST, Optional[str]]] = []
         #: Locals assigned from ``self.method(...)`` -> method name
         #: (typed later through the method's return annotation).
@@ -632,7 +401,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         for statement in self.node.body:
             self.visit(statement)
 
-    # -- pre-pass: local constructed types, config aliases, globals ----
+    # -- pre-pass: local constructed types, lock aliases, globals ------
     def _prescan(self) -> None:
         for sub in ast.walk(self.node):
             if isinstance(sub, ast.Global):
@@ -655,8 +424,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                         self.self_call_types[target.id] = (
                             value.func.attr
                         )
-                elif self._is_self_config(value):
-                    self.config_aliases.add(target.id)
                 elif isinstance(value, ast.Attribute):
                     ref = self._lock_ref(value)
                     if ref is not None:
@@ -665,15 +432,6 @@ class _FunctionExtractor(ast.NodeVisitor):
     def _looks_like_class(self, chain: str) -> bool:
         tail = chain.rsplit(".", 1)[-1]
         return bool(tail[:1].isupper())
-
-    def _is_self_config(self, node) -> bool:
-        return (
-            isinstance(node, ast.Attribute)
-            and node.attr == "config"
-            and isinstance(node.value, ast.Name)
-            and self.self_name is not None
-            and node.value.id == self.self_name
-        )
 
     # -- nested definitions: summarised separately, not descended ------
     def visit_FunctionDef(self, node) -> None:
@@ -760,9 +518,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         if isinstance(node, ast.Name):
             if node.id in self.params:
                 return f"param:{node.id}"
-            if node.id in self.local_types or node.id in (
-                self.config_aliases
-            ):
+            if node.id in self.local_types:
                 return "other"
             if node.id in self.summary.imports or node.id in (
                 self.summary.module_names
@@ -907,22 +663,6 @@ class _FunctionExtractor(ast.NodeVisitor):
             self._check_store_target(target, node.lineno)
         self.generic_visit(node)
 
-    # -- raises ---------------------------------------------------------
-    def visit_Raise(self, node: ast.Raise) -> None:
-        chain = ""
-        exc = node.exc
-        if isinstance(exc, ast.Call):
-            chain = dotted_name(exc.func)
-        elif exc is not None:
-            chain = dotted_name(exc)
-            # ``raise exc`` re-raising a caught variable is not a type
-            # reference; only Name/Attribute chains that look like
-            # classes are recorded.
-            if chain and not chain.rsplit(".", 1)[-1][:1].isupper():
-                chain = ""
-        self.info.raises.append((chain, node.lineno))
-        self.generic_visit(node)
-
     # -- environment reads ----------------------------------------------
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if isinstance(node.ctx, ast.Load) and dotted_name(
@@ -932,17 +672,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                 "env-read", "os.environ", node.lineno,
                 "reads the process environment via os.environ[...]",
             )
-        self.generic_visit(node)
-
-    # -- config reads ----------------------------------------------------
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.ctx, ast.Load):
-            base = node.value
-            if self._is_self_config(base) or (
-                isinstance(base, ast.Name)
-                and base.id in self.config_aliases
-            ):
-                self.info.config_reads.append((node.attr, node.lineno))
         self.generic_visit(node)
 
     # -- calls -----------------------------------------------------------
@@ -982,7 +711,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _detect_concurrency(self, node: ast.Call) -> None:
-        """Thread spawns, mutator writes and blocking operations."""
+        """Thread spawns and mutator writes on ``self`` attributes."""
         chain = dotted_name(node.func)
         tail = chain.rsplit(".", 1)[-1] if chain else ""
         if tail == "Thread" and self.info.class_name is not None:
@@ -995,60 +724,6 @@ class _FunctionExtractor(ast.NodeVisitor):
             self._record_attr_write(
                 root, self._inner_attr(node.func), node.lineno
             )
-        blocking = self._blocking_op(node, chain, tail)
-        if blocking is not None:
-            self.info.blocking.append(
-                BlockingOp(
-                    op=blocking,
-                    line=node.lineno,
-                    held=tuple(self._held),
-                )
-            )
-
-    def _blocking_op(
-        self, node: ast.Call, chain: str, tail: str
-    ) -> Optional[str]:
-        """The blocking-call label for ``node``, or None.
-
-        Recognised: ``time.sleep``, ``os.fsync``, executor
-        ``.submit()``/``.result()``/``.shutdown()``, ``.wait()`` and
-        thread ``.join()``. ``str.join``/``os.path.join`` are excluded
-        by shape: a thread join takes no argument or a single numeric /
-        ``timeout=`` argument.
-        """
-        if not chain:
-            return None
-        parts = chain.split(".")
-        if parts[0] == "time" and tail == "sleep":
-            return chain
-        if parts[0] == "os" and tail == "fsync":
-            return chain
-        if not isinstance(node.func, ast.Attribute):
-            return None
-        if tail in ("submit", "result", "shutdown", "wait"):
-            return f".{tail}"
-        if tail == "join":
-            if isinstance(node.func.value, ast.Constant):
-                return None  # "sep".join(...)
-            if any(
-                part in ("os", "path", "posixpath", "ntpath")
-                for part in parts[:-1]
-            ):
-                return None  # os.path.join and friends
-            timeout_kw = any(
-                keyword.arg == "timeout" for keyword in node.keywords
-            )
-            if node.args and not timeout_kw:
-                only_numeric = len(node.args) == 1 and (
-                    isinstance(node.args[0], ast.Constant)
-                    and isinstance(
-                        node.args[0].value, (int, float)
-                    )
-                )
-                if not only_numeric:
-                    return None  # iterable argument: a str.join
-            return ".join"
-        return None
 
     def _callee_ref(self, func):
         if isinstance(func, ast.Name):

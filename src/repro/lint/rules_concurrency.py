@@ -1,10 +1,11 @@
-"""Concurrency & resource-lifecycle rules: ADA015–ADA018.
+"""Concurrency & resource-lifecycle rules: ADA015–ADA017.
 
-These rules consume the lock model added to the whole-program graph in
-``adalint-graph/2``: per-function lock acquisition sets, held-lock
-annotations on call sites / attribute writes / blocking operations, and
-the project-wide lock-order graph derived from them
-(:meth:`~repro.lint.graph.ProjectGraph.lock_order_edges`).
+ADA015 and ADA016 consume the lock model of the whole-program graph:
+per-function lock acquisition sets, held-lock annotations on call
+sites and attribute writes, and the project-wide lock-order graph
+derived from them
+(:meth:`~repro.lint.graph.ProjectGraph.lock_order_edges`). ADA017 is a
+per-function AST pass over the release protocols below.
 
 The analysis is an under-approximation throughout, in the same spirit
 as the dataflow rules: a lock reference or call the linker cannot bind
@@ -17,11 +18,11 @@ under "Concurrency discipline".
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from functools import lru_cache
+from pathlib import Path
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.lint.base import Rule, RuleContext, dotted_name, register
-from repro.lint.contracts import resource_protocols
-from repro.lint.graph import ProjectGraph
 from repro.lint.graph.summary import FunctionInfo
 from repro.lint.rules_dataflow import _graph_and_module, _Line
 
@@ -40,8 +41,8 @@ class _ConcurrencyRule(Rule):
     """Shared setup: bind the graph, then analyse summaries directly.
 
     Unlike AST rules these do not visit the tree — everything they need
-    (acquisitions, writes, blocking ops, call sites) is already in the
-    module summary, which keeps them cheap and cache-friendly.
+    (acquisitions, writes, call sites) is already in the module
+    summary.
     """
 
     def run(self, context: RuleContext):
@@ -209,16 +210,74 @@ class GuardedStateWrites(_ConcurrencyRule):
 # ----------------------------------------------------------------------
 # ADA017 — resources with a release protocol released on all paths
 # ----------------------------------------------------------------------
+#: Constructors whose result carries a release obligation, mapped to
+#: the method set that discharges it. ADA017 matches the constructor by
+#: dotted-chain *tail* (``shared_memory.SharedMemory`` and
+#: ``SharedMemory`` both hit the ``SharedMemory`` entry; classmethod
+#: factories are listed as ``Class.method``). The set means "calling
+#: any one of these releases the resource": a ``SharedMemory`` mapping
+#: is only released by ``close()`` — ``unlink()`` destroys the segment
+#: but leaks the caller's own mapping, which is exactly the bug class
+#: the rule exists for.
+_RESOURCE_PROTOCOLS = {
+    "SharedMemory": frozenset({"close"}),
+    "SharedMatrix.create": frozenset({"close", "unlink"}),
+    "SharedMatrix.attach": frozenset({"close"}),
+    "ThreadPoolExecutor": frozenset({"shutdown"}),
+    "ProcessPoolExecutor": frozenset({"shutdown"}),
+    "ShardedDocumentStore": frozenset({"close"}),
+    "TemporaryDirectory": frozenset({"cleanup"}),
+}
+
+#: Sources, relative to the ``repro`` package, scanned for further
+#: context-managed resource classes.
+_RESOURCE_SOURCES = ("data/blocks.py", "cloud/executor.py")
+
+
+@lru_cache(maxsize=1)
+def resource_protocols() -> Dict[str, FrozenSet[str]]:
+    """Release protocols for ADA017, keyed by constructor tail.
+
+    The baked table is the contract; the source scan only *extends* it:
+    any class in :data:`_RESOURCE_SOURCES` defining both ``__enter__``
+    and a ``close``/``shutdown``/``cleanup`` method is added with that
+    method as its protocol, so new pooled/mapped resources are covered
+    without editing the linter. The sources are parsed, never imported.
+    """
+    protocols = dict(_RESOURCE_PROTOCOLS)
+    package = Path(__file__).resolve().parents[1]
+    for relpath in _RESOURCE_SOURCES:
+        try:
+            source = (package / relpath).read_text(encoding="utf-8")
+            tree = ast.parse(source)
+        except (OSError, SyntaxError):
+            continue
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {
+                item.name
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            }
+            if "__enter__" not in methods:
+                continue
+            release = methods & {"close", "shutdown", "cleanup"}
+            if release and node.name not in protocols:
+                protocols[node.name] = frozenset(release)
+    return protocols
+
+
 @register
 class MustReleaseResources(Rule):
     """ADA017: resources carrying a release obligation must be released
     on all paths.
 
-    The protocol table (:func:`repro.lint.contracts.
-    resource_protocols`) maps constructors to the methods that
-    discharge the obligation — e.g. a ``shared_memory.SharedMemory``
-    mapping is released only by ``close()``; ``unlink()`` destroys the
-    segment but leaks the caller's own mapping. Acceptable custody:
+    The protocol table (:func:`resource_protocols`) maps constructors
+    to the methods that discharge the obligation — e.g. a
+    ``shared_memory.SharedMemory`` mapping is released only by
+    ``close()``; ``unlink()`` destroys the segment but leaks the
+    caller's own mapping. Acceptable custody:
     a ``with`` block, a release call in a ``finally`` block, or handing
     the object to a tracked owner (returned/yielded, stored on an
     object, passed to a call, aliased). A release reachable only on the
@@ -405,65 +464,3 @@ class MustReleaseResources(Rule):
                 for sub in ast.walk(value):
                     if isinstance(sub, ast.Name):
                         escaped.add(sub.id)
-
-
-# ----------------------------------------------------------------------
-# ADA018 — no blocking operations while holding a lock
-# ----------------------------------------------------------------------
-@register
-class NoBlockingUnderLock(_ConcurrencyRule):
-    """ADA018: no blocking operation while a lock is held.
-
-    Blocking operations — ``time.sleep``, ``os.fsync``, executor
-    ``submit``/``result``/``shutdown``, ``.wait()``/``.join()`` —
-    executed under a lock stretch the critical section by an unbounded
-    amount and invite convoy effects or deadlock (a joined thread may
-    need the very lock the joiner holds). The check is transitive:
-    calling, with a lock held, a function that blocks somewhere below
-    is flagged at the call site with the originating evidence.
-    """
-
-    rule_id = "ADA018"
-    name = "no-blocking-under-lock"
-    severity = "error"
-    description = (
-        "time.sleep / fsync / executor waits / thread joins must not"
-        " run while holding a lock"
-    )
-    default_paths = ("src",)
-
-    def check_module(self, summary) -> None:
-        for qualid, info in self._functions(summary):
-            for op in info.blocking:
-                held = self._held_at(qualid, info, op.held)
-                if not held:
-                    continue
-                locks = ", ".join(
-                    sorted(self._short(t) for t in held)
-                )
-                self.report(
-                    _Line(op.line),
-                    f"{info.qualname} calls {op.op} while holding"
-                    f" {locks}; move the blocking call outside the"
-                    " critical section",
-                )
-            for callee, site in self.graph.callees(qualid):
-                held = self._held_at(qualid, info, site.held_locks)
-                if not held:
-                    continue
-                if held <= self.graph.entry_held(callee):
-                    continue  # the callee's own analysis reports it
-                evidence = self.graph.transitive_blocking(callee)
-                if not evidence:
-                    continue
-                first = evidence[0]
-                locks = ", ".join(
-                    sorted(self._short(t) for t in held)
-                )
-                self.report(
-                    _Line(site.line),
-                    f"{info.qualname} holds {locks} while calling"
-                    f" {callee.rpartition(':')[2]}, which blocks"
-                    f" ({first.op} at {first.qualname}:{first.line});"
-                    " release the lock first",
-                )

@@ -1,6 +1,6 @@
-"""Inter-procedural dataflow rules: ADA009–ADA012, ADA014.
+"""Dataflow rules: ADA009, ADA012 and ADA014.
 
-These rules consume the whole-program view built by
+ADA009 consumes the whole-program view built by
 :mod:`repro.lint.graph`. When the runner linted a full project the
 :class:`~repro.lint.graph.ProjectGraph` arrives on the
 :class:`~repro.lint.base.RuleContext`; a rule run on a lone snippet
@@ -16,7 +16,7 @@ which pragmas matched a finding.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import Set, Tuple
 
 from repro.lint.base import Rule, RuleContext, dotted_name, register
 from repro.lint.graph import (
@@ -53,19 +53,11 @@ def _graph_and_module(
     return ProjectGraph([summary]), summary.module
 
 
-class _DataflowRule(Rule):
-    """Shared setup: bind the graph before visiting."""
-
-    def run(self, context: RuleContext):
-        self.graph, self.module = _graph_and_module(context)
-        return super().run(context)
-
-
 # ----------------------------------------------------------------------
 # ADA009 — tasks shipped to workers must be transitively effect-free
 # ----------------------------------------------------------------------
 @register
-class EffectFreeTasks(_DataflowRule):
+class EffectFreeTasks(Rule):
     """ADA009: callables submitted for parallel execution must be
     transitively effect-free.
 
@@ -87,6 +79,7 @@ class EffectFreeTasks(_DataflowRule):
 
     def run(self, context: RuleContext):
         self._pools: Set[str] = set()
+        self.graph, self.module = _graph_and_module(context)
         return super().run(context)
 
     # -- process-pool bindings (file-wide; threads are exempt) ---------
@@ -155,240 +148,6 @@ class EffectFreeTasks(_DataflowRule):
                 f"task {chain!r} handed to {via} is not effect-free:"
                 f" {evidence}",
             )
-
-
-# ----------------------------------------------------------------------
-# ADA010 — cache keys must cover every config field goal paths read
-# ----------------------------------------------------------------------
-@register
-class CacheKeyCoverage(_DataflowRule):
-    """ADA010: config fields read inside a cached goal path must flow
-    into the cache key.
-
-    The engine derives :class:`AnalysisCache` keys from its config via
-    ``_goal_params``, which *excludes* fields that are not supposed to
-    influence results. If an excluded field is nevertheless read
-    anywhere reachable from ``_run_goal``, two configs differing only
-    in that field would collide on one cache entry and return each
-    other's results. Telemetry fields (:data:`ALLOWED_TELEMETRY`) are
-    allowlisted: they observe the run but never steer it.
-    """
-
-    rule_id = "ADA010"
-    name = "cache-key-covers-config"
-    severity = "error"
-    description = (
-        "config fields excluded from the analysis-cache key must not"
-        " be read inside cached goal paths (telemetry allowlisted)"
-    )
-
-    #: Fields that may be excluded from the key *and* read in goal
-    #: paths: pure observers, checked to never influence results.
-    ALLOWED_TELEMETRY: FrozenSet[str] = frozenset(
-        {"tracer", "metrics"}
-    )
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        methods = {
-            item.name: item
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if "_goal_params" in methods and "_run_goal" in methods:
-            excluded = _excluded_fields(methods["_goal_params"])
-            hazards = excluded - self.ALLOWED_TELEMETRY
-            if hazards:
-                self._check_goal_path(node, hazards)
-        self.generic_visit(node)
-
-    def _check_goal_path(
-        self, class_node: ast.ClassDef, hazards: Set[str]
-    ) -> None:
-        start = f"{self.module}:{class_node.name}._run_goal"
-        for qualid in sorted(self.graph.reachable_from(start)):
-            info = self.graph.function(qualid)
-            if info is None:
-                continue
-            module = qualid.partition(":")[0]
-            for field_name, line in info.config_reads:
-                if field_name not in hazards:
-                    continue
-                where = f"{module}:{info.qualname}:{line}"
-                anchor = (
-                    _Line(line)
-                    if module == self.module
-                    else _Line(class_node.lineno)
-                )
-                self.report(
-                    anchor,
-                    f"config field {field_name!r} is excluded from the"
-                    f" cache key by _goal_params but read in the cached"
-                    f" goal path (at {where}); include it in the key or"
-                    f" allowlist it as telemetry",
-                )
-
-
-def _excluded_fields(goal_params: ast.AST) -> Set[str]:
-    """The ``excluded = {...}`` string-set literal in ``_goal_params``."""
-    for statement in ast.walk(goal_params):
-        if not isinstance(statement, ast.Assign):
-            continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == "excluded"
-            for t in statement.targets
-        ):
-            continue
-        value = statement.value
-        if isinstance(value, ast.Call):  # frozenset({...}) / set({...})
-            value = value.args[0] if value.args else value
-        if isinstance(value, ast.Set):
-            return {
-                element.value
-                for element in value.elts
-                if isinstance(element, ast.Constant)
-                and isinstance(element.value, str)
-            }
-    return set()
-
-
-# ----------------------------------------------------------------------
-# ADA011 — public APIs raise the documented taxonomy only
-# ----------------------------------------------------------------------
-@register
-class ExceptionTaxonomy(_DataflowRule):
-    """ADA011: the public ``repro.core``/``repro.mining`` surface may
-    only raise ``repro.exceptions`` types or approved builtins.
-
-    Callers program against the documented taxonomy
-    (``except ReproError``); an ``Exception("...")`` escaping from deep
-    inside a miner bypasses every such handler. The check covers
-    public functions and everything they (transitively) call; raises
-    re-raising a caught variable or a stored error object are skipped.
-    """
-
-    rule_id = "ADA011"
-    name = "exception-taxonomy"
-    severity = "error"
-    description = (
-        "public core/mining entry points raise repro.exceptions types"
-        " or approved builtins only"
-    )
-    default_paths = ("src/repro/core", "src/repro/mining")
-
-    APPROVED_BUILTINS: FrozenSet[str] = frozenset(
-        {
-            "ValueError", "TypeError", "KeyError", "IndexError",
-            "RuntimeError", "NotImplementedError", "StopIteration",
-        }
-    )
-
-    def run(self, context: RuleContext):
-        self.findings = []
-        self.context = context
-        self.graph, self.module = _graph_and_module(context)
-        summary = self.graph.modules.get(self.module)
-        if summary is None:
-            return []
-        checked = self._public_surface(summary)
-        for qualname in sorted(checked):
-            info = summary.functions.get(qualname)
-            if info is None:
-                continue
-            for chain, line in info.raises:
-                if not chain:
-                    continue  # bare raise / re-raise of a variable
-                if self._allowed(chain):
-                    continue
-                self.report(
-                    _Line(line),
-                    f"{qualname}() raises {chain!r}, which is neither a"
-                    " repro.exceptions type nor an approved builtin"
-                    f" ({', '.join(sorted(self.APPROVED_BUILTINS))})",
-                )
-        return self.findings
-
-    def _public_surface(self, summary) -> Set[str]:
-        """Public functions plus everything they reach in this module."""
-        surface: Set[str] = set()
-        for qualname, info in summary.functions.items():
-            if info.is_public:
-                surface.add(qualname)
-        reached: Set[str] = set(surface)
-        for qualname in surface:
-            for qualid in self.graph.reachable_from(
-                f"{self.module}:{qualname}"
-            ):
-                module, _, name = qualid.partition(":")
-                if module == self.module:
-                    reached.add(name)
-        return reached
-
-    def _allowed(self, chain: str) -> bool:
-        tail = chain.rsplit(".", 1)[-1]
-        if tail in self.APPROVED_BUILTINS:
-            return True
-        summary = self.graph.modules.get(self.module)
-        imports = summary.imports if summary else {}
-        if "." in chain:
-            if chain.startswith("repro.exceptions."):
-                return True
-            head = chain.split(".")[0]
-            target = imports.get(head)
-            if target is not None:
-                target_module, symbol = target
-                bound = (
-                    f"{target_module}.{symbol}"
-                    if target_module and symbol
-                    else (symbol or target_module)
-                )
-                if bound == "repro.exceptions" or (
-                    symbol is None
-                    and target_module == "repro.exceptions"
-                ):
-                    return True
-        else:
-            target = imports.get(chain)
-            if target is not None and target[0] == "repro.exceptions":
-                return True
-        resolved = self.graph._resolve_class(self.module, tail)
-        if resolved is not None:
-            return self._derives_from_taxonomy(resolved, depth=0)
-        return False
-
-    def _derives_from_taxonomy(
-        self, resolved: Tuple[str, str], depth: int
-    ) -> bool:
-        if depth > 8:
-            return False
-        module, class_name = resolved
-        if module == "repro.exceptions":
-            return True
-        summary = self.graph.modules.get(module)
-        class_info = (
-            summary.classes.get(class_name) if summary else None
-        )
-        if class_info is None:
-            return False
-        for base_chain in class_info.bases:
-            base_tail = base_chain.rsplit(".", 1)[-1]
-            if base_tail in self.APPROVED_BUILTINS:
-                return True
-            if base_chain.startswith("repro.exceptions."):
-                return True
-            target = summary.imports.get(base_chain.split(".")[0])
-            if (
-                target is not None
-                and "." not in base_chain
-                and target[0] == "repro.exceptions"
-            ):
-                return True
-            base_resolved = self.graph._resolve_class(
-                module, base_tail
-            )
-            if base_resolved is not None and base_resolved != resolved:
-                if self._derives_from_taxonomy(base_resolved, depth + 1):
-                    return True
-        return False
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Parallelism-safety rules: picklable tasks (ADA003), no mutable
-defaults (ADA004).
+"""Parallelism-safety rule: picklable tasks (ADA003).
 
 ``ProcessPoolExecutorBackend`` ships tasks to workers by pickling;
 a lambda or closure handed to :class:`TaskSpec` (or submitted straight
@@ -163,58 +162,3 @@ def _is_process_pool_call(node: ast.AST) -> bool:
         return False
     tail = dotted_name(node.func).rsplit(".", maxsplit=1)[-1]
     return tail == "ProcessPoolExecutor"
-
-
-@register
-class NoMutableDefault(Rule):
-    """ADA004: no mutable default arguments.
-
-    A ``def f(x, acc=[])`` default is created once and shared across
-    calls — and across *processes* it silently diverges, so cached and
-    fanned-out runs stop agreeing with serial ones.
-    """
-
-    rule_id = "ADA004"
-    name = "no-mutable-defaults"
-    description = "default argument values must be immutable"
-
-    _MUTABLE_CALLS = frozenset(
-        {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
-    )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_arguments(node.args)
-        self.generic_visit(node)
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_arguments(node.args)
-        self.generic_visit(node)
-
-    def _check_arguments(self, arguments: ast.arguments) -> None:
-        defaults = list(arguments.defaults) + [
-            default
-            for default in arguments.kw_defaults
-            if default is not None
-        ]
-        for default in defaults:
-            if isinstance(
-                default, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                          ast.DictComp, ast.SetComp)
-            ):
-                self.report(
-                    default,
-                    "mutable default argument is shared across calls;"
-                    " default to None and build inside the function",
-                )
-            elif (
-                isinstance(default, ast.Call)
-                and dotted_name(default.func).rsplit(".", 1)[-1]
-                in self._MUTABLE_CALLS
-            ):
-                self.report(
-                    default,
-                    "call in default argument runs once at def time"
-                    " and the result is shared; default to None",
-                )

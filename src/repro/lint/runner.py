@@ -1,10 +1,10 @@
-"""The lint driver: discovery, project graph, caching, rule dispatch.
+"""The lint runner: discovery, project graph, rule dispatch.
 
 Suppression syntax
 ------------------
-``# adalint: disable=ADA001,ADA005`` on a code line suppresses those
+``# adalint: disable=ADA001,ADA002`` on a code line suppresses those
 rules for findings reported *on that line*;
-``# adalint: disable-file=ADA007`` anywhere in a file suppresses the
+``# adalint: disable-file=ADA023`` anywhere in a file suppresses the
 rule for the whole file. ``all`` suppresses every rule.
 
 Pragmas are accounted for: one that names an unknown rule id, or that
@@ -13,19 +13,9 @@ file), is itself reported as an ADA012 warning. Accounting is
 single-pass — a pragma counts as used only against findings from the
 same run.
 
-Incremental runs
-----------------
-:func:`lint_paths` can reuse a :class:`~repro.lint.cache.LintCache`:
-module summaries are keyed on content hashes, per-file findings on
-content hash + ruleset version + the file's import-closure fingerprint
-+ the project-wide concurrency fingerprint (the lock model the
-ADA015–ADA018 rules consume is global, not closure-local) + config
-fingerprint. An unchanged tree re-lints with zero parses;
-editing one file re-lints it and its import-graph dependents; bumping
-:data:`RULESET_VERSION` or editing ``[tool.adalint]`` invalidates
-everything. With ``jobs > 1`` files are linted in parallel through the
-``repro.cloud`` executor backends; findings are sorted at the end, so
-serial/parallel and cold/warm runs report identically.
+Every run is cold: each file is parsed once, summarised into the
+project graph, then linted against it. Findings are sorted, so the
+report does not depend on discovery order.
 """
 
 from __future__ import annotations
@@ -37,28 +27,12 @@ import time
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.base import Rule, RuleContext, all_rules, get_rule
-from repro.lint.cache import (
-    DEFAULT_CACHE_DIR,
-    LintCache,
-    content_hash,
-    key_of,
-)
 from repro.lint.config import LintConfig, load_config
 from repro.lint.findings import Finding, report_document
 from repro.lint.graph import (
-    GRAPH_VERSION,
     ModuleSummary,
     ProjectGraph,
     extract_summary,
@@ -72,9 +46,9 @@ _PRAGMA = re.compile(
 #: Rule id reported for files that fail to parse.
 PARSE_ERROR_ID = "ADA000"
 
-#: Version of the rule set; part of every findings-cache key, so a
-#: rule change (signalled by bumping this) invalidates cached results.
-RULESET_VERSION = "adalint/7"
+#: Version of the rule set, reported as the SARIF tool version; bump
+#: it when a rule is added, removed or changes what it reports.
+RULESET_VERSION = "adalint/8"
 
 #: Id under which pragma/config hygiene findings are reported.
 _SUPPRESSION_RULE_ID = "ADA012"
@@ -86,13 +60,7 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    #: Files whose source was parsed during this run (summary
-    #: extraction or linting). Zero on a warm incremental run.
-    files_parsed: int = 0
-    #: Per-file finding lists served from the incremental cache.
-    cache_hits: int = 0
-    #: Per-rule profiling over the files actually linted this run
-    #: (cache-served files cost no rule time and are not attributed):
+    #: Per-rule profiling over the files linted this run:
     #: ``rule id -> {"wall_s": float, "findings": int}``.
     rule_stats: Dict[str, Dict] = field(default_factory=dict)
 
@@ -113,11 +81,7 @@ class LintReport:
         return "\n".join(lines)
 
     def format_stats(self) -> str:
-        lines = [
-            f"{self.files_checked} files checked,"
-            f" {self.files_parsed} parsed,"
-            f" {self.cache_hits} served from cache"
-        ]
+        lines = [f"{self.files_checked} files checked"]
         by_cost = sorted(
             self.rule_stats.items(),
             key=lambda item: (-item[1]["wall_s"], item[0]),
@@ -336,18 +300,6 @@ def default_src_paths(root: Optional[Path] = None) -> Tuple[Path, ...]:
 # ----------------------------------------------------------------------
 # Single-file linting
 # ----------------------------------------------------------------------
-def _merge_rule_stats(
-    into: Dict[str, Dict], stats: Dict[str, Dict]
-) -> None:
-    """Accumulate per-rule wall time and finding counts."""
-    for rule_id, stat in stats.items():
-        slot = into.setdefault(
-            rule_id, {"wall_s": 0.0, "findings": 0}
-        )
-        slot["wall_s"] += stat["wall_s"]
-        slot["findings"] += stat["findings"]
-
-
 def _lint_file(
     source: str,
     path: str,
@@ -365,8 +317,7 @@ def _lint_file(
     accumulated into it (profiling; monotonic clock, never persisted
     into artifacts).
     """
-    comments = scan_comments(source)
-    suppressions = parse_suppressions(comments)
+    suppressions = parse_suppressions(scan_comments(source))
     if tree is None:
         try:
             tree = ast.parse(source)
@@ -386,7 +337,6 @@ def _lint_file(
         source=source,
         tree=tree,
         lines=source.splitlines(),
-        comments=comments,
         project=project,
         module=module or module_name_for(relpath),
     )
@@ -396,15 +346,11 @@ def _lint_file(
         started = time.perf_counter()
         found = rule.run(context)
         if stats is not None:
-            _merge_rule_stats(
-                stats,
-                {
-                    rule_class.rule_id: {
-                        "wall_s": time.perf_counter() - started,
-                        "findings": len(found),
-                    }
-                },
+            slot = stats.setdefault(
+                rule_class.rule_id, {"wall_s": 0.0, "findings": 0}
             )
+            slot["wall_s"] += time.perf_counter() - started
+            slot["findings"] += len(found)
         raw.extend(found)
     kept = [
         finding for finding in raw if not suppressions.match(finding)
@@ -463,166 +409,21 @@ def lint_source(
     )
 
 
-def _lint_batch_task(
-    batch: Sequence[Tuple[str, str, str, Tuple[str, ...], bool]],
-    summary_docs: Sequence[Dict],
-) -> Tuple[List[Tuple[str, List[Finding]]], Dict[str, Dict]]:
-    """Worker task: lint a batch of files against a shared graph.
-
-    Module-level and fed plain data (sources, rule ids, summary
-    documents) so it pickles cleanly onto any executor backend —
-    including process pools under spawn. Returns the per-file finding
-    lists plus this batch's per-rule profiling stats.
-    """
-    graph = ProjectGraph(
-        ModuleSummary.from_dict(doc) for doc in summary_docs
-    )
-    results: List[Tuple[str, List[Finding]]] = []
-    stats: Dict[str, Dict] = {}
-    for source, path, relpath, rule_ids, emit_unused in batch:
-        rule_classes = [get_rule(rule_id) for rule_id in rule_ids]
-        results.append(
-            (
-                relpath,
-                _lint_file(
-                    source,
-                    path,
-                    relpath,
-                    rule_classes,
-                    project=graph,
-                    module=module_name_for(relpath),
-                    emit_unused=emit_unused,
-                    stats=stats,
-                ),
-            )
-        )
-    return results, stats
-
-
 # ----------------------------------------------------------------------
 # Project linting
 # ----------------------------------------------------------------------
-def _resolve_cache(
-    cache: Union[None, bool, str, Path, LintCache], root: Path
-) -> Optional[LintCache]:
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return LintCache(Path(root) / DEFAULT_CACHE_DIR)
-    if isinstance(cache, LintCache):
-        return cache
-    return LintCache(Path(cache))
-
-
-def _concurrency_fingerprint(
-    summaries: Sequence[ModuleSummary],
-) -> str:
-    """Fingerprint of the project's lock model.
-
-    The concurrency rules are *global*: a lock-order cycle can be
-    reported in a module that never imports its counterpart, so the
-    import-closure fingerprint that serves the dataflow rules is not
-    enough to invalidate their cached findings. This key digests every
-    module's lock-relevant structure — acquisition refs and nesting,
-    call refs with held locks, blocking ops, attribute writes, class
-    lock traits — *excluding line numbers*, so edits that merely shift
-    lines elsewhere keep the cache warm (the evidence lines a stale
-    finding cites may then lag by a line until the citing file itself
-    changes; the finding's own location cannot, since the reporting
-    file's content hash is part of the key).
-    """
-    parts: List[str] = []
-    for summary in sorted(summaries, key=lambda s: s.module):
-        for qualname in sorted(summary.functions):
-            info = summary.functions[qualname]
-            shape = (
-                summary.module,
-                qualname,
-                info.class_name or "",
-                info.returns,
-                sorted(
-                    f"{a.ref}<{','.join(a.under)}"
-                    for a in info.acquires
-                ),
-                sorted(
-                    f"{site.ref!r}^{','.join(site.held_locks)}"
-                    for site in info.calls
-                ),
-                sorted(
-                    f"{op.op}^{','.join(op.held)}"
-                    for op in info.blocking
-                ),
-                sorted(
-                    f"{w.attr}^{','.join(w.held)}"
-                    for w in info.attr_writes
-                ),
-            )
-            parts.append(repr(shape))
-        for class_name in sorted(summary.classes):
-            class_info = summary.classes[class_name]
-            parts.append(
-                repr(
-                    (
-                        summary.module,
-                        class_name,
-                        sorted(class_info.lock_attrs),
-                        class_info.spawns_threads,
-                        list(class_info.bases),
-                    )
-                )
-            )
-    return key_of(*parts)
-
-
-def _config_fingerprint(config: LintConfig) -> str:
-    return key_of(
-        repr(sorted(config.select)),
-        repr(sorted(config.ignore)),
-        repr(sorted(config.exclude)),
-        repr(
-            sorted(
-                (rule_id, tuple(patterns))
-                for rule_id, patterns in config.paths.items()
-            )
-        ),
-    )
-
-
-def _partition_round_robin(items: List, n: int) -> List[List]:
-    buckets: List[List] = [[] for _ in range(max(1, n))]
-    for index, item in enumerate(items):
-        buckets[index % len(buckets)].append(item)
-    return [bucket for bucket in buckets if bucket]
-
-
-def _make_lint_executor(backend: str, jobs: int):
-    from repro.cloud.executor import make_executor
-
-    if backend == "threads":
-        return make_executor("threads", max_workers=jobs)
-    if backend == "process":
-        return make_executor("process", workers=jobs)
-    return make_executor(backend)
-
-
 def lint_paths(
     paths: Sequence,
     config: Optional[LintConfig] = None,
     root: Optional[Path] = None,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    backend: str = "threads",
-    cache: Union[None, bool, str, Path, LintCache] = None,
 ) -> LintReport:
     """Lint files/directories; the CLI and tier-1 gate call this.
 
     ``config`` defaults to the ``[tool.adalint]`` table of the nearest
     pyproject.toml above the first path. ``select``/``ignore`` narrow
-    the rule set on top of the config. ``jobs > 1`` fans per-file
-    linting out over a ``repro.cloud`` executor backend; ``cache``
-    (True, a path, or a :class:`LintCache`) enables incremental reuse.
-    Findings are sorted, so every mode reports identically.
+    the rule set on top of the config. Findings are sorted.
     """
     path_objects = [Path(p) for p in paths]
     if root is None:
@@ -644,7 +445,6 @@ def lint_paths(
     )
     report.findings.extend(_config_id_findings(config, config_path))
 
-    store = _resolve_cache(cache, root)
     rule_classes = all_rules()
     ada012 = get_rule(_SUPPRESSION_RULE_ID)
 
@@ -672,15 +472,12 @@ def lint_paths(
             relpath = relative_posix(file_path, root)
             graph_files.setdefault(relpath, file_path)
 
-    # -- sources + hashes ----------------------------------------------
+    # -- sources -------------------------------------------------------
     sources: Dict[str, str] = {}
-    hashes: Dict[str, str] = {}
-    unreadable: Set[str] = set()
     for relpath, file_path in graph_files.items():
         try:
             sources[relpath] = file_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as error:
-            unreadable.add(relpath)
             if any(rel == relpath for _, rel in lint_files):
                 report.findings.append(
                     Finding(
@@ -691,156 +488,48 @@ def lint_paths(
                         message=f"unreadable file: {error}",
                     )
                 )
-            continue
-        hashes[relpath] = content_hash(sources[relpath])
 
-    # -- module summaries (cached) -------------------------------------
-    parsed: Set[str] = set()
+    # -- module summaries ----------------------------------------------
     trees: Dict[str, ast.AST] = {}
     summaries: List[ModuleSummary] = []
     for relpath in sorted(sources):
-        summary_key = key_of(
-            GRAPH_VERSION, relpath, hashes[relpath]
-        )
-        document = (
-            store.get_summary(summary_key) if store else None
-        )
-        if document is not None:
-            summaries.append(ModuleSummary.from_dict(document))
-            continue
-        parsed.add(relpath)
+        module = module_name_for(relpath)
         try:
             tree = ast.parse(sources[relpath])
         except SyntaxError:
-            summary = ModuleSummary(
-                module=module_name_for(relpath),
-                relpath=relpath,
-                parse_failed=True,
+            summaries.append(
+                ModuleSummary(module=module, relpath=relpath)
             )
-        else:
-            trees[relpath] = tree
-            summary = extract_summary(
-                tree, relpath, module_name_for(relpath)
-            )
-        summaries.append(summary)
-        if store:
-            store.put_summary(summary_key, summary.to_dict())
+            continue
+        trees[relpath] = tree
+        summaries.append(extract_summary(tree, relpath, module))
     graph = ProjectGraph(summaries)
-    module_hashes = {
-        summary.module: hashes.get(summary.relpath, "")
-        for summary in summaries
-    }
 
-    def closure_fingerprint(module: str) -> str:
-        closure = sorted(graph.import_closure(module))
-        return key_of(
-            *(
-                f"{name}={module_hashes.get(name, '')}"
-                for name in closure
-            )
-        )
-
-    # -- per-file findings (cached) ------------------------------------
-    config_fp = _config_fingerprint(config)
-    concurrency_fp = _concurrency_fingerprint(summaries)
-    results: Dict[str, List[Finding]] = {}
-    pending: List[Tuple[str, str, str, Tuple[str, ...], bool]] = []
-    finding_keys: Dict[str, str] = {}
+    # -- per-file findings ---------------------------------------------
     for file_path, relpath in lint_files:
-        if relpath in unreadable:
+        if relpath not in sources:
             continue
         report.files_checked += 1
-        applicable = tuple(
-            rule_class.rule_id
+        applicable = [
+            rule_class
             for rule_class in rule_classes
             if config.rule_applies(rule_class, relpath)
-        )
+        ]
         emit_unused = config.rule_applies(ada012, relpath)
         if not applicable and not emit_unused:
             continue
-        module = module_name_for(relpath)
-        finding_key = key_of(
-            RULESET_VERSION,
-            relpath,
-            str(file_path),
-            hashes[relpath],
-            closure_fingerprint(module),
-            concurrency_fp,
-            config_fp,
-            ",".join(applicable),
-            "unused" if emit_unused else "",
-        )
-        finding_keys[relpath] = finding_key
-        cached = store.get_findings(finding_key) if store else None
-        if cached is not None:
-            report.cache_hits += 1
-            results[relpath] = cached
-            continue
-        pending.append(
-            (
+        report.findings.extend(
+            _lint_file(
                 sources[relpath],
                 str(file_path),
                 relpath,
                 applicable,
-                emit_unused,
+                project=graph,
+                module=module_name_for(relpath),
+                emit_unused=emit_unused,
+                tree=trees.get(relpath),
+                stats=report.rule_stats,
             )
         )
-
-    # -- lint what the cache could not serve ---------------------------
-    if pending:
-        parsed.update(entry[2] for entry in pending)
-        if jobs > 1 and len(pending) > 1:
-            summary_docs = [
-                summary.to_dict() for summary in summaries
-            ]
-            batches = _partition_round_robin(
-                pending, min(jobs, len(pending))
-            )
-            executor = _make_lint_executor(backend, jobs)
-            outcome = executor.run(
-                [
-                    _batch_spec(batch, summary_docs)
-                    for batch in batches
-                ]
-            )
-            for value in outcome.results:
-                if not isinstance(value, tuple):  # TaskFailure
-                    raise value.error
-                batch_results, batch_stats = value
-                for relpath, findings in batch_results:
-                    results[relpath] = findings
-                _merge_rule_stats(report.rule_stats, batch_stats)
-        else:
-            for source, path, relpath, rule_ids, emit_unused in (
-                pending
-            ):
-                results[relpath] = _lint_file(
-                    source,
-                    path,
-                    relpath,
-                    [get_rule(rule_id) for rule_id in rule_ids],
-                    project=graph,
-                    module=module_name_for(relpath),
-                    emit_unused=emit_unused,
-                    tree=trees.get(relpath),
-                    stats=report.rule_stats,
-                )
-        if store:
-            fresh = {entry[2] for entry in pending}
-            for relpath in fresh:
-                store.put_findings(
-                    finding_keys[relpath], results.get(relpath, [])
-                )
-
-    for relpath in sorted(results):
-        report.findings.extend(results[relpath])
-    report.files_parsed = len(parsed)
     report.findings.sort(key=Finding.sort_key)
     return report
-
-
-def _batch_spec(batch, summary_docs):
-    """A picklable :class:`TaskSpec` for one lint batch."""
-    from repro.cloud.executor import TaskSpec
-
-    return TaskSpec(_lint_batch_task, (batch, summary_docs))

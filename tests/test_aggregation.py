@@ -125,6 +125,22 @@ def test_group_ignores_non_numeric_in_sum():
     assert result[0]["mean"] == pytest.approx(5.0)
 
 
+def test_group_keeps_bool_apart_from_numbers():
+    """Groups follow the store's equality: ``True`` != 1, 1 == 1.0."""
+    store = DocumentStore()
+    collection = store["c"]
+    collection.insert_many([{"v": True}, {"v": 1}, {"v": 1.0}])
+    result = collection.aggregate(
+        [{"$group": {"_id": "$v", "n": {"$count": True}}}]
+    )
+    counts = {
+        (type(row["_id"]) is bool, row["_id"]): row["n"] for row in result
+    }
+    assert counts == {(True, True): 1, (False, 1): 2}
+    assert collection.count_documents({"v": True}) == 1
+    assert collection.count_documents({"v": 1}) == 2
+
+
 def test_avg_of_empty_group_is_none():
     store = DocumentStore()
     collection = store["c"]

@@ -71,7 +71,7 @@ def test_unfitted_estimators_raise_not_fitted(call):
 
     The fit-state guards are real raises (visible under ``python -O``,
     catchable as :class:`~repro.exceptions.ReproError`) rather than
-    bare asserts — the invariant adalint rule ADA005 enforces.
+    bare asserts.
     """
     X = np.zeros((4, 3))
     with pytest.raises(exc.NotFittedError):

@@ -1,12 +1,13 @@
 """Tests for adalint, the AST-based invariant checker (repro.lint).
 
-Covers every shipped rule on bad/good fixture snippets, the
-suppression pragmas, ``[tool.adalint]`` config behaviour, the JSON
-report schema, the CLI exit codes, and — the tier-1 gate — that the
-repository's own ``src/`` tree is clean.
+Covers every registered rule on a bad fixture (and the bundled good
+ones), the suppression pragmas, ``[tool.adalint]`` config behaviour,
+the JSON report schema, the CLI exit codes, and — the tier-1 gate —
+that the repository's own ``src/`` tree is clean.
 """
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -24,21 +25,20 @@ from repro.lint import (
     path_matches,
 )
 from repro.lint.cli import main as lint_main
-from repro.lint.contracts import docstore_operators, manifest_schema
 from repro.lint.findings import finding_fingerprint
+from repro.lint.rules_concurrency import (
+    GuardedStateWrites,
+    LockOrderCycles,
+    MustReleaseResources,
+)
+from repro.lint.rules_dataflow import (
+    EffectFreeTasks,
+    NoLargeArrayPickle,
+    NoUnusedSuppressions,
+)
 from repro.lint.rules_determinism import NoUnseededRandomness, NoWallClock
-from repro.lint.rules_parallelism import NoMutableDefault, NoUnpicklableTask
-from repro.lint.rules_robustness import (
-    BroadExceptPolicy,
-    NoAdHocRetrySleep,
-    NoBareAssert,
-    PersistenceWritesThroughStorage,
-)
-from repro.lint.rules_schema import (
-    DocstoreOperatorSet,
-    ManifestSchemaKeys,
-    SchemaDrift,
-)
+from repro.lint.rules_parallelism import NoUnpicklableTask
+from repro.lint.rules_robustness import PersistenceWritesThroughStorage
 from repro.lint.runner import PARSE_ERROR_ID
 
 pytestmark = pytest.mark.lint
@@ -48,6 +48,25 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 def run_rule(rule_class, source):
     return lint_source(textwrap.dedent(source), rules=[rule_class])
+
+
+#: A file with one ADA003 finding (a lambda handed to TaskSpec) at 2:17;
+#: rules with no default scope run on it wherever it is linted.
+_BAD_FILE = (
+    "from repro.cloud.executor import TaskSpec\n"
+    "SPEC = TaskSpec(lambda: 1, ())\n"
+)
+
+#: One ADA003 and one ADA014 finding: a lambda task shipping an array.
+_TWO_RULES = """
+    import numpy as np
+
+    from repro.cloud.executor import TaskSpec
+
+    def build():
+        matrix = np.zeros((3, 3))
+        return TaskSpec(lambda m: m, (matrix,))
+    """
 
 
 # ----------------------------------------------------------------------
@@ -69,25 +88,24 @@ def test_repo_is_clean():
 # ----------------------------------------------------------------------
 # Rule registry
 # ----------------------------------------------------------------------
-def test_registry_ships_the_twenty_rules():
+def test_registry_ships_the_ten_rules():
     ids = [rule.rule_id for rule in all_rules()]
     assert ids == [
-        "ADA001", "ADA002", "ADA003", "ADA004", "ADA005",
-        "ADA006", "ADA007", "ADA008", "ADA009", "ADA010",
-        "ADA011", "ADA012", "ADA013", "ADA014", "ADA015",
-        "ADA016", "ADA017", "ADA018", "ADA021", "ADA023",
+        "ADA001", "ADA002", "ADA003", "ADA009", "ADA012",
+        "ADA014", "ADA015", "ADA016", "ADA017", "ADA023",
     ]
     assert all(r.severity in ("error", "warning") for r in all_rules())
 
 
 def test_get_rule_round_trips():
-    assert get_rule("ADA004") is NoMutableDefault
+    assert get_rule("ADA003") is NoUnpicklableTask
     with pytest.raises(KeyError):
         get_rule("ADA999")
 
 
 # ----------------------------------------------------------------------
-# Per-rule fixtures: each rule fires on bad code, stays silent on good
+# Per-rule fixtures: every registered rule fires on bad code; the
+# bundled good fixtures stay silent
 # ----------------------------------------------------------------------
 _BAD = {
     NoUnseededRandomness: """
@@ -110,41 +128,6 @@ _BAD = {
             with ProcessPoolExecutor() as pool:
                 return [pool.submit(lambda x: x + 1, i) for i in items]
         """,
-    NoMutableDefault: """
-        def collect(item, bucket=[]):
-            bucket.append(item)
-            return bucket
-        """,
-    NoBareAssert: """
-        def check(x):
-            assert x > 0
-            return x
-        """,
-    BroadExceptPolicy: """
-        def run(work):
-            try:
-                work()
-            except Exception:
-                pass
-        """,
-    DocstoreOperatorSet: """
-        QUERY = {"note": {"$regex": "^rare"}}
-        """,
-    ManifestSchemaKeys: """
-        def read_manifest(manifest):
-            return manifest["goal_list"]
-        """,
-    NoAdHocRetrySleep: """
-        import time
-
-        def fetch(client):
-            for attempt in range(5):
-                try:
-                    return client.get()
-                except ConnectionError:
-                    time.sleep(2 ** attempt)
-            raise TimeoutError("gave up")
-        """,
     PersistenceWritesThroughStorage: """
         import os
         from pathlib import Path
@@ -154,6 +137,85 @@ _BAD = {
                 handle.write(content)
             os.replace(tmp, path)
             Path(path).with_suffix(".bak").write_text(content)
+        """,
+    EffectFreeTasks: """
+        import time
+
+        from repro.cloud.executor import TaskSpec
+
+        def task(x):
+            return time.time() + x
+
+        def build():
+            return TaskSpec(task, (1,))
+        """,
+    NoUnusedSuppressions: """
+        VALUE = 1  # adalint: disable=ADA999
+        """,
+    NoLargeArrayPickle: """
+        import numpy as np
+
+        from repro.cloud.executor import TaskSpec
+
+        def work(ref, k):
+            return ref
+
+        def sweep(k_values):
+            matrix = np.asarray([[1.0, 2.0]])
+            return [TaskSpec(work, (matrix, k)) for k in k_values]
+        """,
+    LockOrderCycles: """
+        import threading
+
+
+        class A:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def ping(self, other: "B"):
+                with self._lock:
+                    other.poke()
+
+            def poke(self):
+                with self._lock:
+                    return 1
+
+
+        class B:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def ping(self, other: A):
+                with self._lock:
+                    other.poke()
+
+            def poke(self):
+                with self._lock:
+                    return 2
+        """,
+    GuardedStateWrites: """
+        import threading
+
+
+        class Counter:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.count = 0
+
+            def bump(self):
+                with self._lock:
+                    self.count += 1
+
+            def reset(self):
+                self.count = 0
+        """,
+    MustReleaseResources: """
+        from multiprocessing import shared_memory
+
+        def attach(name):
+            segment = shared_memory.SharedMemory(name=name)
+            size = segment.size
+            return size
         """,
 }
 
@@ -181,48 +243,6 @@ _GOOD = {
             with ProcessPoolExecutor() as pool:
                 return [pool.submit(work, i) for i in items]
         """,
-    NoMutableDefault: """
-        def collect(item, bucket=None):
-            bucket = [] if bucket is None else bucket
-            bucket.append(item)
-            return bucket
-        """,
-    NoBareAssert: """
-        def check(x):
-            if x <= 0:
-                raise ValueError("x must be positive")
-            return x
-        """,
-    BroadExceptPolicy: """
-        def run(work, log):
-            try:
-                work()
-            except Exception as exc:
-                log.warning("work failed: %s", exc)
-        """,
-    DocstoreOperatorSet: """
-        UPDATE = {"$set": {"degree": "high"}}
-        PIPELINE = [
-            {"$group": {"_id": "$kind", "n": {"$count": True},
-                        "mean": {"$avg": "$score"},
-                        "top": {"$max": "$score"}}},
-            {"$sort": {"n": -1}},
-        ]
-        """,
-    ManifestSchemaKeys: """
-        def read_manifest(manifest):
-            return manifest["goals"], manifest["wall_s"]
-        """,
-    NoAdHocRetrySleep: """
-        import time
-
-        from repro.cloud.resilience import RetryPolicy
-
-        def fetch(client):
-            outcome = RetryPolicy(max_attempts=5).execute(client.get)
-            time.sleep(0.1)  # a one-off settle delay, not a loop
-            return outcome
-        """,
     PersistenceWritesThroughStorage: """
         import json
 
@@ -238,9 +258,12 @@ _GOOD = {
 
 
 @pytest.mark.parametrize(
-    "rule_class", list(_BAD), ids=lambda r: r.rule_id
+    "rule_class", all_rules(), ids=lambda r: r.rule_id
 )
 def test_rule_fires_on_bad_snippet(rule_class):
+    """The registry test: every registered rule has a bad fixture here
+    and fires on it, so a rule cannot be added without one."""
+    assert rule_class in _BAD, f"{rule_class.rule_id} has no bad fixture"
     findings = run_rule(rule_class, _BAD[rule_class])
     assert findings, f"{rule_class.rule_id} missed its bad snippet"
     assert all(f.rule_id == rule_class.rule_id for f in findings)
@@ -253,6 +276,21 @@ def test_rule_fires_on_bad_snippet(rule_class):
 def test_rule_silent_on_good_snippet(rule_class):
     findings = run_rule(rule_class, _GOOD[rule_class])
     assert findings == [], "\n".join(f.format() for f in findings)
+
+
+#: Ids the suppression tests use precisely because no rule has them.
+_UNREGISTERED_IDS = {"ADA042", "ADA999"}
+
+
+def test_fixtures_name_only_registered_rules():
+    """No lint test names a rule the registry no longer ships."""
+    named = set()
+    for module in Path(__file__).parent.glob("test_lint*.py"):
+        named |= set(
+            re.findall(r"\bADA\d{3}\b", module.read_text(encoding="utf-8"))
+        )
+    known = {rule.rule_id for rule in all_rules()} | {PARSE_ERROR_ID}
+    assert named - known == _UNREGISTERED_IDS
 
 
 # ----------------------------------------------------------------------
@@ -343,81 +381,6 @@ def test_ada003_flags_nested_def_handed_to_taskspec():
     assert "helper" in findings[0].message
 
 
-def test_ada004_flags_lambda_and_call_defaults():
-    findings = run_rule(
-        NoMutableDefault,
-        """
-        pick = lambda xs, seen=set(): [x for x in xs if x not in seen]
-
-        def merge(a, b=dict()):
-            return {**a, **b}
-        """,
-    )
-    assert len(findings) == 2
-
-
-def test_ada006_reraise_and_justification_pass():
-    findings = run_rule(
-        BroadExceptPolicy,
-        """
-        def strict(work):
-            try:
-                work()
-            except Exception:
-                raise
-
-        def lenient(work):
-            try:
-                work()
-            except Exception:  # probing an optional backend
-                return None
-        """,
-    )
-    assert findings == []
-
-
-def test_ada006_bare_except_always_flagged():
-    findings = run_rule(
-        BroadExceptPolicy,
-        """
-        def run(work):
-            try:
-                work()
-            except:  # even a comment does not excuse a bare except
-                raise
-        """,
-    )
-    assert len(findings) == 1
-
-
-def test_ada008_schema_stamped_literal_checked():
-    findings = run_rule(
-        ManifestSchemaKeys,
-        """
-        MANIFEST_SCHEMA = "ada-health/run-manifest/v1"
-
-        def build():
-            return {"schema": MANIFEST_SCHEMA, "goal_list": []}
-        """,
-    )
-    assert len(findings) == 1
-    assert "goal_list" in findings[0].message
-
-
-def test_ada008_goal_loop_fields():
-    findings = run_rule(
-        ManifestSchemaKeys,
-        """
-        def summarize_manifest(manifest):
-            names = []
-            for goal in manifest["goals"]:
-                names.append(goal["algorithm_names"])
-            return names
-        """,
-    )
-    assert len(findings) == 1
-
-
 def test_ada023_storage_module_is_exempt():
     source = textwrap.dedent(
         """
@@ -479,61 +442,33 @@ def test_ada023_dynamic_mode_and_reads():
 
 
 # ----------------------------------------------------------------------
-# Contract extraction mirrors the real modules
-# ----------------------------------------------------------------------
-def test_docstore_operator_contract_matches_module():
-    operators = docstore_operators()
-    assert operators == {"$set", "$group", "$sort", "$count", "$avg", "$max"}
-
-
-def test_docstore_operator_fallback_matches_the_derived_set():
-    """The baked-in fallback cannot drift from the store's source."""
-    from repro.lint.contracts import (
-        _DOCSTORE_FALLBACK,
-        _DOCSTORE_MODULES,
-        _module_tree,
-    )
-
-    # derived, not the fallback itself: every module's source is found
-    assert all(_module_tree(module) for module in _DOCSTORE_MODULES)
-    assert docstore_operators() == _DOCSTORE_FALLBACK
-
-
-
-def test_manifest_contract_matches_module():
-    from repro.obs.manifest import MANIFEST_FIELDS, MANIFEST_SCHEMA
-
-    schema = manifest_schema()
-    assert schema.schema_tag == MANIFEST_SCHEMA
-    assert set(MANIFEST_FIELDS) <= schema.top_fields
-    assert {"name", "status", "algorithms"} <= schema.goal_fields
-
-
-# ----------------------------------------------------------------------
 # Suppression pragmas
 # ----------------------------------------------------------------------
 def test_line_pragma_suppresses_only_that_line():
     findings = run_rule(
-        NoBareAssert,
+        NoUnseededRandomness,
         """
-        def check(x, y):
-            assert x > 0  # adalint: disable=ADA005
-            assert y > 0
-            return x + y
+        import numpy as np
+
+        def draw():
+            a = np.random.default_rng()  # adalint: disable=ADA001
+            b = np.random.default_rng()
+            return a, b
         """,
     )
     assert len(findings) == 1
-    assert findings[0].line == 4
+    assert findings[0].line == 6
 
 
 def test_file_pragma_suppresses_whole_file():
     findings = run_rule(
-        NoBareAssert,
+        NoUnseededRandomness,
         """
-        # adalint: disable-file=ADA005
-        def check(x, y):
-            assert x > 0
-            assert y > 0
+        # adalint: disable-file=ADA001
+        import numpy as np
+
+        def draw():
+            return np.random.default_rng(), np.random.default_rng()
         """,
     )
     assert findings == []
@@ -543,23 +478,27 @@ def test_all_wildcard_suppresses_every_rule():
     findings = lint_source(
         textwrap.dedent(
             """
-            def check(x, bucket=[]):
-                assert x > 0  # adalint: disable=all
-                return bucket
+            import numpy as np
+
+            from repro.cloud.executor import TaskSpec
+
+            def build():
+                rng = np.random.default_rng()  # adalint: disable=all
+                return TaskSpec(lambda: rng, ())
             """
         ),
-        rules=[NoBareAssert, NoMutableDefault],
+        rules=[NoUnseededRandomness, NoUnpicklableTask],
     )
-    assert [f.rule_id for f in findings] == ["ADA004"]
+    assert [f.rule_id for f in findings] == ["ADA003"]
 
 
 def test_pragma_with_unrelated_rule_does_not_suppress():
     findings = run_rule(
-        NoBareAssert,
+        NoUnseededRandomness,
         """
-        def check(x):
-            assert x > 0  # adalint: disable=ADA001
-            return x
+        import numpy as np
+
+        rng = np.random.default_rng()  # adalint: disable=ADA002
         """,
     )
     assert len(findings) == 1
@@ -587,38 +526,34 @@ def test_default_paths_scope_determinism_rules():
 
 
 def test_config_paths_override_rule_scope():
-    config = LintConfig(paths={"ADA005": ["src/repro/kdb"]})
+    config = LintConfig(paths={"ADA023": ["src/repro/core"]})
     source = textwrap.dedent(
         """
-        def check(x):
-            assert x > 0
+        def save(path, text):
+            with open(path, "w") as handle:
+                handle.write(text)
         """
     )
     hit = lint_source(
-        source, relpath="src/repro/kdb/kdb.py", config=config
+        source, relpath="src/repro/core/cache.py", config=config
     )
     miss = lint_source(
-        source, relpath="src/repro/mining/kmeans.py", config=config
+        source, relpath="src/repro/kdb/kdb.py", config=config
     )
-    assert "ADA005" in [f.rule_id for f in hit]
-    assert "ADA005" not in [f.rule_id for f in miss]
+    assert "ADA023" in [f.rule_id for f in hit]
+    assert "ADA023" not in [f.rule_id for f in miss]
 
 
 def test_config_select_and_ignore():
-    source = textwrap.dedent(
-        """
-        def check(x, bucket=[]):
-            assert x > 0
-        """
+    source = textwrap.dedent(_TWO_RULES)
+    only_003 = lint_source(
+        source, config=LintConfig(select=["ADA003"])
     )
-    only_004 = lint_source(
-        source, config=LintConfig(select=["ADA004"])
+    without_003 = lint_source(
+        source, config=LintConfig(ignore=["ADA003"])
     )
-    without_004 = lint_source(
-        source, config=LintConfig(ignore=["ADA004"])
-    )
-    assert [f.rule_id for f in only_004] == ["ADA004"]
-    assert "ADA004" not in [f.rule_id for f in without_004]
+    assert [f.rule_id for f in only_003] == ["ADA003"]
+    assert [f.rule_id for f in without_003] == ["ADA014"]
 
 
 def test_path_matches_globs_and_prefixes():
@@ -633,19 +568,19 @@ def test_load_config_reads_tool_adalint(tmp_path):
         textwrap.dedent(
             """
             [tool.adalint]
-            ignore = ["ADA004"]
+            ignore = ["ADA014"]
             exclude = ["src/vendored"]
 
             [tool.adalint.paths]
-            ADA005 = ["src/repro/kdb"]
+            ADA023 = ["src/repro/kdb"]
             """
         ),
         encoding="utf-8",
     )
     config = load_config(pyproject)
-    assert config.ignore == ["ADA004"]
+    assert config.ignore == ["ADA014"]
     assert config.file_excluded("src/vendored/thing.py")
-    assert config.paths["ADA005"] == ["src/repro/kdb"]
+    assert config.paths["ADA023"] == ["src/repro/kdb"]
 
 
 def test_repo_pyproject_scopes_determinism_rules():
@@ -660,7 +595,7 @@ def test_repo_pyproject_scopes_determinism_rules():
 _TOML_CASES = {
     "inline-comment": 'select = ["ADA001"]  # trailing words\n',
     "hash-inside-string": 'exclude = ["src/#gen", "x # y"]\n',
-    "single-quoted-strings": "ignore = ['ADA004', 'ADA005']\n",
+    "single-quoted-strings": "ignore = ['ADA014', 'ADA023']\n",
     "trailing-comma": 'select = [\n    "ADA001",\n    "ADA002",\n]\n',
     "comments-in-multiline-array": (
         "select = [\n"
@@ -675,7 +610,7 @@ _TOML_CASES = {
         "[tool.adalint]\n"
         'select = ["ADA001"]\n'
         "[tool.adalint.paths]\n"
-        'ADA005 = ["src"]\n'
+        'ADA023 = ["src"]\n'
     ),
 }
 
@@ -704,17 +639,17 @@ def test_toml_fallback_parses_repo_pyproject_like_tomllib():
 # ----------------------------------------------------------------------
 def test_finding_format_is_path_line_col():
     finding = Finding(
-        path="src/x.py", line=3, col=7, rule_id="ADA005",
-        message="no bare assert",
+        path="src/x.py", line=3, col=7, rule_id="ADA023",
+        message="raw write",
     )
     assert finding.format() == (
-        "src/x.py:3:7: ADA005 [error] no bare assert"
+        "src/x.py:3:7: ADA023 [error] raw write"
     )
 
 
 def test_json_document_schema_is_stable(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("def f(x, b=[]):\n    assert x\n", encoding="utf-8")
+    bad.write_text(_BAD_FILE, encoding="utf-8")
     report = lint_paths([bad], config=LintConfig(), root=tmp_path)
     document = report.to_document()
     assert document["schema"] == FINDINGS_SCHEMA == "adalint/findings/v1"
@@ -749,16 +684,16 @@ def test_cli_clean_tree_exits_zero(tmp_path, capsys):
 
 def test_cli_findings_exit_one_and_print_location(tmp_path, capsys):
     bad = tmp_path / "bad.py"
-    bad.write_text("def f(x):\n    assert x\n", encoding="utf-8")
+    bad.write_text(_BAD_FILE, encoding="utf-8")
     assert lint_main([str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "bad.py:2:5: ADA005" in out
+    assert "bad.py:2:17: ADA003" in out
 
 
 def test_cli_json_output_parses(tmp_path, capsys):
     bad = tmp_path / "bad.py"
-    bad.write_text("def f(x):\n    assert x\n", encoding="utf-8")
-    assert lint_main(["--json", str(bad)]) == 1
+    bad.write_text(_BAD_FILE, encoding="utf-8")
+    assert lint_main(["--format", "json", str(bad)]) == 1
     document = json.loads(capsys.readouterr().out)
     assert document["schema"] == FINDINGS_SCHEMA
     assert document["counts"]["error"] == 1
@@ -771,9 +706,9 @@ def test_cli_missing_path_exits_two(tmp_path, capsys):
 
 def test_cli_select_and_ignore(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("def f(x, b=[]):\n    assert x\n", encoding="utf-8")
+    bad.write_text(_BAD_FILE, encoding="utf-8")
     assert lint_main(["--select", "ADA001", str(bad)]) == 0
-    assert lint_main(["--ignore", "ADA004,ADA005", str(bad)]) == 0
+    assert lint_main(["--ignore", "ADA003,ADA014", str(bad)]) == 0
 
 
 def test_cli_list_rules(capsys):
@@ -787,8 +722,8 @@ def test_repro_cli_lint_subcommand(tmp_path, capsys):
     from repro.cli import main as repro_main
 
     bad = tmp_path / "bad.py"
-    bad.write_text("def f(x):\n    assert x\n", encoding="utf-8")
-    assert repro_main(["lint", "--json", str(bad)]) == 1
+    bad.write_text(_BAD_FILE, encoding="utf-8")
+    assert repro_main(["lint", "--format", "json", str(bad)]) == 1
     document = json.loads(capsys.readouterr().out)
     assert document["counts"]["error"] == 1
 
@@ -816,107 +751,29 @@ def test_custom_rule_subclass_runs_through_lint_source():
 
 
 # ----------------------------------------------------------------------
-# ADA021 — schema drift against the contract registry
-# ----------------------------------------------------------------------
-def test_ada021_reports_unknown_field_in_tagged_literal():
-    findings = run_rule(
-        SchemaDrift,
-        """
-        DOCUMENT = {
-            "schema": "adalint/findings/v1",
-            "files_checked": 1,
-            "counts": {},
-            "findings": [],
-            "rule_stats": {},
-            "emitted_at": "2026-08-08",
-        }
-        """,
-    )
-    assert [f.rule_id for f in findings] == ["ADA021"]
-    assert "'emitted_at'" in findings[0].message
-
-
-def test_ada021_accepts_contract_conforming_literal():
-    findings = run_rule(
-        SchemaDrift,
-        """
-        DOCUMENT = {
-            "schema": "adalint/findings/v1",
-            "files_checked": 1,
-            "counts": {},
-            "findings": [],
-            "rule_stats": {},
-        }
-        """,
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
 # SARIF fingerprints and per-rule profiling
 # ----------------------------------------------------------------------
 def test_fingerprint_ignores_line_number_and_message():
     at_three = Finding(
-        path="src/a.py", line=3, col=5, rule_id="ADA005",
-        message="no bare assert (line 3)",
+        path="src/a.py", line=3, col=5, rule_id="ADA001",
+        message="unseeded default_rng() (line 3)",
     )
     at_nine = Finding(
-        path="src/a.py", line=9, col=5, rule_id="ADA005",
-        message="no bare assert (line 9)",
+        path="src/a.py", line=9, col=5, rule_id="ADA001",
+        message="unseeded default_rng() (line 9)",
     )
     assert finding_fingerprint(
-        at_three, "    assert x"
-    ) == finding_fingerprint(at_nine, "  assert x  ")
+        at_three, "    rng = default_rng()"
+    ) == finding_fingerprint(at_nine, "  rng = default_rng()  ")
 
 
 def test_rule_stats_profile_wall_time_and_findings(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text(
-        "def f(x, b=[]):\n    assert x\n", encoding="utf-8"
-    )
+    bad.write_text(textwrap.dedent(_TWO_RULES), encoding="utf-8")
     report = lint_paths([bad], config=LintConfig(), root=tmp_path)
-    assert report.rule_stats["ADA005"]["findings"] == 1
-    assert report.rule_stats["ADA004"]["findings"] == 1
+    assert report.rule_stats["ADA003"]["findings"] == 1
+    assert report.rule_stats["ADA014"]["findings"] == 1
     for stats in report.rule_stats.values():
         assert stats["wall_s"] >= 0.0
     formatted = report.format_stats()
-    assert "ADA005" in formatted and "ms" in formatted
-
-
-def test_rule_stats_match_across_backends(tmp_path):
-    for index in range(3):
-        (tmp_path / f"bad{index}.py").write_text(
-            "def f(x):\n    assert x\n", encoding="utf-8"
-        )
-    serial = lint_paths(
-        [tmp_path], config=LintConfig(), root=tmp_path
-    )
-    threaded = lint_paths(
-        [tmp_path], config=LintConfig(), root=tmp_path,
-        jobs=2, backend="threads",
-    )
-    assert serial.findings == threaded.findings
-    assert {
-        rule_id: stats["findings"]
-        for rule_id, stats in serial.rule_stats.items()
-        if stats["findings"]
-    } == {
-        rule_id: stats["findings"]
-        for rule_id, stats in threaded.rule_stats.items()
-        if stats["findings"]
-    }
-
-
-def test_default_excludes_skip_the_lint_cache_dir(tmp_path):
-    src = tmp_path / "src"
-    src.mkdir()
-    (src / "ok.py").write_text("VALUE = 1\n", encoding="utf-8")
-    cache_dir = tmp_path / ".adalint-cache"
-    cache_dir.mkdir()
-    (cache_dir / "junk.py").write_text(
-        "def f(x):\n    assert x\n", encoding="utf-8"
-    )
-    report = lint_paths(
-        [tmp_path], config=LintConfig(), root=tmp_path
-    )
-    assert report.findings == []
+    assert "ADA003" in formatted and "ms" in formatted

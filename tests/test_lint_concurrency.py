@@ -1,11 +1,10 @@
-"""Tests for the concurrency & resource-lifecycle rules ADA015–ADA018.
+"""Tests for the concurrency & resource-lifecycle rules ADA015–ADA017.
 
 Each rule gets bad fixtures proving it fires — including the seeded
 two-class A→B / B→A lock inversion that ADA015 exists to catch, with
 the full call chain in the message — and good fixtures proving the
 under-approximation stays quiet on correct code (consistent global
-order, guarded writes, with/try-finally custody, blocking calls moved
-outside the critical section).
+order, guarded writes, with/try-finally custody).
 """
 
 import textwrap
@@ -17,7 +16,6 @@ from repro.lint.rules_concurrency import (
     GuardedStateWrites,
     LockOrderCycles,
     MustReleaseResources,
-    NoBlockingUnderLock,
 )
 
 pytestmark = pytest.mark.lint
@@ -419,107 +417,3 @@ def test_ada017_flags_executor_without_shutdown():
     )
     assert len(findings) == 1
     assert "shutdown" in findings[0].message
-
-
-# ----------------------------------------------------------------------
-# ADA018 — no blocking operations while holding a lock
-# ----------------------------------------------------------------------
-def test_ada018_flags_sleep_under_lock():
-    findings = run_rule(
-        NoBlockingUnderLock,
-        """
-        import threading
-        import time
-
-
-        class Poller:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def poll(self):
-                with self._lock:
-                    time.sleep(0.1)
-        """,
-    )
-    assert len(findings) == 1
-    assert findings[0].rule_id == "ADA018"
-    assert "time.sleep" in findings[0].message
-    assert "_lock" in findings[0].message
-
-
-def test_ada018_transitive_blocking_reported_at_the_call_site():
-    findings = run_rule(
-        NoBlockingUnderLock,
-        """
-        import threading
-        import time
-
-        LOCK = threading.Lock()
-
-
-        def settle():
-            time.sleep(0.5)
-
-
-        def update():
-            with LOCK:
-                settle()
-        """,
-    )
-    assert len(findings) == 1
-    message = findings[0].message
-    assert "update" in message
-    assert "settle" in message
-    assert "time.sleep" in message  # originating evidence is cited
-
-
-def test_ada018_helper_expected_to_hold_the_lock_reports_once():
-    # The private helper is always entered with the lock held: the
-    # blocking op is reported inside the helper (where the fix lives),
-    # not duplicated at every call site.
-    findings = run_rule(
-        NoBlockingUnderLock,
-        """
-        import threading
-        import os
-
-
-        class Journal:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.fd = 0
-
-            def append(self, record):
-                with self._lock:
-                    self._flush()
-
-            def _flush(self):
-                os.fsync(self.fd)
-        """,
-    )
-    assert len(findings) == 1
-    assert "Journal._flush" in findings[0].message
-    assert "os.fsync" in findings[0].message
-
-
-def test_ada018_quiet_when_blocking_moved_outside_the_lock():
-    findings = run_rule(
-        NoBlockingUnderLock,
-        """
-        import threading
-        import time
-
-
-        class Poller:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.due = False
-
-            def poll(self):
-                with self._lock:
-                    due = self.due
-                if due:
-                    time.sleep(0.1)
-        """,
-    )
-    assert findings == []

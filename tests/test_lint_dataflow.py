@@ -1,10 +1,9 @@
-"""Tests for the inter-procedural rules ADA009–ADA012 and ADA014.
+"""Tests for the dataflow rules ADA009, ADA012 and ADA014.
 
-Each rule gets bad fixtures proving it fires (with the offence
-arbitrarily deep below the reported site) and good fixtures proving it
-stays quiet — including the PR-2 tracer cache-key hazard that ADA010
-exists to catch. The ADA012 half covers suppression hygiene: unused
-pragmas, unknown rule ids in pragmas and in ``[tool.adalint]``.
+Each rule gets bad fixtures proving it fires (for ADA009 with the
+offence arbitrarily deep below the reported site) and good fixtures
+proving it stays quiet. The ADA012 half covers suppression hygiene:
+unused pragmas, unknown rule ids in pragmas and in ``[tool.adalint]``.
 """
 
 import textwrap
@@ -13,13 +12,11 @@ import pytest
 
 from repro.lint import LintConfig, lint_paths, lint_source
 from repro.lint.rules_dataflow import (
-    CacheKeyCoverage,
     EffectFreeTasks,
-    ExceptionTaxonomy,
     NoLargeArrayPickle,
     NoUnusedSuppressions,
 )
-from repro.lint.rules_robustness import NoBareAssert
+from repro.lint.rules_determinism import NoUnseededRandomness
 
 pytestmark = pytest.mark.lint
 
@@ -122,197 +119,6 @@ def test_ada009_quiet_on_pure_task_and_mutation_of_locals():
 
         def build(values):
             return TaskSpec(task, (values,))
-        """,
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# ADA010 — cache keys must cover every config field goal paths read
-# ----------------------------------------------------------------------
-# The PR-2 hazard: `tracer` was excluded from the cache key (fine,
-# telemetry) and the fix accidentally modelled excluding a *semantic*
-# field too. Two configs differing only in min_support would then share
-# one cache entry.
-_TRACER_HAZARD = """
-    class Engine:
-        def __init__(self, config):
-            self.config = config
-
-        def _goal_params(self, goal):
-            excluded = {"min_support", "tracer"}
-            return {
-                key: value
-                for key, value in vars(self.config).items()
-                if key not in excluded
-            }
-
-        def _run_goal(self, goal):
-            cfg = self.config
-            return goal, cfg.min_support
-"""
-
-
-def test_ada010_catches_the_tracer_cache_key_hazard():
-    findings = run_rule(CacheKeyCoverage, _TRACER_HAZARD)
-    assert len(findings) == 1
-    assert findings[0].rule_id == "ADA010"
-    assert "min_support" in findings[0].message
-    assert "cache key" in findings[0].message
-
-
-def test_ada010_sees_reads_deep_in_the_goal_path():
-    findings = run_rule(
-        CacheKeyCoverage,
-        """
-        class Engine:
-            def __init__(self, config):
-                self.config = config
-
-            def _goal_params(self, goal):
-                excluded = {"n_folds", "tracer"}
-                return {
-                    key: value
-                    for key, value in vars(self.config).items()
-                    if key not in excluded
-                }
-
-            def _run_goal(self, goal):
-                return self._score(goal)
-
-            def _score(self, goal):
-                return goal, self.config.n_folds
-        """,
-    )
-    assert len(findings) == 1
-    assert "n_folds" in findings[0].message
-
-
-def test_ada010_allowlists_telemetry_fields():
-    findings = run_rule(
-        CacheKeyCoverage,
-        """
-        class Engine:
-            def __init__(self, config):
-                self.config = config
-
-            def _goal_params(self, goal):
-                excluded = {"tracer", "metrics"}
-                return {
-                    key: value
-                    for key, value in vars(self.config).items()
-                    if key not in excluded
-                }
-
-            def _run_goal(self, goal):
-                if self.config.tracer is not None:
-                    self.config.metrics.count("goal")
-                return goal
-        """,
-    )
-    assert findings == []
-
-
-def test_ada010_quiet_when_read_field_is_in_the_key():
-    findings = run_rule(
-        CacheKeyCoverage,
-        """
-        class Engine:
-            def __init__(self, config):
-                self.config = config
-
-            def _goal_params(self, goal):
-                excluded = {"tracer"}
-                return {
-                    key: value
-                    for key, value in vars(self.config).items()
-                    if key not in excluded
-                }
-
-            def _run_goal(self, goal):
-                return goal, self.config.min_support
-        """,
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# ADA011 — public APIs raise the documented taxonomy only
-# ----------------------------------------------------------------------
-def test_ada011_flags_raw_exception_in_public_function():
-    findings = run_rule(
-        ExceptionTaxonomy,
-        """
-        def mine(records):
-            if not records:
-                raise Exception("no records")
-            return records
-        """,
-    )
-    assert len(findings) == 1
-    assert findings[0].rule_id == "ADA011"
-    assert "Exception" in findings[0].message
-
-
-def test_ada011_follows_calls_into_private_helpers():
-    findings = run_rule(
-        ExceptionTaxonomy,
-        """
-        def mine(records):
-            return _validated(records)
-
-        def _validated(records):
-            if not records:
-                raise Exception("no records")
-            return records
-        """,
-    )
-    assert len(findings) == 1
-    assert "_validated" in findings[0].message
-
-
-def test_ada011_unreached_private_helpers_are_not_public_surface():
-    findings = run_rule(
-        ExceptionTaxonomy,
-        """
-        def mine(records):
-            return list(records)
-
-        def _debug_probe():
-            raise Exception("never part of the public surface")
-        """,
-    )
-    assert findings == []
-
-
-def test_ada011_accepts_taxonomy_builtins_and_subclasses():
-    findings = run_rule(
-        ExceptionTaxonomy,
-        """
-        from repro.exceptions import MiningError
-
-        class ClusterError(MiningError):
-            pass
-
-        def mine(records):
-            if not records:
-                raise MiningError("no records")
-            if records == "bad":
-                raise ValueError("records must be a list")
-            raise ClusterError("cannot cluster")
-        """,
-    )
-    assert findings == []
-
-
-def test_ada011_accepts_module_qualified_taxonomy_raises():
-    findings = run_rule(
-        ExceptionTaxonomy,
-        """
-        from repro import exceptions
-
-        def mine(records):
-            raise exceptions.MiningError("no records")
         """,
     )
     assert findings == []
@@ -462,12 +268,12 @@ def test_ada012_flags_a_pragma_that_suppresses_nothing():
     findings = lint_source(
         textwrap.dedent(
             """
-            def check(x):
-                value = x + 1  # adalint: disable=ADA005
+            def draw(rng):
+                value = rng.random()  # adalint: disable=ADA001
                 return value
             """
         ),
-        rules=[NoBareAssert, NoUnusedSuppressions],
+        rules=[NoUnseededRandomness, NoUnusedSuppressions],
     )
     assert [f.rule_id for f in findings] == ["ADA012"]
     assert findings[0].severity == "warning"
@@ -479,12 +285,12 @@ def test_ada012_quiet_when_the_pragma_earns_its_keep():
     findings = lint_source(
         textwrap.dedent(
             """
-            def check(x):
-                assert x  # adalint: disable=ADA005
-                return x
+            import numpy as np
+
+            rng = np.random.default_rng()  # adalint: disable=ADA001
             """
         ),
-        rules=[NoBareAssert, NoUnusedSuppressions],
+        rules=[NoUnseededRandomness, NoUnusedSuppressions],
     )
     assert findings == []
 
@@ -493,31 +299,31 @@ def test_ada012_flags_unused_file_level_pragma():
     findings = lint_source(
         textwrap.dedent(
             """
-            # adalint: disable-file=ADA005
-            def check(x):
-                return x
+            # adalint: disable-file=ADA001
+            def draw(rng):
+                return rng.random()
             """
         ),
-        rules=[NoBareAssert, NoUnusedSuppressions],
+        rules=[NoUnseededRandomness, NoUnusedSuppressions],
     )
     assert [f.rule_id for f in findings] == ["ADA012"]
     assert "this file" in findings[0].message
 
 
 def test_ada012_dormant_pragma_for_rule_that_did_not_run():
-    # ADA001 is not in the run's rule set: the pragma is dormant, not
-    # dead, so only the bare assert is reported.
+    # ADA002 is not in the run's rule set: the pragma is dormant, not
+    # dead, so only the unseeded generator is reported.
     findings = lint_source(
         textwrap.dedent(
             """
-            def check(x):
-                assert x  # adalint: disable=ADA001
-                return x
+            import numpy as np
+
+            rng = np.random.default_rng()  # adalint: disable=ADA002
             """
         ),
-        rules=[NoBareAssert, NoUnusedSuppressions],
+        rules=[NoUnseededRandomness, NoUnusedSuppressions],
     )
-    assert [f.rule_id for f in findings] == ["ADA005"]
+    assert [f.rule_id for f in findings] == ["ADA001"]
 
 
 def test_ada012_flags_unknown_rule_id_in_pragma():
@@ -540,7 +346,7 @@ def test_ada012_flags_unknown_rule_ids_in_config(tmp_path):
     report = lint_paths(
         [clean],
         config=LintConfig(
-            select=["ADA005", "ADA042"],
+            select=["ADA001", "ADA042"],
             paths={"ADA01": ["src"]},
         ),
         root=tmp_path,
@@ -560,7 +366,7 @@ def test_ada012_quiet_on_known_config_ids(tmp_path):
     clean.write_text("VALUE = 1\n", encoding="utf-8")
     report = lint_paths(
         [clean],
-        config=LintConfig(ignore=["ADA004"]),
+        config=LintConfig(ignore=["ADA014"]),
         root=tmp_path,
     )
     assert report.findings == []

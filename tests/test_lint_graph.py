@@ -1,22 +1,16 @@
 """Tests for the whole-program analysis layer (repro.lint.graph).
 
 Covers module-summary extraction, cross-module symbol resolution, the
-transitive effect inference (including its documented approximations),
-call-path evidence, and the import-closure queries the incremental
-cache keys on. Everything here is pure AST analysis — no fixture
-module is ever imported.
+transitive effect inference (including its documented approximations)
+and call-path evidence. Everything here is pure AST analysis — no
+fixture module is ever imported.
 """
 
 import textwrap
 
 import pytest
 
-from repro.lint.graph import (
-    ModuleSummary,
-    ProjectGraph,
-    extract_summary,
-    module_name_for,
-)
+from repro.lint.graph import ProjectGraph, extract_summary, module_name_for
 
 pytestmark = pytest.mark.lint
 
@@ -297,49 +291,6 @@ def test_reachable_from_and_call_path():
             """
         }
     )
-    assert {"m:top", "m:mid", "m:leaf"} <= graph.reachable_from("m:top")
     path = graph.call_path("m:top", lambda q: q == "m:leaf")
     assert path == ["m:top", "m:mid", "m:leaf"]
     assert graph.call_path("m:leaf", lambda q: q == "m:top") is None
-
-
-# ----------------------------------------------------------------------
-# Import closure / dependents (what the incremental cache keys on)
-# ----------------------------------------------------------------------
-def test_import_closure_and_dependents():
-    graph = build_graph(
-        {
-            "a": "import b\n",
-            "b": "import c\n",
-            "c": "X = 1\n",
-        }
-    )
-    assert graph.import_closure("a") == frozenset({"a", "b", "c"})
-    assert graph.import_closure("c") == frozenset({"c"})
-    assert graph.dependents("c") == {"a", "b"}
-    assert graph.dependents("a") == set()
-
-
-# ----------------------------------------------------------------------
-# Summaries round-trip through their JSON documents
-# ----------------------------------------------------------------------
-def test_summary_round_trips_through_dict():
-    source = textwrap.dedent(
-        """
-        import time
-
-        class Runner:
-            def go(self):
-                return time.time()
-
-        def main():
-            return Runner().go()
-        """
-    )
-    summary = extract_summary(source, "src/m.py", "m")
-    clone = ModuleSummary.from_dict(summary.to_dict())
-    direct = ProjectGraph([summary])
-    revived = ProjectGraph([clone])
-    assert effect_kinds(direct, "m:main") == {"wall-clock"}
-    assert effect_kinds(revived, "m:main") == {"wall-clock"}
-    assert set(clone.functions) == set(summary.functions)
