@@ -13,8 +13,11 @@ parameters and times each fit with two implementations:
   sums clusters with one ``bincount`` over the nonzeros.
 
 Both must give the same labels, centres, ``inertia_`` and ``n_iter_``,
-bit for bit. The median seconds per fit, the speedup, the identity
-verdict and the host are written to ``benchmarks/BENCH_kmeans.json``.
+bit for bit. In the session, the sweep's fits at the K values partial
+mining shares resume its checkpoints; here every fit is replayed in
+full, so both implementations run the same restarts. The median seconds
+per fit, the speedup, the identity verdict and the host are written to
+``benchmarks/BENCH_kmeans.json``.
 Run from the repository root::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_kmeans_lloyd.py -s
@@ -52,7 +55,7 @@ def session_fits(paper_log) -> List[Fit]:
     captured: List[Fit] = []
     fit = KMeans.fit
 
-    def record(model, data):
+    def record(model, data, resume=None):
         params = {
             name: getattr(model, name)
             for name in ("init", "n_init", "max_iter", "tol", "seed")
@@ -60,7 +63,7 @@ def session_fits(paper_log) -> List[Fit]:
         captured.append(
             (np.array(data), dict(params, n_clusters=model.n_clusters))
         )
-        return fit(model, data)
+        return fit(model, data, resume)
 
     with mock.patch.object(KMeans, "fit", record):
         ADAHealth(seed=BENCH_SEED).analyze(

@@ -527,13 +527,15 @@ class ADAHealth:
         End-goal pipelines are independent and side-effect free, so
         every pending goal becomes one task on a :mod:`repro.cloud`
         backend — serial when at most one goal is pending, otherwise
-        the configured one — and results merge back **in goal order**:
-        identical across serial, thread and process execution. Every
-        backend shares one set of semantics: ``retries`` apply per goal
-        task, ``on_goal_error="raise"`` re-raises the first failure in
-        goal order once the dispatch returns, and ``goal`` spans are
-        replayed from the reported task timings as children of
-        ``run-goals``. With a cache, goals whose (dataset fingerprint,
+        the configured one. Tasks are dispatched in the finder's
+        registry order, which lists the heaviest goal (segmentation)
+        first, so a pool does not start it last; results merge back
+        **in goal order**: identical across serial, thread and process
+        execution. Every backend shares one set of semantics:
+        ``retries`` apply per goal task, ``on_goal_error="raise"``
+        re-raises the first failure in goal order once the dispatch
+        returns, and ``goal`` spans are replayed from the reported task
+        timings as children of ``run-goals``. With a cache, goals whose (dataset fingerprint,
         goal, config, seed) key is already known are restored instead
         of recomputed.
         """
@@ -576,13 +578,18 @@ class ADAHealth:
         # The lease ships the log once: in-process backends pass it
         # through, process backends pickle a ~100-byte shared-memory
         # handle per task instead of the full record set.
+        registry = [goal.name for goal in self.finder.goals]
+        dispatch = sorted(
+            range(len(pending)),
+            key=lambda position: registry.index(pending[position].name),
+        )
         with log_lease(executor, log) as logref:
             tasks = [
                 TaskSpec(
                     _run_goal_task,
                     (self, goal.name, logref, profile, dataset_id),
                 )
-                for goal in pending
+                for goal in (pending[position] for position in dispatch)
             ]
             outcome = executor.run(tasks)
         manifest.record_executor(
@@ -590,11 +597,14 @@ class ADAHealth:
             1 if backend == "serial" else self.config.executor_workers,
             outcome.n_failures,
         )
+        values: List[Any] = [None] * len(pending)
+        task_seconds: List[Optional[float]] = [None] * len(pending)
+        for slot, position in enumerate(dispatch):
+            values[position] = outcome.results[slot]
+            task_seconds[position] = outcome.task_seconds[slot]
         computed: Dict[str, GoalRun] = {}
         degrade = self.config.on_goal_error == "degrade"
-        for goal, value, seconds in zip(
-            pending, outcome.results, outcome.task_seconds
-        ):
+        for goal, value, seconds in zip(pending, values, task_seconds):
             failed = isinstance(value, TaskFailure)
             if seconds is not None:
                 # Goal pipelines may have run in workers; replay their
@@ -828,12 +838,10 @@ class ADAHealth:
         )
         partial = miner.mine(log)
         codes = partial.selected_codes
-        vsm = VSMBuilder(weighting, exam_codes=codes).build(log)
-        matrix = (
-            L2Normalizer().transform(vsm.matrix)
-            if normalize
-            else vsm.matrix
-        )
+        # The sweep clusters the selected subset's matrix, which the
+        # miner has built and clustered already: its fits at the shared
+        # K values are resumed, not repeated.
+        matrix = miner.selected_matrix
         # Deferred K-DB write: recorded in the notes and persisted by
         # ``analyze`` after the fan-out, keeping this pipeline free of
         # side effects (safe to run in a worker process or restore from
@@ -856,7 +864,7 @@ class ADAHealth:
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        report = optimizer.optimize(matrix)
+        report = optimizer.optimize(matrix, resume=miner.checkpoints)
         best = report.best_row
         items = extract_cluster_items(
             matrix,

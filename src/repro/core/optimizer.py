@@ -20,6 +20,15 @@ Table I columns (SSE, accuracy, average precision, average recall) and
 applies the paper's combined selection rule: among the candidate K
 values, pick the one with the best overall classification results
 (mean of accuracy, average precision and average recall).
+
+The sweep runs on a subset that adaptive partial mining has already
+clustered at some of the same K values, with the same seed and fewer
+restarts. :meth:`KMeansOptimizer.optimize` takes those fits as
+:class:`repro.mining.KMeansCheckpoint` objects, and each K's fit
+continues from its checkpoint — running only the restarts the partial
+miner did not — when the matrix and the K-means settings match; any
+mismatch falls back to a full fit. Either way the row is bit for bit
+the same.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from repro.data.blocks import open_matrix
 from repro.exceptions import MiningError
 from repro.obs.tracer import NULL_TRACER
 from repro.mining.decision_tree import DecisionTreeClassifier
-from repro.mining.kmeans import KMeans
+from repro.mining.kmeans import KMeans, KMeansCheckpoint
 from repro.mining.metrics import overall_similarity
 from repro.mining.validation import cross_validate
 
@@ -241,9 +250,19 @@ class KMeansOptimizer:
         self.metrics = metrics
 
     # ------------------------------------------------------------------
-    def evaluate_k(self, data: np.ndarray, k: int) -> OptimizationRow:
-        """Cluster with one K and assess the result's robustness."""
-        model = KMeans(k, seed=self.seed, **self.kmeans_params).fit(data)
+    def evaluate_k(
+        self,
+        data: np.ndarray,
+        k: int,
+        resume: Optional[KMeansCheckpoint] = None,
+    ) -> OptimizationRow:
+        """Cluster with one K and assess the result's robustness.
+
+        ``resume`` is passed to :meth:`repro.mining.KMeans.fit`.
+        """
+        model = KMeans(k, seed=self.seed, **self.kmeans_params).fit(
+            data, resume=resume
+        )
         labels = model.labels_
         if labels is None or model.inertia_ is None:
             raise RuntimeError("KMeans fit left labels_/inertia_ unset")
@@ -270,8 +289,16 @@ class KMeansOptimizer:
             centers=model.cluster_centers_,
         )
 
-    def optimize(self, data) -> OptimizationReport:
+    def optimize(
+        self,
+        data,
+        resume: Optional[Dict[int, KMeansCheckpoint]] = None,
+    ) -> OptimizationReport:
         """Run the sweep and apply the combined selection rule.
+
+        ``resume`` maps K to a checkpoint of an earlier K-means fit on
+        ``data`` (the partial miner's); that K's fit continues from it
+        when it matches (:meth:`repro.mining.KMeans.fit`).
 
         Cached K values (same data, same parameters) are restored
         without recomputation; only the misses are dispatched to the
@@ -307,9 +334,10 @@ class KMeansOptimizer:
                         pending.append(k)
                     else:
                         rows.append(hit)
+            resume = resume or {}
             with matrix_lease(self.executor, matrix) as (ref,):
                 tasks = [
-                    TaskSpec(_evaluate_k_task, (self, ref, k))
+                    TaskSpec(_evaluate_k_task, (self, ref, k, resume.get(k)))
                     for k in pending
                 ]
                 outcome = self.executor.run(tasks)
@@ -372,7 +400,10 @@ class KMeansOptimizer:
 
 
 def _evaluate_k_task(
-    optimizer: "KMeansOptimizer", ref, k: int
+    optimizer: "KMeansOptimizer",
+    ref,
+    k: int,
+    resume: Optional[KMeansCheckpoint] = None,
 ) -> OptimizationRow:
     """Module-level task body so sweeps pickle for process backends.
 
@@ -382,7 +413,7 @@ def _evaluate_k_task(
     evaluation and detaches in ``finally``.
     """
     with open_matrix(ref) as matrix:
-        return optimizer.evaluate_k(matrix, k)
+        return optimizer.evaluate_k(matrix, k, resume)
 
 
 def sse_plateau(

@@ -15,6 +15,13 @@ Reproduces §III/§IV-B:
     dataset: in this example, 85% of raw data yields a percentage
     difference less than 5%."
 
+The selected subset's matrix and the K-means fits run on it stay on
+the miner (:attr:`HorizontalPartialMiner.selected_matrix`,
+:attr:`HorizontalPartialMiner.checkpoints`) and never enter the
+:class:`PartialMiningResult`: the engine passes both to the K sweep,
+whose fits on that matrix at the shared K values continue these
+restarts instead of repeating them (see :mod:`repro.core.optimizer`).
+
 Note on naming: the paper calls the *feature-subset* strategy it
 evaluates (fewer exam types, all patients) "horizontal partial mining";
 this module keeps the paper's terminology. The complementary
@@ -25,15 +32,19 @@ miner.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cache import AnalysisCache, fingerprint_array
 from repro.data.records import ExamLog
 from repro.exceptions import MiningError
-from repro.mining.kmeans import KMeans
-from repro.mining.metrics import overall_similarity
+from repro.mining.kmeans import KMeans, KMeansCheckpoint
+from repro.mining.metrics import (
+    overall_similarity,
+    unit_overall_similarity,
+    unit_rows,
+)
 from repro.preprocess.transforms import L2Normalizer
 from repro.preprocess.vsm import VSMBuilder, apply_weighting
 
@@ -159,6 +170,11 @@ class HorizontalPartialMiner:
         refined session — new fractions or K values over the same log —
         only pays for the cells it has not seen: the adaptive miner is
         incremental across calls.
+
+    After :meth:`mine`, :attr:`selected_matrix` holds the selected
+    subset's (weighted, normalised) matrix and :attr:`checkpoints` the
+    :class:`repro.mining.KMeansCheckpoint` of each K-means fit run on
+    it, by K (a K served from the cache has none).
     """
 
     def __init__(
@@ -190,6 +206,8 @@ class HorizontalPartialMiner:
         self.kmeans_params.setdefault("n_init", 2)
         self.cache = cache
         self.seed = seed
+        self.selected_matrix: Optional[np.ndarray] = None
+        self.checkpoints: Dict[int, KMeansCheckpoint] = {}
 
     # ------------------------------------------------------------------
     def subset_codes(self, log: ExamLog, fraction: float) -> List[int]:
@@ -220,8 +238,10 @@ class HorizontalPartialMiner:
         """
         runs: List[PartialRun] = []
         full_similarity: Dict[int, float] = {}
-        full_matrix = self._subset_matrix(
-            log, list(range(log.n_exam_types))
+        # Every run is scored on the complete matrix's unit rows: they
+        # are derived once, and the matrix itself is not kept.
+        full_units = unit_rows(
+            self._subset_matrix(log, list(range(log.n_exam_types)))
         )
 
         # Reference pass on the complete collection first.
@@ -229,12 +249,17 @@ class HorizontalPartialMiner:
             (fraction, self.subset_codes(log, fraction))
             for fraction in self.fractions
         ]
+        # Per subset, in ``subsets`` order: its matrix and fitted models.
+        fitted: List[Tuple[np.ndarray, Dict[int, KMeans]]] = []
         for fraction, codes in reversed(subsets):
             coverage = self.row_coverage(log, codes)
             matrix = self._subset_matrix(log, codes)
+            models: Dict[int, KMeans] = {}
             for k in self.k_values:
-                labels = self._cluster_labels(matrix, k)
-                similarity = float(overall_similarity(full_matrix, labels))
+                labels, model = self._cluster(matrix, k)
+                if model is not None:
+                    models[k] = model
+                similarity = unit_overall_similarity(full_units, labels)
                 if abs(fraction - 1.0) < 1e-9:
                     full_similarity[k] = similarity
                     difference = 0.0
@@ -255,8 +280,15 @@ class HorizontalPartialMiner:
                         pct_difference=difference,
                     )
                 )
+            fitted.insert(0, (matrix, models))
 
-        selected_fraction, selected_codes = self._select(log, runs, subsets)
+        position = self._select(runs, subsets)
+        selected_fraction, selected_codes = subsets[position]
+        matrix, models = fitted[position]
+        self.selected_matrix = matrix
+        self.checkpoints = {
+            k: model.checkpoint(matrix) for k, model in models.items()
+        }
         return PartialMiningResult(
             runs=runs,
             selected_fraction=selected_fraction,
@@ -264,9 +296,10 @@ class HorizontalPartialMiner:
             tolerance=self.tolerance,
         )
 
-    def _select(self, log, runs, subsets):
-        """Smallest subset whose mean %-difference is within tolerance."""
-        for fraction, codes in subsets:  # ascending fractions
+    def _select(self, runs, subsets) -> int:
+        """Position in ``subsets`` of the smallest subset whose mean
+        %-difference is within tolerance."""
+        for position, (fraction, __) in enumerate(subsets):  # ascending
             differences = [
                 run.pct_difference
                 for run in runs
@@ -274,9 +307,9 @@ class HorizontalPartialMiner:
                 and run.pct_difference is not None
             ]
             if differences and float(np.mean(differences)) <= self.tolerance:
-                return fraction, codes
+                return position
         # The full collection always satisfies the tolerance (diff = 0).
-        return 1.0, subsets[-1][1]
+        return len(subsets) - 1
 
     def _subset_matrix(
         self, log: ExamLog, codes: Sequence[int]
@@ -288,7 +321,11 @@ class HorizontalPartialMiner:
             return L2Normalizer().transform(vsm.matrix)
         return vsm.matrix
 
-    def _cluster_labels(self, matrix: np.ndarray, k: int) -> np.ndarray:
+    def _cluster(
+        self, matrix: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, Optional[KMeans]]:
+        """Labels for one (subset, K) cell, and the fitted model (None
+        when the labels came from the cache)."""
         if self.cache is not None:
             params = {
                 "k": k,
@@ -305,7 +342,7 @@ class HorizontalPartialMiner:
                 decode=_decode_labels,
             )
             if hit is not None:
-                return hit
+                return hit, None
         model = KMeans(k, seed=self.seed, **self.kmeans_params).fit(matrix)
         if model.labels_ is None:
             raise RuntimeError("KMeans fit left labels_ unset")
@@ -316,7 +353,7 @@ class HorizontalPartialMiner:
                 params,
                 model.labels_.tolist(),
             )
-        return model.labels_
+        return model.labels_, model
 
 
 class VerticalPartialMiner:

@@ -9,8 +9,9 @@ Two interchangeable on-disk formats are supported:
   header object carrying the taxonomy; convenient for the document store.
 
 Both round-trip exactly: ``load(save(log)) == log`` record for record.
-A malformed line (a non-integer field, broken JSON, a missing key)
-raises :class:`~repro.exceptions.DataError` naming ``file:line``.
+A malformed line (a non-integer field, broken JSON, a missing key, a
+byte that is not UTF-8) raises :class:`~repro.exceptions.DataError`
+naming ``file:line``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.data.records import ExamLog, ExamRecord, PatientInfo
 from repro.data.taxonomy import ExamTaxonomy, ExamType
@@ -57,6 +58,11 @@ def _malformed(path: Path, line: int, error: Exception) -> DataError:
     """A :class:`DataError` locating ``error`` at ``path:line``."""
     if isinstance(error, json.JSONDecodeError):
         reason = f"invalid JSON: {error.msg}"
+    elif isinstance(error, UnicodeDecodeError):
+        reason = (
+            f"invalid UTF-8: byte 0x{error.object[error.start]:02x}"
+            f" at offset {error.start} of the line"
+        )
     elif isinstance(error, KeyError):
         reason = f"missing field {error.args[0]!r}"
     else:
@@ -68,6 +74,26 @@ def _malformed(path: Path, line: int, error: Exception) -> DataError:
 # ----------------------------------------------------------------------
 # CSV
 # ----------------------------------------------------------------------
+def _utf8_lines(handle) -> Iterator[str]:
+    """The lines of a binary file, decoded one at a time.
+
+    A text-mode file decodes 8 KB blocks ahead of the CSV reader, so a
+    byte that is not UTF-8 would fail at the reader's last complete row,
+    with a position inside the block. Decoded per line, it fails at its
+    own line, with its offset in that line.
+    """
+    for line in handle:
+        yield line.decode("utf-8")
+
+
+def _csv_line(reader, error: Exception) -> int:
+    """The line of the file ``reader`` was reading when ``error`` rose:
+    a line that fails to decode is the one after those it has read."""
+    if isinstance(error, UnicodeDecodeError):
+        return reader.line_num + 1
+    return max(reader.line_num, 1)
+
+
 def save_csv(log: ExamLog, directory: PathLike) -> None:
     """Save a log as ``records.csv`` + ``exam_types.csv`` + ``patients.csv``.
 
@@ -107,16 +133,13 @@ def load_csv(directory: PathLike) -> ExamLog:
     patients = _load_patients_csv(directory / "patients.csv")
 
     records: List[ExamRecord] = []
-    with open(records_path, newline="") as handle:
-        reader = csv.DictReader(handle)
+    with open(records_path, "rb") as handle:
+        reader = csv.DictReader(_utf8_lines(handle))
         try:
-            # The header read decodes the file's first buffer, so an
-            # undecodable byte or a broken line near the start fails
-            # here, before the rows.
             header = reader.fieldnames or ()
         except _LINE_ERRORS as error:
             raise _malformed(
-                records_path, max(reader.line_num, 1), error
+                records_path, _csv_line(reader, error), error
             ) from error
         missing = set(_RECORD_FIELDS) - set(header)
         if missing:
@@ -131,7 +154,9 @@ def load_csv(directory: PathLike) -> ExamLog:
                     )
                 )
         except _LINE_ERRORS as error:
-            raise _malformed(records_path, reader.line_num, error) from error
+            raise _malformed(
+                records_path, _csv_line(reader, error), error
+            ) from error
     return ExamLog(records, taxonomy=taxonomy, patients=patients)
 
 
@@ -139,8 +164,8 @@ def _load_taxonomy_csv(path: Path) -> Optional[ExamTaxonomy]:
     if not path.exists():
         return None
     exam_types: List[ExamType] = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+    with open(path, "rb") as handle:
+        reader = csv.DictReader(_utf8_lines(handle))
         try:
             for row in reader:
                 exam_types.append(
@@ -152,7 +177,7 @@ def _load_taxonomy_csv(path: Path) -> Optional[ExamTaxonomy]:
                     )
                 )
         except _LINE_ERRORS as error:
-            raise _malformed(path, reader.line_num, error) from error
+            raise _malformed(path, _csv_line(reader, error), error) from error
     exam_types.sort(key=lambda e: e.code)
     return ExamTaxonomy(exam_types=exam_types)
 
@@ -161,8 +186,8 @@ def _load_patients_csv(path: Path) -> List[PatientInfo]:
     if not path.exists():
         return []
     patients: List[PatientInfo] = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+    with open(path, "rb") as handle:
+        reader = csv.DictReader(_utf8_lines(handle))
         try:
             for row in reader:
                 patients.append(
@@ -173,7 +198,7 @@ def _load_patients_csv(path: Path) -> List[PatientInfo]:
                     )
                 )
         except _LINE_ERRORS as error:
-            raise _malformed(path, reader.line_num, error) from error
+            raise _malformed(path, _csv_line(reader, error), error) from error
     return patients
 
 

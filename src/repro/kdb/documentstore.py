@@ -42,6 +42,7 @@ strict JSON and break ordering); behaviour with NaN is undefined.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pickle
@@ -430,16 +431,23 @@ class _SortedIndex(_HashIndex):
         self._stale = False
 
     def ordered_ids(
-        self, seq: Dict[Any, int], reverse: bool = False
+        self,
+        seq: Dict[Any, int],
+        reverse: bool = False,
+        with_nulls: bool = False,
     ) -> Iterator[Any]:
         """Document ids in the store's canonical sort order for this
-        path, excluding the None group (the cursor handles missing and
-        null values itself). Bucket ties follow insertion order (``seq``)
-        so the result matches a stable scan sort exactly."""
+        path. The None group (null values; first ascending, last
+        descending) is left out unless ``with_nulls``: a cursor over a
+        subset of the documents places nulls itself. Bucket ties follow
+        insertion order (``seq``) so the result matches a stable scan
+        sort exactly."""
         self._ensure_sorted()
         typenames = sorted(
             name for name in self._groups if name != "NoneType"
         )
+        if with_nulls and "NoneType" in self._groups:
+            typenames.insert(0, "NoneType")
         if reverse:
             typenames = typenames[::-1]
         for typename in typenames:
@@ -471,16 +479,21 @@ class Cursor:
 
     When the owning collection has a ``sorted`` index on the sort path,
     resolution walks the index in order instead of sorting, stopping
-    early once ``limit`` documents are produced.
+    early once ``limit`` documents are produced. ``by_id`` is the
+    collection's ``_id`` map when ``documents`` is every document in
+    it: the walk then reads documents straight from the index, null
+    values included, without first visiting each matched document.
     """
 
     def __init__(
         self,
         documents: List[Document],
         index_order: Optional[Callable[..., Optional[Iterator[Any]]]] = None,
+        by_id: Optional[Dict[Any, Document]] = None,
     ) -> None:
         self._documents = documents
         self._index_order = index_order
+        self._by_id = by_id
         self._sort: Optional[Tuple[str, int]] = None
         self._limit: Optional[int] = None
         self._cache: Optional[List[Document]] = None
@@ -517,7 +530,13 @@ class Cursor:
     ) -> List[Document]:
         reverse = direction < 0
         if self._index_order is not None:
-            ordered_ids = self._index_order(path, reverse)
+            by_id = self._by_id
+            ordered_ids = self._index_order(path, reverse, by_id is not None)
+            if ordered_ids is not None and by_id is not None:
+                return [
+                    by_id[doc_id]
+                    for doc_id in itertools.islice(ordered_ids, self._limit)
+                ]
             if ordered_ids is not None:
                 return self._index_sorted(
                     documents, path, ordered_ids, reverse
@@ -727,12 +746,15 @@ class Collection:
         query, conditions = _conditions(query)
         start = time.perf_counter()
         candidates, plan = self._plan(query)
-        matched = []
-        for document in candidates:
-            if _matches(document, conditions):
-                matched.append(document)
-                if first:
-                    break
+        if not conditions:
+            matched = candidates[:1] if first else candidates
+        else:
+            matched = []
+            for document in candidates:
+                if _matches(document, conditions):
+                    matched.append(document)
+                    if first:
+                        break
         plan.returned = len(matched)
         plan.elapsed_s = time.perf_counter() - start
         self._record_plan(plan)
@@ -757,11 +779,17 @@ class Collection:
         return None
 
     def _index_order(
-        self, path: str, reverse: bool, version: Optional[int] = None
+        self,
+        path: str,
+        reverse: bool,
+        with_nulls: bool = False,
+        version: Optional[int] = None,
     ) -> Optional[Iterator[Any]]:
         """Index-ordered id iterator for ``path``, or None when no
         sorted scalar index covers it (or the collection changed since
-        ``version`` — a stale cursor then falls back to a full sort)."""
+        ``version`` — a stale cursor then falls back to a full sort).
+        A usable index holds one scalar per document, so with
+        ``with_nulls`` it yields every document's id."""
         if version is not None and version != self._version:
             return None
         index = self._index_on(path)
@@ -771,7 +799,9 @@ class Collection:
             or getattr(index, "multivalue", True)
         ):
             return None
-        return index.ordered_ids(self._seq, reverse=reverse)
+        return index.ordered_ids(
+            self._seq, reverse=reverse, with_nulls=with_nulls
+        )
 
     def find(self, query: Optional[Query] = None) -> Cursor:
         """Return a cursor over documents matching ``query`` (all if None).
@@ -781,11 +811,18 @@ class Collection:
         """
         matched = self._matched(query)
         found_version = self._version
+        everything = len(matched) == len(self._documents)
 
-        def index_order(path: str, reverse: bool):
-            return self._index_order(path, reverse, version=found_version)
+        def index_order(path: str, reverse: bool, with_nulls: bool):
+            return self._index_order(
+                path, reverse, with_nulls, version=found_version
+            )
 
-        return Cursor(matched, index_order=index_order)
+        return Cursor(
+            matched,
+            index_order=index_order,
+            by_id=self._documents if everything else None,
+        )
 
     def find_one(self, query: Optional[Query] = None) -> Optional[Document]:
         """Return one matching document, or None."""

@@ -45,6 +45,7 @@ from repro.mining.kdtree import KDNode, KDTree
 from repro.mining.knn import KNeighborsClassifier
 from repro.mining.kmeans import (
     KMeans,
+    KMeansCheckpoint,
     filtering_stats,
     kmeans,
     kmeans_plus_plus,
@@ -102,6 +103,7 @@ __all__ = [
     "KDTree",
     "KFold",
     "KMeans",
+    "KMeansCheckpoint",
     "KNeighborsClassifier",
     "MajorityClassifier",
     "MultinomialNaiveBayes",

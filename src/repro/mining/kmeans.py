@@ -34,11 +34,21 @@ weights in increasing row order starting from +0.0, so its running sum
 is never -0.0 and skipping the zero entries cannot change a bit. The
 layout costs O(nnz) memory: 24 bytes per nonzero, ~1.7 MB for the
 paper cohort's 6,380 x 159 VSM (71,135 nonzeros).
+
+Restarts draw their initial centres in sequence from one
+``default_rng(seed)`` and a Lloyd run draws nothing, so the first ``m``
+restarts of a fit with ``n_init=n`` are exactly a fit with
+``n_init=m``. :meth:`KMeans.checkpoint` keeps where a fit stopped (its
+best restart and the generator state); a later fit on the same data
+and settings with a larger ``n_init`` takes it as ``resume`` and runs
+only the remaining restarts, bit for bit the result of a full fit.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import hashlib
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +99,50 @@ def _random_init(
     """Sample ``n_clusters`` distinct rows as initial centres."""
     choice = rng.choice(data.shape[0], size=n_clusters, replace=False)
     return data[choice].copy()
+
+
+def _data_key(data) -> Tuple:
+    """Shape, dtype, memory order and a digest of the bytes of ``data``."""
+    array = np.asarray(data)
+    if array.flags.c_contiguous:
+        order = "C"
+    elif array.flags.f_contiguous:
+        order = "F"
+    else:
+        order = "strided"
+    digest = hashlib.sha256(array.tobytes(order="A")).hexdigest()
+    return (array.shape, array.dtype.str, order, digest)
+
+
+@dataclass(frozen=True, eq=False)
+class KMeansCheckpoint:
+    """Where a :meth:`KMeans.fit` stopped, for a later fit to continue.
+
+    ``settings`` are the fit's ``(n_clusters, init, algorithm,
+    max_iter, tol, seed)``; ``data_key`` is the shape, dtype, memory
+    order and byte digest of the data it ran on; ``rng_state`` is the
+    generator state after its ``n_restarts`` restarts, and the rest is
+    its winning restart.
+    """
+
+    settings: Tuple
+    data_key: Tuple
+    n_restarts: int
+    rng_state: Dict[str, Any]
+    inertia: float
+    centers: np.ndarray
+    labels: np.ndarray
+    n_iter: int
+
+    def continues(self, model: "KMeans", data) -> bool:
+        """True when ``model.fit(data)`` may start from this checkpoint:
+        same settings, no more restarts than ``model.n_init``, and data
+        equal in shape, dtype, memory order and bytes."""
+        return (
+            self.settings == model._settings()
+            and self.n_restarts <= model.n_init
+            and self.data_key == _data_key(data)
+        )
 
 
 class KMeans:
@@ -150,22 +204,54 @@ class KMeans:
         self.labels_: Optional[np.ndarray] = None
         self.inertia_: Optional[float] = None
         self.n_iter_: Optional[int] = None
+        # (settings, restarts run, generator state) of the last fit.
+        self._stopped: Optional[Tuple[Tuple, int, Dict[str, Any]]] = None
+
+    def _settings(self) -> Tuple:
+        return (
+            self.n_clusters,
+            self.init,
+            self.algorithm,
+            self.max_iter,
+            self.tol,
+            self.seed,
+        )
 
     # ------------------------------------------------------------------
-    def fit(self, data) -> "KMeans":
-        """Cluster ``data``; returns ``self``."""
-        data = as_matrix(data)
-        if data.shape[0] < self.n_clusters:
+    def fit(
+        self, data, resume: Optional[KMeansCheckpoint] = None
+    ) -> "KMeans":
+        """Cluster ``data``; returns ``self``.
+
+        ``resume`` is a :meth:`checkpoint` of an earlier fit. When
+        :meth:`KMeansCheckpoint.continues` holds, this fit starts from
+        the checkpoint's best restart and generator state and runs only
+        restarts ``n_restarts + 1 .. n_init``; otherwise it runs in
+        full. The result is the same either way, bit for bit.
+        """
+        matrix = as_matrix(data)
+        if matrix.shape[0] < self.n_clusters:
             raise MiningError(
                 f"need at least n_clusters={self.n_clusters} points,"
-                f" got {data.shape[0]}"
+                f" got {matrix.shape[0]}"
             )
         rng = np.random.default_rng(self.seed)
+        best: Optional[Tuple[float, np.ndarray, np.ndarray, int]] = None
+        done = 0
+        if resume is not None and resume.continues(self, data):
+            rng.bit_generator.state = resume.rng_state
+            best = (
+                resume.inertia,
+                resume.centers.copy(),
+                resume.labels.copy(),
+                resume.n_iter,
+            )
+            done = resume.n_restarts
+        data = matrix
         tree = KDTree(data) if self.algorithm == "filtering" else None
         prepared = _Prepared(data)
 
-        best: Optional[Tuple[float, np.ndarray, np.ndarray, int]] = None
-        for __ in range(self.n_init):
+        for __ in range(done, self.n_init):
             if self.init == "k-means++":
                 centers = _plus_plus(prepared, self.n_clusters, rng)
             else:
@@ -184,7 +270,33 @@ class KMeans:
             best[2],
             best[3],
         )
+        self._stopped = (
+            self._settings(),
+            self.n_init,
+            rng.bit_generator.state,
+        )
         return self
+
+    def checkpoint(self, data) -> KMeansCheckpoint:
+        """Where the last fit stopped, for :meth:`fit`'s ``resume``.
+
+        ``data`` must be the array that fit ran on, unchanged since:
+        the checkpoint records its shape, dtype, memory order and a
+        digest of its bytes.
+        """
+        if self._stopped is None or self.labels_ is None:
+            raise NotFittedError("KMeans.checkpoint called before fit")
+        settings, n_restarts, rng_state = self._stopped
+        return KMeansCheckpoint(
+            settings=settings,
+            data_key=_data_key(data),
+            n_restarts=n_restarts,
+            rng_state=rng_state,
+            inertia=float(self.inertia_),
+            centers=self.cluster_centers_.copy(),
+            labels=self.labels_.copy(),
+            n_iter=int(self.n_iter_),
+        )
 
     def fit_predict(self, data) -> np.ndarray:
         """Fit and return the labels."""

@@ -82,14 +82,25 @@ def overall_similarity(
         Both paths return the same value up to floating-point error; the
         exact path exists for verification.
     """
+    return unit_overall_similarity(unit_rows(data), labels, exact)
+
+
+def unit_rows(data) -> np.ndarray:
+    """``data`` with every row scaled to unit Euclidean norm; all-zero
+    rows stay zero. The rows :func:`overall_similarity` scores."""
     data = as_matrix(data)
-    labels = _check_labels(data, labels)
-    n = data.shape[0]
     norms = row_norms(data)
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = data / norms[:, None]
-    unit = np.nan_to_num(unit)
+    return np.nan_to_num(unit)
 
+
+def unit_overall_similarity(unit, labels, exact: bool = False) -> float:
+    """:func:`overall_similarity` of rows already passed through
+    :func:`unit_rows`, bit for bit: scoring several labelings of one
+    matrix normalises it once."""
+    labels = _check_labels(unit, labels)
+    n = unit.shape[0]
     total = 0.0
     for cluster in np.unique(labels):
         members = unit[labels == cluster]
@@ -277,11 +288,28 @@ def confusion_matrix(
         raise MiningError("y_true and y_pred must align")
     if classes is None:
         classes = sorted(set(y_true.tolist()) | set(y_pred.tolist()))
-    index = {c: i for i, c in enumerate(classes)}
-    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        matrix[index[t], index[p]] += 1
-    return matrix, list(classes)
+    classes = list(classes)
+    count = len(classes)
+    cells = _class_index(classes, y_true) * count + _class_index(
+        classes, y_pred
+    )
+    matrix = np.bincount(cells, minlength=count * count)
+    return matrix.astype(np.int64).reshape(count, count), classes
+
+
+def _class_index(classes: List, labels: np.ndarray) -> np.ndarray:
+    """Position of each label in ``classes`` (the last one, if a class
+    is listed twice); a label outside ``classes`` raises."""
+    lookup = np.asarray(classes)
+    order = np.argsort(lookup, kind="stable")
+    ordered = lookup[order]
+    at = np.searchsorted(ordered, labels, side="right") - 1
+    found = at >= 0
+    found[found] = ordered[at[found]] == labels[found]
+    if not found.all():
+        missing = labels[~found].tolist()[0]
+        raise MiningError(f"label {missing!r} is not among the classes")
+    return order[at]
 
 
 def accuracy(y_true, y_pred) -> float:

@@ -4,7 +4,13 @@ import re
 
 import pytest
 
-from repro.data import load_csv, load_jsonl, save_csv, save_jsonl
+from repro.data import (
+    load_csv,
+    load_jsonl,
+    save_csv,
+    save_jsonl,
+    small_dataset,
+)
 from repro.exceptions import DataError, ValidationError
 
 
@@ -113,6 +119,36 @@ def test_csv_bad_field_names_file_and_line(
     assert message.startswith(f"{directory / file_name}:{line}: ")
     assert reason in message
     assert isinstance(caught.value.__cause__, (ValueError, TypeError))
+
+
+@pytest.mark.parametrize(
+    "file_name, at",
+    [
+        ("records.csv", 20_000),  # past the first 8 KB read buffer
+        ("records.csv", 5),  # the header line
+        ("exam_types.csv", -3),
+        ("patients.csv", -3),
+    ],
+)
+def test_csv_undecodable_byte_names_its_line_and_offset(
+    tmp_path, file_name, at
+):
+    directory = tmp_path / "ds"
+    save_csv(small_dataset(seed=0), directory)
+    path = directory / file_name
+    blob = bytearray(path.read_bytes())
+    at %= len(blob)
+    blob[at] = 0xFF
+    path.write_bytes(bytes(blob))
+    line = blob.count(b"\n", 0, at) + 1
+    offset = at - (blob.rfind(b"\n", 0, at) + 1)
+    with pytest.raises(DataError) as caught:
+        load_csv(directory)
+    assert str(caught.value) == (
+        f"{path}:{line}: invalid UTF-8: byte 0xff at offset {offset}"
+        " of the line"
+    )
+    assert isinstance(caught.value.__cause__, UnicodeDecodeError)
 
 
 def test_csv_invalid_record_keeps_validation_type(tiny_log, tmp_path):

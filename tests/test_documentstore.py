@@ -739,6 +739,38 @@ def test_indexed_sort_mixed_types_matches_scan(store):
     assert collection.find().sort("v", 1).to_list() == expected
 
 
+def test_whole_collection_top_k_reads_only_k_documents(
+    store, monkeypatch
+):
+    """An index-ordered top-k over every document walks the index and
+    stops: no document outside the answer is visited."""
+    from repro.kdb import documentstore
+
+    collection = store["c"]
+    collection.insert_many(
+        [{"n": None}, {"n": 2}, {"n": 1}, {"n": 2}, {"n": None}, {"n": 0}]
+    )
+    expected_desc = collection.find({}).sort("n", -1).limit(3).to_list()
+    expected_asc = collection.find({}).sort("n", 1).limit(3).to_list()
+    collection.create_index("n", kind="sorted")
+    walked = []
+    original = documentstore._walk_path
+
+    def counting(document, parts):
+        walked.append(document["_id"])
+        return original(document, parts)
+
+    monkeypatch.setattr(documentstore, "_walk_path", counting)
+    top = collection.find({}).sort("n", -1).limit(3).to_list()
+    assert [row["n"] for row in top] == [2, 2, 1]
+    assert top == expected_desc
+    assert collection.find({}).sort("n", 1).limit(3).to_list() == (
+        expected_asc
+    )
+    assert [row["n"] for row in expected_asc] == [None, None, 0]
+    assert walked == []
+
+
 def test_stale_cursor_falls_back_to_full_sort(people):
     people.create_index("age", kind="sorted")
     cursor = people.find().sort("age", 1)

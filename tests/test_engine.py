@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import ADAHealth, EngineConfig, SimulatedExpert
+from repro.cloud import SerialExecutor
+from repro.core import (
+    DEFAULT_END_GOALS,
+    ADAHealth,
+    EngineConfig,
+    SimulatedExpert,
+)
 from repro.exceptions import EndGoalError
 from repro.kdb import KnowledgeBase
+from repro.obs import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +244,75 @@ def test_auto_transform_selection(small_log):
     run = result.run_for("patient-segmentation")
     assert run.items
     assert run.items[1].provenance["weighting"] == stored["weighting"]
+
+
+class _RecordingExecutor(SerialExecutor):
+    """A serial backend that records the goals in dispatch order."""
+
+    def __init__(self):
+        super().__init__()
+        self.dispatched = []
+
+    def run(self, tasks):
+        self.dispatched = [task.args[1] for task in tasks]
+        return super().run(tasks)
+
+
+_SMALL_KNOBS = dict(
+    k_values=(4, 6),
+    partial_fractions=(0.5, 1.0),
+    partial_k_values=(4,),
+    n_folds=3,
+)
+
+
+def test_goals_dispatch_heaviest_first_and_merge_in_goal_order(
+    small_log, monkeypatch
+):
+    """Tasks go out in the registry's order, segmentation first; runs,
+    manifest rows and replayed ``goal`` spans keep the goal order."""
+    tracer = Tracer()
+    engine = ADAHealth(
+        config=EngineConfig(tracer=tracer, **_SMALL_KNOBS), seed=0
+    )
+    recorder = _RecordingExecutor()
+    monkeypatch.setattr(engine, "_goal_executor", lambda name: recorder)
+    result = engine.analyze(small_log, name="dispatch")
+    goal_order = [run.goal.name for run in result.runs]
+    registry = [goal.name for goal in DEFAULT_END_GOALS]
+    assert recorder.dispatched == [
+        name for name in registry if name in goal_order
+    ]
+    assert recorder.dispatched[0] == "patient-segmentation"
+    assert goal_order[0] != "patient-segmentation"
+    manifest = engine.kdb.run_history(limit=1)[0]
+    assert [row["name"] for row in manifest["goals"]] == goal_order
+    spans = [
+        span["attrs"]["goal"]
+        for span in tracer.finished()
+        if span["name"] == "goal"
+    ]
+    assert spans == goal_order
+
+
+def test_raise_mode_raises_the_first_failure_in_goal_order(
+    small_log, monkeypatch
+):
+    """Segmentation is dispatched first and fails, but the goal before
+    it in goal order failed too: that failure is the one raised."""
+    original = ADAHealth._run_goal
+
+    def sabotaged(self, goal, log, profile, dataset_id):
+        if goal.name in ("care-sequences", "patient-segmentation"):
+            raise RuntimeError(f"{goal.name} failed")
+        return original(self, goal, log, profile, dataset_id)
+
+    monkeypatch.setattr(ADAHealth, "_run_goal", sabotaged)
+    engine = ADAHealth(config=EngineConfig(**_SMALL_KNOBS), seed=0)
+    recorder = _RecordingExecutor()
+    monkeypatch.setattr(engine, "_goal_executor", lambda name: recorder)
+    goals = ["co-prescription-patterns", "care-sequences",
+             "patient-segmentation"]
+    with pytest.raises(RuntimeError, match="care-sequences failed"):
+        engine.analyze(small_log, goals=goals)
+    assert recorder.dispatched[0] == "patient-segmentation"

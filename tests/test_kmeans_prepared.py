@@ -157,7 +157,7 @@ def session_fits() -> List[Tuple[np.ndarray, dict]]:
     captured: List[Tuple[np.ndarray, dict]] = []
     fit = KMeans.fit
 
-    def record(model, data):
+    def record(model, data, resume=None):
         params = {
             name: getattr(model, name)
             for name in ("init", "n_init", "max_iter", "tol", "seed")
@@ -165,7 +165,7 @@ def session_fits() -> List[Tuple[np.ndarray, dict]]:
         captured.append(
             (np.array(data), dict(params, n_clusters=model.n_clusters))
         )
-        return fit(model, data)
+        return fit(model, data, resume)
 
     with mock.patch.object(KMeans, "fit", record):
         ADAHealth(seed=0).analyze(paper_dataset(0), name="cohort")

@@ -182,6 +182,38 @@ def test_confusion_matrix_layout():
     assert matrix.tolist() == [[1, 1], [0, 1]]
 
 
+def _loop_confusion_matrix(y_true, y_pred, classes):
+    """The per-row loop the vectorised matrix replaced."""
+    index = {c: i for i, c in enumerate(classes)}
+    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        matrix[index[t], index[p]] += 1
+    return matrix
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_confusion_matrix_matches_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    y_true = rng.integers(-2, 6, size=200)
+    y_pred = rng.integers(0, 9, size=200)
+    matrix, classes = confusion_matrix(y_true, y_pred)
+    assert classes == sorted(set(y_true.tolist()) | set(y_pred.tolist()))
+    expected = _loop_confusion_matrix(y_true, y_pred, classes)
+    assert matrix.dtype == np.int64
+    assert np.array_equal(matrix, expected)
+    given = list(rng.permutation(classes + [99]).tolist()) + [classes[0]]
+    matrix, returned = confusion_matrix(y_true, y_pred, classes=given)
+    assert returned == given
+    assert np.array_equal(
+        matrix, _loop_confusion_matrix(y_true, y_pred, given)
+    )
+
+
+def test_confusion_matrix_rejects_labels_outside_classes():
+    with pytest.raises(MiningError, match="'c'"):
+        confusion_matrix(["a", "c"], ["a", "b"], classes=["a", "b"])
+
+
 def test_accuracy_simple():
     assert accuracy([1, 0, 1, 1], [1, 1, 1, 0]) == pytest.approx(0.5)
     with pytest.raises(MiningError):

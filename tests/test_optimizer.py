@@ -185,7 +185,7 @@ class _TiedOptimizer(KMeansOptimizer):
         super().__init__(**kwargs)
         self.computed = []
 
-    def evaluate_k(self, data, k):
+    def evaluate_k(self, data, k, resume=None):
         self.computed.append(k)
         return _tied_row(k)
 

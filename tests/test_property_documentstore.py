@@ -168,3 +168,41 @@ def test_index_does_not_change_results(values):
         a = sorted(d["_id"] for d in plain.find({"v": probe}))
         b = sorted(d["_id"] for d in indexed.find({"v": probe}))
         assert a == b
+
+
+#: Sort values with ties, nulls and two types; ``MISSING`` leaves the
+#: field out of the document.
+MISSING = object()
+sort_values = st.one_of(
+    st.integers(0, 5), st.sampled_from([None, 2.5, "a", "b", MISSING])
+)
+
+
+@given(
+    st.lists(sort_values, min_size=1, max_size=25),
+    st.integers(0, 30),
+    st.sampled_from([1, -1]),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_indexed_top_k_matches_a_scan_sort(values, k, direction, query):
+    """``find(q).sort(v).limit(k)`` through a sorted index returns the
+    scan-sort's documents in the scan-sort's order: nulls and missing
+    values, ties in insertion order, the whole collection or a part."""
+    docs = [
+        {"g": position % 2} if value is MISSING
+        else {"v": value, "g": position % 2}
+        for position, value in enumerate(values)
+    ]
+    plain = DocumentStore()["c"]
+    indexed = DocumentStore()["c"]
+    plain.insert_many(docs)
+    indexed.insert_many(docs)
+    indexed.create_index("v", kind="sorted")
+    probe = {"g": 0} if query else {}
+    for limit in (k, None):
+        expected = plain.find(probe).sort("v", direction)
+        got = indexed.find(probe).sort("v", direction)
+        if limit is not None:
+            expected, got = expected.limit(limit), got.limit(limit)
+        assert got.to_list() == expected.to_list()
