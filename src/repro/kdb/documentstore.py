@@ -431,22 +431,17 @@ class _SortedIndex(_HashIndex):
         self._stale = False
 
     def ordered_ids(
-        self,
-        seq: Dict[Any, int],
-        reverse: bool = False,
-        with_nulls: bool = False,
+        self, seq: Dict[Any, int], reverse: bool = False
     ) -> Iterator[Any]:
         """Document ids in the store's canonical sort order for this
-        path. The None group (null values; first ascending, last
-        descending) is left out unless ``with_nulls``: a cursor over a
-        subset of the documents places nulls itself. Bucket ties follow
-        insertion order (``seq``) so the result matches a stable scan
-        sort exactly."""
+        path, the None group (null values) first ascending and last
+        descending. Bucket ties follow insertion order (``seq``) so the
+        result matches a stable scan sort exactly."""
         self._ensure_sorted()
         typenames = sorted(
             name for name in self._groups if name != "NoneType"
         )
-        if with_nulls and "NoneType" in self._groups:
+        if "NoneType" in self._groups:
             typenames.insert(0, "NoneType")
         if reverse:
             typenames = typenames[::-1]
@@ -481,8 +476,8 @@ class Cursor:
     resolution walks the index in order instead of sorting, stopping
     early once ``limit`` documents are produced. ``by_id`` is the
     collection's ``_id`` map when ``documents`` is every document in
-    it: the walk then reads documents straight from the index, null
-    values included, without first visiting each matched document.
+    it: the walk then reads documents straight from it, without first
+    visiting each matched document.
     """
 
     def __init__(
@@ -530,17 +525,9 @@ class Cursor:
     ) -> List[Document]:
         reverse = direction < 0
         if self._index_order is not None:
-            by_id = self._by_id
-            ordered_ids = self._index_order(path, reverse, by_id is not None)
-            if ordered_ids is not None and by_id is not None:
-                return [
-                    by_id[doc_id]
-                    for doc_id in itertools.islice(ordered_ids, self._limit)
-                ]
+            ordered_ids = self._index_order(path, reverse)
             if ordered_ids is not None:
-                return self._index_sorted(
-                    documents, path, ordered_ids, reverse
-                )
+                return self._index_sorted(documents, ordered_ids)
         return sorted(
             documents,
             key=lambda document: _sort_key(document, path),
@@ -548,42 +535,13 @@ class Cursor:
         )
 
     def _index_sorted(
-        self,
-        documents: List[Document],
-        path: str,
-        ordered_ids: Iterator[Any],
-        reverse: bool,
+        self, documents: List[Document], ordered_ids: Iterator[Any]
     ) -> List[Document]:
-        parts = path.split(".")
-        by_id: Dict[Any, Document] = {}
-        nulls: List[Document] = []
-        for document in documents:
-            values = _walk_path(document, parts)
-            if not values or values[0] is None:
-                nulls.append(document)
-            else:
-                by_id[document["_id"]] = document
-        target = self._limit
-        ordered: List[Document] = []
-
-        def fill_from_index() -> None:
-            for doc_id in ordered_ids:
-                document = by_id.get(doc_id)
-                if document is None:
-                    continue
-                ordered.append(document)
-                if target is not None and len(ordered) >= target:
-                    return
-
-        if reverse:
-            fill_from_index()
-            if target is None or len(ordered) < target:
-                ordered.extend(nulls)
-        else:
-            ordered.extend(nulls)
-            if target is None or len(ordered) < target:
-                fill_from_index()
-        return ordered
+        by_id = self._by_id
+        if by_id is None:
+            by_id = {document["_id"]: document for document in documents}
+        hits = (by_id[doc_id] for doc_id in ordered_ids if doc_id in by_id)
+        return list(itertools.islice(hits, self._limit))
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self._resolved())
@@ -779,17 +737,13 @@ class Collection:
         return None
 
     def _index_order(
-        self,
-        path: str,
-        reverse: bool,
-        with_nulls: bool = False,
-        version: Optional[int] = None,
+        self, path: str, reverse: bool, version: Optional[int] = None
     ) -> Optional[Iterator[Any]]:
         """Index-ordered id iterator for ``path``, or None when no
         sorted scalar index covers it (or the collection changed since
         ``version`` — a stale cursor then falls back to a full sort).
-        A usable index holds one scalar per document, so with
-        ``with_nulls`` it yields every document's id."""
+        A usable index holds one scalar per document, so it yields
+        every document's id."""
         if version is not None and version != self._version:
             return None
         index = self._index_on(path)
@@ -799,9 +753,7 @@ class Collection:
             or getattr(index, "multivalue", True)
         ):
             return None
-        return index.ordered_ids(
-            self._seq, reverse=reverse, with_nulls=with_nulls
-        )
+        return index.ordered_ids(self._seq, reverse=reverse)
 
     def find(self, query: Optional[Query] = None) -> Cursor:
         """Return a cursor over documents matching ``query`` (all if None).
@@ -813,10 +765,8 @@ class Collection:
         found_version = self._version
         everything = len(matched) == len(self._documents)
 
-        def index_order(path: str, reverse: bool, with_nulls: bool):
-            return self._index_order(
-                path, reverse, with_nulls, version=found_version
-            )
+        def index_order(path: str, reverse: bool):
+            return self._index_order(path, reverse, version=found_version)
 
         return Cursor(
             matched,

@@ -289,27 +289,21 @@ def confusion_matrix(
     if classes is None:
         classes = sorted(set(y_true.tolist()) | set(y_pred.tolist()))
     classes = list(classes)
+    index = {c: i for i, c in enumerate(classes)}
     count = len(classes)
-    cells = _class_index(classes, y_true) * count + _class_index(
-        classes, y_pred
-    )
-    matrix = np.bincount(cells, minlength=count * count)
+    try:
+        rows = np.fromiter(
+            (index[t] for t in y_true.tolist()), np.int64, len(y_true)
+        )
+        cols = np.fromiter(
+            (index[p] for p in y_pred.tolist()), np.int64, len(y_pred)
+        )
+    except KeyError as exc:
+        raise MiningError(
+            f"label {exc.args[0]!r} is not among the classes"
+        ) from None
+    matrix = np.bincount(rows * count + cols, minlength=count * count)
     return matrix.astype(np.int64).reshape(count, count), classes
-
-
-def _class_index(classes: List, labels: np.ndarray) -> np.ndarray:
-    """Position of each label in ``classes`` (the last one, if a class
-    is listed twice); a label outside ``classes`` raises."""
-    lookup = np.asarray(classes)
-    order = np.argsort(lookup, kind="stable")
-    ordered = lookup[order]
-    at = np.searchsorted(ordered, labels, side="right") - 1
-    found = at >= 0
-    found[found] = ordered[at[found]] == labels[found]
-    if not found.all():
-        missing = labels[~found].tolist()[0]
-        raise MiningError(f"label {missing!r} is not among the classes")
-    return order[at]
 
 
 def accuracy(y_true, y_pred) -> float:

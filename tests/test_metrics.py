@@ -209,6 +209,19 @@ def test_confusion_matrix_matches_the_loop(seed):
     )
 
 
+def test_confusion_matrix_mixed_type_classes():
+    y_true = np.array([0, 1, 0, 1], dtype=object)
+    y_pred = np.array([0, "x", "x", 1], dtype=object)
+    classes = [0, "x", 1]
+    matrix, returned = confusion_matrix(y_true, y_pred, classes=classes)
+    assert returned == classes
+    assert np.array_equal(
+        matrix, _loop_confusion_matrix(y_true, y_pred, classes)
+    )
+    matrix, __ = confusion_matrix([0, 1, 0], [1, 1, 0], classes=[0, "x", 1])
+    assert matrix.tolist() == [[1, 0, 1], [0, 0, 0], [0, 0, 1]]
+
+
 def test_confusion_matrix_rejects_labels_outside_classes():
     with pytest.raises(MiningError, match="'c'"):
         confusion_matrix(["a", "c"], ["a", "b"], classes=["a", "b"])
