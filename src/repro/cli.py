@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=0,
                 help="retry attempts beyond the first for each goal"
-                " task, on every backend (seeded backoff jitter;"
+                " task, on both backends (seeded backoff jitter;"
                 " default: 0)",
             )
             sub.add_argument(
@@ -131,17 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 dest="task_timeout",
                 metavar="SECONDS",
-                help="per-task wall-clock budget for pooled"
-                " backends; hung tasks fail with TaskTimeoutError",
+                help="per-task wall-clock budget for the process"
+                " backend; hung tasks fail with TaskTimeoutError",
             )
             sub.add_argument(
                 "--executor",
-                choices=(
-                    "serial",
-                    "threads",
-                    "process",
-                    "auto",
-                ),
+                choices=("serial", "process", "auto"),
                 default="serial",
                 help="goal fan-out backend; auto picks serial on"
                 " single-core hosts or small logs, otherwise a"

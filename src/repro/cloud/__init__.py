@@ -1,4 +1,5 @@
-"""Execution backends, shared-memory transport and fault tolerance."""
+"""Execution backends (serial and process pool), shared-memory
+transport and fault tolerance."""
 
 from repro.cloud.executor import (
     ProcessPoolExecutorBackend,
@@ -6,14 +7,11 @@ from repro.cloud.executor import (
     SweepResult,
     TaskFailure,
     TaskSpec,
-    ThreadPoolExecutorBackend,
-    make_executor,
     payload_bytes,
 )
 from repro.cloud.resilience import (
     CircuitBreaker,
     FaultInjector,
-    ResilientExecutor,
     RetryOutcome,
     RetryPolicy,
 )
@@ -30,7 +28,6 @@ __all__ = [
     "CircuitBreaker",
     "FaultInjector",
     "ProcessPoolExecutorBackend",
-    "ResilientExecutor",
     "RetryOutcome",
     "RetryPolicy",
     "SerialExecutor",
@@ -38,10 +35,8 @@ __all__ = [
     "SweepResult",
     "TaskFailure",
     "TaskSpec",
-    "ThreadPoolExecutorBackend",
     "backend_name",
     "log_lease",
-    "make_executor",
     "matrix_lease",
     "open_log",
     "payload_bytes",

@@ -6,36 +6,34 @@ parallel cloud computing." The reproduction cannot assume a cloud, so
 this module abstracts *where* candidate configurations run:
 
 * :class:`SerialExecutor` — in-process, deterministic ordering;
-* :class:`ThreadPoolExecutorBackend` — local threads (effective because
-  the heavy kernels release the GIL inside numpy);
 * :class:`ProcessPoolExecutorBackend` — local worker processes, the
   real-parallelism backend for CPU-bound sweeps. Tasks cross a process
   boundary, so they must be picklable: pass :class:`TaskSpec` (a
   module-level function plus arguments) rather than closures.
 
-All backends evaluate ``tasks`` — zero-argument callables — and return
+Both backends evaluate ``tasks`` — zero-argument callables — and return
 their results in submission order. A task that raises is reported as a
 :class:`TaskFailure` rather than aborting the sweep.
 
-Fault tolerance: every backend accepts a ``retry`` policy (the
+Fault tolerance: both backends accept a ``retry`` policy (the
 :class:`repro.cloud.resilience.RetryPolicy` duck type) applied *per
-task* — the serial backend retries inline, the thread pool retries
-inside the worker thread, and the process pool ships the policy into
-the worker so retries happen without an extra IPC round trip. The
-pooled backends additionally accept a ``task_timeout``: a task
-exceeding its wall-clock budget is failed with
-:class:`~repro.exceptions.TaskTimeoutError` while its siblings'
-results are kept, and the process backend respawns its pool so a hung
-worker cannot wedge the sweep. Retry, timeout and worker-crash events
-are mirrored into ``resilience.*`` metrics counters.
+task* — the serial backend retries inline, and the process pool ships
+the policy into the worker so retries happen without an extra IPC
+round trip. The process backend additionally accepts a
+``task_timeout``: a task exceeding its wall-clock budget is failed
+with :class:`~repro.exceptions.TaskTimeoutError` while its siblings'
+results are kept, and the pool is respawned so a hung worker cannot
+wedge the sweep. Retry, timeout and worker-crash events are mirrored
+into ``resilience.*`` metrics counters. What to do when the pool
+itself keeps failing is the caller's decision: the engine's circuit
+breaker moves the goal fan-out to the serial backend.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -52,7 +50,7 @@ class TaskSpec:
 
     Closures cannot cross a process boundary; a spec can, as long as
     ``fn`` is importable (module-level) and the arguments pickle. Specs
-    are themselves zero-argument callables, so every backend accepts
+    are themselves zero-argument callables, so both backends accept
     them interchangeably with plain thunks.
     """
 
@@ -86,9 +84,10 @@ class SweepResult:
     """Results of an executor run plus timing metadata.
 
     ``task_seconds`` aligns with ``results``: the wall time each task
-    spent executing (measured inside the worker for process backends),
-    or None for a pooled task that never finished. ``queue_seconds`` —
-    dispatch→start latency — is only populated by the pooled backends.
+    spent executing (measured inside the worker by the process
+    backend), or None for a pooled task that never finished.
+    ``queue_seconds`` — dispatch→start latency — is only populated by
+    the process backend.
     """
 
     results: List[Any]
@@ -135,7 +134,7 @@ def payload_bytes(task) -> int:
 def _observe_payloads(metrics, tasks) -> None:
     """Record per-task payload sizes into ``cloud.payload_bytes``.
 
-    Only process backends call this: in-process backends serialise
+    Only the process backend calls this: in-process backends serialise
     nothing, so a payload histogram there would measure a cost that is
     never paid.
     """
@@ -225,104 +224,11 @@ class SerialExecutor:
         )
 
 
-class ThreadPoolExecutorBackend:
-    """Run tasks on a local thread pool (numpy releases the GIL).
-
-    ``task_timeout`` bounds how long the parent waits on each task
-    (measured from when the parent starts waiting, so queueing behind a
-    busy pool does not count against the task). A timed-out slot
-    becomes a :class:`TaskFailure` carrying
-    :class:`~repro.exceptions.TaskTimeoutError`; threads cannot be
-    killed, so the hung thread itself is orphaned until its task
-    returns and the pool is released without joining it.
-    """
-
-    name = "threads"
-
-    def __init__(
-        self,
-        max_workers: int = 4,
-        metrics=None,
-        retry=None,
-        task_timeout: Optional[float] = None,
-    ) -> None:
-        if max_workers < 1:
-            raise ReproError("max_workers must be >= 1")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ReproError("task_timeout must be > 0")
-        self.max_workers = max_workers
-        self.metrics = metrics
-        self.retry = retry
-        self.task_timeout = task_timeout
-
-    def run(self, tasks: Sequence[Task]) -> SweepResult:
-        start = time.perf_counter()
-        results: List[Any] = [None] * len(tasks)
-        task_seconds: List[Optional[float]] = [None] * len(tasks)
-        queue_seconds: List[float] = [0.0] * len(tasks)
-        failures = 0
-        retries = 0
-        timeouts = 0
-
-        def wrap(index: int, task: Task, submitted: float):
-            begun = time.perf_counter()
-            value, used = _attempt(task, self.retry, index)
-            return index, value, used, time.perf_counter() - begun, (
-                begun - submitted
-            )
-
-        pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        clean = True
-        try:
-            futures = [
-                pool.submit(wrap, index, task, time.perf_counter())
-                for index, task in enumerate(tasks)
-            ]
-            for position, future in enumerate(futures):
-                try:
-                    index, value, used, seconds, waited = future.result(
-                        timeout=self.task_timeout
-                    )
-                except FuturesTimeout:
-                    future.cancel()
-                    clean = False
-                    timeouts += 1
-                    failures += 1
-                    results[position] = TaskFailure(
-                        TaskTimeoutError(
-                            f"task {position} exceeded its "
-                            f"{self.task_timeout:g}s wall-clock budget"
-                        )
-                    )
-                    continue
-                results[index] = value
-                task_seconds[index] = seconds
-                queue_seconds[index] = max(0.0, waited)
-                retries += used
-                if isinstance(value, TaskFailure):
-                    failures += 1
-        finally:
-            # A hung thread cannot be joined without wedging the sweep;
-            # on a clean run this is an ordinary synchronous shutdown.
-            pool.shutdown(wait=clean, cancel_futures=True)
-        _observe(self.metrics, task_seconds, queue_seconds, failures)
-        _observe_resilience(
-            self.metrics, retries=retries, timeouts=timeouts
-        )
-        return SweepResult(
-            results=results,
-            wall_seconds=time.perf_counter() - start,
-            n_failures=failures,
-            task_seconds=task_seconds,
-            queue_seconds=queue_seconds,
-        )
-
-
 def _picklable_error(error: Exception) -> Exception:
     """Return ``error`` if it survives pickling, else a summary of it.
 
     Worker results travel back through a pipe; an exception holding an
-    unpicklable payload would otherwise poison its whole chunk.
+    unpicklable payload would otherwise fail to come back at all.
     """
     try:
         pickle.loads(pickle.dumps(error))
@@ -332,54 +238,44 @@ def _picklable_error(error: Exception) -> Exception:
 
 
 @dataclass
-class ChunkReport:
-    """A worker's report for one chunk: results plus telemetry.
+class TaskReport:
+    """A worker's report for one task: its result plus telemetry.
 
     ``started_at`` is the worker's ``time.time()`` when it began the
-    chunk — same-machine comparable with the parent's submission stamp,
+    task — same-machine comparable with the parent's submission stamp,
     which is how queue latency crosses the process boundary.
-    ``retries`` counts in-worker retry attempts beyond each task's
-    first, so the parent can aggregate them without extra IPC.
+    ``retries`` counts in-worker retry attempts beyond the first, so
+    the parent can aggregate them without extra IPC.
     """
 
-    results: List[Any]
-    task_seconds: List[float]
+    value: Any
+    seconds: float
     started_at: float
     retries: int = 0
 
 
-def _execute_chunk(
-    tasks: Sequence[Task], retry=None, base_index: int = 0
-) -> ChunkReport:
-    """Worker entry point: run a batch of tasks, capturing failures.
+def _execute_task(task: Task, retry=None, index: int = 0) -> TaskReport:
+    """Worker entry point: run one task, capturing its failure.
 
-    Per-task wall times and the chunk start stamp come back inside a
-    :class:`ChunkReport`. ``retry`` applies the retry policy *inside*
-    the worker — backoff and re-attempts never pay a process round
-    trip — and ``base_index`` keeps the policy's per-task jitter
-    streams aligned with global task indexes.
+    ``retry`` applies the retry policy *inside* the worker — backoff
+    and re-attempts never pay a process round trip — and ``index``
+    keeps the policy's per-task jitter stream aligned with the task's
+    position in the sweep.
     """
     started_at = time.time()
-    results: List[Any] = []
-    task_seconds: List[float] = []
-    retries = 0
-    for offset, task in enumerate(tasks):
-        t0 = time.perf_counter()
-        value, used = _attempt(task, retry, base_index + offset)
-        retries += used
-        if isinstance(value, TaskFailure):
-            value = TaskFailure(
-                _picklable_error(value.error),
-                attempts=value.attempts,
-                history=value.history,
-            )
-        results.append(value)
-        task_seconds.append(time.perf_counter() - t0)
-    return ChunkReport(
-        results=results,
-        task_seconds=task_seconds,
+    t0 = time.perf_counter()
+    value, used = _attempt(task, retry, index)
+    if isinstance(value, TaskFailure):
+        value = TaskFailure(
+            _picklable_error(value.error),
+            attempts=value.attempts,
+            history=value.history,
+        )
+    return TaskReport(
+        value=value,
+        seconds=time.perf_counter() - t0,
         started_at=started_at,
-        retries=retries,
+        retries=used,
     )
 
 
@@ -390,33 +286,25 @@ class ProcessPoolExecutorBackend:
     ----------
     workers:
         Number of worker processes.
-    chunk_size:
-        Tasks shipped to a worker per dispatch. Larger chunks amortise
-        the pickle/IPC overhead of small tasks; 1 maximises balance.
-    mp_context:
-        ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``) or None for the platform default. Task specs
-        are pickled either way, so both fork and spawn starts work.
     retry:
         Optional per-task retry policy, shipped into the worker (it
         must pickle — :class:`repro.cloud.resilience.RetryPolicy`
         does) so re-attempts happen without extra IPC.
     task_timeout:
-        Per-task wall-clock budget. A chunk of *k* tasks gets a
-        ``k * task_timeout`` budget; when it expires the chunk is
-        respawned as single-task chunks so the hung task is isolated
-        (and finally failed with
-        :class:`~repro.exceptions.TaskTimeoutError`) while its
-        siblings re-run to completion. The budget excludes time spent
-        queued behind other chunks, and retries run inside it.
+        Per-task wall-clock budget, counted from when the parent
+        starts waiting on the task, so queueing behind earlier tasks
+        does not count against it; retries run inside it. A task over
+        budget fails with :class:`~repro.exceptions.TaskTimeoutError`;
+        the pool is killed and respawned, and the siblings that had
+        not finished re-run to completion.
 
-    Tasks should be :class:`TaskSpec` instances (or otherwise picklable
-    zero-argument callables). A task that fails to pickle — or raises in
-    the worker — is reported as a :class:`TaskFailure` in its slot; a
-    worker-process death fails only the culprit task (as a
-    :class:`~repro.exceptions.WorkerCrashError`) after the pool is
-    respawned and its chunk's siblings are re-executed; the rest of
-    the sweep is unaffected either way.
+    Each task is its own dispatch. Tasks should be :class:`TaskSpec`
+    instances (or otherwise picklable zero-argument callables). A task
+    that fails to pickle — or raises in the worker — is reported as a
+    :class:`TaskFailure` in its slot; a worker-process death fails only
+    the culprit task (as a :class:`~repro.exceptions.WorkerCrashError`)
+    after the pool is respawned and its unfinished siblings re-run; the
+    rest of the sweep is unaffected either way.
     """
 
     name = "process"
@@ -424,21 +312,15 @@ class ProcessPoolExecutorBackend:
     def __init__(
         self,
         workers: int = 4,
-        chunk_size: int = 1,
-        mp_context: Optional[str] = None,
         metrics=None,
         retry=None,
         task_timeout: Optional[float] = None,
     ) -> None:
         if workers < 1:
             raise ReproError("workers must be >= 1")
-        if chunk_size < 1:
-            raise ReproError("chunk_size must be >= 1")
         if task_timeout is not None and task_timeout <= 0:
             raise ReproError("task_timeout must be > 0")
         self.workers = workers
-        self.chunk_size = chunk_size
-        self.mp_context = mp_context
         self.metrics = metrics
         self.retry = retry
         self.task_timeout = task_timeout
@@ -451,42 +333,31 @@ class ProcessPoolExecutorBackend:
         task_seconds: List[Optional[float]] = [None] * len(tasks)
         queue_seconds: List[float] = []
         counts = {
-            "chunk_failures": 0,
+            "dispatch_failures": 0,
             "timeouts": 0,
             "crashes": 0,
             "retries": 0,
         }
-        # How often a singleton task may ride a broken pool before it
-        # is condemned as the crasher: a broken pool cannot say which
-        # task killed the worker, so innocents get re-runs up to the
-        # retry budget.
+        # How often a task may ride a broken pool before it is
+        # condemned as the crasher: a broken pool cannot say which task
+        # killed the worker, so innocents get re-runs up to the retry
+        # budget.
         crash_budget = (
             self.retry.max_attempts - 1 if self.retry is not None else 0
         )
         crash_counts: Dict[int, int] = {}
 
-        def place(report: ChunkReport, chunk, dispatched) -> None:
-            for index, value, seconds in zip(
-                chunk, report.results, report.task_seconds
-            ):
-                results[index] = value
-                task_seconds[index] = seconds
+        def place(report: TaskReport, index: int, dispatched) -> None:
+            results[index] = report.value
+            task_seconds[index] = report.seconds
             queue_seconds.append(max(0.0, report.started_at - dispatched))
             counts["retries"] += report.retries
 
-        def split(chunk, requeue) -> None:
-            counts["chunk_failures"] += 1
-            requeue.extend([index] for index in chunk)
-
-        def crash(chunk, exc, requeue) -> None:
-            if len(chunk) > 1:
-                split(chunk, requeue)
-                return
-            counts["chunk_failures"] += 1
-            index = chunk[0]
+        def crash(index: int, exc, requeue) -> None:
+            counts["dispatch_failures"] += 1
             crash_counts[index] = crash_counts.get(index, 0) + 1
             if crash_counts[index] <= crash_budget:
-                requeue.append([index])
+                requeue.append(index)
                 return
             counts["crashes"] += 1
             results[index] = TaskFailure(
@@ -497,120 +368,97 @@ class ProcessPoolExecutorBackend:
                 history=[f"WorkerCrashError: {exc}"] * crash_counts[index],
             )
 
-        def flunk(chunk, exc, requeue) -> None:
+        def flunk(index: int, exc) -> None:
             # The future failed without breaking the pool (typically
-            # the chunk did not pickle): split to isolate the culprit,
-            # fail it outright once it is alone.
-            counts["chunk_failures"] += 1
-            if len(chunk) > 1:
-                requeue.extend([index] for index in chunk)
-            else:
-                results[chunk[0]] = TaskFailure(_picklable_error(exc))
+            # the task did not pickle): fail its slot outright.
+            counts["dispatch_failures"] += 1
+            results[index] = TaskFailure(_picklable_error(exc))
 
-        def harvest(future, chunk, dispatched, requeue) -> None:
+        def harvest(future, index: int, dispatched, requeue) -> None:
             # Settle an already-finished future while the pool is
             # being condemned — completed siblings are never re-run.
             try:
                 report = future.result(timeout=0)
             except BrokenProcessPool:
                 # A broken pool fails *every* pending future with the
-                # same exception; this chunk is an innocent bystander
-                # of the crash already being handled, so it re-runs
-                # whole next round rather than being blamed.
-                requeue.append(chunk)
+                # same exception; this task is an innocent bystander of
+                # the crash already being handled, so it re-runs next
+                # round rather than being blamed.
+                requeue.append(index)
             except Exception as exc:  # noqa: BLE001 - settled per task
-                flunk(chunk, exc, requeue)
+                flunk(index, exc)
             else:
-                place(report, chunk, dispatched)
+                place(report, index, dispatched)
 
-        def settle(future, chunk, dispatched, requeue) -> bool:
+        def settle(future, index: int, dispatched, requeue) -> bool:
             # Wait for one future; False means the pool must die.
-            budget = (
-                self.task_timeout * len(chunk)
-                if self.task_timeout is not None
-                else None
-            )
             try:
-                report = future.result(timeout=budget)
+                report = future.result(timeout=self.task_timeout)
             except FuturesTimeout:
                 future.cancel()
-                counts["chunk_failures"] += 1
-                if len(chunk) > 1:
-                    requeue.extend([index] for index in chunk)
-                else:
-                    counts["timeouts"] += 1
-                    results[chunk[0]] = TaskFailure(
-                        TaskTimeoutError(
-                            f"task {chunk[0]} exceeded its "
-                            f"{self.task_timeout:g}s wall-clock budget"
-                        )
+                counts["dispatch_failures"] += 1
+                counts["timeouts"] += 1
+                results[index] = TaskFailure(
+                    TaskTimeoutError(
+                        f"task {index} exceeded its "
+                        f"{self.task_timeout:g}s wall-clock budget"
                     )
+                )
                 return False
             except BrokenProcessPool as exc:
-                crash(chunk, exc, requeue)
+                crash(index, exc, requeue)
                 return False
             except Exception as exc:  # noqa: BLE001 - settled per task
-                flunk(chunk, exc, requeue)
+                flunk(index, exc)
                 return True
-            place(report, chunk, dispatched)
+            place(report, index, dispatched)
             return True
 
-        context = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context
-            else None
-        )
-        pending: List[List[int]] = [
-            list(range(low, min(low + self.chunk_size, len(tasks))))
-            for low in range(0, len(tasks), self.chunk_size)
-        ]
-        # Each round either settles every chunk or condemns the pool,
+        pending = list(range(len(tasks)))
+        # Each round either settles every task or condemns the pool,
         # keeps whatever finished, and respawns the rest — with the
-        # culprit chunk split or resolved, so the loop always shrinks.
+        # culprit resolved, so the loop always shrinks.
         while pending:
             # Not a ``with`` block: on an error (or KeyboardInterrupt)
-            # mid-run, ``__exit__`` would wait for every queued chunk
-            # to finish, leaking busy workers. Cancel what never
-            # started, then wait only for the in-flight chunks.
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context
-            )
-            requeue: List[List[int]] = []
+            # mid-run, ``__exit__`` would wait for every queued task to
+            # finish, leaking busy workers. Cancel what never started,
+            # then wait only for the in-flight tasks.
+            pool = ProcessPoolExecutor(max_workers=self.workers)
+            requeue: List[int] = []
             healthy = True
             try:
                 futures: List[Any] = []
                 submitted: List[float] = []
-                for chunk in pending:
-                    batch = [tasks[index] for index in chunk]
+                for index in pending:
                     try:
-                        # _execute_chunk stamps queue-latency telemetry
+                        # _execute_task stamps queue-latency telemetry
                         # with time.time(); the timestamps never feed
                         # results, so the clock read is benign here.
                         futures.append(
                             pool.submit(  # adalint: disable=ADA009
-                                _execute_chunk,
-                                batch,
+                                _execute_task,
+                                tasks[index],
                                 self.retry,
-                                chunk[0],
+                                index,
                             )
                         )
                     except Exception as exc:  # noqa: BLE001 - submit
                         futures.append(None)
-                        flunk(chunk, exc, requeue)
+                        flunk(index, exc)
                     submitted.append(time.time())
-                for future, chunk, dispatched in zip(
+                for future, index, dispatched in zip(
                     futures, pending, submitted
                 ):
                     if future is None:
                         continue
                     if not healthy:
                         if future.done():
-                            harvest(future, chunk, dispatched, requeue)
+                            harvest(future, index, dispatched, requeue)
                         else:
                             future.cancel()
-                            requeue.append(chunk)
+                            requeue.append(index)
                         continue
-                    healthy = settle(future, chunk, dispatched, requeue)
+                    healthy = settle(future, index, dispatched, requeue)
             finally:
                 if healthy:
                     pool.shutdown(wait=True, cancel_futures=True)
@@ -621,9 +469,9 @@ class ProcessPoolExecutorBackend:
             1 for value in results if isinstance(value, TaskFailure)
         )
         _observe(self.metrics, task_seconds, queue_seconds, failures)
-        if self.metrics is not None and counts["chunk_failures"]:
-            self.metrics.counter("executor.chunk_failures").inc(
-                counts["chunk_failures"]
+        if self.metrics is not None and counts["dispatch_failures"]:
+            self.metrics.counter("executor.dispatch_failures").inc(
+                counts["dispatch_failures"]
             )
         _observe_resilience(
             self.metrics,
@@ -654,20 +502,3 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         if process.is_alive():
             process.terminate()
 
-
-_BACKENDS = {
-    "serial": SerialExecutor,
-    "threads": ThreadPoolExecutorBackend,
-    "process": ProcessPoolExecutorBackend,
-}
-
-
-def make_executor(name: str, **kwargs):
-    """Instantiate an executor backend by name."""
-    try:
-        backend = _BACKENDS[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown executor {name!r}; choose from {sorted(_BACKENDS)}"
-        ) from None
-    return backend(**kwargs)

@@ -4,17 +4,16 @@ The paper pitches ADA-HEALTH as an engine a clinician can leave
 unattended, which means the execution layer has to absorb the faults a
 real deployment throws at it — transient task errors, hung workers,
 dead processes, a whole backend gone bad — instead of aborting the
-analysis. This module is that layer:
+analysis. This module holds the pieces of that layer:
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   *seeded* jitter, so retried sweeps stay reproducible. Applied
-  per-task inside every :mod:`repro.cloud.executor` backend.
+  per-task inside both :mod:`repro.cloud.executor` backends.
 * :class:`CircuitBreaker` — trips after N consecutive infrastructure
-  failures so a misbehaving backend stops being asked.
-* :class:`ResilientExecutor` — wraps any backend with a breaker and a
-  serial fallback: when the breaker opens, work is downgraded to the
-  fallback (and the downgrade is recorded) rather than lost.
-* :class:`FaultInjector` — a deterministic chaos harness: wraps any
+  failures so a misbehaving backend stops being asked. The engine
+  owns one per session and moves its goal fan-out to the serial
+  backend once it opens (see ``ADAHealth._run_goals``).
+* :class:`FaultInjector` — a deterministic chaos harness: wraps a
   backend and injects raises, hangs and result-drop faults by task
   index from a seeded ``default_rng`` schedule, so the chaos suite can
   assert exact recovery behaviour.
@@ -26,7 +25,7 @@ always fails, hangs and recovers identically. All sleeping for backoff
 purposes lives here.
 
 This module deliberately avoids importing :mod:`repro.cloud.executor`
-at module level (the executors import :class:`RetryPolicy` helpers'
+at module level (the executors use :class:`RetryPolicy` through its
 *duck type*, and this module needs their result classes), so the two
 sides load in either order.
 """
@@ -47,7 +46,7 @@ from repro.exceptions import (
 )
 
 #: Exception types that mark *infrastructure* (not task) failures —
-#: what circuit breakers count and fallbacks rescue.
+#: what the circuit breaker counts and the serial fallback rescues.
 INFRASTRUCTURE_ERRORS = (TaskTimeoutError, WorkerCrashError)
 
 
@@ -76,7 +75,8 @@ class RetryPolicy:
     Parameters
     ----------
     max_attempts:
-        Total attempts per task (1 means no retries).
+        Total attempts per task (1 means no retries); any
+        ``Exception`` a task raises is retried.
     base_delay / backoff / max_delay:
         Attempt ``a`` (1-based) sleeps
         ``min(max_delay, base_delay * backoff**(a-1))`` before attempt
@@ -87,13 +87,9 @@ class RetryPolicy:
         ``default_rng((seed, task_index, attempt))`` — deterministic
         for a given policy, task and attempt, yet decorrelated across
         tasks so a retry storm does not re-synchronise.
-    retryable:
-        Optional predicate over the raised exception; ``None`` retries
-        every ``Exception``. Must be a picklable (module-level)
-        callable when the policy rides into a process-pool worker.
 
     The policy is frozen, hashable and picklable, so one instance can
-    be shared by every backend of an engine and shipped to workers.
+    be shared by both backends of an engine and shipped to workers.
     """
 
     max_attempts: int = 3
@@ -102,7 +98,6 @@ class RetryPolicy:
     max_delay: float = 2.0
     jitter: float = 0.1
     seed: int = 0
-    retryable: Optional[Callable[[Exception], bool]] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -115,14 +110,6 @@ class RetryPolicy:
             raise ReproError("jitter must be in [0, 1]")
 
     # ------------------------------------------------------------------
-    def should_retry(self, error: Exception, attempt: int) -> bool:
-        """May attempt ``attempt`` (1-based), which raised, be retried?"""
-        if attempt >= self.max_attempts:
-            return False
-        if self.retryable is not None and not self.retryable(error):
-            return False
-        return True
-
     def delay_for(self, attempt: int, task_index: int = 0) -> float:
         """Backoff delay after a failed ``attempt`` (deterministic)."""
         base = min(
@@ -157,7 +144,7 @@ class RetryPolicy:
                 value = task()
             except Exception as exc:  # noqa: BLE001 - recorded per attempt
                 history.append(f"{type(exc).__name__}: {exc}")
-                if not self.should_retry(exc, attempt):
+                if attempt >= self.max_attempts:
                     return RetryOutcome(
                         error=exc, attempts=attempt, history=history
                     )
@@ -230,108 +217,6 @@ class CircuitBreaker:
         }
 
 
-class ResilientExecutor:
-    """Breaker-guarded executor wrapper with a serial fallback.
-
-    Delegates ``run`` to ``backend``; infrastructure failures
-    (:data:`INFRASTRUCTURE_ERRORS` in result slots, or the backend
-    itself raising) feed the breaker. When the breaker opens the work
-    moves to ``fallback`` (a fresh
-    :class:`~repro.cloud.executor.SerialExecutor` by default) and the
-    downgrade is recorded in :attr:`events` and the
-    ``resilience.fallbacks`` counter. A trip *during* a run rescues
-    just the infrastructure-failed slots through the fallback, so
-    surviving results are never thrown away.
-    """
-
-    def __init__(
-        self,
-        backend: Any,
-        breaker: Optional[CircuitBreaker] = None,
-        fallback: Optional[Any] = None,
-        metrics: Optional[Any] = None,
-    ) -> None:
-        self.backend = backend
-        self.breaker = breaker or CircuitBreaker(metrics=metrics)
-        self.metrics = metrics
-        self._fallback = fallback
-        self.downgrades = 0
-        #: Downgrade log: ``{"event": "fallback", "reason": ...}`` dicts.
-        self.events: List[Dict[str, Any]] = []
-
-    @property
-    def name(self) -> str:
-        return getattr(self.backend, "name", "backend")
-
-    def fallback(self) -> Any:
-        """The downgrade target (created lazily)."""
-        if self._fallback is None:
-            from repro.cloud.executor import SerialExecutor
-
-            self._fallback = SerialExecutor(
-                metrics=self.metrics,
-                retry=getattr(self.backend, "retry", None),
-            )
-        return self._fallback
-
-    def run(self, tasks: Sequence[Callable[[], Any]]) -> Any:
-        from repro.cloud.executor import SweepResult, TaskFailure
-
-        tasks = list(tasks)
-        if self.breaker.is_open:
-            self._record_downgrade("breaker-open")
-            return self.fallback().run(tasks)
-        try:
-            outcome = self.backend.run(tasks)
-        except Exception as exc:  # noqa: BLE001 - recorded, downgraded
-            self.breaker.record_failure()
-            self._record_downgrade(
-                f"backend-error: {type(exc).__name__}: {exc}"
-            )
-            return self.fallback().run(tasks)
-        infra = [
-            index
-            for index, value in enumerate(outcome.results)
-            if isinstance(value, TaskFailure)
-            and isinstance(value.error, INFRASTRUCTURE_ERRORS)
-        ]
-        if not infra:
-            self.breaker.record_success()
-            return outcome
-        self.breaker.record_failure(len(infra))
-        if not self.breaker.is_open:
-            return outcome
-        # The breaker tripped mid-run: rescue only the slots the
-        # infrastructure lost; completed siblings are kept as-is.
-        self._record_downgrade(
-            f"breaker-tripped: rescuing {len(infra)} failed task(s)"
-        )
-        rescue = self.fallback().run([tasks[index] for index in infra])
-        results = list(outcome.results)
-        task_seconds = list(outcome.task_seconds)
-        for slot, value, seconds in zip(
-            infra, rescue.results, rescue.task_seconds
-        ):
-            results[slot] = value
-            task_seconds[slot] = seconds
-        failures = sum(
-            1 for value in results if isinstance(value, TaskFailure)
-        )
-        return SweepResult(
-            results=results,
-            wall_seconds=outcome.wall_seconds + rescue.wall_seconds,
-            n_failures=failures,
-            task_seconds=task_seconds,
-            queue_seconds=outcome.queue_seconds,
-        )
-
-    def _record_downgrade(self, reason: str) -> None:
-        self.downgrades += 1
-        self.events.append({"event": "fallback", "reason": reason})
-        if self.metrics is not None:
-            self.metrics.counter("resilience.fallbacks").inc()
-
-
 # ----------------------------------------------------------------------
 # Deterministic fault injection (chaos harness)
 # ----------------------------------------------------------------------
@@ -380,7 +265,7 @@ class FaultInjector:
     Parameters
     ----------
     backend:
-        Any :mod:`repro.cloud.executor` backend (or another wrapper).
+        A :mod:`repro.cloud.executor` backend.
     raise_rate / hang_rate / drop_rate:
         Probabilities (summing to at most 1) that a task index draws a
         raise, hang or result-drop fault from the schedule.
@@ -433,13 +318,6 @@ class FaultInjector:
     @property
     def name(self) -> str:
         return f"fault-injector({getattr(self.backend, 'name', '?')})"
-
-    @property
-    def retry(self) -> Optional[Any]:
-        """The wrapped backend's retry policy (what a
-        :class:`ResilientExecutor` fallback around this injector
-        inherits)."""
-        return getattr(self.backend, "retry", None)
 
     def schedule(self, n_tasks: int) -> List[Optional[Fault]]:
         """The fault (or None) drawn for each task index."""

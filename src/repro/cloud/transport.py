@@ -10,10 +10,10 @@ exam log take a *lease* around the dispatch —
         tasks = [TaskSpec(work, (ref, k)) for k in k_values]
         outcome = executor.run(tasks)
 
-— and the lease decides the transport. Serial and thread backends
-short-circuit: the ref *is* the original object and nothing is copied
-or mapped. Process backends copy the data once into a
-:class:`repro.data.SharedMatrix` segment and hand out its ~100-byte
+— and the lease decides the transport. The serial backend
+short-circuits: the ref *is* the original object and nothing is copied
+or mapped. The process backend copies the data once into a
+:class:`repro.data.SharedMatrix` segment and hands out its ~100-byte
 picklable handle instead, so each ``TaskSpec`` pickles the descriptor
 rather than the payload; workers resolve the handle with
 :func:`repro.data.open_matrix` / :func:`open_log`.
@@ -48,17 +48,12 @@ __all__ = [
 
 
 def backend_name(executor) -> str:
-    """Name of the innermost backend, unwrapping resilience layers.
+    """Name of the backend that runs the tasks.
 
-    :class:`~repro.cloud.resilience.ResilientExecutor` and
-    :class:`~repro.cloud.resilience.FaultInjector` both expose the
-    wrapped executor as ``.backend``; the chain bottoms out at a
-    concrete backend with a ``name``.
+    A :class:`~repro.cloud.resilience.FaultInjector` exposes the
+    backend it wraps as ``.backend``; that backend names the transport.
     """
-    seen = 0
-    while hasattr(executor, "backend") and seen < 8:
-        executor = executor.backend
-        seen += 1
+    executor = getattr(executor, "backend", executor)
     return str(getattr(executor, "name", "unknown"))
 
 

@@ -31,14 +31,15 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cloud.executor import (
+    ProcessPoolExecutorBackend,
     SerialExecutor,
+    SweepResult,
     TaskFailure,
     TaskSpec,
-    make_executor,
 )
 from repro.cloud.resilience import (
+    INFRASTRUCTURE_ERRORS,
     CircuitBreaker,
-    ResilientExecutor,
     RetryPolicy,
 )
 from repro.core.cache import AnalysisCache, fingerprint_log
@@ -78,12 +79,17 @@ from repro.preprocess.transforms import L2Normalizer
 from repro.preprocess.vsm import VSMBuilder
 
 #: Accepted values of ``EngineConfig.executor``.
-EXECUTORS = ("serial", "threads", "process", "auto")
+EXECUTORS = ("serial", "process", "auto")
 
 #: Logs below this record count resolve ``executor="auto"`` to the
 #: serial backend: worker startup and transport would dominate the
 #: actual per-goal compute.
 AUTO_EXECUTOR_MIN_RECORDS = 20_000
+
+#: Consecutive infrastructure failures (timeouts, worker crashes, a
+#: raising process pool) after which the engine's circuit breaker opens
+#: and the goal fan-out stays serial for the rest of the session.
+BREAKER_THRESHOLD = 3
 
 
 @dataclass
@@ -110,7 +116,7 @@ class EngineConfig:
     max_goals: Optional[int] = None
     items_per_goal: int = 25
     n_folds: int = 5
-    #: Backend for the per-goal fan-out: "serial" (in-process), "threads",
+    #: Backend for the per-goal fan-out: "serial" (in-process),
     #: "process" (true CPU parallelism; goal pipelines are side-effect
     #: free so results merge deterministically), or "auto" — serial on
     #: single-core hosts or small logs, otherwise a process pool fed
@@ -140,14 +146,10 @@ class EngineConfig:
     #: backend (serial included) — 0 disables retrying. Backoff jitter
     #: is seeded from the engine seed, so retried runs stay reproducible.
     retries: int = 0
-    #: Per-task wall-clock budget (seconds) for the pooled backends; a
+    #: Per-task wall-clock budget (seconds) for the process backend; a
     #: hung task is failed with ``TaskTimeoutError`` and its siblings
     #: are respawned rather than lost. None disables timeouts.
     task_timeout: Optional[float] = None
-    #: Consecutive infrastructure failures (timeouts, worker crashes,
-    #: backend errors) before the fan-out backend is tripped and work
-    #: falls back to a serial executor.
-    breaker_threshold: int = 3
 
 
 @dataclass
@@ -317,8 +319,7 @@ class ADAHealth:
             else None
         )
         self.breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            metrics=self.metrics,
+            threshold=BREAKER_THRESHOLD, metrics=self.metrics
         )
         if self.cache is not None:
             self.cache.bind_metrics(self.metrics)
@@ -526,18 +527,19 @@ class ADAHealth:
 
         End-goal pipelines are independent and side-effect free, so
         every pending goal becomes one task on a :mod:`repro.cloud`
-        backend — serial when at most one goal is pending, otherwise
-        the configured one. Tasks are dispatched in the finder's
-        registry order, which lists the heaviest goal (segmentation)
-        first, so a pool does not start it last; results merge back
-        **in goal order**: identical across serial, thread and process
+        backend — serial when at most one goal is pending or the
+        breaker is open (see :meth:`_dispatch`), otherwise the
+        configured one. Tasks are dispatched in the finder's registry
+        order, which lists the heaviest goal (segmentation) first, so a
+        pool does not start it last; results merge back
+        **in goal order**: identical across serial and process
         execution. Every backend shares one set of semantics:
         ``retries`` apply per goal task, ``on_goal_error="raise"``
         re-raises the first failure in goal order once the dispatch
         returns, and ``goal`` spans are replayed from the reported task
-        timings as children of ``run-goals``. With a cache, goals whose (dataset fingerprint,
-        goal, config, seed) key is already known are restored instead
-        of recomputed.
+        timings as children of ``run-goals``. With a cache, goals whose
+        (dataset fingerprint, goal, config, seed) key is already known
+        are restored instead of recomputed.
         """
         fingerprint: Optional[str] = None
         restored: Dict[str, GoalRun] = {}
@@ -574,9 +576,14 @@ class ADAHealth:
         backend = (
             "serial" if len(pending) <= 1 else self._resolved_executor(log)
         )
+        if backend == "process" and self.breaker.is_open:
+            # A tripped breaker keeps the fan-out serial for the rest of
+            # the session: no pool, no shared-memory copy of the log.
+            backend = "serial"
+            self.metrics.counter("resilience.fallbacks").inc()
         executor = self._goal_executor(backend)
-        # The lease ships the log once: in-process backends pass it
-        # through, process backends pickle a ~100-byte shared-memory
+        # The lease ships the log once: the serial backend gets it
+        # as is, the process backend pickles a ~100-byte shared-memory
         # handle per task instead of the full record set.
         registry = [goal.name for goal in self.finder.goals]
         dispatch = sorted(
@@ -591,9 +598,9 @@ class ADAHealth:
                 )
                 for goal in (pending[position] for position in dispatch)
             ]
-            outcome = executor.run(tasks)
+            outcome = self._dispatch(executor, tasks)
         manifest.record_executor(
-            executor.name,
+            backend,
             1 if backend == "serial" else self.config.executor_workers,
             outcome.n_failures,
         )
@@ -679,39 +686,66 @@ class ADAHealth:
         return "process"
 
     def _goal_executor(self, name: str):
-        """Build the backend for the goal fan-out.
+        """Build the resolved backend ``name`` for the goal fan-out.
 
-        ``name`` is the resolved backend. Every backend carries the
-        engine's retry policy; the pooled ones also carry the task
-        timeout and are wrapped in a breaker-guarded
-        :class:`~repro.cloud.resilience.ResilientExecutor`, so repeated
-        infrastructure failures downgrade the fan-out to a serial
-        fallback instead of aborting the analysis.
+        Both backends carry the engine's retry policy and metrics; the
+        process pool also carries the task timeout.
         """
-        cfg = self.config
-        if name == "threads":
-            backend = make_executor(
-                "threads",
-                max_workers=cfg.executor_workers,
+        if name == "process":
+            return ProcessPoolExecutorBackend(
+                workers=self.config.executor_workers,
                 metrics=self.metrics,
                 retry=self.retry_policy,
-                task_timeout=cfg.task_timeout,
+                task_timeout=self.config.task_timeout,
             )
-        elif name == "process":
-            backend = make_executor(
-                "process",
-                workers=cfg.executor_workers,
-                metrics=self.metrics,
-                retry=self.retry_policy,
-                task_timeout=cfg.task_timeout,
-            )
-        else:
-            return SerialExecutor(
-                metrics=self.metrics, retry=self.retry_policy
-            )
-        return ResilientExecutor(
-            backend, breaker=self.breaker, metrics=self.metrics
+        return SerialExecutor(metrics=self.metrics, retry=self.retry_policy)
+
+    def _dispatch(self, executor, tasks: List[TaskSpec]) -> SweepResult:
+        """Run the goal tasks, rescuing what a process pool loses.
+
+        A process dispatch that raises, or that returns slots failed by
+        :data:`~repro.cloud.resilience.INFRASTRUCTURE_ERRORS` (timeouts,
+        worker crashes), feeds the engine's breaker; a clean one resets
+        its streak. A raising dispatch re-runs every task serially.
+        Otherwise the lost slots stay failed until the breaker trips;
+        then they alone re-run serially in this call, and completed
+        siblings are kept. Each rescue counts one
+        ``resilience.fallbacks``. A goal's own errors never touch the
+        breaker: they would fail the same way on any backend.
+        """
+        if not isinstance(executor, ProcessPoolExecutorBackend):
+            return executor.run(tasks)
+        serial = self._goal_executor("serial")
+        try:
+            outcome = executor.run(tasks)
+        except Exception:  # noqa: BLE001 - counted, then rescued
+            self.breaker.record_failure()
+            self.metrics.counter("resilience.fallbacks").inc()
+            return serial.run(tasks)
+        lost = [
+            slot
+            for slot, value in enumerate(outcome.results)
+            if isinstance(value, TaskFailure)
+            and isinstance(value.error, INFRASTRUCTURE_ERRORS)
+        ]
+        if not lost:
+            self.breaker.record_success()
+            return outcome
+        self.breaker.record_failure(len(lost))
+        if not self.breaker.is_open:
+            return outcome
+        self.metrics.counter("resilience.fallbacks").inc()
+        rescue = serial.run([tasks[slot] for slot in lost])
+        for slot, value, seconds in zip(
+            lost, rescue.results, rescue.task_seconds
+        ):
+            outcome.results[slot] = value
+            outcome.task_seconds[slot] = seconds
+        outcome.n_failures = sum(
+            1 for value in outcome.results if isinstance(value, TaskFailure)
         )
+        outcome.wall_seconds += rescue.wall_seconds
+        return outcome
 
     def _goal_params(self, goal: EndGoal) -> Dict[str, Any]:
         """Cache-key parameters for one goal run.
@@ -719,11 +753,10 @@ class ADAHealth:
         The execution knobs (``executor*``, ``use_cache``), the
         telemetry handles (``tracer``, ``metrics``) and the fault-
         tolerance knobs (``on_goal_error``, ``retries``,
-        ``task_timeout``, ``breaker_threshold``) are excluded: they
-        change *where* the pipeline runs, what observes it or how it
-        recovers, never its result, so a sweep finished serially is
-        reusable by a traced, retry-hardened process-parallel run (and
-        vice versa).
+        ``task_timeout``) are excluded: they change *where* the
+        pipeline runs, what observes it or how it recovers, never its
+        result, so a sweep finished serially is reusable by a traced,
+        retry-hardened process-parallel run (and vice versa).
         """
         excluded = {
             "executor",
@@ -734,7 +767,6 @@ class ADAHealth:
             "on_goal_error",
             "retries",
             "task_timeout",
-            "breaker_threshold",
         }
         params = {
             spec.name: getattr(self.config, spec.name)
@@ -1099,7 +1131,7 @@ class ADAHealth:
 
 
 #: Counters whose per-run deltas land in the manifest's resilience
-#: section (emitted by the executor backends and the breaker wrapper).
+#: section (emitted by the executor backends and the engine's breaker).
 _RESILIENCE_COUNTERS = (
     "resilience.retries",
     "resilience.timeouts",

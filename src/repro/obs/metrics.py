@@ -11,11 +11,11 @@ seconds-scale latencies by default) and estimate percentiles by linear
 interpolation inside the owning bucket — the standard fixed-bucket
 estimator, cheap to merge and serialise, accurate to bucket width.
 
-Instruments are thread-safe (thread-pool backends observe from worker
-threads) and picklable (locks are dropped and rebuilt), so a registry
-can ride inside the engine across a process boundary; increments made
-in worker processes stay in the worker's copy, which is why the
-executors report worker timings back through their *results* instead.
+Instruments are thread-safe and picklable (locks are dropped and
+rebuilt), so a registry can ride inside the engine across a process
+boundary; increments made in worker processes stay in the worker's
+copy, which is why the executors report worker timings back through
+their *results* instead.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.data.blocks` substrate (``SharedMatrix``
 lifecycle, handles, ``open_matrix``), the task transport's leases,
-adaptive backend resolution, serial/threads/process result identity
+adaptive backend resolution, serial/process result identity
 and the cleanup invariant under injected faults.
 """
 
@@ -18,7 +18,6 @@ from repro.cloud import (
     RetryPolicy,
     SerialExecutor,
     TaskSpec,
-    ThreadPoolExecutorBackend,
     backend_name,
     log_lease,
     matrix_lease,
@@ -153,9 +152,6 @@ def test_matrix_lease_short_circuits_in_process_backends():
         assert ref is matrix
     with matrix_lease(None, matrix) as (ref,):
         assert ref is matrix
-    backend = ThreadPoolExecutorBackend(max_workers=2)
-    with matrix_lease(backend, matrix) as (ref,):
-        assert ref is matrix
 
 
 def test_matrix_lease_ships_handles_to_process_backends():
@@ -248,12 +244,12 @@ def test_auto_executor_resolution(tiny_log, monkeypatch):
     assert resolve(_Big(), 1, 8) == "serial"
     assert resolve(_Big(), None, 1) == "serial"
     assert resolve(_Big(), None, 8) == "process"
-    explicit = ADAHealth(config=EngineConfig(executor="threads"))
-    assert explicit._resolved_executor(tiny_log) == "threads"
+    explicit = ADAHealth(config=EngineConfig(executor="process"))
+    assert explicit._resolved_executor(tiny_log) == "process"
 
 
 # ----------------------------------------------------------------------
-# End-to-end identity: serial vs threads vs process
+# End-to-end identity: serial vs process
 # ----------------------------------------------------------------------
 def _analysis_document(result):
     payload = {
@@ -275,7 +271,7 @@ def _analysis_document(result):
 GOALS = ["patient-segmentation", "co-prescription-patterns"]
 
 
-def test_analyze_is_byte_identical_serial_vs_threads_vs_process(tiny_log):
+def test_analyze_is_byte_identical_serial_vs_process(tiny_log):
     def run(**kwargs):
         engine = ADAHealth(
             config=EngineConfig(
@@ -288,7 +284,6 @@ def test_analyze_is_byte_identical_serial_vs_threads_vs_process(tiny_log):
         )
 
     serial = run()
-    assert run(executor="threads") == serial
     assert run(executor="process", executor_workers=2) == serial
     assert leaked_segments() == []
 

@@ -9,8 +9,6 @@ from repro.cloud import (
     SerialExecutor,
     TaskFailure,
     TaskSpec,
-    ThreadPoolExecutorBackend,
-    make_executor,
 )
 from repro.exceptions import ReproError
 
@@ -58,39 +56,6 @@ def test_serial_captures_failures():
     assert isinstance(result.results[1].error, ValueError)
 
 
-def test_threadpool_preserves_order():
-    backend = ThreadPoolExecutorBackend(max_workers=4)
-    result = backend.run([lambda i=i: i for i in range(20)])
-    assert result.results == list(range(20))
-
-
-def test_threadpool_captures_failures():
-    def boom():
-        raise RuntimeError("x")
-
-    backend = ThreadPoolExecutorBackend(max_workers=2)
-    result = backend.run([boom, lambda: "ok"])
-    assert result.n_failures == 1
-    assert result.successes() == ["ok"]
-
-
-def test_threadpool_validation():
-    with pytest.raises(ReproError):
-        ThreadPoolExecutorBackend(max_workers=0)
-
-
-def test_make_executor_dispatch():
-    assert isinstance(make_executor("serial"), SerialExecutor)
-    assert isinstance(
-        make_executor("threads", max_workers=2), ThreadPoolExecutorBackend
-    )
-    assert isinstance(
-        make_executor("process", workers=2), ProcessPoolExecutorBackend
-    )
-    with pytest.raises(ReproError):
-        make_executor("quantum")
-
-
 # ----------------------------------------------------------------------
 # TaskSpec and the process backend
 # ----------------------------------------------------------------------
@@ -104,7 +69,6 @@ def test_taskspec_runs_on_every_backend():
     tasks = [TaskSpec(_square, (i,)) for i in range(5)]
     expected = [0, 1, 4, 9, 16]
     assert SerialExecutor().run(tasks).results == expected
-    assert ThreadPoolExecutorBackend(2).run(tasks).results == expected
     assert ProcessPoolExecutorBackend(workers=2).run(tasks).results == (
         expected
     )
@@ -128,9 +92,12 @@ def test_process_backend_captures_failures_in_slot():
 
 
 def test_process_backend_chunked_dispatch():
-    backend = ProcessPoolExecutorBackend(workers=2, chunk_size=3)
+    # Every task is its own dispatch: more tasks than workers still come
+    # back in order, with one queue-latency sample each.
+    backend = ProcessPoolExecutorBackend(workers=2)
     result = backend.run([TaskSpec(_square, (i,)) for i in range(10)])
     assert result.results == [i * i for i in range(10)]
+    assert len(result.queue_seconds) == 10
 
 
 def test_process_backend_unpicklable_task_fails_cleanly():
@@ -158,7 +125,7 @@ def test_process_backend_validation():
     with pytest.raises(ReproError):
         ProcessPoolExecutorBackend(workers=0)
     with pytest.raises(ReproError):
-        ProcessPoolExecutorBackend(chunk_size=0)
+        ProcessPoolExecutorBackend(task_timeout=0)
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +141,7 @@ def _raise_keyboard_interrupt():
 
 
 def test_process_backend_interrupt_does_not_orphan_workers():
-    """A KeyboardInterrupt mid-run must cancel queued chunks and join
+    """A KeyboardInterrupt mid-run must cancel queued tasks and join
     the pool instead of silently draining every pending task."""
     import multiprocessing
 
@@ -186,7 +153,7 @@ def test_process_backend_interrupt_does_not_orphan_workers():
     with pytest.raises(KeyboardInterrupt):
         backend.run(tasks)
     elapsed = time.perf_counter() - started
-    # 8 pending half-second chunks on one worker would take ~4s if they
+    # 8 pending half-second tasks on one worker would take ~4s if they
     # were drained; cancellation leaves at most one in flight.
     assert elapsed < 3.0
     deadline = time.time() + 5.0
@@ -202,22 +169,14 @@ def test_serial_reports_task_seconds():
     assert all(seconds >= 0.0 for seconds in result.task_seconds)
 
 
-def test_threadpool_reports_task_and_queue_seconds():
-    backend = ThreadPoolExecutorBackend(max_workers=2)
-    result = backend.run([TaskSpec(_square, (i,)) for i in range(6)])
-    assert len(result.task_seconds) == 6
-    assert len(result.queue_seconds) == 6
-    assert all(seconds >= 0.0 for seconds in result.queue_seconds)
-
-
 def test_process_backend_reports_worker_timings():
-    backend = ProcessPoolExecutorBackend(workers=2, chunk_size=2)
+    backend = ProcessPoolExecutorBackend(workers=2)
     result = backend.run([TaskSpec(_square, (i,)) for i in range(6)])
     assert [r for r in result.results] == [0, 1, 4, 9, 16, 25]
     assert len(result.task_seconds) == 6
     assert all(seconds is not None for seconds in result.task_seconds)
-    # One queue-latency sample per delivered chunk.
-    assert len(result.queue_seconds) == 3
+    # One queue-latency sample per delivered task.
+    assert len(result.queue_seconds) == 6
     assert all(seconds >= 0.0 for seconds in result.queue_seconds)
 
 

@@ -20,11 +20,7 @@ from math import ceil
 import numpy as np
 import pytest
 
-from repro.cloud import (
-    ProcessPoolExecutorBackend,
-    SerialExecutor,
-    ThreadPoolExecutorBackend,
-)
+from repro.cloud import ProcessPoolExecutorBackend, SerialExecutor
 from repro.core import ADAHealth, AnalysisCache, EngineConfig, KMeansOptimizer
 from repro.data.synthetic import small_dataset
 from repro.mining.decision_tree import DecisionTreeClassifier
@@ -83,7 +79,6 @@ def test_miners_match_brute_force_reference(seed, min_support):
 # ----------------------------------------------------------------------
 BACKENDS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
-    pytest.param(lambda: ThreadPoolExecutorBackend(max_workers=2), id="threads"),
     pytest.param(lambda: ProcessPoolExecutorBackend(workers=2), id="process"),
 ]
 
@@ -175,7 +170,7 @@ def _run_engine(log, **config_kwargs):
 
 
 @pytest.mark.bench_smoke
-@pytest.mark.parametrize("executor", ["threads", "process"])
+@pytest.mark.parametrize("executor", ["process"])
 def test_engine_parallel_matches_serial(engine_log, executor):
     baseline = _run_engine(engine_log)
     result = _run_engine(

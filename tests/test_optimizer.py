@@ -99,11 +99,11 @@ def test_deterministic(matrix):
 
 
 def test_executor_injection(matrix):
-    from repro.cloud import ThreadPoolExecutorBackend
+    from repro.cloud import ProcessPoolExecutorBackend
 
     optimizer = KMeansOptimizer(
         k_values=(3, 5), n_folds=3, seed=0,
-        executor=ThreadPoolExecutorBackend(2),
+        executor=ProcessPoolExecutorBackend(2),
     )
     report = optimizer.optimize(matrix)
     assert [row.k for row in report.rows] == [3, 5]

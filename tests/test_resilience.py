@@ -5,7 +5,7 @@ Everything here is *seeded*: fault schedules come from
 ``default_rng((seed, task_index, attempt))``, so every test asserts
 exact recovery behaviour — the acceptance bar is byte-identical
 results between a faulty run (with enough retries) and a fault-free
-one, on every backend.
+one, on both backends.
 """
 
 import multiprocessing
@@ -20,13 +20,12 @@ from repro.cloud import (
     CircuitBreaker,
     FaultInjector,
     ProcessPoolExecutorBackend,
-    ResilientExecutor,
     RetryPolicy,
     SerialExecutor,
-    ThreadPoolExecutorBackend,
 )
 from repro.cloud.executor import SweepResult, TaskFailure, TaskSpec
 from repro.core import ADAHealth, EngineConfig
+from repro.data import SharedMatrix, leaked_segments
 from repro.core.cache import AnalysisCache
 from repro.exceptions import (
     DuplicateKeyError,
@@ -107,17 +106,6 @@ def test_retry_policy_exhausts_attempts():
     assert len(outcome.history) == 2
 
 
-def test_retry_policy_respects_retryable_predicate():
-    policy = RetryPolicy(
-        max_attempts=5,
-        base_delay=0.0,
-        retryable=lambda exc: not isinstance(exc, ConnectionError),
-    )
-    outcome = policy.execute(_Flaky(1))
-    assert not outcome.ok
-    assert outcome.attempts == 1  # predicate vetoed the retry
-
-
 def test_retry_policy_backoff_is_seeded_and_bounded():
     a = RetryPolicy(max_attempts=4, seed=7)
     b = RetryPolicy(max_attempts=4, seed=7)
@@ -187,12 +175,10 @@ def test_fault_injector_validation():
 def _backend(name, retry):
     if name == "serial":
         return SerialExecutor(retry=retry)
-    if name == "threads":
-        return ThreadPoolExecutorBackend(max_workers=2, retry=retry)
-    return ProcessPoolExecutorBackend(workers=2, chunk_size=3, retry=retry)
+    return ProcessPoolExecutorBackend(workers=2, retry=retry)
 
 
-@pytest.mark.parametrize("name", ["serial", "threads", "process"])
+@pytest.mark.parametrize("name", ["serial", "process"])
 def test_faulty_run_recovers_byte_identical_results(name):
     """The acceptance bar: faults + enough retries == fault-free run."""
     tasks = [TaskSpec(_square, (i,)) for i in range(12)]
@@ -239,30 +225,11 @@ def test_injected_fault_count_is_metered():
 # ----------------------------------------------------------------------
 # Timeouts: hung tasks are killed, siblings survive
 # ----------------------------------------------------------------------
-def test_thread_backend_times_out_hung_task():
-    backend = ThreadPoolExecutorBackend(
-        max_workers=4, task_timeout=0.25
-    )
-    result = backend.run(
-        [
-            TaskSpec(_square, (2,)),
-            lambda: time.sleep(1.0) or "late",
-            TaskSpec(_square, (3,)),
-        ]
-    )
-    assert result.results[0] == 4
-    assert result.results[2] == 9
-    failure = result.results[1]
-    assert isinstance(failure, TaskFailure)
-    assert isinstance(failure.error, TaskTimeoutError)
-    assert result.n_failures == 1
-
-
 def test_process_backend_times_out_and_respawns():
-    """A hung worker kills only its task; chunk siblings re-run."""
+    """A hung worker kills only its task; its siblings complete."""
     metrics = Metrics()
     backend = ProcessPoolExecutorBackend(
-        workers=2, chunk_size=2, task_timeout=1.0, metrics=metrics
+        workers=2, task_timeout=1.0, metrics=metrics
     )
     result = backend.run(
         [
@@ -289,9 +256,7 @@ def test_process_backend_times_out_and_respawns():
 
 
 def test_process_backend_hang_fault_injection():
-    backend = ProcessPoolExecutorBackend(
-        workers=2, chunk_size=1, task_timeout=0.5
-    )
+    backend = ProcessPoolExecutorBackend(workers=2, task_timeout=0.5)
     injector = FaultInjector(
         backend, hang_rate=1.0, hang_seconds=10.0, seed=1
     )
@@ -304,7 +269,7 @@ def test_process_backend_hang_fault_injection():
 # Worker crashes: per-task attribution, siblings preserved
 # ----------------------------------------------------------------------
 def test_worker_crash_fails_only_the_culprit():
-    backend = ProcessPoolExecutorBackend(workers=2, chunk_size=4)
+    backend = ProcessPoolExecutorBackend(workers=2)
     result = backend.run([TaskSpec(_exit_hard, (i,)) for i in range(4)])
     failure = result.results[1]
     assert isinstance(failure, TaskFailure)
@@ -314,7 +279,7 @@ def test_worker_crash_fails_only_the_culprit():
 
 
 def test_chunk_sibling_results_survive_task_exception():
-    backend = ProcessPoolExecutorBackend(workers=2, chunk_size=4)
+    backend = ProcessPoolExecutorBackend(workers=2)
     result = backend.run(
         [TaskSpec(_raise_value_error, (i,)) for i in range(4)]
     )
@@ -325,7 +290,7 @@ def test_chunk_sibling_results_survive_task_exception():
 
 
 # ----------------------------------------------------------------------
-# Circuit breaker and serial fallback
+# Circuit breaker and the engine's serial fallback
 # ----------------------------------------------------------------------
 def test_breaker_counts_and_trips():
     breaker = CircuitBreaker(threshold=3)
@@ -345,83 +310,193 @@ def test_breaker_counts_and_trips():
     assert not breaker.is_open
 
 
-class _ExplodingBackend:
-    name = "exploding"
-    retry = None
+BREAKER_KNOBS = dict(
+    k_values=(2, 3),
+    n_folds=3,
+    partial_fractions=(0.5, 1.0),
+    partial_k_values=(2,),
+)
 
-    def run(self, tasks):
+
+def _pooled_engine(**kwargs):
+    return ADAHealth(
+        config=EngineConfig(
+            executor="process", executor_workers=2, **BREAKER_KNOBS, **kwargs
+        ),
+        seed=5,
+    )
+
+
+def _last_manifest(engine):
+    return engine.kdb.run_history(limit=1)[0]
+
+
+@pytest.fixture(scope="module")
+def serial_ranking(tiny_log):
+    engine = ADAHealth(config=EngineConfig(**BREAKER_KNOBS), seed=5)
+    return _ranking(engine.analyze(tiny_log, name="serial"))
+
+
+def test_backend_error_downgrades_to_serial_fallback(
+    tiny_log, serial_ranking, monkeypatch
+):
+    """A raising process dispatch re-runs every goal serially; the
+    third raise trips the breaker and the pool is not asked again."""
+    calls = []
+
+    def explode(self, tasks):
+        calls.append(len(tasks))
         raise OSError("backend infrastructure is gone")
 
+    monkeypatch.setattr(ProcessPoolExecutorBackend, "run", explode)
+    engine = _pooled_engine()
+    for attempt in range(4):
+        result = engine.analyze(tiny_log, name=f"attempt-{attempt}")
+        assert _ranking(result) == serial_ranking
+        assert _last_manifest(engine)["resilience"]["fallbacks"] == 1
+    assert len(calls) == 3
+    assert engine.breaker.snapshot() == {
+        "state": "open",
+        "threshold": 3,
+        "consecutive_failures": 3,
+        "trips": 1,
+    }
+    counters = engine.metrics.snapshot()["counters"]
+    assert counters["resilience.breaker_trips"] == 1
+    assert counters["resilience.fallbacks"] == 4
+    assert leaked_segments() == []
 
-class _InfraFailingBackend:
-    """Times out every odd task; completes the rest."""
 
-    name = "flaky-infra"
-    retry = None
+def test_breaker_trip_rescues_only_infrastructure_failures(
+    tiny_log, serial_ranking, monkeypatch
+):
+    """A dispatch that loses three goals to timeouts trips the breaker
+    mid-run: only the lost goals re-run serially, completed siblings
+    are kept."""
+    ran = []
+    original = ADAHealth._run_goal
 
-    def run(self, tasks):
+    def counted(self, goal, log, profile, dataset_id):
+        ran.append(goal.name)
+        return original(self, goal, log, profile, dataset_id)
+
+    def time_out_odd_slots(self, tasks):
+        # Even slots run here, in-process; odd slots "hang".
         results = [
-            TaskFailure(TaskTimeoutError(f"task {index} hung"))
-            if index % 2
+            TaskFailure(TaskTimeoutError(f"task {slot} hung"))
+            if slot % 2
             else task()
-            for index, task in enumerate(tasks)
+            for slot, task in enumerate(tasks)
         ]
-        failures = sum(
-            1 for value in results if isinstance(value, TaskFailure)
-        )
         return SweepResult(
             results=results,
-            wall_seconds=0.01,
-            n_failures=failures,
+            wall_seconds=0.0,
+            n_failures=len(tasks) // 2,
             task_seconds=[0.0] * len(tasks),
         )
 
-
-def test_backend_error_downgrades_to_serial_fallback():
-    metrics = Metrics()
-    wrapped = ResilientExecutor(
-        _ExplodingBackend(),
-        breaker=CircuitBreaker(threshold=1, metrics=metrics),
-        metrics=metrics,
+    monkeypatch.setattr(ADAHealth, "_run_goal", counted)
+    monkeypatch.setattr(
+        ProcessPoolExecutorBackend, "run", time_out_odd_slots
     )
-    result = wrapped.run([TaskSpec(_square, (i,)) for i in range(4)])
-    assert result.results == [0, 1, 4, 9]
-    assert wrapped.breaker.is_open
-    assert wrapped.downgrades == 1
-    assert wrapped.events[0]["event"] == "fallback"
-    assert "OSError" in wrapped.events[0]["reason"]
-    # Once open, runs go straight to the fallback.
-    again = wrapped.run([TaskSpec(_square, (5,))])
-    assert again.results == [25]
-    assert wrapped.downgrades == 2
-    counters = metrics.snapshot()["counters"]
-    assert counters["resilience.breaker_trips"] == 1
-    assert counters["resilience.fallbacks"] == 2
+    engine = _pooled_engine()
+    result = engine.analyze(tiny_log, name="tripped")
+    assert len(result.runs) >= 6
+    assert _ranking(result) == serial_ranking
+    # Every goal ran exactly once: nothing completed was re-run.
+    assert sorted(ran) == sorted(run.goal.name for run in result.runs)
+    assert engine.breaker.is_open
+    manifest = _last_manifest(engine)
+    assert manifest["resilience"]["fallbacks"] == 1
+    assert manifest["executor"] == {
+        "backend": "process",
+        "workers": 2,
+        "task_failures": 0,
+    }
 
 
-def test_breaker_trip_rescues_only_infrastructure_failures():
-    wrapped = ResilientExecutor(
-        _InfraFailingBackend(), breaker=CircuitBreaker(threshold=2)
-    )
-    result = wrapped.run([TaskSpec(_square, (i,)) for i in range(6)])
-    # The three timed-out slots were re-run serially; completed
-    # siblings were kept, nothing was thrown away.
-    assert result.results == [0, 1, 4, 9, 16, 25]
-    assert result.n_failures == 0
-    assert wrapped.breaker.is_open
+def test_task_errors_do_not_trip_the_breaker(tiny_log, monkeypatch):
+    """A goal's own ValueError would fail the same way on any backend:
+    it fails the goal and never counts against the pool."""
+
+    def broken(self, goal, log, profile, dataset_id):
+        raise ValueError(f"{goal.name} is broken")
+
+    # Patched before the pool forks, so the workers inherit it.
+    monkeypatch.setattr(ADAHealth, "_run_goal", broken)
+    engine = _pooled_engine(on_goal_error="degrade")
+    result = engine.analyze(tiny_log, name="broken-goals")
+    assert len(result.failed_goals()) == len(result.runs) >= 3
+    assert not engine.breaker.is_open
+    assert engine.breaker.consecutive_failures == 0
+    manifest = _last_manifest(engine)
+    assert manifest["resilience"]["fallbacks"] == 0
+    assert manifest["executor"]["backend"] == "process"
+    assert manifest["executor"]["task_failures"] == len(result.runs)
 
 
-def test_task_errors_do_not_trip_the_breaker():
-    wrapped = ResilientExecutor(
-        SerialExecutor(), breaker=CircuitBreaker(threshold=1)
-    )
-    result = wrapped.run(
-        [TaskSpec(_raise_value_error, (2,))] * 3
-    )
-    # A ValueError is the task's own fault on any backend.
-    assert not wrapped.breaker.is_open
-    assert wrapped.downgrades == 0
-    assert result.n_failures == 3
+def test_crashing_workers_trip_the_breaker_through_analyze(
+    tiny_log, serial_ranking, monkeypatch
+):
+    """Every goal task kills its worker. The first analyze rescues the
+    crashed goals serially once the breaker trips; the breaker stays
+    open, so the next analyze runs serially from the start — no pool,
+    no shared-memory copy of the log, and a manifest that says so."""
+    parent = os.getpid()
+    original = ADAHealth._run_goal
+
+    def exit_in_worker(self, goal, log, profile, dataset_id):
+        if os.getpid() != parent:
+            os._exit(13)
+        return original(self, goal, log, profile, dataset_id)
+
+    # Patched before the pool forks, so the workers inherit it.
+    monkeypatch.setattr(ADAHealth, "_run_goal", exit_in_worker)
+    engine = _pooled_engine()
+    first = engine.analyze(tiny_log, name="crashing")
+    n_goals = len(first.runs)
+    assert n_goals >= 3
+    assert _ranking(first) == serial_ranking
+    manifest = _last_manifest(engine)
+    assert manifest["executor"] == {
+        "backend": "process",
+        "workers": 2,
+        "task_failures": 0,
+    }
+    resilience = manifest["resilience"]
+    assert resilience["worker_crashes"] == n_goals
+    assert resilience["fallbacks"] == 1
+    assert resilience["breaker"] == {
+        "state": "open",
+        "threshold": 3,
+        "consecutive_failures": n_goals,
+        "trips": 1,
+    }
+    assert leaked_segments() == []
+
+    created = []
+    create = SharedMatrix.create
+
+    def counting_create(matrix):
+        created.append(matrix.shape)
+        return create(matrix)
+
+    monkeypatch.setattr(SharedMatrix, "create", counting_create)
+    second = engine.analyze(tiny_log, name="after-the-trip")
+    assert _ranking(second) == serial_ranking
+    manifest = _last_manifest(engine)
+    assert manifest["executor"] == {
+        "backend": "serial",
+        "workers": 1,
+        "task_failures": 0,
+    }
+    assert created == []
+    resilience = manifest["resilience"]
+    assert resilience["worker_crashes"] == 0
+    assert resilience["fallbacks"] == 1
+    assert resilience["breaker"]["state"] == "open"
+    assert resilience["breaker"]["trips"] == 1
+    assert leaked_segments() == []
 
 
 # ----------------------------------------------------------------------
@@ -434,8 +509,9 @@ def test_engine_rejects_unknown_on_goal_error():
         ADAHealth(config=EngineConfig(on_goal_error="ignore"))
     with pytest.raises(EngineError):
         ADAHealth(config=EngineConfig(retries=-1))
-    with pytest.raises(EngineError, match="executor must be one of"):
-        ADAHealth(config=EngineConfig(executor="cluster"))
+    for executor in ("cluster", "threads"):
+        with pytest.raises(EngineError, match="executor must be one of"):
+            ADAHealth(config=EngineConfig(executor=executor))
 
 
 @pytest.fixture(scope="module")
