@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +74,10 @@ from repro.mining.rules import generate_rules
 from repro.obs.manifest import RunManifestBuilder
 from repro.obs.metrics import Metrics
 from repro.obs.tracer import NULL_TRACER
-from repro.preprocess.characterization import characterize_log
+from repro.preprocess.characterization import (
+    DatasetProfile,
+    characterize_log,
+)
 from repro.preprocess.transforms import L2Normalizer
 from repro.preprocess.vsm import VSMBuilder
 
@@ -390,7 +393,7 @@ class ADAHealth:
     ) -> AnalysisResult:
         """The pipeline body of :meth:`analyze` (runs inside its span)."""
         with self.tracer.span("characterize"):
-            profile = characterize_log(log)
+            profile = self._profile(log, manifest.dataset["fingerprint"])
             dataset_id = self.kdb.register_dataset(log, name)
             self.kdb.store_profile(dataset_id, profile.to_document())
         manifest.dataset["id"] = dataset_id
@@ -438,6 +441,33 @@ class ADAHealth:
             engine=self,
             user=user,
         )
+
+    def _profile(self, log: ExamLog, fingerprint: str) -> DatasetProfile:
+        """The log's :class:`DatasetProfile`, characterised once per
+        dataset fingerprint when the engine has a cache.
+
+        The ``dataset-profile`` entry is keyed by the fingerprint
+        :meth:`analyze` already took for the manifest; the cache key
+        folds in the code fingerprint, so an edit to the
+        characterisation code turns it into a plain miss. A stored
+        document :meth:`DatasetProfile.from_document` rejects is a
+        ``cache.corrupt`` miss: the log is characterised again and the
+        entry rewritten.
+        """
+        if self.cache is None:
+            return characterize_log(log)
+        profile = self.cache.get(
+            fingerprint,
+            "dataset-profile",
+            {},
+            decode=DatasetProfile.from_document,
+        )
+        if profile is None:
+            profile = characterize_log(log)
+            self.cache.put(
+                fingerprint, "dataset-profile", {}, profile.to_document()
+            )
+        return profile
 
     def _record_resilience(
         self,
@@ -598,7 +628,7 @@ class ADAHealth:
                 )
                 for goal in (pending[position] for position in dispatch)
             ]
-            outcome = self._dispatch(executor, tasks)
+            backend, outcome = self._dispatch(backend, executor, tasks)
         manifest.record_executor(
             backend,
             1 if backend == "serial" else self.config.executor_workers,
@@ -700,28 +730,32 @@ class ADAHealth:
             )
         return SerialExecutor(metrics=self.metrics, retry=self.retry_policy)
 
-    def _dispatch(self, executor, tasks: List[TaskSpec]) -> SweepResult:
+    def _dispatch(
+        self, backend: str, executor, tasks: List[TaskSpec]
+    ) -> Tuple[str, SweepResult]:
         """Run the goal tasks, rescuing what a process pool loses.
 
-        A process dispatch that raises, or that returns slots failed by
-        :data:`~repro.cloud.resilience.INFRASTRUCTURE_ERRORS` (timeouts,
-        worker crashes), feeds the engine's breaker; a clean one resets
-        its streak. A raising dispatch re-runs every task serially.
-        Otherwise the lost slots stay failed until the breaker trips;
-        then they alone re-run serially in this call, and completed
-        siblings are kept. Each rescue counts one
-        ``resilience.fallbacks``. A goal's own errors never touch the
-        breaker: they would fail the same way on any backend.
+        Returns the name of the backend that ran the dispatch with its
+        outcome. A process dispatch that raises, or that returns slots
+        failed by :data:`~repro.cloud.resilience.INFRASTRUCTURE_ERRORS`
+        (timeouts, worker crashes), feeds the engine's breaker; a clean
+        one resets its streak. A raising dispatch re-runs every task
+        serially, and ``"serial"`` is returned. Otherwise the lost
+        slots stay failed until the breaker trips; then they alone
+        re-run serially in this call, completed siblings are kept and
+        the dispatch still counts as ``backend``'s. Each rescue counts
+        one ``resilience.fallbacks``. A goal's own errors never touch
+        the breaker: they would fail the same way on any backend.
         """
         if not isinstance(executor, ProcessPoolExecutorBackend):
-            return executor.run(tasks)
+            return backend, executor.run(tasks)
         serial = self._goal_executor("serial")
         try:
             outcome = executor.run(tasks)
         except Exception:  # noqa: BLE001 - counted, then rescued
             self.breaker.record_failure()
             self.metrics.counter("resilience.fallbacks").inc()
-            return serial.run(tasks)
+            return "serial", serial.run(tasks)
         lost = [
             slot
             for slot, value in enumerate(outcome.results)
@@ -730,10 +764,10 @@ class ADAHealth:
         ]
         if not lost:
             self.breaker.record_success()
-            return outcome
+            return backend, outcome
         self.breaker.record_failure(len(lost))
         if not self.breaker.is_open:
-            return outcome
+            return backend, outcome
         self.metrics.counter("resilience.fallbacks").inc()
         rescue = serial.run([tasks[slot] for slot in lost])
         for slot, value, seconds in zip(
@@ -745,7 +779,7 @@ class ADAHealth:
             1 for value in outcome.results if isinstance(value, TaskFailure)
         )
         outcome.wall_seconds += rescue.wall_seconds
-        return outcome
+        return backend, outcome
 
     def _goal_params(self, goal: EndGoal) -> Dict[str, Any]:
         """Cache-key parameters for one goal run.

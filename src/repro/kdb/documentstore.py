@@ -368,6 +368,11 @@ class _HashIndex:
         return ids
 
 
+#: Value types whose same-type ``<`` never raises: a sorted index
+#: orders a group of them on the raw values.
+_RAW_ORDERED = (int, float, str, bool)
+
+
 class _SortedIndex(_HashIndex):
     """Hash index plus a lazily rebuilt ordered view of its keys.
 
@@ -419,14 +424,18 @@ class _SortedIndex(_HashIndex):
     def _ensure_sorted(self) -> None:
         if not self._stale:
             return
-        grouped: Dict[str, List[Tuple[_OrderedValue, Tuple[str, Any]]]] = {}
+        grouped: Dict[str, List[Tuple[Any, Tuple[str, Any]]]] = {}
         for key, value in self._rep.items():
-            grouped.setdefault(type(value).__name__, []).append(
-                (_OrderedValue(value), key)
-            )
+            grouped.setdefault(type(value).__name__, []).append((value, key))
         self._groups = {}
         for typename, entries in grouped.items():
-            entries.sort(key=lambda pair: pair[0])
+            # ``<`` never raises between two values of one of these
+            # types, so the raw values compare exactly as their
+            # ``_OrderedValue`` wrappers would, and sort the same way.
+            if all(type(value) in _RAW_ORDERED for value, __ in entries):
+                entries.sort(key=lambda pair: pair[0])
+            else:
+                entries.sort(key=lambda pair: _OrderedValue(pair[0]))
             self._groups[typename] = [key for __, key in entries]
         self._stale = False
 

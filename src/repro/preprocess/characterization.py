@@ -10,12 +10,17 @@ consumed by the end-goal feasibility rules (e.g. frequent-pattern mining
 is viable only when the data is transactional and sparse), and (iii)
 used by the partial-mining planner, whose whole premise is that medical
 logs have a highly skewed feature-frequency distribution.
+
+:meth:`DatasetProfile.from_document` is the exact inverse of
+:meth:`DatasetProfile.to_document`: the engine keeps a profile's
+document in its analysis cache and restores it on a revisit instead of
+characterising an unchanged log again.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Sequence, get_type_hints
 
 import numpy as np
 
@@ -89,6 +94,47 @@ class DatasetProfile:
         """JSON-ready dict for the K-DB descriptors collection."""
         return asdict(self)
 
+    @classmethod
+    def from_document(cls, document: Dict[str, object]) -> "DatasetProfile":
+        """The profile whose :meth:`to_document` is ``document``.
+
+        The exact inverse: every field must be present with the type
+        ``to_document`` writes (``int`` dimensions, ``float``
+        statistics, a ``str -> float`` ``top_share``) and no other key
+        may appear. Anything else raises :class:`PreprocessError`.
+        """
+        if not isinstance(document, dict):
+            raise PreprocessError(
+                f"a profile document is a dict, not {type(document).__name__}"
+            )
+        missing = _PROFILE_FIELDS.keys() - document.keys()
+        extra = document.keys() - _PROFILE_FIELDS.keys()
+        if missing or extra:
+            raise PreprocessError(
+                f"profile document fields: missing {sorted(missing)},"
+                f" unexpected {sorted(map(str, extra))}"
+            )
+        for name, kind in _PROFILE_FIELDS.items():
+            value = document[name]
+            if kind in (int, float):
+                valid = type(value) is kind
+            else:
+                valid = isinstance(value, dict) and all(
+                    type(key) is str and type(share) is float
+                    for key, share in value.items()
+                )
+            if not valid:
+                raise PreprocessError(
+                    f"profile field {name!r} has the wrong type:"
+                    f" {type(value).__name__}"
+                )
+        return cls(
+            **{
+                name: dict(value) if isinstance(value, dict) else value
+                for name, value in document.items()
+            }
+        )
+
     @property
     def is_sparse(self) -> bool:
         """Sparse by the conventional > 0.5 zero-fraction threshold."""
@@ -98,6 +144,11 @@ class DatasetProfile:
     def is_skewed(self) -> bool:
         """Heavy-tailed feature frequencies (Gini above 0.6)."""
         return self.gini > 0.6
+
+
+#: Field name -> the type ``to_document`` writes for it (``int``,
+#: ``float`` or ``Dict[str, float]``), in declaration order.
+_PROFILE_FIELDS = get_type_hints(DatasetProfile)
 
 
 def characterize_matrix(matrix, feature_names=None) -> DatasetProfile:
@@ -123,8 +174,8 @@ def characterize_matrix(matrix, feature_names=None) -> DatasetProfile:
 
     values = matrix[nonzero_mask]
     if values.size >= 2 and values.std() > 0:
-        skewness = _standardized_moment(values, 3)
-        kurtosis = _standardized_moment(values, 4) - 3.0
+        skewness, fourth = _standardized_moments(values, (3, 4))
+        kurtosis = fourth - 3.0
     else:
         skewness = 0.0
         kurtosis = 0.0
@@ -207,14 +258,20 @@ def _hhi(totals: np.ndarray) -> float:
     return float((shares**2).sum())
 
 
-def _standardized_moment(values: np.ndarray, order: int) -> float:
-    # A log's nonzero counts take few distinct values: raise each one
-    # once, then gather. Every term equals ``(value - mean) ** order``,
-    # so the mean is bit for bit that of the direct form.
+def _standardized_moments(
+    values: np.ndarray, orders: Sequence[int]
+) -> List[float]:
+    # A log's nonzero counts take few distinct values: find them once,
+    # raise each one once per order, then gather. Every term equals
+    # ``(value - mean) ** order``, so each mean is bit for bit that of
+    # the direct form.
     distinct, inverse = np.unique(values, return_inverse=True)
-    powered = (distinct - values.mean()) ** order
+    centered = distinct - values.mean()
     std = values.std()
-    return float(powered[inverse].mean() / std**order)
+    return [
+        float((centered**order)[inverse].mean() / std**order)
+        for order in orders
+    ]
 
 
 def _top_share_curve(totals: np.ndarray) -> Dict[str, float]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.core.cache as cache_module
+import repro.core.engine as engine_module
 from repro.core import ADAHealth, EngineConfig
 from repro.core.cache import (
     CACHE_COLLECTION,
@@ -12,11 +13,14 @@ from repro.core.cache import (
     fingerprint_log,
     fingerprint_params,
     fingerprint_transactions,
+    payload_crc,
 )
 from repro.core.optimizer import KMeansOptimizer
 from repro.core.partial import HorizontalPartialMiner
 from repro.data.synthetic import small_dataset
 from repro.kdb.documentstore import DocumentStore
+from repro.kdb.kdb import DESCRIPTORS, KnowledgeBase
+from repro.obs.metrics import Metrics
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +281,115 @@ def test_engine_cache_key_covers_the_code(tiny_log, monkeypatch):
     assert _ranking(edited) == _ranking(cold)
     # the old entries stay until invalidated; the new ones sit beside
     assert len(cache) == 2 * entries
+
+
+# ----------------------------------------------------------------------
+# the dataset profile served from the cache
+# ----------------------------------------------------------------------
+def _sharded_analyze(directory, log, name, metrics=None):
+    kdb = KnowledgeBase.open_sharded(directory)
+    try:
+        engine = ADAHealth(
+            kdb=kdb,
+            config=EngineConfig(
+                k_values=(2, 3), n_folds=2, use_cache=True, metrics=metrics
+            ),
+            seed=7,
+        )
+        result = engine.analyze(log, name=name, user="t")
+        descriptors = len(kdb.store[DESCRIPTORS])
+        return result, engine.cache.stats(), descriptors
+    finally:
+        kdb.store.close()
+
+
+def _counting_characterize(monkeypatch):
+    calls = []
+    original = engine_module.characterize_log
+
+    def counted(log):
+        calls.append(log)
+        return original(log)
+
+    monkeypatch.setattr(engine_module, "characterize_log", counted)
+    return calls
+
+
+def _refuse_characterize(monkeypatch):
+    def refuse(log):
+        raise AssertionError("characterize_log called on a warm analyze")
+
+    monkeypatch.setattr(engine_module, "characterize_log", refuse)
+
+
+def test_warm_analyze_restores_the_profile_from_a_reopened_kdb(
+    tiny_log, tmp_path, monkeypatch
+):
+    calls = _counting_characterize(monkeypatch)
+    cold, cold_stats, __ = _sharded_analyze(tmp_path / "kdb", tiny_log, "c")
+    assert len(calls) == 1
+    assert cold_stats["stores"] > 0
+    _refuse_characterize(monkeypatch)
+    warm, warm_stats, descriptors = _sharded_analyze(
+        tmp_path / "kdb", tiny_log, "w"
+    )
+    assert _ranking(warm) == _ranking(cold)
+    assert warm.profile == cold.profile
+    assert warm_stats["misses"] == warm_stats["stores"] == 0
+    # store_profile still writes one descriptor per run
+    assert descriptors == 2
+
+
+def test_corrupt_profile_entry_is_characterised_again(
+    tiny_log, tmp_path, monkeypatch
+):
+    cold, __, __ = _sharded_analyze(tmp_path / "kdb", tiny_log, "c")
+    # Damage the stored profile so it still passes its checksum but no
+    # longer decodes: a field goes missing.
+    kdb = KnowledgeBase.open_sharded(tmp_path / "kdb")
+    try:
+        cache = kdb.analysis_cache()
+        (entry,) = cache.collection.find(
+            {"algorithm": "dataset-profile"}
+        ).to_list()
+        del entry["payload"]["gini"]
+        entry["crc"] = payload_crc(entry["payload"])
+        del entry["_id"]
+        cache.collection.delete_many({"key": entry["key"]})
+        cache.collection.insert_one(entry)
+    finally:
+        kdb.store.close()
+
+    calls = _counting_characterize(monkeypatch)
+    metrics = Metrics()
+    again, stats, __ = _sharded_analyze(
+        tmp_path / "kdb", tiny_log, "again", metrics=metrics
+    )
+    assert len(calls) == 1
+    assert stats["corrupt"] == 1
+    assert stats["stores"] == 1
+    assert metrics.snapshot()["counters"]["cache.corrupt"] == 1
+    assert again.profile == cold.profile
+    assert _ranking(again) == _ranking(cold)
+
+    # the rewritten entry serves the next revisit
+    _refuse_characterize(monkeypatch)
+    warm, warm_stats, __ = _sharded_analyze(tmp_path / "kdb", tiny_log, "w")
+    assert warm_stats["corrupt"] == 0
+    assert _ranking(warm) == _ranking(cold)
+
+
+def test_engines_without_a_cache_characterise_every_analyze(
+    tiny_log, monkeypatch
+):
+    calls = _counting_characterize(monkeypatch)
+    engine = ADAHealth(
+        config=EngineConfig(k_values=(2, 3), n_folds=2), seed=7
+    )
+    engine.analyze(tiny_log, name="first")
+    engine.analyze(tiny_log, name="second")
+    assert engine.cache is None
+    assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------

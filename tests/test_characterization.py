@@ -1,17 +1,22 @@
 """Tests for dataset characterisation (statistical descriptors)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import ExamLog, paper_dataset
+from repro.data.taxonomy import build_default_taxonomy
 from repro.exceptions import PreprocessError
 from repro.preprocess import (
+    DatasetProfile,
     characterize_log,
     characterize_matrix,
     feature_profiles,
 )
-from repro.preprocess.characterization import _standardized_moment
+from repro.preprocess.characterization import _standardized_moments
 
 
 def test_basic_dimensions(small_log):
@@ -127,11 +132,142 @@ moment_inputs = st.one_of(
 )
 
 
-@given(values=moment_inputs, order=st.sampled_from([3, 4]))
+@given(values=moment_inputs, orders=st.sampled_from([(3,), (4,), (3, 4)]))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_standardized_moment_is_bit_equal_to_the_direct_form(values, order):
+def test_standardized_moment_is_bit_equal_to_the_direct_form(values, orders):
     values = np.asarray(values, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        expected = direct_moment(values, order)
-        got = _standardized_moment(values, order)
-    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        expected = [direct_moment(values, order) for order in orders]
+        got = _standardized_moments(values, orders)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+# ----------------------------------------------------------------------
+# whole profiles: the moments against the direct form, document round trip
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def paper_log():
+    return paper_dataset(0)
+
+
+@st.composite
+def exam_logs(draw):
+    """A random log: up to 200 records over 30 patients, 8-12 types."""
+    n_types = draw(st.integers(8, 12))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 30),
+                st.integers(0, 50),
+                st.integers(0, n_types - 1),
+            ),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    return ExamLog.from_rows(
+        np.array(rows, dtype=np.int64),
+        taxonomy=build_default_taxonomy(n_types),
+    )
+
+
+def assert_moments_match_the_direct_form(log):
+    """The profile document equals one whose skewness and kurtosis are
+    taken with one power per nonzero count, bit for bit."""
+    document = characterize_log(log).to_document()
+    matrix, __ = log.count_matrix()
+    values = matrix[matrix > 0]
+    expected = dict(document)
+    if values.size >= 2 and values.std() > 0:
+        expected["skewness"] = direct_moment(values, 3)
+        expected["kurtosis"] = direct_moment(values, 4) - 3.0
+    else:
+        expected["skewness"] = expected["kurtosis"] = 0.0
+    assert json.dumps(document) == json.dumps(expected)
+
+
+def test_profile_moments_match_the_direct_form_on_the_cohorts(
+    paper_log, small_log
+):
+    for log in (paper_log, small_log):
+        assert_moments_match_the_direct_form(log)
+
+
+@given(log=exam_logs())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_profile_moments_match_the_direct_form_on_random_logs(log):
+    assert_moments_match_the_direct_form(log)
+
+
+def test_from_document_inverts_to_document_on_the_cohorts(
+    paper_log, small_log
+):
+    for log in (paper_log, small_log):
+        profile = characterize_log(log)
+        document = profile.to_document()
+        assert DatasetProfile.from_document(document) == profile
+        # and after the JSON round trip a stored entry goes through
+        stored = json.loads(json.dumps(document))
+        assert DatasetProfile.from_document(stored) == profile
+
+
+@given(log=exam_logs())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_from_document_inverts_to_document_on_random_logs(log):
+    profile = characterize_log(log)
+    restored = DatasetProfile.from_document(
+        json.loads(json.dumps(profile.to_document()))
+    )
+    assert restored == profile
+    assert restored.to_document() == profile.to_document()
+
+
+def test_from_document_copies_the_top_share_curve(small_log):
+    document = characterize_log(small_log).to_document()
+    profile = DatasetProfile.from_document(document)
+    document["top_share"]["10"] = -1.0
+    assert profile.top_share["10"] != -1.0
+
+
+#: Marks a field the damaged document leaves out.
+_DROP = object()
+
+
+def _damaged(document, field, value):
+    damaged = dict(document)
+    if value is _DROP:
+        del damaged[field]
+    else:
+        damaged[field] = value
+    return damaged
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gini", _DROP),
+        ("top_share", _DROP),
+        ("extra", 1.0),
+        ("n_rows", 300.0),
+        ("n_rows", True),
+        ("n_features", "40"),
+        ("sparsity", 1),
+        ("skewness", None),
+        ("hhi", [0.1]),
+        ("top_share", [0.5]),
+        ("top_share", {"10": 1}),
+        ("top_share", {10: 0.5}),
+    ],
+)
+def test_from_document_rejects_a_missing_or_mistyped_field(
+    small_log, field, value
+):
+    document = characterize_log(small_log).to_document()
+    with pytest.raises(PreprocessError):
+        DatasetProfile.from_document(_damaged(document, field, value))
+
+
+@pytest.mark.parametrize("document", [None, [], "profile", 3])
+def test_from_document_rejects_a_non_dict(document):
+    with pytest.raises(PreprocessError):
+        DatasetProfile.from_document(document)

@@ -206,3 +206,41 @@ def test_indexed_top_k_matches_a_scan_sort(values, k, direction, query):
         if limit is not None:
             expected, got = expected.limit(limit), got.limit(limit)
         assert got.to_list() == expected.to_list()
+
+
+#: Every type group a sorted index orders: ``bool``/``int``/``float``/
+#: ``str`` on the raw values, dicts (unorderable, ``repr`` order) and
+#: ``None`` through the ordering wrapper.
+mixed_sort_values = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 1)),
+    st.text(alphabet="abc", max_size=2),
+    st.dictionaries(st.sampled_from("xy"), st.integers(0, 2), max_size=2),
+    st.none(),
+)
+
+
+@given(
+    st.lists(mixed_sort_values, min_size=1, max_size=40),
+    st.sampled_from([1, -1]),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sorted_index_orders_every_type_group_as_a_scan_sort(
+    values, direction
+):
+    """Raw-value groups and wrapped groups, rebuilt after every new key:
+    the index walk equals the scan sort, ties in insertion order."""
+    plain = DocumentStore()["c"]
+    indexed = DocumentStore()["c"]
+    indexed.create_index("v", kind="sorted")
+    for value in values:
+        plain.insert_one({"v": value})
+        indexed.insert_one({"v": value})
+        expected = plain.find({}).sort("v", direction).limit(5)
+        got = indexed.find({}).sort("v", direction).limit(5)
+        assert got.to_list() == expected.to_list()
+    expected = plain.find({}).sort("v", direction)
+    assert indexed.find({}).sort("v", direction).to_list() == (
+        expected.to_list()
+    )

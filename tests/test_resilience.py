@@ -25,7 +25,7 @@ from repro.cloud import (
 )
 from repro.cloud.executor import SweepResult, TaskFailure, TaskSpec
 from repro.core import ADAHealth, EngineConfig
-from repro.data import SharedMatrix, leaked_segments
+from repro.data import SharedMatrix, leaked_segments, small_dataset
 from repro.core.cache import AnalysisCache
 from repro.exceptions import (
     DuplicateKeyError,
@@ -365,6 +365,34 @@ def test_backend_error_downgrades_to_serial_fallback(
     assert counters["resilience.breaker_trips"] == 1
     assert counters["resilience.fallbacks"] == 4
     assert leaked_segments() == []
+
+
+def test_raising_dispatch_records_the_serial_fallback_in_the_manifest(
+    monkeypatch,
+):
+    """The manifest names the backend that ran the goals: a process
+    dispatch that raises and re-runs every goal serially is recorded as
+    a serial run on one worker."""
+
+    def explode(self, tasks):
+        raise OSError("backend infrastructure is gone")
+
+    log = small_dataset(n_patients=60)
+    pooled = ADAHealth(
+        config=EngineConfig(executor="process", executor_workers=2), seed=5
+    )
+    monkeypatch.setattr(ProcessPoolExecutorBackend, "run", explode)
+    result = pooled.analyze(log, name="fallback")
+    assert len(result.runs) >= 2
+    manifest = _last_manifest(pooled)
+    assert manifest["executor"] == {
+        "backend": "serial",
+        "workers": 1,
+        "task_failures": 0,
+    }
+    assert manifest["resilience"]["fallbacks"] == 1
+    serial = ADAHealth(seed=5).analyze(log, name="serial")
+    assert _ranking(result) == _ranking(serial)
 
 
 def test_breaker_trip_rescues_only_infrastructure_failures(
