@@ -20,10 +20,8 @@ from repro.core.architecture import (
 )
 from repro.core.cache import (
     AnalysisCache,
-    fingerprint_array,
     fingerprint_log,
     fingerprint_params,
-    fingerprint_transactions,
 )
 from repro.core.endgoals import (
     DEFAULT_END_GOALS,
@@ -135,10 +133,8 @@ __all__ = [
     "extract_outlier_item",
     "extract_rule_items",
     "extract_sequence_items",
-    "fingerprint_array",
     "fingerprint_log",
     "fingerprint_params",
-    "fingerprint_transactions",
     "goal_features",
     "past_experience",
     "render_report",

@@ -1,18 +1,20 @@
 """Content-addressed memoisation of analysis results.
 
 The paper's cloud vision assumes repeated automated analyses over the
-same collections: every configuration sweep revisits (K, fraction)
-cells, and every re-run of the engine repeats whole goal pipelines on a
-dataset that has not changed. This module makes those repeats free.
+same collections: every re-run of the engine repeats the dataset
+characterisation and whole goal pipelines on a log that has not
+changed. This module makes those repeats free. The engine is its only
+caller, and it memoises at one level — the dataset profile and each
+whole goal run — so nothing below a goal keeps entries of its own.
 
 A cache entry is addressed by the SHA-256 of four components:
 
 * a **code fingerprint** — a digest of the engine's own source
   (:func:`code_fingerprint`), so no edit to the code that produced a
   result can ever serve that result again;
-* a **dataset fingerprint** — a digest of the actual content being
-  mined (matrix bytes, log records, transaction lists), so any mutation
-  of the data invalidates every dependent entry automatically;
+* a **dataset fingerprint** — a digest of the log being mined
+  (:func:`fingerprint_log`), so any mutation of its records
+  invalidates every dependent entry automatically;
 * an **algorithm name** — the computation being memoised; and
 * a **parameter fingerprint** — a canonical JSON digest of every knob
   that influences the result (K, seeds, fold counts, tolerances...).
@@ -33,8 +35,6 @@ import json
 import zlib
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
-
-import numpy as np
 
 from repro.kdb.documentstore import Collection, DocumentStore
 
@@ -81,28 +81,10 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def fingerprint_array(matrix) -> str:
-    """Content digest of a numpy array (shape, dtype and bytes)."""
-    matrix = np.ascontiguousarray(matrix)
-    header = f"{matrix.shape}|{matrix.dtype.str}|".encode()
-    return fingerprint_bytes(header + matrix.tobytes())
-
-
 def fingerprint_params(params: Any) -> str:
     """Digest of a JSON-able parameter structure, key-order independent."""
     encoded = json.dumps(params, sort_keys=True, default=str)
     return fingerprint_bytes(encoded.encode())
-
-
-def fingerprint_transactions(transactions) -> str:
-    """Digest of a transaction list (order-sensitive, content-exact)."""
-    digest = hashlib.sha256()
-    for transaction in transactions:
-        for item in transaction:
-            digest.update(str(item).encode())
-            digest.update(b"\x1f")
-        digest.update(b"\x1e")
-    return digest.hexdigest()
 
 
 def fingerprint_log(log) -> str:
@@ -192,7 +174,8 @@ class AnalysisCache:
 
         With ``decode``, the stored payload is passed through it and
         the decoded value is returned instead. A corrupt entry — no
-        payload, or a payload ``decode`` rejects — is *not* an error:
+        payload, no checksum or a mismatching one, or a payload
+        ``decode`` rejects — is *not* an error:
         the entry is dropped, ``cache.corrupt`` is counted, and the
         lookup degrades to a miss so the caller recomputes and the
         subsequent :meth:`put` overwrites the damage.
@@ -204,9 +187,9 @@ class AnalysisCache:
         if "payload" not in document:
             return self._drop_corrupt(key, "entry has no payload")
         payload = document["payload"]
-        # Entries written since PR 10 carry a payload checksum; its
-        # absence (a pre-checksum entry) is not corruption.
-        if "crc" in document and document["crc"] != payload_crc(payload):
+        # Every addressable entry was written by this code's put(),
+        # which always stores a checksum: a missing one is damage too.
+        if document.get("crc") != payload_crc(payload):
             return self._drop_corrupt(key, "payload checksum mismatch")
         if decode is not None:
             try:
@@ -253,21 +236,6 @@ class AnalysisCache:
             }
             self.collection.insert_one(entry)
         return key
-
-    def memoize(
-        self,
-        dataset: str,
-        algorithm: str,
-        params: Any,
-        compute: Callable[[], Any],
-    ) -> Any:
-        """Return the cached payload or compute, store and return it."""
-        cached = self.get(dataset, algorithm, params)
-        if cached is not None:
-            return cached
-        payload = compute()
-        self.put(dataset, algorithm, params, payload)
-        return payload
 
     # ------------------------------------------------------------------
     def invalidate_dataset(self, dataset: str) -> int:

@@ -128,9 +128,10 @@ class EngineConfig:
     #: ``EngineError`` when the engine is built.
     executor: str = "serial"
     executor_workers: int = 4
-    #: Memoise per-goal results (and the K-means sweeps inside them) in
-    #: an :class:`repro.core.cache.AnalysisCache` keyed on the dataset
+    #: Memoise the dataset profile and each whole goal run in an
+    #: :class:`repro.core.cache.AnalysisCache` keyed on the dataset
     #: fingerprint, so re-analysing an unchanged log is nearly free.
+    #: Nothing inside a goal (partial mining, the K sweep) is cached.
     use_cache: bool = False
     #: Telemetry: a :class:`repro.obs.Tracer` emitting nested spans and
     #: a :class:`repro.obs.Metrics` registry. Defaults resolve to the
@@ -899,7 +900,6 @@ class ADAHealth:
             tolerance=cfg.partial_tolerance,
             weighting=weighting,
             normalize=normalize,
-            cache=self.cache,
             seed=self.seed,
         )
         partial = miner.mine(log)
@@ -925,7 +925,6 @@ class ADAHealth:
         optimizer = KMeansOptimizer(
             k_values=k_values,
             n_folds=cfg.n_folds,
-            cache=self.cache,
             seed=self.seed,
             tracer=self.tracer,
             metrics=self.metrics,

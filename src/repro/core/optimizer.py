@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.cloud.executor import SerialExecutor, TaskSpec
 from repro.cloud.transport import matrix_lease
-from repro.core.cache import AnalysisCache, fingerprint_array
 from repro.data.blocks import open_matrix
 from repro.exceptions import MiningError
 from repro.obs.tracer import NULL_TRACER
@@ -157,8 +156,7 @@ class OptimizationReport:
             ],
             best_k=int(document["best_k"]),
             sse_plateau=[int(k) for k in document["sse_plateau"]],
-            # Documents cached before failed_k existed lack the key.
-            failed_k=[int(k) for k in document.get("failed_k", [])],
+            failed_k=[int(k) for k in document["failed_k"]],
         )
 
     def format_table(self) -> str:
@@ -202,12 +200,6 @@ class KMeansOptimizer:
         backend works, including
         :class:`repro.cloud.ProcessPoolExecutorBackend` — as long as
         any custom ``classifier_factory`` itself pickles.
-    cache:
-        Optional :class:`repro.core.cache.AnalysisCache`. Per-K rows are
-        memoised on the data fingerprint and the full sweep parameters;
-        a repeated or extended sweep only computes the new K values.
-        (Skipped when a custom ``classifier_factory`` is supplied — an
-        arbitrary callable cannot be fingerprinted.)
     seed:
         Seed forwarded to K-means and to the CV splitters.
     retry:
@@ -225,7 +217,6 @@ class KMeansOptimizer:
         classifier_factory: Optional[Callable[[], object]] = None,
         kmeans_params: Optional[Dict] = None,
         executor=None,
-        cache: Optional[AnalysisCache] = None,
         seed: int = 0,
         tracer=None,
         metrics=None,
@@ -244,7 +235,6 @@ class KMeansOptimizer:
         self.kmeans_params = dict(kmeans_params or {})
         self.kmeans_params.setdefault("n_init", 3)
         self.executor = executor or SerialExecutor(retry=retry)
-        self.cache = cache
         self.seed = seed
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
@@ -300,14 +290,10 @@ class KMeansOptimizer:
         ``data`` (the partial miner's); that K's fit continues from it
         when it matches (:meth:`repro.mining.KMeans.fit`).
 
-        Cached K values (same data, same parameters) are restored
-        without recomputation; only the misses are dispatched to the
-        executor, as picklable task specs. With a process backend the
-        matrix travels as a shared-memory handle held by a lease for
-        the duration of the sweep — each task ships ~100 bytes instead
-        of the matrix. Cache writes happen here, in the calling
-        process, so results computed by worker processes are memoised
-        too.
+        Every K is dispatched to the executor as a picklable task spec.
+        With a process backend the matrix travels as a shared-memory
+        handle held by a lease for the duration of the sweep — each
+        task ships ~100 bytes instead of the matrix.
         """
         matrix = np.asarray(data, dtype=np.float64)
         with self.tracer.span(
@@ -315,35 +301,17 @@ class KMeansOptimizer:
             n_samples=int(matrix.shape[0]),
             k_values=list(self.k_values),
         ) as sweep_span:
-            rows: List[OptimizationRow] = []
-            pending = list(self.k_values)
-            fingerprint: Optional[str] = None
-            if self.cache is not None and self.classifier_factory is None:
-                fingerprint = fingerprint_array(matrix)
-                pending = []
-                for k in self.k_values:
-                    # Corrupt stored rows decode-fail into a miss and
-                    # are recomputed below (cache.corrupt counts them).
-                    hit = self.cache.get(
-                        fingerprint,
-                        "kmeans-optimizer-row",
-                        self._cell_params(k),
-                        decode=OptimizationRow.from_document,
-                    )
-                    if hit is None:
-                        pending.append(k)
-                    else:
-                        rows.append(hit)
             resume = resume or {}
             with matrix_lease(self.executor, matrix) as (ref,):
                 tasks = [
                     TaskSpec(_evaluate_k_task, (self, ref, k, resume.get(k)))
-                    for k in pending
+                    for k in self.k_values
                 ]
                 outcome = self.executor.run(tasks)
+            rows: List[OptimizationRow] = []
             failed_k: List[int] = []
             for k, value, seconds in zip(
-                pending, outcome.results, outcome.task_seconds
+                self.k_values, outcome.results, outcome.task_seconds
             ):
                 if seconds is not None:
                     # Per-K timings may have been measured in a worker
@@ -362,13 +330,6 @@ class KMeansOptimizer:
                     failed_k.append(k)
                     continue
                 rows.append(value)
-                if fingerprint is not None:
-                    self.cache.put(
-                        fingerprint,
-                        "kmeans-optimizer-row",
-                        self._cell_params(k),
-                        value.to_document(),
-                    )
             if not rows:
                 raise MiningError(
                     "every optimisation run failed"
@@ -378,7 +339,6 @@ class KMeansOptimizer:
             best_k = max(rows, key=lambda row: row.combined).k
             sweep_span.set(
                 best_k=best_k,
-                n_cached=len(self.k_values) - len(pending),
                 n_failures=outcome.n_failures,
             )
             return OptimizationReport(
@@ -387,16 +347,6 @@ class KMeansOptimizer:
                 sse_plateau=sse_plateau(rows),
                 failed_k=sorted(failed_k),
             )
-
-    def _cell_params(self, k: int) -> Dict[str, Any]:
-        """Everything that determines one per-K row, for cache keys."""
-        return {
-            "k": k,
-            "n_folds": self.n_folds,
-            "tree_params": self.tree_params,
-            "kmeans_params": self.kmeans_params,
-            "seed": self.seed,
-        }
 
 
 def _evaluate_k_task(

@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cache import AnalysisCache, fingerprint_array
 from repro.data.records import ExamLog
 from repro.exceptions import MiningError
 from repro.mining.kmeans import KMeans, KMeansCheckpoint
@@ -53,14 +52,6 @@ PAPER_FRACTIONS = (0.2, 0.4, 1.0)
 
 #: The paper's stopping tolerance ("percentage difference less than 5%").
 PAPER_TOLERANCE = 0.05
-
-
-def _decode_labels(payload: Any) -> np.ndarray:
-    """Decode a cached label list (raising on corrupt payloads)."""
-    labels = np.array(payload, dtype=int)
-    if labels.ndim != 1:
-        raise ValueError("cached labels must be one-dimensional")
-    return labels
 
 
 @dataclass
@@ -164,17 +155,11 @@ class HorizontalPartialMiner:
     normalize:
         L2-normalise rows before clustering (spherical K-means), the
         natural companion of the cosine-based overall-similarity index.
-    cache:
-        Optional :class:`repro.core.cache.AnalysisCache`. Clusterings
-        are memoised per (subset-matrix fingerprint, K) cell, so a
-        refined session — new fractions or K values over the same log —
-        only pays for the cells it has not seen: the adaptive miner is
-        incremental across calls.
 
     After :meth:`mine`, :attr:`selected_matrix` holds the selected
     subset's (weighted, normalised) matrix and :attr:`checkpoints` the
     :class:`repro.mining.KMeansCheckpoint` of each K-means fit run on
-    it, by K (a K served from the cache has none).
+    it, by K.
     """
 
     def __init__(
@@ -185,7 +170,6 @@ class HorizontalPartialMiner:
         weighting: str = "binary",
         normalize: bool = True,
         kmeans_params: Optional[Dict] = None,
-        cache: Optional[AnalysisCache] = None,
         seed: int = 0,
     ) -> None:
         fractions = sorted(fractions)
@@ -204,7 +188,6 @@ class HorizontalPartialMiner:
         self.normalize = normalize
         self.kmeans_params = dict(kmeans_params or {})
         self.kmeans_params.setdefault("n_init", 2)
-        self.cache = cache
         self.seed = seed
         self.selected_matrix: Optional[np.ndarray] = None
         self.checkpoints: Dict[int, KMeansCheckpoint] = {}
@@ -256,10 +239,15 @@ class HorizontalPartialMiner:
             matrix = self._subset_matrix(log, codes)
             models: Dict[int, KMeans] = {}
             for k in self.k_values:
-                labels, model = self._cluster(matrix, k)
-                if model is not None:
-                    models[k] = model
-                similarity = unit_overall_similarity(full_units, labels)
+                model = KMeans(
+                    k, seed=self.seed, **self.kmeans_params
+                ).fit(matrix)
+                if model.labels_ is None:
+                    raise RuntimeError("KMeans fit left labels_ unset")
+                models[k] = model
+                similarity = unit_overall_similarity(
+                    full_units, model.labels_
+                )
                 if abs(fraction - 1.0) < 1e-9:
                     full_similarity[k] = similarity
                     difference = 0.0
@@ -320,40 +308,6 @@ class HorizontalPartialMiner:
         if self.normalize:
             return L2Normalizer().transform(vsm.matrix)
         return vsm.matrix
-
-    def _cluster(
-        self, matrix: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, Optional[KMeans]]:
-        """Labels for one (subset, K) cell, and the fitted model (None
-        when the labels came from the cache)."""
-        if self.cache is not None:
-            params = {
-                "k": k,
-                "kmeans_params": self.kmeans_params,
-                "seed": self.seed,
-            }
-            fingerprint = fingerprint_array(matrix)
-            # Corrupt stored labels decode-fail into a miss and the
-            # clustering is recomputed (cache.corrupt counts them).
-            hit = self.cache.get(
-                fingerprint,
-                "partial-kmeans",
-                params,
-                decode=_decode_labels,
-            )
-            if hit is not None:
-                return hit, None
-        model = KMeans(k, seed=self.seed, **self.kmeans_params).fit(matrix)
-        if model.labels_ is None:
-            raise RuntimeError("KMeans fit left labels_ unset")
-        if self.cache is not None:
-            self.cache.put(
-                fingerprint,
-                "partial-kmeans",
-                params,
-                model.labels_.tolist(),
-            )
-        return model.labels_, model
 
 
 class VerticalPartialMiner:

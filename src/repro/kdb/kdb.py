@@ -284,8 +284,8 @@ class KnowledgeBase:
 
         Entries land in the ``analysis_cache`` collection next to the
         six paper collections, so a knowledge base opened with
-        :meth:`open_sharded` persists memoised sweep results along with
-        the knowledge they produced.
+        :meth:`open_sharded` persists memoised dataset profiles and goal
+        runs along with the knowledge they produced.
         """
         from repro.core.cache import CACHE_COLLECTION, AnalysisCache
 

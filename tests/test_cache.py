@@ -1,22 +1,16 @@
 """Tests for the content-addressed analysis cache."""
 
-import numpy as np
-import pytest
-
 import repro.core.cache as cache_module
 import repro.core.engine as engine_module
 from repro.core import ADAHealth, EngineConfig
 from repro.core.cache import (
     CACHE_COLLECTION,
     AnalysisCache,
-    fingerprint_array,
     fingerprint_log,
     fingerprint_params,
-    fingerprint_transactions,
     payload_crc,
 )
-from repro.core.optimizer import KMeansOptimizer
-from repro.core.partial import HorizontalPartialMiner
+from repro.data.records import ExamLog
 from repro.data.synthetic import small_dataset
 from repro.kdb.documentstore import DocumentStore
 from repro.kdb.kdb import DESCRIPTORS, KnowledgeBase
@@ -26,39 +20,11 @@ from repro.obs.metrics import Metrics
 # ----------------------------------------------------------------------
 # fingerprints
 # ----------------------------------------------------------------------
-def test_fingerprint_array_content_addressed():
-    a = np.arange(12, dtype=np.float64).reshape(3, 4)
-    assert fingerprint_array(a) == fingerprint_array(a.copy())
-    mutated = a.copy()
-    mutated[1, 2] += 1e-9
-    assert fingerprint_array(a) != fingerprint_array(mutated)
-
-
-def test_fingerprint_array_shape_and_dtype_matter():
-    a = np.arange(12, dtype=np.float64)
-    assert fingerprint_array(a) != fingerprint_array(a.reshape(3, 4))
-    assert fingerprint_array(a) != fingerprint_array(a.astype(np.float32))
-
-
 def test_fingerprint_params_key_order_independent():
     assert fingerprint_params({"a": 1, "b": [2, 3]}) == fingerprint_params(
         {"b": [2, 3], "a": 1}
     )
     assert fingerprint_params({"a": 1}) != fingerprint_params({"a": 2})
-
-
-def test_fingerprint_transactions_sensitive_to_content_and_order():
-    base = [["a", "b"], ["c"]]
-    assert fingerprint_transactions(base) == fingerprint_transactions(
-        [["a", "b"], ["c"]]
-    )
-    assert fingerprint_transactions(base) != fingerprint_transactions(
-        [["c"], ["a", "b"]]
-    )
-    # The separators make ["ab"] distinct from ["a", "b"].
-    assert fingerprint_transactions([["ab"]]) != fingerprint_transactions(
-        [["a", "b"]]
-    )
 
 
 def test_fingerprint_log_changes_when_records_change():
@@ -128,20 +94,23 @@ def test_cache_detects_tampered_payload_via_crc():
     assert cache.get("ds", "algo", {"k": 3}) == {"labels": [0, 1, 0]}
 
 
-def test_cache_precrc_entries_still_hit():
+def test_cache_entry_without_crc_is_a_corrupt_miss():
     cache = AnalysisCache()
-    # an entry written before payload checksums existed has no "crc"
+    # put() always stores a checksum, so an entry without one is damage
     cache.collection.insert_one(
         {
             "key": AnalysisCache.key("ds", "algo", {}),
             "dataset": "ds",
             "algorithm": "algo",
             "params": "{}",
-            "payload": "legacy",
+            "payload": "unchecked",
         }
     )
-    assert cache.get("ds", "algo", {}) == "legacy"
-    assert cache.stats()["corrupt"] == 0
+    assert cache.get("ds", "algo", {}) is None
+    assert cache.stats()["corrupt"] == 1
+    assert len(cache) == 0  # the damaged entry was evicted
+    cache.put("ds", "algo", {}, "recomputed")
+    assert cache.get("ds", "algo", {}) == "recomputed"
 
 
 def test_cache_entries_with_a_legacy_cert_field_still_hit():
@@ -162,19 +131,6 @@ def test_cache_entries_with_a_legacy_cert_field_still_hit():
     assert cache.stats()["corrupt"] == 0
 
 
-def test_cache_memoize_computes_once():
-    cache = AnalysisCache()
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return {"answer": 42}
-
-    assert cache.memoize("ds", "algo", {}, compute) == {"answer": 42}
-    assert cache.memoize("ds", "algo", {}, compute) == {"answer": 42}
-    assert len(calls) == 1
-
-
 def test_cache_invalidate_dataset_scoped():
     cache = AnalysisCache()
     cache.put("ds1", "algo", {"k": 1}, "a")
@@ -187,12 +143,17 @@ def test_cache_invalidate_dataset_scoped():
 
 def test_cache_dataset_mutation_invalidates_implicitly():
     cache = AnalysisCache()
-    data = np.arange(20, dtype=np.float64).reshape(5, 4)
-    cache.put(fingerprint_array(data), "mean", {}, float(data.mean()))
-    mutated = data.copy()
-    mutated[0, 0] = 99.0
-    assert cache.get(fingerprint_array(mutated), "mean", {}) is None
-    assert cache.get(fingerprint_array(data), "mean", {}) is not None
+    log = small_dataset(n_patients=20, seed=1)
+    cache.put(fingerprint_log(log), "count", {}, log.n_records)
+    # the same log less its first record
+    mutated = ExamLog.from_rows(
+        log.to_rows()[1:],
+        taxonomy=log.taxonomy,
+        patients=log.patients.values(),
+    )
+    assert mutated.n_records == log.n_records - 1
+    assert cache.get(fingerprint_log(mutated), "count", {}) is None
+    assert cache.get(fingerprint_log(log), "count", {}) == log.n_records
 
 
 def test_cache_clear():
@@ -379,6 +340,49 @@ def test_corrupt_profile_entry_is_characterised_again(
     assert _ranking(warm) == _ranking(cold)
 
 
+# ----------------------------------------------------------------------
+# one memo level: what a cached engine writes and reads
+# ----------------------------------------------------------------------
+def _count_cache_calls(monkeypatch):
+    calls = {"get": 0, "put": 0}
+    for name in calls:
+        original = getattr(AnalysisCache, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisCache, name, counted)
+    return calls
+
+
+def test_a_cached_engine_stores_the_profile_and_whole_goal_runs_only(
+    tiny_log, tmp_path, monkeypatch
+):
+    cold, __, __ = _sharded_analyze(tmp_path / "kdb", tiny_log, "cold")
+    completed = [run for run in cold.runs if run.status == "completed"]
+    assert completed
+    kdb = KnowledgeBase.open_sharded(tmp_path / "kdb")
+    try:
+        entries = kdb.analysis_cache().collection.find({}).to_list()
+    finally:
+        kdb.store.close()
+    assert {entry["dataset"] for entry in entries} == {
+        fingerprint_log(tiny_log)
+    }
+    assert sorted(entry["algorithm"] for entry in entries) == sorted(
+        ["dataset-profile"] + ["engine-goal-run"] * len(completed)
+    )
+
+    # the revisit reads the profile and every goal run, and writes none
+    calls = _count_cache_calls(monkeypatch)
+    warm, stats, __ = _sharded_analyze(tmp_path / "kdb", tiny_log, "warm")
+    assert calls == {"get": 1 + len(warm.runs), "put": 0}
+    assert stats["hits"] == 1 + len(warm.runs)
+    assert stats["misses"] == stats["stores"] == 0
+    assert _ranking(warm) == _ranking(cold)
+
+
 def test_engines_without_a_cache_characterise_every_analyze(
     tiny_log, monkeypatch
 ):
@@ -390,67 +394,3 @@ def test_engines_without_a_cache_characterise_every_analyze(
     engine.analyze(tiny_log, name="second")
     assert engine.cache is None
     assert len(calls) == 2
-
-
-# ----------------------------------------------------------------------
-# cache integration with the sweep machinery
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def tiny_matrix():
-    rng = np.random.default_rng(5)
-    return np.vstack(
-        [
-            rng.normal(0.0, 0.3, size=(30, 4)),
-            rng.normal(3.0, 0.3, size=(30, 4)),
-        ]
-    )
-
-
-def test_optimizer_reuses_cached_rows(tiny_matrix):
-    cache = AnalysisCache()
-    first = KMeansOptimizer(
-        k_values=(2, 3), n_folds=2, seed=0, cache=cache
-    ).optimize(tiny_matrix)
-    assert cache.stats()["misses"] == 2
-    assert cache.stats()["entries"] == 2
-
-    second = KMeansOptimizer(
-        k_values=(2, 3), n_folds=2, seed=0, cache=cache
-    ).optimize(tiny_matrix)
-    assert cache.stats()["hits"] == 2
-    assert second.best_k == first.best_k
-    for left, right in zip(first.rows, second.rows):
-        assert left.k == right.k
-        assert left.sse == pytest.approx(right.sse, rel=1e-12)
-        np.testing.assert_array_equal(left.labels, right.labels)
-        np.testing.assert_allclose(left.centers, right.centers)
-
-
-def test_optimizer_cache_extends_to_new_k_only(tiny_matrix):
-    cache = AnalysisCache()
-    KMeansOptimizer(
-        k_values=(2,), n_folds=2, seed=0, cache=cache
-    ).optimize(tiny_matrix)
-    KMeansOptimizer(
-        k_values=(2, 3), n_folds=2, seed=0, cache=cache
-    ).optimize(tiny_matrix)
-    # Second sweep recomputed only the new K=3 cell.
-    assert cache.stats()["entries"] == 2
-    assert cache.stats()["hits"] == 1
-
-
-def test_partial_miner_with_cache_matches_without():
-    log = small_dataset(n_patients=40, seed=2)
-    plain = HorizontalPartialMiner(
-        fractions=(0.5, 1.0), k_values=(3,), seed=0
-    ).mine(log)
-    cache = AnalysisCache()
-    cached_miner = HorizontalPartialMiner(
-        fractions=(0.5, 1.0), k_values=(3,), seed=0, cache=cache
-    )
-    cold = cached_miner.mine(log)
-    warm = cached_miner.mine(log)
-    assert cache.stats()["hits"] > 0
-    for result in (cold, warm):
-        assert result.selected_fraction == plain.selected_fraction
-        assert result.selected_codes == plain.selected_codes

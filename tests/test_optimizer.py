@@ -5,8 +5,12 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core import KMeansOptimizer, OptimizationRow, sse_plateau
-from repro.core.cache import AnalysisCache, fingerprint_array
+from repro.core import (
+    KMeansOptimizer,
+    OptimizationReport,
+    OptimizationRow,
+    sse_plateau,
+)
 from repro.core.optimizer import PAPER_K_VALUES
 from repro.exceptions import MiningError
 from repro.preprocess import L2Normalizer, VSMBuilder
@@ -190,20 +194,24 @@ class _TiedOptimizer(KMeansOptimizer):
         return _tied_row(k)
 
 
-@pytest.mark.parametrize("cached_k, computed_k", [(4, 6), (6, 4)])
-def test_a_combined_tie_selects_the_smallest_k(matrix, cached_k, computed_k):
+@pytest.mark.parametrize(
+    "k_values", [(4, 6), (6, 4)], ids=["4-6", "6-4"]
+)
+def test_a_combined_tie_selects_the_smallest_k(matrix, k_values):
     """On the paper cohort K = 4 and K = 6 both score combined == 1.0;
-    the sweep picks the smallest tied K, whether the tied rows come
-    from the cache or from a fresh evaluation."""
-    cache = AnalysisCache()
-    optimizer = _TiedOptimizer(k_values=(4, 6), n_folds=2, cache=cache)
-    cache.put(
-        fingerprint_array(matrix),
-        "kmeans-optimizer-row",
-        optimizer._cell_params(cached_k),
-        _tied_row(cached_k).to_document(),
-    )
+    the sweep picks the smallest tied K, in whichever order the K
+    values are evaluated."""
+    optimizer = _TiedOptimizer(k_values=k_values, n_folds=2)
     report = optimizer.optimize(matrix)
-    assert optimizer.computed == [computed_k]
+    assert optimizer.computed == list(k_values)
     assert [row.combined for row in report.rows] == [1.0, 1.0]
     assert report.best_k == 4
+
+
+def test_report_document_roundtrip_requires_failed_k(report):
+    document = report.to_document()
+    again = OptimizationReport.from_document(document)
+    assert again.to_document() == document
+    del document["failed_k"]
+    with pytest.raises(KeyError):
+        OptimizationReport.from_document(document)
