@@ -15,8 +15,8 @@ backend. This module provides the zero-copy alternative:
   that turns an array or a handle into an ndarray view and guarantees
   the segment is detached afterwards.
 
-Serial and thread backends never touch shared memory: leases
-short-circuit to direct views (see :mod:`repro.cloud.transport`).
+The serial backend never touches shared memory: leases short-circuit
+to direct views (see :mod:`repro.cloud.transport`).
 
 Cleanup discipline
 ------------------
@@ -270,7 +270,7 @@ def open_matrix(
 ) -> Iterator[np.ndarray]:
     """Resolve a matrix reference into an ndarray view.
 
-    Arrays pass through unchanged (serial/thread short-circuit: zero
+    Arrays pass through unchanged (the serial short-circuit: zero
     copies, zero syscalls). :class:`SharedMatrixHandle` attaches the
     segment for the duration of the ``with`` block and detaches in
     ``finally`` — the worker-side half of the cleanup contract. Results

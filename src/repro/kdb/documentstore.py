@@ -46,7 +46,6 @@ import itertools
 import json
 import math
 import pickle
-import threading
 import time
 from dataclasses import dataclass
 from typing import (
@@ -566,10 +565,11 @@ class Cursor:
 class Collection:
     """A named collection of documents inside a :class:`DocumentStore`.
 
-    Mutations are serialised by a per-collection re-entrant lock and are
-    atomic per document: a failing update, serialisation check or
-    unique-index violation leaves the stored document and every index
-    exactly as they were.
+    Mutations are atomic per document: a failing update, serialisation
+    check or unique-index violation leaves the stored document and every
+    index exactly as they were. Like the whole K-DB, a collection is
+    single-threaded: one thread per process uses it, so it takes no
+    locks.
     """
 
     def __init__(self, name: str) -> None:
@@ -582,7 +582,6 @@ class Collection:
         self._seq: Dict[Any, int] = {}
         self._seq_counter = 0
         self._version = 0
-        self._lock = threading.RLock()
         #: Mutation hook for the shard layer (op, payload); not pickled.
         self._journal: Optional[Callable[[str, Any], None]] = None
         #: Pre-mutation veto hook (raises to refuse the write *before*
@@ -594,17 +593,15 @@ class Collection:
         #: The plan of the most recent planned read (tests/diagnostics).
         self.last_plan: Optional[QueryPlan] = None
 
-    # -- pickling (locks rebuilt; journal hooks do not survive) ----------
+    # -- pickling (journal hooks do not survive) -------------------------
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        state.pop("_lock", None)
         state.pop("_journal", None)
         state.pop("_write_guard", None)
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._lock = threading.RLock()
         self._journal = None
         self._write_guard = None
 
@@ -624,26 +621,25 @@ class Collection:
             raise StoreError("documents must be dicts")
         _reject_unstorable(document)
         document = _copy_document(document)
-        with self._lock:
-            self._require_writable()
-            if "_id" not in document:
-                while self._next_id in self._documents:
-                    self._next_id += 1
-                document["_id"] = self._next_id
+        self._require_writable()
+        if "_id" not in document:
+            while self._next_id in self._documents:
                 self._next_id += 1
-            doc_id = document["_id"]
-            if isinstance(doc_id, (dict, list)):
-                raise StoreError(f"_id must be a scalar: {doc_id!r}")
-            if doc_id in self._documents:
-                raise DuplicateKeyError(
-                    f"duplicate _id in {self.name!r}: {doc_id!r}"
-                )
-            self._check_unique_indexes(document)
-            self._documents[doc_id] = document
-            self._index_add(document)
-            self._seq[doc_id] = self._seq_counter
-            self._seq_counter += 1
-            self._notify("put", document)
+            document["_id"] = self._next_id
+            self._next_id += 1
+        doc_id = document["_id"]
+        if isinstance(doc_id, (dict, list)):
+            raise StoreError(f"_id must be a scalar: {doc_id!r}")
+        if doc_id in self._documents:
+            raise DuplicateKeyError(
+                f"duplicate _id in {self.name!r}: {doc_id!r}"
+            )
+        self._check_unique_indexes(document)
+        self._documents[doc_id] = document
+        self._index_add(document)
+        self._seq[doc_id] = self._seq_counter
+        self._seq_counter += 1
+        self._notify("put", document)
         return doc_id
 
     def insert_many(self, documents: Iterable[Document]) -> List[Any]:
@@ -654,17 +650,16 @@ class Collection:
         """Install a trusted document (loader fast path): no copy, no
         serialisation check, no journal echo. Indexes are expected to be
         (re)built afterwards via :meth:`create_index`."""
-        with self._lock:
-            doc_id = document["_id"]
-            if doc_id in self._documents:
-                raise DuplicateKeyError(
-                    f"duplicate _id in {self.name!r}: {doc_id!r}"
-                )
-            self._documents[doc_id] = document
-            self._index_add(document)
-            self._seq[doc_id] = self._seq_counter
-            self._seq_counter += 1
-            self._version += 1
+        doc_id = document["_id"]
+        if doc_id in self._documents:
+            raise DuplicateKeyError(
+                f"duplicate _id in {self.name!r}: {doc_id!r}"
+            )
+        self._documents[doc_id] = document
+        self._index_add(document)
+        self._seq[doc_id] = self._seq_counter
+        self._seq_counter += 1
+        self._version += 1
 
     # -- find --------------------------------------------------------------
     def _plan(self, query: Query) -> Tuple[List[Document], QueryPlan]:
@@ -805,31 +800,30 @@ class Collection:
         if not isinstance(fields, dict):
             raise StoreError("$set requires a field document")
         _reject_unstorable(fields)
-        with self._lock:
-            self._require_writable()
-            matched = self._matched(query, first=True)
-            if not matched:
-                return 0
-            document = matched[0]
-            doc_id = document["_id"]
-            # Copy-on-write: build the replacement fully, then swap — a
-            # failure at any point leaves the stored document and the
-            # indexes untouched.
-            replacement = _copy_document(document)
-            for path, value in fields.items():
-                parent, leaf = _resolve_parent(replacement, path)
-                parent[leaf] = _copy_document(value)
-            if replacement["_id"] != doc_id:
-                raise StoreError("updates may not modify _id")
-            self._index_remove(document)
-            try:
-                self._index_add(replacement)
-            except DuplicateKeyError:
-                self._index_remove(replacement)
-                self._index_add(document)
-                raise
-            self._documents[doc_id] = replacement
-            self._notify("put", replacement)
+        self._require_writable()
+        matched = self._matched(query, first=True)
+        if not matched:
+            return 0
+        document = matched[0]
+        doc_id = document["_id"]
+        # Copy-on-write: build the replacement fully, then swap — a
+        # failure at any point leaves the stored document and the
+        # indexes untouched.
+        replacement = _copy_document(document)
+        for path, value in fields.items():
+            parent, leaf = _resolve_parent(replacement, path)
+            parent[leaf] = _copy_document(value)
+        if replacement["_id"] != doc_id:
+            raise StoreError("updates may not modify _id")
+        self._index_remove(document)
+        try:
+            self._index_add(replacement)
+        except DuplicateKeyError:
+            self._index_remove(replacement)
+            self._index_add(document)
+            raise
+        self._documents[doc_id] = replacement
+        self._notify("put", replacement)
         return 1
 
     # -- delete ------------------------------------------------------------
@@ -842,15 +836,14 @@ class Collection:
         return self._delete(query, many=True)
 
     def _delete(self, query: Optional[Query], many: bool) -> int:
-        with self._lock:
-            self._require_writable()
-            victims = self._matched(query, first=not many)
-            for document in victims:
-                doc_id = document["_id"]
-                del self._documents[doc_id]
-                self._index_remove(document)
-                self._seq.pop(doc_id, None)
-                self._notify("del", doc_id)
+        self._require_writable()
+        victims = self._matched(query, first=not many)
+        for document in victims:
+            doc_id = document["_id"]
+            del self._documents[doc_id]
+            self._index_remove(document)
+            self._seq.pop(doc_id, None)
+            self._notify("del", doc_id)
         return len(victims)
 
     # -- indexes -----------------------------------------------------------
@@ -867,18 +860,17 @@ class Collection:
         if kind not in _INDEX_KINDS:
             raise StoreError(f"unknown index kind: {kind!r}")
         name = f"{path}_1"
-        with self._lock:
-            self._require_writable()
-            existing = self._indexes.get(name)
-            if existing is not None and (
-                existing.kind == kind or kind == "hash"
-            ):
-                return name
-            index = _INDEX_KINDS[kind](name, path, unique)
-            for document in self._documents.values():
-                index.add(document)
-            self._indexes[name] = index
-            self._notify("index")
+        self._require_writable()
+        existing = self._indexes.get(name)
+        if existing is not None and (
+            existing.kind == kind or kind == "hash"
+        ):
+            return name
+        index = _INDEX_KINDS[kind](name, path, unique)
+        for document in self._documents.values():
+            index.add(document)
+        self._indexes[name] = index
+        self._notify("index")
         return name
 
     def index_names(self) -> List[str]:
@@ -939,14 +931,13 @@ class Collection:
 
     def drop(self) -> None:
         """Remove every document (indexes survive, emptied)."""
-        with self._lock:
-            self._require_writable()
-            self._documents.clear()
-            self._seq.clear()
-            self._seq_counter = 0
-            for index in self._indexes.values():
-                index.clear()
-            self._notify("clear")
+        self._require_writable()
+        self._documents.clear()
+        self._seq.clear()
+        self._seq_counter = 0
+        for index in self._indexes.values():
+            index.clear()
+        self._notify("clear")
 
 
 def _resolve_expression(document: Document, expression: Any) -> Any:

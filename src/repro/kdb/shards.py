@@ -76,7 +76,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
@@ -118,11 +117,10 @@ _SHARD_FILE = re.compile(
 #: them; mirrored in :attr:`ShardedDocumentStore.recovery_stats`).
 RECOVERY_COUNTERS = KDB_RECOVERY_COUNTERS
 
-#: Directories this process currently holds open (resolved paths),
-#: guarded by ``_OWNED_GUARD``. Lets the lockfile distinguish "same
-#: pid, still open" (a genuine double-open) from "same pid, stale file
-#: left by a crashed predecessor object".
-_OWNED_GUARD = threading.Lock()
+#: Directories this process currently holds open (resolved paths).
+#: Lets the lockfile distinguish "same pid, still open" (a genuine
+#: double-open) from "same pid, stale file left by a crashed
+#: predecessor object".
 _OWNED_DIRS: Set[str] = set()
 
 
@@ -385,11 +383,8 @@ class ShardedDocumentStore(DocumentStore):
     directory had to repair; the same tallies are always available in
     :attr:`recovery_stats`.
 
-    Lock ordering: a collection's write lock is always taken *before*
-    the store-wide shard lock (the journal runs inside the collection
-    lock; :meth:`compact` acquires in that same order), so a compaction
-    started from any thread cannot deadlock against writers. ADA015
-    pins this as the canonical edge of the project lock-order graph.
+    A store is single-threaded: one thread per process uses it (see
+    DESIGN.md, "One thread per process"), so it takes no locks.
 
     Cross-process safety: opening a directory takes an exclusive pid
     lockfile (``_shards.lock``, created ``O_CREAT|O_EXCL``), so a
@@ -418,7 +413,6 @@ class ShardedDocumentStore(DocumentStore):
         self.auto_compact_ops = auto_compact_ops
         self.storage = storage if storage is not None else LocalStorage()
         self._files: Dict[str, _ShardFiles] = {}
-        self._slock = threading.RLock()
         self._loading = False
         self._closed = False
         #: One human-readable line per record that replay could not
@@ -459,8 +453,7 @@ class ShardedDocumentStore(DocumentStore):
             else:
                 self._write_manifest()
         except BaseException:
-            with self._slock:
-                self._release_lockfile()
+            self._release_lockfile()
             raise
 
     def bind_metrics(self, metrics) -> None:
@@ -484,8 +477,7 @@ class ShardedDocumentStore(DocumentStore):
                     path, f"{os.getpid()}\n"
                 )
             except FileExistsError:
-                with _OWNED_GUARD:
-                    open_here = self._lock_key in _OWNED_DIRS
+                open_here = self._lock_key in _OWNED_DIRS
                 holder = _read_lock_pid(path)
                 if open_here:
                     raise StoreError(
@@ -499,8 +491,7 @@ class ShardedDocumentStore(DocumentStore):
                     or not _pid_alive(holder)
                 )
                 if attempt == 0 and stale:
-                    with self._slock:
-                        self.storage.remove(path)
+                    self.storage.remove(path)
                     continue
                 raise StoreError(
                     f"{self.directory} is locked by pid {holder}"
@@ -508,8 +499,7 @@ class ShardedDocumentStore(DocumentStore):
                     " ShardedDocumentStore first, or delete the"
                     " lockfile if that process is gone"
                 )
-            with _OWNED_GUARD:
-                _OWNED_DIRS.add(self._lock_key)
+            _OWNED_DIRS.add(self._lock_key)
             return True
         raise StoreError(  # two stale-break attempts lost the race
             f"could not acquire {path}: another opener raced the"
@@ -520,36 +510,31 @@ class ShardedDocumentStore(DocumentStore):
         if not self._has_lockfile:
             return
         self._has_lockfile = False
-        with _OWNED_GUARD:
-            _OWNED_DIRS.discard(self._lock_key)
+        _OWNED_DIRS.discard(self._lock_key)
         self.storage.remove(self.directory / _LOCKFILE_NAME)
 
     # -- wiring ----------------------------------------------------------
     def _attach_collection(self, collection: Collection) -> None:
         name = collection.name
-        with self._slock:
-            created = name not in self._files
-            if created:
-                self._files[name] = _ShardFiles(
-                    self.directory, name, self.n_shards, self.storage
-                )
+        created = name not in self._files
+        if created:
+            self._files[name] = _ShardFiles(
+                self.directory, name, self.n_shards, self.storage
+            )
 
-            def journal(op: str, payload: Any = None) -> None:
-                self._on_mutation(name, op, payload)
+        def journal(op: str, payload: Any = None) -> None:
+            self._on_mutation(name, op, payload)
 
-            collection._journal = journal
-            collection._write_guard = self._refuse_if_write_protected
-            write_manifest = not self._loading
-            if created and write_manifest:
-                # An interrupted drop can leave this name's old files
-                # behind; remove them before the manifest lists the
-                # name again, or the next open would replay them.
-                for leftover, path in _shard_files(self.directory):
-                    if leftover == name:
-                        self.storage.remove(path)
-        # The manifest fsync happens after the shard lock is released:
-        # attach only needs the lock to publish the files entry and
-        # journal hook.
+        collection._journal = journal
+        collection._write_guard = self._refuse_if_write_protected
+        write_manifest = not self._loading
+        if created and write_manifest:
+            # An interrupted drop can leave this name's old files
+            # behind; remove them before the manifest lists the
+            # name again, or the next open would replay them.
+            for leftover, path in _shard_files(self.directory):
+                if leftover == name:
+                    self.storage.remove(path)
         if write_manifest:
             self._write_manifest()
 
@@ -565,65 +550,56 @@ class ShardedDocumentStore(DocumentStore):
         """
         if self._loading:
             return
-        with self._slock:
-            if self._closed:
-                raise StoreError("sharded store is closed")
-            if self._journal_failed is not None:
-                raise StoreError(
-                    f"journal append for"
-                    f" {self._journal_failed!r} failed earlier (disk"
-                    " full?); the store is write-protected until"
-                    " compact() rewrites a consistent on-disk state"
-                )
+        if self._closed:
+            raise StoreError("sharded store is closed")
+        if self._journal_failed is not None:
+            raise StoreError(
+                f"journal append for"
+                f" {self._journal_failed!r} failed earlier (disk"
+                " full?); the store is write-protected until"
+                " compact() rewrites a consistent on-disk state"
+            )
 
     def _on_mutation(self, name: str, op: str, payload: Any) -> None:
         if self._loading:
             return
-        compact_due = False
         index_changed = False
-        with self._slock:
-            if self._closed:
-                raise StoreError("sharded store is closed")
-            files = self._files[name]
-            try:
-                if op == "put":
-                    files.append(
-                        shard_of(payload["_id"], self.n_shards),
-                        {"op": "put", "doc": payload},
-                    )
-                elif op == "del":
-                    files.append(
-                        shard_of(payload, self.n_shards),
-                        {"op": "del", "id": payload},
-                    )
-                elif op == "clear":
-                    for shard in range(self.n_shards):
-                        files.append(shard, {"op": "clear"})
-                elif op == "index":
-                    index_changed = True
-                else:
-                    raise StoreError(f"unknown journal op: {op!r}")
-            except OSError as exc:
-                # The op is applied in memory but its journal record
-                # never landed: write-protect until compact() folds
-                # the (ahead) memory state into fresh bases.
-                self._journal_failed = name
-                raise StoreError(
-                    f"journal append for {name!r} failed: {exc};"
-                    " in-memory state is ahead of disk — compact()"
-                    " to reconcile and re-enable writes"
-                ) from exc
-            compact_due = (
-                not index_changed
-                and self.auto_compact_ops is not None
-                and files.pending >= self.auto_compact_ops
-            )
-        # Both follow-ups run outside the shard lock: compacting from
-        # inside it would acquire the collection lock *after* the shard
-        # lock — the exact inversion of the documented order (ADA015) —
-        # and the manifest write fsyncs. The journal runs
-        # under the collection lock, so compacting here re-enters it in
-        # the documented collection-before-store order.
+        if self._closed:
+            raise StoreError("sharded store is closed")
+        files = self._files[name]
+        try:
+            if op == "put":
+                files.append(
+                    shard_of(payload["_id"], self.n_shards),
+                    {"op": "put", "doc": payload},
+                )
+            elif op == "del":
+                files.append(
+                    shard_of(payload, self.n_shards),
+                    {"op": "del", "id": payload},
+                )
+            elif op == "clear":
+                for shard in range(self.n_shards):
+                    files.append(shard, {"op": "clear"})
+            elif op == "index":
+                index_changed = True
+            else:
+                raise StoreError(f"unknown journal op: {op!r}")
+        except OSError as exc:
+            # The op is applied in memory but its journal record
+            # never landed: write-protect until compact() folds
+            # the (ahead) memory state into fresh bases.
+            self._journal_failed = name
+            raise StoreError(
+                f"journal append for {name!r} failed: {exc};"
+                " in-memory state is ahead of disk — compact()"
+                " to reconcile and re-enable writes"
+            ) from exc
+        compact_due = (
+            not index_changed
+            and self.auto_compact_ops is not None
+            and files.pending >= self.auto_compact_ops
+        )
         if index_changed:
             self._write_manifest()
         elif compact_due:
@@ -631,53 +607,44 @@ class ShardedDocumentStore(DocumentStore):
 
     # -- manifest --------------------------------------------------------
     def _write_manifest(self) -> None:
-        with self._slock:
-            layout = {
-                "version": _MANIFEST_VERSION,
-                "n_shards": self.n_shards,
-                "collections": {
-                    name: {
-                        "indexes": [
-                            {
-                                "path": index.path,
-                                "unique": index.unique,
-                                "kind": index.kind,
-                            }
-                            for index in collection._indexes.values()
-                        ],
-                        "generation": (
-                            self._files[name].gen
-                            if name in self._files
-                            else 0
-                        ),
-                    }
-                    for name, collection in self._collections.items()
-                },
-            }
-            # Writing (and fsyncing) under the shard lock is deliberate:
-            # it serialises manifest writers, so the bytes on disk always
-            # correspond to the *latest* layout snapshot — two unlocked
-            # writers could land snapshots out of order and resurrect a
-            # dropped index definition. The manifest is tiny; the held
-            # fsync is bounded.
-            self.storage.atomic_write(
-                self.directory / _MANIFEST_NAME,
-                json.dumps(layout, indent=2, sort_keys=True),
-            )
+        layout = {
+            "version": _MANIFEST_VERSION,
+            "n_shards": self.n_shards,
+            "collections": {
+                name: {
+                    "indexes": [
+                        {
+                            "path": index.path,
+                            "unique": index.unique,
+                            "kind": index.kind,
+                        }
+                        for index in collection._indexes.values()
+                    ],
+                    "generation": (
+                        self._files[name].gen
+                        if name in self._files
+                        else 0
+                    ),
+                }
+                for name, collection in self._collections.items()
+            },
+        }
+        self.storage.atomic_write(
+            self.directory / _MANIFEST_NAME,
+            json.dumps(layout, indent=2, sort_keys=True),
+        )
 
     # -- replay ----------------------------------------------------------
     def _replay(self) -> None:
         layout = read_layout(self.directory / _MANIFEST_NAME)
         collections = layout.get("collections", {})
-        with self._slock:
-            self.n_shards = int(layout["n_shards"])
-            self._loading = True
+        self.n_shards = int(layout["n_shards"])
+        self._loading = True
         try:
             for name, info in collections.items():
                 collection = self.collection(name)
                 manifest_gen = int(info.get("generation", 0))
-                with self._slock:
-                    self._files[name].gen = manifest_gen
+                self._files[name].gen = manifest_gen
                 for shard in range(self.n_shards):
                     for document in self._replay_shard(
                         name, shard, manifest_gen
@@ -690,8 +657,7 @@ class ShardedDocumentStore(DocumentStore):
                         kind=index.get("kind", "hash"),
                     )
         finally:
-            with self._slock:
-                self._loading = False
+            self._loading = False
 
     def _migrate_flat(self) -> None:
         """Rewrite a flat ``save()`` directory as framed shards, once.
@@ -709,8 +675,7 @@ class ShardedDocumentStore(DocumentStore):
                 f"{_FLAT_MANIFEST_NAME}: expected an object of"
                 " collection -> index list"
             )
-        with self._slock:
-            self._loading = True
+        self._loading = True
         try:
             for name, indexes in manifest.items():
                 where = f"{_FLAT_MANIFEST_NAME}: collection {name!r}"
@@ -731,13 +696,11 @@ class ShardedDocumentStore(DocumentStore):
                         kind=index.get("kind", "hash"),
                     )
         finally:
-            with self._slock:
-                self._loading = False
+            self._loading = False
         self.compact()
-        with self._slock:
-            self.storage.remove(self.directory / _FLAT_MANIFEST_NAME)
-            for name in manifest:
-                self.storage.remove(self.directory / f"{name}.jsonl")
+        self.storage.remove(self.directory / _FLAT_MANIFEST_NAME)
+        for name in manifest:
+            self.storage.remove(self.directory / f"{name}.jsonl")
 
     def _replay_shard(
         self, name: str, shard: int, manifest_gen: int
@@ -759,14 +722,13 @@ class ShardedDocumentStore(DocumentStore):
             # Compaction lands every shard's base before the manifest
             # records its generation, so past generation 0 no crash
             # leaves a base missing: its documents are lost.
-            with self._slock:
-                self.recovery_stats["gen_mismatch"] += 1
-                self.degraded_collections.add(name)
-                self.load_warnings.append(
-                    f"{files.base_path(shard).name}: base missing at"
-                    f" manifest generation {manifest_gen}; its"
-                    " documents are lost"
-                )
+            self.recovery_stats["gen_mismatch"] += 1
+            self.degraded_collections.add(name)
+            self.load_warnings.append(
+                f"{files.base_path(shard).name}: base missing at"
+                f" manifest generation {manifest_gen}; its"
+                " documents are lost"
+            )
             self._meter("gen_mismatch")
         if base is not None:
             if base.gen is not None:
@@ -775,11 +737,10 @@ class ShardedDocumentStore(DocumentStore):
                 if isinstance(document, dict) and "_id" in document:
                     state[_index_key(document["_id"])] = document
                 else:
-                    with self._slock:
-                        self.load_warnings.append(
-                            f"{base.path.name}: skipped"
-                            " document without _id"
-                        )
+                    self.load_warnings.append(
+                        f"{base.path.name}: skipped"
+                        " document without _id"
+                    )
             # Bases are written atomically (whole file or nothing), so
             # *any* undecodable base line — even the last — is real
             # damage, never an in-flight append: quarantine it.
@@ -801,15 +762,14 @@ class ShardedDocumentStore(DocumentStore):
                 self._recover_stale_log(name, files, shard)
             else:
                 if log_gen > base_gen:
-                    with self._slock:
-                        self.recovery_stats["gen_mismatch"] += 1
-                        self.degraded_collections.add(name)
-                        self.load_warnings.append(
-                            f"{log.path.name}: log generation"
-                            f" {log_gen} ahead of base generation"
-                            f" {base_gen} (base missing or rolled"
-                            " back?)"
-                        )
+                    self.recovery_stats["gen_mismatch"] += 1
+                    self.degraded_collections.add(name)
+                    self.load_warnings.append(
+                        f"{log.path.name}: log generation"
+                        f" {log_gen} ahead of base generation"
+                        f" {base_gen} (base missing or rolled"
+                        " back?)"
+                    )
                     self._meter("gen_mismatch")
                 files.pending += self._replay_log(
                     name, shard, log, state
@@ -819,13 +779,11 @@ class ShardedDocumentStore(DocumentStore):
                     # never completed. Truncate it away — silent,
                     # metered, never a warning.
                     self.storage.truncate(log.path, log.keep_bytes)
-                    with self._slock:
-                        self.recovery_stats["torn_tail"] += 1
+                    self.recovery_stats["torn_tail"] += 1
                     self._meter("torn_tail")
                 files.next_seq[shard] = log.next_seq
                 base_gen = max(base_gen, log_gen)
-        with self._slock:
-            files.gen = max(files.gen, base_gen)
+        files.gen = max(files.gen, base_gen)
         return list(state.values())
 
     def _replay_log(
@@ -917,35 +875,32 @@ class ShardedDocumentStore(DocumentStore):
                     )
             finally:
                 handle.close(sync=True)
-        with self._slock:
-            self.recovery_stats["quarantined"] += len(lines)
-            self.degraded_collections.add(name)
-            for line in lines:
-                self.load_warnings.append(
-                    f"{source.name}:{line.lineno}: quarantined corrupt"
-                    f" record ({line.reason}) -> {sidecar.name}"
-                )
+        self.recovery_stats["quarantined"] += len(lines)
+        self.degraded_collections.add(name)
+        for line in lines:
+            self.load_warnings.append(
+                f"{source.name}:{line.lineno}: quarantined corrupt"
+                f" record ({line.reason}) -> {sidecar.name}"
+            )
         self._meter("quarantined", len(lines))
 
     def _flag_anomalies(self, name: str, scan: ScannedFile) -> None:
         """Sequence gaps / generation switches: damage, not crashes."""
         if not scan.anomalies:
             return
-        with self._slock:
-            self.recovery_stats["seq_gap"] += len(scan.anomalies)
-            self.degraded_collections.add(name)
-            for anomaly in scan.anomalies:
-                self.load_warnings.append(
-                    f"{scan.path.name}: {anomaly}"
-                )
+        self.recovery_stats["seq_gap"] += len(scan.anomalies)
+        self.degraded_collections.add(name)
+        for anomaly in scan.anomalies:
+            self.load_warnings.append(
+                f"{scan.path.name}: {anomaly}"
+            )
         self._meter("seq_gap", len(scan.anomalies))
 
     def _recover_stale_log(
         self, name: str, files: _ShardFiles, shard: int
     ) -> None:
-        with self._slock:
-            self.storage.remove(files.log_path(shard))
-            self.recovery_stats["stale_log"] += 1
+        self.storage.remove(files.log_path(shard))
+        self.recovery_stats["stale_log"] += 1
         self._meter("stale_log")
 
     # -- compaction ------------------------------------------------------
@@ -953,9 +908,9 @@ class ShardedDocumentStore(DocumentStore):
         """Fold append logs into fresh base files.
 
         With ``name`` compacts one collection, otherwise all. For each
-        collection the write lock is held while the in-memory state is
-        partitioned and written: new bases land atomically first, logs
-        are removed after — a crash in between leaves logs that are
+        collection the in-memory state is partitioned and written: new
+        bases land atomically first, logs are removed after — a crash
+        in between leaves logs that are
         recognised as stale (their generation trails the new bases')
         and removed on the next open. Compaction bumps the collection's
         generation, rewrites every base in v2 framing (upgrading any
@@ -967,65 +922,58 @@ class ShardedDocumentStore(DocumentStore):
         names = [name] if name is not None else list(self._collections)
         for collection_name in names:
             collection = self.existing(collection_name)
-            with collection._lock:
-                with self._slock:
-                    if self._closed:
-                        raise StoreError("sharded store is closed")
-                    files = self._files[collection_name]
-                    new_gen = files.gen + 1
-                    partitions: Dict[int, List[str]] = {
-                        shard: [header_line(new_gen)]
-                        for shard in range(self.n_shards)
-                    }
-                    for document in collection._documents.values():
-                        shard = shard_of(document["_id"], self.n_shards)
-                        partitions[shard].append(
-                            frame_line(
-                                document,
-                                len(partitions[shard]),
-                                new_gen,
-                            )
-                        )
-                    # Crash-safety requires this ordering to happen
-                    # with writers excluded: bases land (fsynced)
-                    # strictly before their logs are removed, against
-                    # a snapshot no mutation can move. Compaction is
-                    # the rare path; writers pay only during it.
-                    for shard, lines in partitions.items():
-                        self.storage.atomic_write(
-                            files.base_path(shard),
-                            "".join(line + "\n" for line in lines),
-                        )
-                    files.remove_logs()
-                    files.gen = new_gen
-                    self.degraded_collections.discard(collection_name)
-                    if self._journal_failed == collection_name:
-                        self._journal_failed = None
+            if self._closed:
+                raise StoreError("sharded store is closed")
+            files = self._files[collection_name]
+            new_gen = files.gen + 1
+            partitions: Dict[int, List[str]] = {
+                shard: [header_line(new_gen)]
+                for shard in range(self.n_shards)
+            }
+            for document in collection._documents.values():
+                shard = shard_of(document["_id"], self.n_shards)
+                partitions[shard].append(
+                    frame_line(
+                        document,
+                        len(partitions[shard]),
+                        new_gen,
+                    )
+                )
+            # Crash-safety requires this ordering: bases land
+            # (fsynced) strictly before their logs are removed.
+            for shard, lines in partitions.items():
+                self.storage.atomic_write(
+                    files.base_path(shard),
+                    "".join(line + "\n" for line in lines),
+                )
+            files.remove_logs()
+            files.gen = new_gen
+            self.degraded_collections.discard(collection_name)
+            if self._journal_failed == collection_name:
+                self._journal_failed = None
         self._write_manifest()
 
     def pending_ops(self, name: Optional[str] = None) -> int:
         """Log records appended since the last compaction."""
-        with self._slock:
-            if name is not None:
-                return self._files[name].pending
-            return sum(files.pending for files in self._files.values())
+        if name is not None:
+            return self._files[name].pending
+        return sum(files.pending for files in self._files.values())
 
     def stats(self) -> Dict[str, Dict[str, Any]]:
         """Per-collection document counts, shard layout and disk usage."""
         out: Dict[str, Dict[str, Any]] = {}
-        with self._slock:
-            for name, collection in sorted(self._collections.items()):
-                files = self._files[name]
-                entry: Dict[str, Any] = {
-                    "documents": len(collection),
-                    "n_shards": self.n_shards,
-                    "pending_ops": files.pending,
-                    "indexes": collection.index_names(),
-                    "generation": files.gen,
-                    "degraded": name in self.degraded_collections,
-                }
-                entry.update(files.disk_bytes())
-                out[name] = entry
+        for name, collection in sorted(self._collections.items()):
+            files = self._files[name]
+            entry: Dict[str, Any] = {
+                "documents": len(collection),
+                "n_shards": self.n_shards,
+                "pending_ops": files.pending,
+                "indexes": collection.index_names(),
+                "generation": files.gen,
+                "degraded": name in self.degraded_collections,
+            }
+            entry.update(files.disk_bytes())
+            out[name] = entry
         return out
 
     # -- lifecycle -------------------------------------------------------
@@ -1038,9 +986,8 @@ class ShardedDocumentStore(DocumentStore):
         removes.
         """
         super().drop_collection(name)
-        with self._slock:
-            files = self._files.pop(name, None)
-            self.degraded_collections.discard(name)
+        files = self._files.pop(name, None)
+        self.degraded_collections.discard(name)
         self._write_manifest()
         if files is not None:
             files.remove_all()
@@ -1048,25 +995,17 @@ class ShardedDocumentStore(DocumentStore):
     def close(self) -> None:
         """Release the pid lockfile, fsync and release log handles.
 
-        Marks the store closed under the shard lock — after which every
-        journal append and compaction attempt raises — and releases the
-        lockfile, then fsyncs and closes the log handles outside it.
-        Idempotent, and deliberately does *not* compact: the logs are
+        Marks the store closed — after which every journal append and
+        compaction attempt raises — and releases the lockfile, then
+        fsyncs and closes the log handles. Idempotent, and deliberately does *not* compact: the logs are
         already durable, and read-only tooling (``repro kdb stats``)
         must be able to open and close a store without rewriting it.
         """
         if self._closed:
             return
-        with self._slock:
-            if self._closed:
-                return
-            self._closed = True
-            file_list = list(self._files.values())
-            self._release_lockfile()
-        # Safe outside the lock: _closed is set, so no journal append
-        # can race these handles, and an fsync under a hot lock would
-        # stall every writer.
-        for files in file_list:
+        self._closed = True
+        self._release_lockfile()
+        for files in self._files.values():
             files.close_handles(sync=True)
 
     def simulate_crash(self) -> None:
@@ -1081,13 +1020,10 @@ class ShardedDocumentStore(DocumentStore):
         process can immediately reopen the directory and exercise
         recovery.
         """
-        with self._slock:
-            self._closed = True
-            self._has_lockfile = False
-            file_list = list(self._files.values())
-        with _OWNED_GUARD:
-            _OWNED_DIRS.discard(self._lock_key)
-        for files in file_list:
+        self._closed = True
+        self._has_lockfile = False
+        _OWNED_DIRS.discard(self._lock_key)
+        for files in self._files.values():
             for handle in list(files._handles.values()):
                 try:
                     handle.close()

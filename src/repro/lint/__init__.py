@@ -3,9 +3,9 @@
 The engine's correctness rests on contracts a unit test sees only when
 they break under load: goal pipelines must be picklable and
 effect-free to fan out through process pools, miners must draw
-randomness only from seeded generators, locks must be taken in one
-global order, and every K-DB write must pass through the storage
-layer the crash sweep injects faults into. This package checks them
+randomness only from seeded generators, pooled and mapped resources
+must be released on every path, and every K-DB write must pass
+through the storage layer the crash sweep injects faults into. This package checks them
 statically with :mod:`ast`, no dependencies:
 
 ========  =============================================================
@@ -15,8 +15,6 @@ ADA003    no lambdas/closures handed to ``TaskSpec`` / process pools
 ADA009    tasks handed to workers are transitively effect-free
 ADA012    suppression pragmas and config ids name known, used rules
 ADA014    ndarrays travel to workers by shared-memory lease, not pickle
-ADA015    no cycles in the project-wide lock-order graph
-ADA016    lock-guarded attributes are written under their lock
 ADA017    resources with a release protocol are released on all paths
 ADA023    K-DB writes go through ``repro.kdb.storage``
 ========  =============================================================

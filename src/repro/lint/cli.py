@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description=(
             "adalint: AST-based invariant checks for the ADA-HEALTH"
-            " engine (determinism, parallelism, locking and storage"
+            " engine (determinism, parallelism, resource and storage"
             " contracts)"
         ),
     )

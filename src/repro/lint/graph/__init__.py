@@ -2,9 +2,8 @@
 
 ``summary`` extracts per-module facts from ``ast`` (the target modules
 are never imported); ``project`` links them into a
-:class:`ProjectGraph` with cross-module call resolution, a transitive
-effect fixed point and the project-wide lock-order graph. ADA009 reads
-the effects; ADA015 and ADA016 read the lock model.
+:class:`ProjectGraph` with cross-module call resolution and a
+transitive effect fixed point. ADA009 reads the effects.
 """
 
 from repro.lint.graph.project import ProjectGraph

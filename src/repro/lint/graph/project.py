@@ -19,8 +19,7 @@ behind such calls. The approximations are documented in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.graph.summary import (
     CallSite,
@@ -28,35 +27,6 @@ from repro.lint.graph.summary import (
     FunctionInfo,
     ModuleSummary,
 )
-
-
-@dataclass(frozen=True)
-class LockEdge:
-    """One lock-order edge: ``source`` held while ``target`` acquired.
-
-    ``via`` is empty for a lexically nested acquisition and the callee
-    qualid when the target lock is taken somewhere below a call made
-    with ``source`` held.
-    """
-
-    source: str  #: canonical token, e.g. ``repro.kdb.shards:ShardedDocumentStore._slock``
-    target: str
-    module: str  #: module holding the evidence site
-    qualname: str  #: function holding the evidence site
-    line: int
-    via: str = ""
-
-    def describe(self) -> str:
-        src = self.source.rpartition(":")[2]
-        dst = self.target.rpartition(":")[2]
-        where = f"{self.qualname}:{self.line}"
-        if self.via:
-            callee = self.via.rpartition(":")[2]
-            return (
-                f"{where} holds {src} and calls {callee},"
-                f" which acquires {dst}"
-            )
-        return f"{where} acquires {dst} while holding {src}"
 
 
 #: Builtins that are classes the resolver should not chase.
@@ -99,9 +69,6 @@ class ProjectGraph:
         self._effects: Dict[str, Tuple[Effect, ...]] = {}
         self._callees: Dict[str, List[Tuple[str, CallSite]]] = {}
         self._resolved = False
-        self._acquired: Dict[str, FrozenSet[str]] = {}
-        self._lock_edges: Optional[Tuple[LockEdge, ...]] = None
-        self._entry_held: Optional[Dict[str, FrozenSet[str]]] = None
 
     # ------------------------------------------------------------------
     # Lookup primitives
@@ -383,307 +350,6 @@ class ProjectGraph:
             return result
 
         return compute(qualid)
-
-    # ------------------------------------------------------------------
-    # Lock model: tokens, order graph, cycles, held-at-entry
-    # ------------------------------------------------------------------
-    def _find_lock_owner(
-        self, module: str, class_name: str, attr: str, _depth: int = 0
-    ) -> Optional[str]:
-        """Canonical token for lock attribute ``attr`` on a class.
-
-        Walks base classes so an inherited lock canonicalises to its
-        *defining* class — ``repro.kdb.shards:ShardedDocumentStore``
-        and its subclasses agree on one token per lock.
-        """
-        if _depth > 8:
-            return None
-        summary = self.modules.get(module)
-        class_info = (
-            summary.classes.get(class_name) if summary else None
-        )
-        if class_info is None:
-            return None
-        if attr in class_info.lock_attrs:
-            return f"{module}:{class_name}.{attr}"
-        for base_chain in class_info.bases:
-            resolved = self._resolve_class(
-                module, base_chain.rsplit(".", 1)[-1]
-            )
-            if resolved is not None and resolved != (
-                module, class_name
-            ):
-                token = self._find_lock_owner(
-                    resolved[0], resolved[1], attr, _depth + 1
-                )
-                if token is not None:
-                    return token
-        return None
-
-    def lock_token(
-        self, module: str, class_name: Optional[str], ref: str
-    ) -> Optional[str]:
-        """Resolve a summary lock reference to a canonical token.
-
-        Tokens are ``"<module>:<Class>.<attr>"`` for instance locks
-        (validated against the defining class's ``lock_attrs``) and
-        ``"<module>:<NAME>"`` for module-level locks. Unresolvable
-        references yield ``None`` — the rules under-report rather than
-        guess.
-        """
-        kind, _, rest = ref.partition(":")
-        if kind == "self":
-            if class_name is None:
-                return None
-            return self._find_lock_owner(module, class_name, rest)
-        if kind == "global":
-            return f"{module}:{rest}"
-        if kind == "typed":
-            chain, _, attr = rest.rpartition(":")
-            resolved = self._resolve_class(
-                module, chain.rsplit(".", 1)[-1]
-            )
-            if resolved is None:
-                candidates = self._classes_by_name.get(
-                    chain.rsplit(".", 1)[-1], []
-                )
-                if len(candidates) != 1:
-                    return None
-                resolved = candidates[0]
-            return self._find_lock_owner(resolved[0], resolved[1], attr)
-        if kind == "self-method":
-            method, _, attr = rest.rpartition(":")
-            if class_name is None:
-                return None
-            method_id = self._resolve_method(
-                module, class_name, method
-            )
-            info = self.function(method_id) if method_id else None
-            if info is None or not info.returns:
-                return None
-            returned = f"typed:{info.returns}:{attr}"
-            return self.lock_token(
-                method_id.partition(":")[0], class_name, returned
-            )
-        return None
-
-    def held_tokens(
-        self,
-        module: str,
-        class_name: Optional[str],
-        refs: Iterable[str],
-    ) -> FrozenSet[str]:
-        """Resolve a held-reference set, dropping what cannot bind."""
-        tokens = {
-            self.lock_token(module, class_name, ref) for ref in refs
-        }
-        tokens.discard(None)
-        return frozenset(tokens)
-
-    def acquired_locks(self, qualid: str) -> FrozenSet[str]:
-        """Lock tokens ``qualid`` may acquire, transitively."""
-        self._link()
-        cached = self._acquired.get(qualid)
-        if cached is not None:
-            return cached
-        in_progress: Set[str] = set()
-
-        def compute(target: str) -> FrozenSet[str]:
-            done = self._acquired.get(target)
-            if done is not None:
-                return done
-            info = self.function(target)
-            if info is None:
-                return frozenset()
-            module = target.partition(":")[0]
-            direct = self.held_tokens(
-                module,
-                info.class_name,
-                (acquire.ref for acquire in info.acquires),
-            )
-            if target in in_progress:  # recursion: break the cycle
-                return direct
-            in_progress.add(target)
-            collected = set(direct)
-            for callee, _ in self._callees.get(target, []):
-                collected.update(compute(callee))
-            in_progress.discard(target)
-            result = frozenset(collected)
-            self._acquired[target] = result
-            return result
-
-        return compute(qualid)
-
-    def lock_order_edges(self) -> Tuple[LockEdge, ...]:
-        """Every lock-order edge in the project, with evidence sites.
-
-        Two sources: a lexically nested acquisition (``with a: with
-        b:``) and a call made with locks held into a function whose
-        transitive acquisition set is non-empty. Same-token edges are
-        skipped — reentrant ``RLock`` nesting carries no order.
-        """
-        if self._lock_edges is not None:
-            return self._lock_edges
-        self._link()
-        edges: Set[LockEdge] = set()
-        for qualid, info in self.all_functions():
-            module = qualid.partition(":")[0]
-            for acquire in info.acquires:
-                target = self.lock_token(
-                    module, info.class_name, acquire.ref
-                )
-                if target is None:
-                    continue
-                for under_ref in acquire.under:
-                    source = self.lock_token(
-                        module, info.class_name, under_ref
-                    )
-                    if source is not None and source != target:
-                        edges.add(
-                            LockEdge(
-                                source=source,
-                                target=target,
-                                module=module,
-                                qualname=info.qualname,
-                                line=acquire.line,
-                            )
-                        )
-            for callee, site in self._callees.get(qualid, []):
-                if not site.held_locks:
-                    continue
-                held = self.held_tokens(
-                    module, info.class_name, site.held_locks
-                )
-                if not held:
-                    continue
-                for target in self.acquired_locks(callee):
-                    for source in held:
-                        if source != target:
-                            edges.add(
-                                LockEdge(
-                                    source=source,
-                                    target=target,
-                                    module=module,
-                                    qualname=info.qualname,
-                                    line=site.line,
-                                    via=callee,
-                                )
-                            )
-        self._lock_edges = tuple(
-            sorted(
-                edges,
-                key=lambda e: (
-                    e.source, e.target, e.module, e.qualname, e.line
-                ),
-            )
-        )
-        return self._lock_edges
-
-    def lock_cycles(self) -> List[List[LockEdge]]:
-        """Cycles in the lock-order graph (potential deadlocks).
-
-        Each cycle is returned once — anchored at its lexicographically
-        smallest token — as the list of edges along one shortest path,
-        each carrying its evidence site.
-        """
-        adjacency: Dict[str, Dict[str, LockEdge]] = {}
-        for edge in self.lock_order_edges():
-            adjacency.setdefault(edge.source, {}).setdefault(
-                edge.target, edge
-            )
-        cycles: List[List[LockEdge]] = []
-        for start in sorted(adjacency):
-            parents: Dict[str, Optional[str]] = {start: None}
-            frontier = deque([start])
-            path: Optional[List[str]] = None
-            while frontier and path is None:
-                current = frontier.popleft()
-                for nxt in sorted(adjacency.get(current, {})):
-                    if nxt == start:
-                        chain = [current]
-                        walk = parents[current]
-                        while walk is not None:
-                            chain.append(walk)
-                            walk = parents[walk]
-                        path = list(reversed(chain))
-                        break
-                    if nxt not in parents:
-                        parents[nxt] = current
-                        frontier.append(nxt)
-            if path is None or min(path) != start:
-                continue
-            hops = list(zip(path, path[1:] + [start]))
-            cycles.append(
-                [adjacency[a][b] for a, b in hops]
-            )
-        return cycles
-
-    def entry_held(self, qualid: str) -> FrozenSet[str]:
-        """Locks provably held whenever ``qualid`` is entered.
-
-        Computed as the intersection, over every resolved call edge
-        into the function, of the caller's entry set union the locks
-        held at the call site. Public functions get the empty set — an
-        out-of-graph caller may always arrive lock-free; the analysis
-        only trusts call-context for underscore-private helpers.
-        """
-        if self._entry_held is None:
-            self._entry_held = self._compute_entry_held()
-        return self._entry_held.get(qualid, frozenset())
-
-    @staticmethod
-    def _context_trusted(info: FunctionInfo) -> bool:
-        name = info.qualname.rsplit(".", 1)[-1]
-        return name.startswith("_") and not (
-            name.startswith("__") and name.endswith("__")
-        )
-
-    def _compute_entry_held(self) -> Dict[str, FrozenSet[str]]:
-        self._link()
-        incoming: Dict[str, List[Tuple[str, FrozenSet[str]]]] = {}
-        for qualid, info in self.all_functions():
-            module = qualid.partition(":")[0]
-            for callee, site in self._callees.get(qualid, []):
-                tokens = self.held_tokens(
-                    module, info.class_name, site.held_locks
-                )
-                incoming.setdefault(callee, []).append(
-                    (qualid, tokens)
-                )
-        top = object()  # not-yet-constrained lattice top
-        entry: Dict[str, object] = {}
-        for qualid, info in self.all_functions():
-            if not self._context_trusted(info) or qualid not in (
-                incoming
-            ):
-                entry[qualid] = frozenset()
-            else:
-                entry[qualid] = top
-        changed = True
-        while changed:
-            changed = False
-            for qualid, edges in incoming.items():
-                current = entry.get(qualid, frozenset())
-                if current is not top and current == frozenset():
-                    continue  # bottom already; cannot shrink further
-                contributions = []
-                for caller, tokens in edges:
-                    caller_entry = entry.get(caller, frozenset())
-                    if caller_entry is top:
-                        continue  # unconstrained caller: no vote yet
-                    contributions.append(caller_entry | tokens)
-                if not contributions:
-                    continue  # pure top-cycle: stays top for now
-                new_value = frozenset.intersection(*contributions)
-                if current is top or new_value < current:
-                    entry[qualid] = new_value
-                    changed = True
-        return {
-            qualid: (
-                frozenset() if value is top else value  # dead cycles
-            )
-            for qualid, value in entry.items()
-        }
 
     # ------------------------------------------------------------------
     # Call-path evidence

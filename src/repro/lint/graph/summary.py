@@ -32,31 +32,11 @@ is computed by :class:`repro.lint.graph.project.ProjectGraph`):
     ``p.items.append(...)``); at call boundaries the project graph
     re-maps these onto the *caller's* arguments.
 
-A summary also carries the concurrency surface the ADA015/ADA016
-rules consume:
-
-* lock **acquisitions** (``with self._lock:`` / ``lock.acquire()``)
-  with the locks already held at that point — the raw material of the
-  project-wide lock-order graph;
-* the **held-lock set** at every call site and self-attribute write;
-* per class, which attributes are **lock factories**
-  (``self._lock = threading.RLock()``) and whether any method spawns a
-  ``threading.Thread``.
-
-Lock references are compact strings resolved to canonical project-wide
-tokens by :class:`~repro.lint.graph.project.ProjectGraph`:
-``"self:_lock"``, ``"typed:<Class chain>:<attr>"``,
-``"self-method:<method>:<attr>"`` (receiver returned by an annotated
-``self`` method) and ``"global:<NAME>"``.
-
 Known approximations (documented in ``docs/API.md``): effects behind
 unresolvable dynamic dispatch are invisible (the pass under-reports
 rather than guessing), conditional effects count unconditionally, and
 ``Optional[...]``-subscripted annotations are not used for receiver
-typing. On the concurrency side: a bare ``.acquire()`` is treated as
-held for the remainder of the function (``release()`` is not tracked),
-and only attributes whose name contains ``lock`` are considered lock
-candidates.
+typing.
 """
 
 from __future__ import annotations
@@ -139,31 +119,6 @@ class CallSite:
     arg_roots: Tuple[str, ...] = ()
     kwarg_roots: Tuple[Tuple[str, str], ...] = ()
     receiver_root: str = "none"
-    #: Lock references held when the call executes (lexically).
-    held_locks: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class LockAcquire:
-    """One lock acquisition: a ``with <lock>:`` item or ``.acquire()``.
-
-    ``ref`` is the compact lock reference (see module docstring);
-    ``under`` lists the references already held at the acquisition —
-    each ``under -> ref`` pair is a direct lock-order edge.
-    """
-
-    line: int
-    ref: str
-    under: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class AttrWrite:
-    """One write/mutation of a ``self`` attribute, with held locks."""
-
-    attr: str
-    line: int
-    held: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -177,28 +132,15 @@ class FunctionInfo:
     class_name: Optional[str] = None
     direct_effects: List[Effect] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
-    #: Return-annotation chain ('' when absent) — lets the linker type
-    #: receivers assigned from ``self.method(...)`` calls.
-    returns: str = ""
-    #: Lock acquisitions, in source order.
-    acquires: List[LockAcquire] = field(default_factory=list)
-    #: Writes/mutations of ``self`` attributes, with held locks.
-    attr_writes: List[AttrWrite] = field(default_factory=list)
 
 
 @dataclass
 class ClassInfo:
-    """Summary of one class: bases and concurrency traits."""
+    """Summary of one class: its name, line and bases."""
 
     name: str
     line: int
     bases: List[str] = field(default_factory=list)  #: dotted chains
-    #: Attributes assigned a lock factory (``threading.Lock()`` /
-    #: ``RLock()`` / anything ``*Lock(...)``) on ``self``.
-    lock_attrs: List[str] = field(default_factory=list)
-    #: True when any method constructs a ``threading.Thread`` — such a
-    #: class is treated as multi-threaded by ADA016.
-    spawns_threads: bool = False
 
 
 @dataclass
@@ -355,7 +297,6 @@ def _extract_function(
         params=params,
         annotations=annotations,
         class_name=class_name,
-        returns=_annotation_chain(node.returns),
     )
     summary.functions[qualname] = info
     extractor = _FunctionExtractor(node, info, summary)
@@ -372,7 +313,7 @@ def _extract_function(
 
 
 class _FunctionExtractor(ast.NodeVisitor):
-    """Single-function pass: effects, call sites, locks, self writes."""
+    """Single-function pass: effects and call sites."""
 
     def __init__(
         self, node, info: FunctionInfo, summary: ModuleSummary
@@ -387,21 +328,13 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.globals_declared: set = set()
         self.local_types: Dict[str, str] = {}
         self.nested: List[Tuple[ast.AST, Optional[str]]] = []
-        #: Locals assigned from ``self.method(...)`` -> method name
-        #: (typed later through the method's return annotation).
-        self.self_call_types: Dict[str, str] = {}
-        #: Locals aliasing a lock (``guard = self._lock``) -> lock ref.
-        self.lock_aliases: Dict[str, str] = {}
-        #: Lock references currently held (``with`` stack; bare
-        #: ``.acquire()`` entries are sticky for the rest of the pass).
-        self._held: List[str] = []
 
     def run(self) -> None:
         self._prescan()
         for statement in self.node.body:
             self.visit(statement)
 
-    # -- pre-pass: local constructed types, lock aliases, globals ------
+    # -- pre-pass: local constructed types, globals --------------------
     def _prescan(self) -> None:
         for sub in ast.walk(self.node):
             if isinstance(sub, ast.Global):
@@ -415,19 +348,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                     chain = dotted_name(value.func)
                     if chain and self._looks_like_class(chain):
                         self.local_types[target.id] = chain
-                    elif (
-                        self.self_name is not None
-                        and isinstance(value.func, ast.Attribute)
-                        and isinstance(value.func.value, ast.Name)
-                        and value.func.value.id == self.self_name
-                    ):
-                        self.self_call_types[target.id] = (
-                            value.func.attr
-                        )
-                elif isinstance(value, ast.Attribute):
-                    ref = self._lock_ref(value)
-                    if ref is not None:
-                        self.lock_aliases[target.id] = ref
 
     def _looks_like_class(self, chain: str) -> bool:
         tail = chain.rsplit(".", 1)[-1]
@@ -441,75 +361,6 @@ class _FunctionExtractor(ast.NodeVisitor):
 
     def visit_Lambda(self, node) -> None:  # bodies stay opaque
         pass
-
-    # -- lock acquisitions ---------------------------------------------
-    def _lock_ref(self, expr) -> Optional[str]:
-        """Compact reference for a lock-looking expression, else None.
-
-        Candidates are attributes/names whose final component contains
-        ``lock`` (case-insensitive) — the project's naming convention;
-        anything else is invisible to the concurrency rules.
-        """
-        if isinstance(expr, ast.Attribute):
-            attr = expr.attr
-            if "lock" not in attr.lower():
-                return None
-            base = expr.value
-            if isinstance(base, ast.Name):
-                if self.self_name is not None and (
-                    base.id == self.self_name
-                ):
-                    return f"self:{attr}"
-                if base.id in self.local_types:
-                    return (
-                        f"typed:{self.local_types[base.id]}:{attr}"
-                    )
-                if base.id in self.self_call_types:
-                    return (
-                        "self-method:"
-                        f"{self.self_call_types[base.id]}:{attr}"
-                    )
-                chain = self.info.annotations.get(base.id, "")
-                if base.id in self.params and chain:
-                    return f"typed:{chain}:{attr}"
-            return None
-        if isinstance(expr, ast.Name):
-            name = expr.id
-            if name in self.lock_aliases:
-                return self.lock_aliases[name]
-            if "lock" not in name.lower():
-                return None
-            if name in self.summary.module_names or name in (
-                self.globals_declared
-            ):
-                return f"global:{name}"
-        return None
-
-    def _record_acquire(self, line: int, ref: str) -> None:
-        self.info.acquires.append(
-            LockAcquire(line=line, ref=ref, under=tuple(self._held))
-        )
-
-    def visit_With(self, node) -> None:
-        pushed = 0
-        for item in node.items:
-            self.visit(item.context_expr)
-            ref = self._lock_ref(item.context_expr)
-            if ref is not None:
-                self._record_acquire(
-                    getattr(item.context_expr, "lineno", node.lineno),
-                    ref,
-                )
-                self._held.append(ref)
-                pushed += 1
-            if item.optional_vars is not None:
-                self.visit(item.optional_vars)
-        for statement in node.body:
-            self.visit(statement)
-        if pushed:
-            del self._held[-pushed:]
-
-    visit_AsyncWith = visit_With
 
     # -- argument/target root classification ---------------------------
     def _root_of(self, node) -> str:
@@ -585,7 +436,6 @@ class _FunctionExtractor(ast.NodeVisitor):
             return
         root = self._root_of(target)
         inner_attr = self._inner_attr(target)
-        self._record_attr_write(root, inner_attr, line)
         if self._is_self_private(root, inner_attr):
             return
         if root.startswith("param:"):
@@ -605,46 +455,7 @@ class _FunctionExtractor(ast.NodeVisitor):
                 f"mutates module-level state {name!r}",
             )
 
-    def _record_attr_write(
-        self, root: str, inner_attr: str, line: int
-    ) -> None:
-        """Log a ``self.<attr>`` write (ADA016's raw material)."""
-        if (
-            self.info.class_name is None
-            or self.self_name is None
-            or root != f"param:{self.self_name}"
-            or not inner_attr
-        ):
-            return
-        self.info.attr_writes.append(
-            AttrWrite(
-                attr=inner_attr, line=line, held=tuple(self._held)
-            )
-        )
-
-    def _check_lock_attr_definition(self, node: ast.Assign) -> None:
-        """``self.X = threading.Lock()``-style definitions."""
-        if self.info.class_name is None or self.self_name is None:
-            return
-        if not isinstance(node.value, ast.Call):
-            return
-        chain = dotted_name(node.value.func)
-        if not chain or not chain.rsplit(".", 1)[-1].endswith("Lock"):
-            return
-        class_info = self.summary.classes.get(self.info.class_name)
-        if class_info is None:
-            return
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == self.self_name
-                and target.attr not in class_info.lock_attrs
-            ):
-                class_info.lock_attrs.append(target.attr)
-
     def visit_Assign(self, node: ast.Assign) -> None:
-        self._check_lock_attr_definition(node)
         for target in node.targets:
             self._check_store_target(target, node.lineno)
         self.generic_visit(node)
@@ -677,7 +488,6 @@ class _FunctionExtractor(ast.NodeVisitor):
     # -- calls -----------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         self._detect_call_effects(node)
-        self._detect_concurrency(node)
         ref, receiver_root = self._callee_ref(node.func)
         if ref is not None:
             self.info.calls.append(
@@ -695,35 +505,9 @@ class _FunctionExtractor(ast.NodeVisitor):
                         if keyword.arg is not None
                     ),
                     receiver_root=receiver_root,
-                    held_locks=tuple(self._held),
                 )
             )
-        # A bare ``lock.acquire()`` is treated as held for the rest of
-        # the function (release() is not tracked — approximation).
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "acquire"
-        ):
-            acquired = self._lock_ref(node.func.value)
-            if acquired is not None:
-                self._record_acquire(node.lineno, acquired)
-                self._held.append(acquired)
         self.generic_visit(node)
-
-    def _detect_concurrency(self, node: ast.Call) -> None:
-        """Thread spawns and mutator writes on ``self`` attributes."""
-        chain = dotted_name(node.func)
-        tail = chain.rsplit(".", 1)[-1] if chain else ""
-        if tail == "Thread" and self.info.class_name is not None:
-            class_info = self.summary.classes.get(self.info.class_name)
-            if class_info is not None:
-                class_info.spawns_threads = True
-        # Mutating method calls on self attributes are writes too.
-        if tail in _MUTATORS and isinstance(node.func, ast.Attribute):
-            root = self._root_of(node.func.value)
-            self._record_attr_write(
-                root, self._inner_attr(node.func), node.lineno
-            )
 
     def _callee_ref(self, func):
         if isinstance(func, ast.Name):

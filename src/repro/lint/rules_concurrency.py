@@ -1,18 +1,14 @@
-"""Concurrency & resource-lifecycle rules: ADA015–ADA017.
+"""Resource-lifecycle rule: ADA017.
 
-ADA015 and ADA016 consume the lock model of the whole-program graph:
-per-function lock acquisition sets, held-lock annotations on call
-sites and attribute writes, and the project-wide lock-order graph
-derived from them
-(:meth:`~repro.lint.graph.ProjectGraph.lock_order_edges`). ADA017 is a
-per-function AST pass over the release protocols below.
+ADA017 is a per-function AST pass over the release protocols below:
+an object whose constructor carries a release obligation (a shared
+memory mapping, a process pool, a sharded K-DB store...) must be
+released on every path or handed to a tracked owner.
 
-The analysis is an under-approximation throughout, in the same spirit
-as the dataflow rules: a lock reference or call the linker cannot bind
-contributes nothing, so every finding is backed by a concrete resolved
-evidence chain. The flip side — mutations behind dynamic dispatch or
-untracked aliases are invisible — is documented in ``docs/API.md``
-under "Concurrency discipline".
+The engine is single-threaded per process (DESIGN.md, "One thread per
+process"), so adalint checks no lock discipline;
+``tests/test_architecture.py`` guards that no product module starts a
+thread.
 """
 
 from __future__ import annotations
@@ -23,189 +19,6 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.lint.base import Rule, RuleContext, dotted_name, register
-from repro.lint.graph.summary import FunctionInfo
-from repro.lint.rules_dataflow import _graph_and_module, _Line
-
-#: Methods that run before (or after) the object is shared between
-#: threads, where unguarded writes are the normal construction idiom.
-_EXEMPT_METHODS = frozenset(
-    {
-        "__init__", "__new__", "__post_init__", "__del__",
-        "__getstate__", "__setstate__", "__reduce__", "__copy__",
-        "__deepcopy__",
-    }
-)
-
-
-class _ConcurrencyRule(Rule):
-    """Shared setup: bind the graph, then analyse summaries directly.
-
-    Unlike AST rules these do not visit the tree — everything they need
-    (acquisitions, writes, call sites) is already in the module
-    summary.
-    """
-
-    def run(self, context: RuleContext):
-        self.findings = []
-        self.context = context
-        self.graph, self.module = _graph_and_module(context)
-        summary = self.graph.modules.get(self.module)
-        if summary is not None:
-            self.check_module(summary)
-        return self.findings
-
-    def check_module(self, summary) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    # -- helpers shared by the summary-driven rules --------------------
-    def _functions(self, summary):
-        for qualname, info in summary.functions.items():
-            yield f"{summary.module}:{qualname}", info
-
-    def _tokens(
-        self, info: FunctionInfo, refs
-    ) -> FrozenSet[str]:
-        return self.graph.held_tokens(
-            self.module, info.class_name, refs
-        )
-
-    def _held_at(
-        self, qualid: str, info: FunctionInfo, refs
-    ) -> FrozenSet[str]:
-        """Locks held at a site: lexical holds plus entry context."""
-        return self._tokens(info, refs) | self.graph.entry_held(qualid)
-
-    @staticmethod
-    def _short(token: str) -> str:
-        return token.rpartition(":")[2]
-
-
-# ----------------------------------------------------------------------
-# ADA015 — the project lock-order graph must be acyclic
-# ----------------------------------------------------------------------
-@register
-class LockOrderCycles(_ConcurrencyRule):
-    """ADA015: no cycles in the project-wide lock-order graph.
-
-    Every lexically nested acquisition, and every call made with a lock
-    held into a function that transitively acquires another lock,
-    contributes an order edge. A cycle means two threads can acquire
-    the same locks in opposite orders and deadlock. The canonical edge
-    this repo pins is ``Collection._lock -> ShardedDocumentStore.
-    _slock`` (collection before store, per ``shards.py``); anything
-    inducing the reverse edge is a deadlock waiting for load.
-
-    Each cycle is reported once, in the file holding its
-    lexicographically first evidence site, with the full call chain.
-    """
-
-    rule_id = "ADA015"
-    name = "lock-order-cycle"
-    severity = "error"
-    description = (
-        "lock acquisition order must be globally consistent: cycles in"
-        " the inferred lock-order graph are potential deadlocks"
-    )
-    default_paths = ("src",)
-
-    def check_module(self, summary) -> None:
-        for cycle in self.graph.lock_cycles():
-            anchor = min(
-                cycle,
-                key=lambda e: (e.module, e.qualname, e.line),
-            )
-            if anchor.module != self.module:
-                continue
-            tokens = [edge.source for edge in cycle]
-            tokens.append(cycle[0].source)
-            chain = " -> ".join(self._short(t) for t in tokens)
-            evidence = "; ".join(
-                edge.describe() for edge in cycle
-            )
-            self.report(
-                _Line(anchor.line),
-                f"lock-order cycle ({chain}): {evidence}"
-                " — two threads taking these paths concurrently can"
-                " deadlock",
-            )
-
-
-# ----------------------------------------------------------------------
-# ADA016 — guarded attributes must be written under their lock
-# ----------------------------------------------------------------------
-@register
-class GuardedStateWrites(_ConcurrencyRule):
-    """ADA016: attributes a class guards with its lock must be written
-    under that lock on every path.
-
-    Guard inference: an attribute written at least once while holding a
-    lock the class owns is *guarded* — every other write needs the same
-    lock (lexically, or proven held at entry for private helpers). For
-    classes that spawn threads (``threading.Thread`` constructed inside
-    a method) the rule is strict: the object is shared by construction,
-    so **all** attribute writes outside ``__init__``-like methods need
-    an owned lock.
-    """
-
-    rule_id = "ADA016"
-    name = "guarded-state-write"
-    severity = "error"
-    description = (
-        "attributes guarded by a class-owned lock (or any attribute of"
-        " a thread-spawning class) must only be mutated while holding"
-        " the lock"
-    )
-    default_paths = ("src",)
-
-    def check_module(self, summary) -> None:
-        for class_name, class_info in summary.classes.items():
-            if not class_info.lock_attrs:
-                continue
-            owned = self.graph.held_tokens(
-                self.module,
-                class_name,
-                (f"self:{attr}" for attr in class_info.lock_attrs),
-            )
-            if not owned:
-                continue
-            methods = [
-                (qualid, info)
-                for qualid, info in self._functions(summary)
-                if info.class_name == class_name
-            ]
-            guarded: Set[str] = set()
-            for qualid, info in methods:
-                for write in info.attr_writes:
-                    if self._tokens(info, write.held) & owned:
-                        guarded.add(write.attr)
-            strict = class_info.spawns_threads
-            lock_names = set(class_info.lock_attrs)
-            for qualid, info in methods:
-                method = info.qualname.rsplit(".", 1)[-1]
-                if method in _EXEMPT_METHODS:
-                    continue
-                for write in info.attr_writes:
-                    if write.attr in lock_names:
-                        continue
-                    if not strict and write.attr not in guarded:
-                        continue
-                    held = self._held_at(qualid, info, write.held)
-                    if held & owned:
-                        continue
-                    lock = self._short(sorted(owned)[0])
-                    why = (
-                        f"guarded attribute (written under {lock}"
-                        " elsewhere)"
-                        if write.attr in guarded
-                        else "attribute of a thread-spawning class"
-                    )
-                    self.report(
-                        _Line(write.line),
-                        f"{info.qualname} writes self.{write.attr}"
-                        f" without holding {lock} — {why}; wrap the"
-                        " write in the lock or justify with a pragma",
-                    )
-
 
 # ----------------------------------------------------------------------
 # ADA017 — resources with a release protocol released on all paths

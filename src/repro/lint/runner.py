@@ -48,7 +48,7 @@ PARSE_ERROR_ID = "ADA000"
 
 #: Version of the rule set, reported as the SARIF tool version; bump
 #: it when a rule is added, removed or changes what it reports.
-RULESET_VERSION = "adalint/8"
+RULESET_VERSION = "adalint/9"
 
 #: Id under which pragma/config hygiene findings are reported.
 _SUPPRESSION_RULE_ID = "ADA012"

@@ -102,16 +102,11 @@ def _random_init(
 
 
 def _data_key(data) -> Tuple:
-    """Shape, dtype, memory order and a digest of the bytes of ``data``."""
+    """Shape, dtype and a digest of the values of ``data`` in Fortran
+    order, so equal values in any memory layout share one key."""
     array = np.asarray(data)
-    if array.flags.c_contiguous:
-        order = "C"
-    elif array.flags.f_contiguous:
-        order = "F"
-    else:
-        order = "strided"
-    digest = hashlib.sha256(array.tobytes(order="A")).hexdigest()
-    return (array.shape, array.dtype.str, order, digest)
+    digest = hashlib.sha256(array.tobytes(order="F")).hexdigest()
+    return (array.shape, array.dtype.str, digest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +114,8 @@ class KMeansCheckpoint:
     """Where a :meth:`KMeans.fit` stopped, for a later fit to continue.
 
     ``settings`` are the fit's ``(n_clusters, init, algorithm,
-    max_iter, tol, seed)``; ``data_key`` is the shape, dtype, memory
-    order and byte digest of the data it ran on; ``rng_state`` is the
+    max_iter, tol, seed)``; ``data_key`` is the shape, dtype and a
+    digest of the values it ran on; ``rng_state`` is the
     generator state after its ``n_restarts`` restarts, and the rest is
     its winning restart.
     """
@@ -137,7 +132,7 @@ class KMeansCheckpoint:
     def continues(self, model: "KMeans", data) -> bool:
         """True when ``model.fit(data)`` may start from this checkpoint:
         same settings, no more restarts than ``model.n_init``, and data
-        equal in shape, dtype, memory order and bytes."""
+        equal in shape, dtype and values, in any memory layout."""
         return (
             self.settings == model._settings()
             and self.n_restarts <= model.n_init
@@ -228,8 +223,14 @@ class KMeans:
         the checkpoint's best restart and generator state and runs only
         restarts ``n_restarts + 1 .. n_init``; otherwise it runs in
         full. The result is the same either way, bit for bit.
+
+        The fit runs on a Fortran-ordered copy of ``data`` unless it is
+        F-contiguous already, so it depends only on the values: C-,
+        F-ordered and strided arrays of equal values give the same fit,
+        bit for bit. The engine's VSM matrices are F-contiguous, so
+        they are never copied.
         """
-        matrix = as_matrix(data)
+        matrix = np.asfortranarray(as_matrix(data))
         if matrix.shape[0] < self.n_clusters:
             raise MiningError(
                 f"need at least n_clusters={self.n_clusters} points,"
@@ -280,9 +281,8 @@ class KMeans:
     def checkpoint(self, data) -> KMeansCheckpoint:
         """Where the last fit stopped, for :meth:`fit`'s ``resume``.
 
-        ``data`` must be the array that fit ran on, unchanged since:
-        the checkpoint records its shape, dtype, memory order and a
-        digest of its bytes.
+        ``data`` must hold the values that fit ran on, unchanged since:
+        the checkpoint records their shape, dtype and a digest.
         """
         if self._stopped is None or self.labels_ is None:
             raise NotFittedError("KMeans.checkpoint called before fit")

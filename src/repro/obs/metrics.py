@@ -11,17 +11,17 @@ seconds-scale latencies by default) and estimate percentiles by linear
 interpolation inside the owning bucket — the standard fixed-bucket
 estimator, cheap to merge and serialise, accurate to bucket width.
 
-Instruments are thread-safe and picklable (locks are dropped and
-rebuilt), so a registry can ride inside the engine across a process
-boundary; increments made in worker processes stay in the worker's
-copy, which is why the executors report worker timings back through
-their *results* instead.
+A registry and its instruments are single-threaded (one thread per
+process uses them, so they take no locks) and plain picklable objects,
+so a registry can ride inside the engine across a process boundary;
+increments made in worker processes stay in the worker's copy, which
+is why the executors report worker timings back through their
+*results* instead.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Counter names the K-DB crash-recovery path maintains (PR 10).
@@ -102,53 +102,32 @@ QUERY_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class _Instrument:
-    """Lock management shared by every instrument type."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-
-class Counter(_Instrument):
+class Counter:
     """A monotonically increasing count."""
 
     def __init__(self) -> None:
-        super().__init__()
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only increase")
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
 
-class Gauge(_Instrument):
+class Gauge:
     """A value that can go up and down (last write wins)."""
 
     def __init__(self) -> None:
-        super().__init__()
         self.value: float = 0.0
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
+        self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
 
-class Histogram(_Instrument):
+class Histogram:
     """Fixed-bucket distribution with interpolated percentiles.
 
     ``bounds`` are the inclusive upper edges of each bucket; the last
@@ -157,7 +136,6 @@ class Histogram(_Instrument):
     """
 
     def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        super().__init__()
         bounds = tuple(sorted(float(b) for b in bounds))
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
@@ -172,15 +150,14 @@ class Histogram(_Instrument):
 
     def observe(self, value: float) -> None:
         value = float(value)
-        with self._lock:
-            for index, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self.counts[index] += 1
-                    break
-            self.count += 1
-            self.total += value
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
+        for index, bound in enumerate(self.bounds):
+            if value <= bound:
+                self.counts[index] += 1
+                break
+        self.count += 1
+        self.total += value
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
 
     def percentile(self, q: float) -> Optional[float]:
         """Estimated ``q``-quantile (``q`` in [0, 1]); None when empty.
@@ -239,33 +216,17 @@ class Metrics:
     """A named registry of instruments, snapshot-able to a dict."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
-    # -- pickling --------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        return {
-            "counters": self._counters,
-            "gauges": self._gauges,
-            "histograms": self._histograms,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self._lock = threading.Lock()
-        self._counters = state["counters"]
-        self._gauges = state["gauges"]
-        self._histograms = state["histograms"]
-
     # -- instruments -----------------------------------------------------
     def counter(self, name: str) -> Counter:
         """Get or create the named counter."""
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                instrument = self._counters[name] = Counter()
-            return instrument
+        instrument = self._counters.get(name)
+        if instrument is None:
+            instrument = self._counters[name] = Counter()
+        return instrument
 
     def counter_value(self, name: str) -> int:
         """The named counter's current value (0 when never created).
@@ -274,48 +235,44 @@ class Metrics:
         safe for delta snapshots around a phase that may or may not
         touch the counter.
         """
-        with self._lock:
-            instrument = self._counters.get(name)
-            return instrument.value if instrument is not None else 0
+        instrument = self._counters.get(name)
+        return instrument.value if instrument is not None else 0
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the named gauge."""
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge()
-            return instrument
+        instrument = self._gauges.get(name)
+        if instrument is None:
+            instrument = self._gauges[name] = Gauge()
+        return instrument
 
     def histogram(
         self, name: str, bounds: Optional[Sequence[float]] = None
     ) -> Histogram:
         """Get or create the named histogram (bounds only apply on
         first creation)."""
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                instrument = self._histograms[name] = Histogram(
-                    bounds if bounds is not None else DEFAULT_BUCKETS
-                )
-            return instrument
+        instrument = self._histograms.get(name)
+        if instrument is None:
+            instrument = self._histograms[name] = Histogram(
+                bounds if bounds is not None else DEFAULT_BUCKETS
+            )
+        return instrument
 
     # -- export ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """The whole registry as one JSON-able dict."""
-        with self._lock:
-            return {
-                "counters": {
-                    name: counter.value
-                    for name, counter in sorted(self._counters.items())
-                },
-                "gauges": {
-                    name: gauge.value
-                    for name, gauge in sorted(self._gauges.items())
-                },
-                "histograms": {
-                    name: histogram.snapshot()
-                    for name, histogram in sorted(
-                        self._histograms.items()
-                    )
-                },
-            }
+        return {
+            "counters": {
+                name: counter.value
+                for name, counter in sorted(self._counters.items())
+            },
+            "gauges": {
+                name: gauge.value
+                for name, gauge in sorted(self._gauges.items())
+            },
+            "histograms": {
+                name: histogram.snapshot()
+                for name, histogram in sorted(
+                    self._histograms.items()
+                )
+            },
+        }

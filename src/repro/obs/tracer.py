@@ -16,8 +16,9 @@ number of sinks:
 
 Everything is dependency-free and picklable: tracers ride inside the
 engine when goal pipelines fan out to worker processes, so sinks drop
-their unpicklable state (open handles, thread-locals) on pickling and
-recreate it lazily.
+their unpicklable state (open handles) on pickling and recreate it
+lazily. A tracer is single-threaded: one thread per process uses it,
+so it takes no locks.
 
 The default tracer everywhere is :data:`NULL_TRACER`, a no-op whose
 ``span()`` returns a shared reusable context manager — near-zero
@@ -29,7 +30,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -277,11 +277,10 @@ class Tracer:
         Sink objects with an ``emit(document)`` method. Defaults to a
         single :class:`InMemorySink` (inspect via :meth:`finished`).
 
-    Nesting is tracked per thread: a span opened while another is live
-    on the same thread becomes its child (``parent_id``/``depth``).
-    Spans opened from worker *threads* start fresh traces of their own;
-    worker *processes* get a pickled copy of the tracer whose sinks
-    re-materialise on first use.
+    A span opened while another is live becomes its child
+    (``parent_id``/``depth``). Worker processes get a pickled copy of
+    the tracer with no live spans, whose sinks re-materialise on first
+    use.
     """
 
     enabled = True
@@ -291,8 +290,8 @@ class Tracer:
             list(sinks) if sinks is not None else [InMemorySink()]
         )
         self._ids = 0
-        self._lock = threading.Lock()
-        self._stacks = threading.local()
+        #: The live spans, innermost last.
+        self._stack: List[Span] = []
 
     # -- pickling --------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
@@ -301,8 +300,7 @@ class Tracer:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.sinks = state["sinks"]
         self._ids = state["_ids"]
-        self._lock = threading.Lock()
-        self._stacks = threading.local()
+        self._stack = []
 
     # -- span lifecycle --------------------------------------------------
     def span(self, name: str, **attrs: Any) -> Span:
@@ -316,7 +314,7 @@ class Tracer:
         worker processes), parented to the current live span."""
         span = Span(self, name, attrs)
         span.span_id = self._next_id()
-        parent = self._stack()[-1] if self._stack() else None
+        parent = self._stack[-1] if self._stack else None
         if parent is not None:
             span.parent_id = parent.span_id
             span.trace_id = parent.trace_id
@@ -340,20 +338,12 @@ class Tracer:
 
     # -- internals -------------------------------------------------------
     def _next_id(self) -> int:
-        with self._lock:
-            self._ids += 1
-            return self._ids
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._stacks, "stack", None)
-        if stack is None:
-            stack = []
-            self._stacks.stack = stack
-        return stack
+        self._ids += 1
+        return self._ids
 
     def _open(self, span: Span) -> None:
         span.span_id = self._next_id()
-        stack = self._stack()
+        stack = self._stack
         if stack:
             parent = stack[-1]
             span.parent_id = parent.span_id
@@ -364,7 +354,7 @@ class Tracer:
         stack.append(span)
 
     def _close(self, span: Span) -> None:
-        stack = self._stack()
+        stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
         elif span in stack:  # defensive: unwound out of order

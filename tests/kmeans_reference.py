@@ -7,7 +7,9 @@ each k-means++ draw, each empty-cluster re-seed) calls
 the whole data matrix, and the cluster sums are one strided weighted
 ``bincount`` per column. It shares the constructor and the public
 attributes with the production class, so the equality tests can compare
-labels, centres, ``inertia_`` and ``n_iter_`` bit for bit.
+labels, centres, ``inertia_`` and ``n_iter_`` bit for bit. Like
+``KMeans.fit``, it runs on a Fortran-ordered copy of the data, so both
+depend on the values only, not on the memory layout.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class ReferenceKMeans(KMeans):
     def fit(self, data) -> "ReferenceKMeans":
         if self.algorithm != "lloyd":
             raise MiningError("the reference covers the lloyd engine only")
-        data = as_matrix(data)
+        data = np.asfortranarray(as_matrix(data))
         if data.shape[0] < self.n_clusters:
             raise MiningError(
                 f"need at least n_clusters={self.n_clusters} points,"

@@ -1,4 +1,8 @@
-"""Tests for the architecture graph (paper Figure 1)."""
+"""Tests for the architecture graph (paper Figure 1) and the engine's
+one-thread-per-process contract."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +71,50 @@ def test_render_mentions_every_component():
 def test_adjacency_covers_all_nodes():
     graph = adjacency()
     assert set(graph) == {component.key for component in COMPONENTS}
+
+
+#: Imports and constructors that would put a second thread into a
+#: process. ``ProcessPoolExecutor`` stays allowed: its workers get
+#: pickled copies, never shared objects.
+_THREAD_MODULES = frozenset({"threading", "_thread"})
+_THREAD_CONSTRUCTORS = frozenset({"Thread", "ThreadPoolExecutor"})
+
+
+def _thread_uses(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in _THREAD_MODULES:
+                    yield node.lineno, f"import {alias.name}"
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] in _THREAD_MODULES:
+                yield node.lineno, f"from {node.module} import ..."
+            for alias in node.names:
+                if alias.name in _THREAD_CONSTRUCTORS:
+                    yield node.lineno, f"imports {alias.name}"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (
+                func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", "")
+            )
+            if name in _THREAD_CONSTRUCTORS:
+                yield node.lineno, f"constructs {name}"
+
+
+def test_product_modules_start_no_threads():
+    """The K-DB and the telemetry take no locks because one thread per
+    process uses them (DESIGN.md, "One thread per process"). No module
+    under ``src/repro`` but the linter may import a threading module or
+    construct a thread or a thread pool."""
+    package = Path(__file__).resolve().parents[1] / "src" / "repro"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package.parent).as_posix()
+        if relative.startswith("repro/lint/"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), relative)
+        offenders.extend(
+            f"{relative}:{line}: {what}" for line, what in _thread_uses(tree)
+        )
+    assert offenders == [], "\n".join(offenders)

@@ -116,8 +116,6 @@ def _mismatches():
     return [
         ("shape", data[:-1], {}),
         ("dtype", data.astype(np.float32), {}),
-        ("memory order", np.asfortranarray(data), {}),
-        ("strided", np.repeat(data, 2, axis=0)[::2], {}),
         ("bytes", changed, {}),
         ("n_clusters", data, {"n_clusters": 5}),
         ("seed", data, {"seed": 4}),
@@ -154,6 +152,78 @@ def test_matching_copies_continue():
     data = _blobs("C")
     checkpoint = KMeans(**_PRIOR).fit(data).checkpoint(data)
     assert checkpoint.continues(KMeans(**dict(_PRIOR, n_init=3)), data.copy())
+
+
+def _layouts(data: np.ndarray):
+    """C-ordered, F-ordered and strided arrays of the values of ``data``."""
+    return [
+        ("C", np.ascontiguousarray(data)),
+        ("memory order", np.asfortranarray(data)),
+        ("strided", np.repeat(data, 2, axis=0)[::2]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "layout", ["memory order", "strided"], ids=["memory order", "strided"]
+)
+def test_a_checkpoint_continues_in_any_layout(layout):
+    """The key is the values: a C-ordered fit's checkpoint continues on
+    an F-ordered or strided array of the same values."""
+    prior_data = _blobs("C")
+    checkpoint = KMeans(**_PRIOR).fit(prior_data).checkpoint(prior_data)
+    data = dict(_layouts(prior_data))[layout]
+    model = KMeans(**dict(_PRIOR, n_init=3))
+    assert checkpoint.continues(model, data)
+    with counted_restarts() as restarts:
+        resumed = model.fit(data, resume=checkpoint)
+    assert_same_fit(resumed, KMeans(**dict(_PRIOR, n_init=3)).fit(prior_data))
+    assert len(restarts) == 1
+
+
+def _assert_same_checkpoint(mine, reference) -> None:
+    assert mine.settings == reference.settings
+    assert mine.data_key == reference.data_key
+    assert mine.n_restarts == reference.n_restarts
+    assert mine.rng_state == reference.rng_state
+    assert np.float64(mine.inertia).tobytes() == (
+        np.float64(reference.inertia).tobytes()
+    )
+    assert mine.centers.tobytes() == reference.centers.tobytes()
+    assert np.array_equal(mine.labels, reference.labels)
+    assert mine.n_iter == reference.n_iter
+
+
+@st.composite
+def sparse_matrices(draw) -> np.ndarray:
+    """A seeded random matrix with a drawn shape and share of zeros,
+    shaped like a small VSM."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(8, 200))
+    dims = draw(st.integers(2, 24))
+    density = draw(st.sampled_from([1.0, 0.3, 0.1]))
+    return rng.random((n, dims)) * (rng.random((n, dims)) < density)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=sparse_matrices(),
+    k_seed=st.integers(0, 2**16),
+    params=FIT_PARAMS,
+    algorithm=st.sampled_from(["lloyd", "filtering"]),
+)
+def test_a_fit_depends_only_on_the_values(data, k_seed, params, algorithm):
+    """C-ordered, F-ordered and strided arrays of equal values give
+    bit-identical labels, centres, inertia and checkpoints."""
+    n_clusters = 1 + k_seed % min(8, data.shape[0])
+    params = dict(params, algorithm=algorithm)
+    fits = []
+    for __, array in _layouts(data):
+        model = KMeans(n_clusters, **params).fit(array)
+        fits.append((model, model.checkpoint(array)))
+    (reference, reference_checkpoint), *others = fits
+    for model, checkpoint in others:
+        assert_same_fit(model, reference)
+        _assert_same_checkpoint(checkpoint, reference_checkpoint)
 
 
 def test_checkpoint_needs_a_fit():

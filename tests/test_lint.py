@@ -26,11 +26,7 @@ from repro.lint import (
 )
 from repro.lint.cli import main as lint_main
 from repro.lint.findings import finding_fingerprint
-from repro.lint.rules_concurrency import (
-    GuardedStateWrites,
-    LockOrderCycles,
-    MustReleaseResources,
-)
+from repro.lint.rules_concurrency import MustReleaseResources
 from repro.lint.rules_dataflow import (
     EffectFreeTasks,
     NoLargeArrayPickle,
@@ -88,11 +84,11 @@ def test_repo_is_clean():
 # ----------------------------------------------------------------------
 # Rule registry
 # ----------------------------------------------------------------------
-def test_registry_ships_the_ten_rules():
+def test_registry_ships_the_eight_rules():
     ids = [rule.rule_id for rule in all_rules()]
     assert ids == [
         "ADA001", "ADA002", "ADA003", "ADA009", "ADA012",
-        "ADA014", "ADA015", "ADA016", "ADA017", "ADA023",
+        "ADA014", "ADA017", "ADA023",
     ]
     assert all(r.severity in ("error", "warning") for r in all_rules())
 
@@ -163,51 +159,6 @@ _BAD = {
         def sweep(k_values):
             matrix = np.asarray([[1.0, 2.0]])
             return [TaskSpec(work, (matrix, k)) for k in k_values]
-        """,
-    LockOrderCycles: """
-        import threading
-
-
-        class A:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def ping(self, other: "B"):
-                with self._lock:
-                    other.poke()
-
-            def poke(self):
-                with self._lock:
-                    return 1
-
-
-        class B:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def ping(self, other: A):
-                with self._lock:
-                    other.poke()
-
-            def poke(self):
-                with self._lock:
-                    return 2
-        """,
-    GuardedStateWrites: """
-        import threading
-
-
-        class Counter:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.count = 0
-
-            def bump(self):
-                with self._lock:
-                    self.count += 1
-
-            def reset(self):
-                self.count = 0
         """,
     MustReleaseResources: """
         from multiprocessing import shared_memory

@@ -813,90 +813,3 @@ def test_fault_injection_through_analysis_cache_stays_consistent():
     assert outcome.ok
     assert cache.stats()["stores"] == 1
     assert cache.get("ds", "flaky-algo", {"n": 1}) == "healed"
-
-
-# ----------------------------------------------------------------------
-# runtime lock order vs the static lock-order graph (ADA015)
-# ----------------------------------------------------------------------
-def test_runtime_lock_order_is_within_the_static_graph(tmp_path):
-    """Chaos check: every lock-order edge observed live must exist in
-    the graph adalint infers statically.
-
-    The static side analyses the real ``shards.py``/``documentstore.py``
-    sources; the runtime side instruments a live store with
-    :func:`track_store_locks` and hammers it from several writer
-    threads with auto-compaction enabled while one more thread keeps
-    compacting. A runtime-only edge means the analyser has a blind
-    spot (or the code grew an untracked path).
-    """
-    import threading
-    from pathlib import Path
-
-    from repro.lint.graph import ProjectGraph, extract_summary
-    from tests.locktrack import track_store_locks
-
-    repo_root = Path(__file__).resolve().parents[1]
-    sources = (
-        "src/repro/kdb/shards.py",
-        "src/repro/kdb/documentstore.py",
-    )
-    graph = ProjectGraph(
-        extract_summary(
-            (repo_root / rel).read_text(encoding="utf-8"), rel
-        )
-        for rel in sources
-    )
-    static_edges = {
-        (edge.source, edge.target)
-        for edge in graph.lock_order_edges()
-    }
-    canonical = (
-        "repro.kdb.documentstore:Collection._lock",
-        "repro.kdb.shards:ShardedDocumentStore._slock",
-    )
-    assert canonical in static_edges
-    assert graph.lock_cycles() == []
-
-    store = ShardedDocumentStore(
-        tmp_path / "db", n_shards=2, auto_compact_ops=5
-    )
-    collection = store["events"]
-    tracker = track_store_locks(store)
-    failures = []
-
-    def writer(worker):
-        try:
-            for i in range(30):
-                collection.insert_one({"w": worker, "i": i})
-        except Exception as exc:  # pragma: no cover - failure path
-            failures.append(exc)
-
-    writers_done = threading.Event()
-
-    def compactor():
-        try:
-            while not writers_done.is_set():
-                store.compact()
-        except Exception as exc:  # pragma: no cover - failure path
-            failures.append(exc)
-
-    threads = [
-        threading.Thread(target=writer, args=(worker,))
-        for worker in range(4)
-    ]
-    compacting = threading.Thread(target=compactor)
-    compacting.start()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    writers_done.set()
-    compacting.join()
-    store.compact()
-    store.stats()
-    store.close()
-
-    assert failures == []
-    observed = tracker.edges()
-    assert canonical in observed  # the hammering exercised the edge
-    assert observed <= static_edges, tracker.trace()
