@@ -27,7 +27,9 @@ import numpy as np
 import pytest
 
 from repro.core import DEFAULT_END_GOALS, ADAHealth, EngineConfig
+from repro.core.engine import GoalContext, _run_outliers
 from repro.mining import DBSCAN
+from repro.obs import NULL_TRACER, Metrics
 from repro.preprocess import VSMBuilder
 from tests.outlier_reference import assert_same_outlier_pass
 
@@ -75,10 +77,10 @@ def test_paper_outlier_pass_matches_the_two_pass_reference(
 
 def test_paper_outlier_goal_peak_memory(paper_log):
     (goal,) = [g for g in DEFAULT_END_GOALS if g.name == "outlier-screening"]
-    engine = ADAHealth(seed=BENCH_SEED)
+    context = GoalContext(goal, EngineConfig(), BENCH_SEED, "paper", paper_log)
     tracemalloc.start()
     try:
-        run = engine._run_outliers(goal, paper_log, "paper")
+        run = _run_outliers(context, paper_log, NULL_TRACER, Metrics())
         __, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

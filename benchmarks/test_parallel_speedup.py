@@ -130,19 +130,19 @@ def test_parallel_table1_sweep(paper_matrix, benchmark):
     # segment handle. This is the quantity the transport optimises and
     # the one a 1-core host can still measure honestly.
     matrix = np.ascontiguousarray(paper_matrix)
-    probe = KMeansOptimizer(
+    settings = KMeansOptimizer(
         k_values=PAPER_K_VALUES, n_folds=10, seed=BENCH_SEED
-    )
+    )._fit_settings()
     inline_bytes = payload_bytes(
         TaskSpec(  # adalint: disable=ADA014 - measuring the bad path
-            _evaluate_k_task, (probe, matrix, PAPER_K_VALUES[0])
+            _evaluate_k_task, (matrix, PAPER_K_VALUES[0], None, *settings)
         )
     )
     with SharedMatrix.create(matrix) as segment:
         shared_bytes = payload_bytes(
             TaskSpec(
                 _evaluate_k_task,
-                (probe, segment.handle(), PAPER_K_VALUES[0]),
+                (segment.handle(), PAPER_K_VALUES[0], None, *settings),
             )
         )
     reduction = inline_bytes / shared_bytes

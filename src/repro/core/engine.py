@@ -24,9 +24,9 @@ A single call does all of it::
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from dataclasses import fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +73,7 @@ from repro.mining.outliers import rank_outliers
 from repro.mining.rules import generate_rules
 from repro.obs.manifest import RunManifestBuilder
 from repro.obs.metrics import Metrics
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Document, Tracer
 from repro.preprocess.characterization import (
     DatasetProfile,
     characterize_log,
@@ -173,6 +173,19 @@ class GoalRun:
     notes: Dict[str, Any] = field(default_factory=dict)
     status: str = "completed"
     error: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class GoalContext:
+    """Everything a goal task reads: ``logref`` is the log's lease and
+    ``config`` has ``tracer`` and ``metrics`` cleared, so no task
+    carries a telemetry handle, engine or K-DB across a process."""
+
+    goal: EndGoal
+    config: EngineConfig
+    seed: int
+    dataset_id: Any
+    logref: Any
 
 
 @dataclass
@@ -313,6 +326,11 @@ class ADAHealth:
             )
         if self.config.retries < 0:
             raise EngineError("retries must be >= 0")
+        if self.config.executor_workers < 1:
+            raise EngineError("executor_workers must be >= 1")
+        timeout = self.config.task_timeout
+        if timeout is not None and not timeout > 0:
+            raise EngineError("task_timeout must be None or > 0")
         # Built once so every goal fan-out shares one policy and one
         # breaker state across the session.
         self.retry_policy = (
@@ -408,9 +426,7 @@ class ADAHealth:
             )
 
         with self.tracer.span("run-goals", n_goals=len(selected)):
-            runs = self._run_goals(
-                selected, log, profile, dataset_id, manifest
-            )
+            runs = self._run_goals(selected, log, dataset_id, manifest)
 
         # Goal pipelines are side-effect free (so they can run in worker
         # processes and be cached); their deferred K-DB writes happen
@@ -550,7 +566,6 @@ class ADAHealth:
         self,
         selected: List[EndGoal],
         log: ExamLog,
-        profile,
         dataset_id,
         manifest: RunManifestBuilder,
     ) -> List[GoalRun]:
@@ -568,9 +583,10 @@ class ADAHealth:
         ``retries`` apply per goal task, ``on_goal_error="raise"``
         re-raises the first failure in goal order once the dispatch
         returns, and ``goal`` spans are replayed from the reported task
-        timings as children of ``run-goals``. With a cache, goals whose
-        (dataset fingerprint, goal, config, seed) key is already known
-        are restored instead of recomputed.
+        timings as children of ``run-goals``, each adopting the spans
+        its task returned; the task's metrics merge in goal order. With
+        a cache, goals whose (dataset fingerprint, goal, config, seed)
+        key is already known are restored instead of recomputed.
         """
         fingerprint: Optional[str] = None
         restored: Dict[str, GoalRun] = {}
@@ -621,11 +637,12 @@ class ADAHealth:
             range(len(pending)),
             key=lambda position: registry.index(pending[position].name),
         )
+        cfg = replace(self.config, tracer=None, metrics=None)
         with log_lease(executor, log) as logref:
             tasks = [
                 TaskSpec(
                     _run_goal_task,
-                    (self, goal.name, logref, profile, dataset_id),
+                    (GoalContext(goal, cfg, self.seed, dataset_id, logref),),
                 )
                 for goal in (pending[position] for position in dispatch)
             ]
@@ -644,10 +661,11 @@ class ADAHealth:
         degrade = self.config.on_goal_error == "degrade"
         for goal, value, seconds in zip(pending, values, task_seconds):
             failed = isinstance(value, TaskFailure)
+            goal_span = None
             if seconds is not None:
                 # Goal pipelines may have run in workers; replay their
                 # reported timings as child spans of "run-goals".
-                self.tracer.record_span(
+                goal_span = self.tracer.record_span(
                     "goal", seconds, goal=goal.name, failed=failed
                 )
             if failed:
@@ -661,12 +679,15 @@ class ADAHealth:
                     raise value.error
                 computed[goal.name] = _failed_goal_run(goal, value.error)
                 continue
-            computed[goal.name] = value
+            run, goal_metrics, spans = value
+            self.tracer.adopt(spans, goal_span)
+            self.metrics.merge(goal_metrics)
+            computed[goal.name] = run
             manifest.add_goal(
                 goal.name,
                 wall_s=seconds or 0.0,
-                n_items=len(value.items),
-                algorithms=_run_algorithms(value),
+                n_items=len(run.items),
+                algorithms=_run_algorithms(run),
             )
 
         # Cache writes stay in the parent process so they survive
@@ -858,303 +879,6 @@ class ADAHealth:
         )
 
     # ------------------------------------------------------------------
-    # Per-goal pipelines
-    # ------------------------------------------------------------------
-    def _run_goal(
-        self, goal: EndGoal, log: ExamLog, profile, dataset_id
-    ) -> GoalRun:
-        if goal.name == "patient-segmentation":
-            return self._run_segmentation(goal, log, dataset_id)
-        if goal.name == "co-prescription-patterns":
-            return self._run_itemsets(goal, log, dataset_id)
-        if goal.name == "care-pathway-rules":
-            return self._run_rules(goal, log, dataset_id)
-        if goal.name == "care-sequences":
-            return self._run_sequences(goal, log, dataset_id)
-        if goal.name == "outlier-screening":
-            return self._run_outliers(goal, log, dataset_id)
-        if goal.name == "guideline-compliance":
-            return self._run_compliance(goal, log, dataset_id)
-        if goal.name == "exam-category-profiles":
-            return self._run_generalized(goal, log, dataset_id)
-        raise EndGoalError(
-            f"no pipeline registered for end-goal {goal.name!r}"
-        )
-
-    def _run_segmentation(self, goal, log, dataset_id) -> GoalRun:
-        cfg = self.config
-        weighting = cfg.weighting
-        normalize = True
-        if cfg.auto_transform:
-            # The paper's "totally automatic strategy to select the
-            # optimal data transformation": pilot-cluster the candidate
-            # (weighting, scaling) combinations and keep the winner.
-            from repro.preprocess.autoselect import TransformSelector
-
-            selection = TransformSelector(seed=self.seed).select(log)
-            weighting = selection.best.weighting
-            normalize = selection.best.scaling == "l2"
-        miner = HorizontalPartialMiner(
-            fractions=cfg.partial_fractions,
-            k_values=cfg.partial_k_values,
-            tolerance=cfg.partial_tolerance,
-            weighting=weighting,
-            normalize=normalize,
-            seed=self.seed,
-        )
-        partial = miner.mine(log)
-        codes = partial.selected_codes
-        # The sweep clusters the selected subset's matrix, which the
-        # miner has built and clustered already: its fits at the shared
-        # K values are resumed, not repeated.
-        matrix = miner.selected_matrix
-        # Deferred K-DB write: recorded in the notes and persisted by
-        # ``analyze`` after the fan-out, keeping this pipeline free of
-        # side effects (safe to run in a worker process or restore from
-        # cache).
-        transformation = {
-            "weighting": weighting,
-            "scaling": "l2" if normalize else "identity",
-            "auto_selected": cfg.auto_transform,
-            "n_features": len(codes),
-            "feature_fraction": partial.selected_fraction,
-        }
-        k_values = [k for k in cfg.k_values if k < matrix.shape[0]]
-        if not k_values:
-            raise EngineError("dataset too small for any configured K")
-        optimizer = KMeansOptimizer(
-            k_values=k_values,
-            n_folds=cfg.n_folds,
-            seed=self.seed,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
-        report = optimizer.optimize(matrix, resume=miner.checkpoints)
-        best = report.best_row
-        items = extract_cluster_items(
-            matrix,
-            best.labels,
-            best.centers,
-            log,
-            codes,
-            end_goal=goal.name,
-            run_quality={
-                "overall_similarity": best.overall_similarity,
-                "accuracy": best.accuracy,
-                "avg_precision": best.avg_precision,
-                "avg_recall": best.avg_recall,
-            },
-            provenance={
-                "algorithm": "kmeans",
-                "k": best.k,
-                "weighting": weighting,
-                "feature_fraction": partial.selected_fraction,
-                "dataset_id": dataset_id,
-            },
-        )
-        return GoalRun(
-            goal=goal,
-            items=items,
-            optimization=report,
-            partial=partial,
-            notes={"transformation": transformation},
-        )
-
-    def _transactions(self, log: ExamLog) -> List[List[str]]:
-        return log.transactions(by="patient")
-
-    def _run_itemsets(self, goal, log, dataset_id) -> GoalRun:
-        transactions = self._transactions(log)
-        itemsets = mine_frequent_itemsets(
-            transactions,
-            self.config.min_support,
-            algorithm="apriori",
-            metrics=self.metrics,
-        )
-        items = extract_itemset_items(
-            itemsets,
-            end_goal=goal.name,
-            top=self.config.items_per_goal,
-            provenance={
-                "algorithm": "apriori",
-                "min_support": self.config.min_support,
-                "dataset_id": dataset_id,
-            },
-        )
-        return GoalRun(
-            goal=goal, items=items, notes={"n_itemsets": len(itemsets)}
-        )
-
-    def _run_rules(self, goal, log, dataset_id) -> GoalRun:
-        transactions = self._transactions(log)
-        itemsets = mine_frequent_itemsets(
-            transactions,
-            self.config.min_support,
-            algorithm="apriori",
-            metrics=self.metrics,
-        )
-        rules = generate_rules(
-            itemsets, min_confidence=self.config.min_confidence
-        )
-        items = extract_rule_items(
-            rules,
-            end_goal=goal.name,
-            top=self.config.items_per_goal,
-            provenance={
-                "algorithm": "apriori+rules",
-                "min_support": self.config.min_support,
-                "min_confidence": self.config.min_confidence,
-                "dataset_id": dataset_id,
-            },
-        )
-        return GoalRun(goal=goal, items=items, notes={"n_rules": len(rules)})
-
-    def _run_sequences(self, goal, log, dataset_id) -> GoalRun:
-        from repro.mining.sequences import (
-            mine_sequences,
-            sequences_from_log,
-        )
-
-        cfg = self.config
-        sequences = sequences_from_log(log)
-        # Vertical partial mining for the expensive temporal miner: a
-        # patient sample bounds the PrefixSpan cost; supports are
-        # estimates over the sample (noted in the provenance).
-        sampled = len(sequences) > cfg.sequence_sample
-        if sampled:
-            rng = np.random.default_rng(self.seed)
-            picks = rng.choice(
-                len(sequences), size=cfg.sequence_sample, replace=False
-            )
-            sequences = [sequences[i] for i in sorted(picks)]
-        patterns = mine_sequences(
-            sequences,
-            cfg.sequence_min_support,
-            max_length=cfg.sequence_max_length,
-        )
-        items = extract_sequence_items(
-            patterns,
-            end_goal=goal.name,
-            top=cfg.items_per_goal,
-            provenance={
-                "algorithm": "prefixspan",
-                "min_support": cfg.sequence_min_support,
-                "sampled": sampled,
-                "n_sequences": len(sequences),
-                "dataset_id": dataset_id,
-            },
-        )
-        return GoalRun(
-            goal=goal, items=items, notes={"n_patterns": len(patterns)}
-        )
-
-    def _run_outliers(self, goal, log, dataset_id) -> GoalRun:
-        vsm = VSMBuilder(self.config.weighting).build(log)
-        patient_ids = vsm.patient_ids
-        # Only the normalised matrix lives through the distance pass.
-        matrix = L2Normalizer().transform(vsm.matrix)
-        del vsm
-        eps = _eps_heuristic(matrix, seed=self.seed)
-        # One blocked distance pass gives both the neighbourhoods and
-        # each point's kNN distance.
-        model = DBSCAN(eps=eps, min_samples=5, n_neighbors=5).fit(matrix)
-        item = extract_outlier_item(
-            model.labels_,
-            patient_ids,
-            end_goal=goal.name,
-            provenance={
-                "algorithm": "dbscan",
-                "eps": eps,
-                "min_samples": 5,
-                "dataset_id": dataset_id,
-            },
-        )
-        # Attach a ranked most-atypical list (kNN distance scores) so
-        # navigation can show "the N strangest histories", not just a
-        # flat noise set.
-        indexes, scores = rank_outliers(model.knn_distances_, n_outliers=20)
-        item.payload["most_atypical"] = [
-            {
-                "patient_id": int(patient_ids[index]),
-                "score": float(score),
-            }
-            for index, score in zip(indexes, scores)
-        ]
-        return GoalRun(
-            goal=goal,
-            items=[item],
-            notes={"n_clusters": model.n_clusters()},
-        )
-
-    def _run_compliance(self, goal, log, dataset_id) -> GoalRun:
-        from repro.core.guidelines import (
-            assess_compliance,
-            default_diabetes_guidelines,
-            extract_compliance_items,
-        )
-        from repro.exceptions import DataError
-
-        # Keep only the guidelines resolvable against this taxonomy
-        # (scaled-down logs may lack some named exams).
-        usable = []
-        for guideline in default_diabetes_guidelines():
-            try:
-                if guideline.exam_name is not None:
-                    log.taxonomy.by_name(guideline.exam_name)
-                else:
-                    log.taxonomy.codes_in_category(guideline.category)
-                usable.append(guideline)
-            except DataError:
-                continue
-        if not usable:
-            return GoalRun(
-                goal=goal, items=[], notes={"n_guidelines": 0}
-            )
-        report = assess_compliance(log, usable)
-        items = extract_compliance_items(
-            report,
-            end_goal=goal.name,
-            provenance={
-                "algorithm": "guideline-assessment",
-                "n_guidelines": len(usable),
-                "dataset_id": dataset_id,
-            },
-        )
-        return GoalRun(
-            goal=goal,
-            items=items,
-            notes={
-                "n_guidelines": len(usable),
-                "mean_patient_score": report.mean_patient_score,
-            },
-        )
-
-    def _run_generalized(self, goal, log, dataset_id) -> GoalRun:
-        transactions = self._transactions(log)
-        generalized = mine_generalized_itemsets(
-            transactions,
-            log.taxonomy.parent_map(),
-            self.config.generalized_min_support,
-            algorithm="apriori",
-            max_length=4,
-        )
-        items = extract_generalized_items(
-            generalized,
-            end_goal=goal.name,
-            top=self.config.items_per_goal,
-            provenance={
-                "algorithm": "generalized-apriori",
-                "min_support": self.config.generalized_min_support,
-                "dataset_id": dataset_id,
-            },
-        )
-        return GoalRun(
-            goal=goal,
-            items=items,
-            notes={"n_generalized": len(generalized)},
-        )
-
-    # ------------------------------------------------------------------
     def record_goal_feedback(
         self, goal_name: str, profile, interested: bool
     ) -> None:
@@ -1204,17 +928,317 @@ def _run_algorithms(run: GoalRun) -> List[str]:
 
 
 def _run_goal_task(
-    engine: "ADAHealth", goal_name: str, logref, profile, dataset_id
-):
+    context: GoalContext,
+) -> Tuple[GoalRun, Metrics, List[Document]]:
     """Module-level goal task (picklable for process backends).
 
-    ``logref`` is whatever :func:`repro.cloud.transport.log_lease`
+    ``context.logref`` is whatever :func:`repro.cloud.transport.log_lease`
     shipped: the :class:`ExamLog` itself in-process, or a shared-memory
-    handle that is attached for the duration of the goal pipeline.
+    handle that is attached for the duration of the goal pipeline. The
+    pipeline records into a fresh registry and in-memory tracer, which
+    return with the run; a failed attempt's telemetry is dropped.
     """
-    goal = engine.finder.by_name(goal_name)
-    with open_log(logref) as log:
-        return engine._run_goal(goal, log, profile, dataset_id)
+    pipeline = GOAL_PIPELINES.get(context.goal.name)
+    if pipeline is None:
+        raise EndGoalError(
+            f"no pipeline registered for end-goal {context.goal.name!r}"
+        )
+    tracer, metrics = Tracer(), Metrics()
+    with open_log(context.logref) as log:
+        run = pipeline(context, log, tracer, metrics)
+    return run, metrics, tracer.finished()
+
+
+# Per-goal pipelines: functions of (context, log, tracer, metrics) that
+# read nothing else, so a worker process needs no engine to run them.
+def _run_segmentation(context, log, tracer, metrics) -> GoalRun:
+    cfg = context.config
+    weighting = cfg.weighting
+    normalize = True
+    if cfg.auto_transform:
+        # The paper's "totally automatic strategy to select the
+        # optimal data transformation": pilot-cluster the candidate
+        # (weighting, scaling) combinations and keep the winner.
+        from repro.preprocess.autoselect import TransformSelector
+
+        selection = TransformSelector(seed=context.seed).select(log)
+        weighting = selection.best.weighting
+        normalize = selection.best.scaling == "l2"
+    miner = HorizontalPartialMiner(
+        fractions=cfg.partial_fractions,
+        k_values=cfg.partial_k_values,
+        tolerance=cfg.partial_tolerance,
+        weighting=weighting,
+        normalize=normalize,
+        seed=context.seed,
+    )
+    partial = miner.mine(log)
+    codes = partial.selected_codes
+    # The sweep clusters the selected subset's matrix, which the
+    # miner has built and clustered already: its fits at the shared
+    # K values are resumed, not repeated.
+    matrix = miner.selected_matrix
+    # Deferred K-DB write: recorded in the notes and persisted by
+    # ``analyze`` after the fan-out, keeping this pipeline free of
+    # side effects (safe to run in a worker process or restore from
+    # cache).
+    transformation = {
+        "weighting": weighting,
+        "scaling": "l2" if normalize else "identity",
+        "auto_selected": cfg.auto_transform,
+        "n_features": len(codes),
+        "feature_fraction": partial.selected_fraction,
+    }
+    k_values = [k for k in cfg.k_values if k < matrix.shape[0]]
+    if not k_values:
+        raise EngineError("dataset too small for any configured K")
+    optimizer = KMeansOptimizer(
+        k_values=k_values,
+        n_folds=cfg.n_folds,
+        seed=context.seed,
+        tracer=tracer,
+        metrics=metrics,
+    )
+    report = optimizer.optimize(matrix, resume=miner.checkpoints)
+    best = report.best_row
+    items = extract_cluster_items(
+        matrix,
+        best.labels,
+        best.centers,
+        log,
+        codes,
+        end_goal=context.goal.name,
+        run_quality={
+            "overall_similarity": best.overall_similarity,
+            "accuracy": best.accuracy,
+            "avg_precision": best.avg_precision,
+            "avg_recall": best.avg_recall,
+        },
+        provenance={
+            "algorithm": "kmeans",
+            "k": best.k,
+            "weighting": weighting,
+            "feature_fraction": partial.selected_fraction,
+            "dataset_id": context.dataset_id,
+        },
+    )
+    return GoalRun(
+        goal=context.goal,
+        items=items,
+        optimization=report,
+        partial=partial,
+        notes={"transformation": transformation},
+    )
+
+
+def _run_itemsets(context, log, tracer, metrics) -> GoalRun:
+    cfg = context.config
+    itemsets = mine_frequent_itemsets(
+        log.transactions(by="patient"),
+        cfg.min_support,
+        algorithm="apriori",
+        metrics=metrics,
+    )
+    items = extract_itemset_items(
+        itemsets,
+        end_goal=context.goal.name,
+        top=cfg.items_per_goal,
+        provenance={
+            "algorithm": "apriori",
+            "min_support": cfg.min_support,
+            "dataset_id": context.dataset_id,
+        },
+    )
+    return GoalRun(
+        goal=context.goal, items=items, notes={"n_itemsets": len(itemsets)}
+    )
+
+
+def _run_rules(context, log, tracer, metrics) -> GoalRun:
+    cfg = context.config
+    itemsets = mine_frequent_itemsets(
+        log.transactions(by="patient"),
+        cfg.min_support,
+        algorithm="apriori",
+        metrics=metrics,
+    )
+    rules = generate_rules(itemsets, min_confidence=cfg.min_confidence)
+    items = extract_rule_items(
+        rules,
+        end_goal=context.goal.name,
+        top=cfg.items_per_goal,
+        provenance={
+            "algorithm": "apriori+rules",
+            "min_support": cfg.min_support,
+            "min_confidence": cfg.min_confidence,
+            "dataset_id": context.dataset_id,
+        },
+    )
+    return GoalRun(
+        goal=context.goal, items=items, notes={"n_rules": len(rules)}
+    )
+
+
+def _run_sequences(context, log, tracer, metrics) -> GoalRun:
+    from repro.mining.sequences import (
+        mine_sequences,
+        sequences_from_log,
+    )
+
+    cfg = context.config
+    sequences = sequences_from_log(log)
+    # Vertical partial mining for the expensive temporal miner: a
+    # patient sample bounds the PrefixSpan cost; supports are
+    # estimates over the sample (noted in the provenance).
+    sampled = len(sequences) > cfg.sequence_sample
+    if sampled:
+        rng = np.random.default_rng(context.seed)
+        picks = rng.choice(
+            len(sequences), size=cfg.sequence_sample, replace=False
+        )
+        sequences = [sequences[i] for i in sorted(picks)]
+    patterns = mine_sequences(
+        sequences,
+        cfg.sequence_min_support,
+        max_length=cfg.sequence_max_length,
+    )
+    items = extract_sequence_items(
+        patterns,
+        end_goal=context.goal.name,
+        top=cfg.items_per_goal,
+        provenance={
+            "algorithm": "prefixspan",
+            "min_support": cfg.sequence_min_support,
+            "sampled": sampled,
+            "n_sequences": len(sequences),
+            "dataset_id": context.dataset_id,
+        },
+    )
+    return GoalRun(
+        goal=context.goal, items=items, notes={"n_patterns": len(patterns)}
+    )
+
+
+def _run_outliers(context, log, tracer, metrics) -> GoalRun:
+    vsm = VSMBuilder(context.config.weighting).build(log)
+    patient_ids = vsm.patient_ids
+    # Only the normalised matrix lives through the distance pass.
+    matrix = L2Normalizer().transform(vsm.matrix)
+    del vsm
+    eps = _eps_heuristic(matrix, seed=context.seed)
+    # One blocked distance pass gives both the neighbourhoods and
+    # each point's kNN distance.
+    model = DBSCAN(eps=eps, min_samples=5, n_neighbors=5).fit(matrix)
+    item = extract_outlier_item(
+        model.labels_,
+        patient_ids,
+        end_goal=context.goal.name,
+        provenance={
+            "algorithm": "dbscan",
+            "eps": eps,
+            "min_samples": 5,
+            "dataset_id": context.dataset_id,
+        },
+    )
+    # Attach a ranked most-atypical list (kNN distance scores) so
+    # navigation can show "the N strangest histories", not just a
+    # flat noise set.
+    indexes, scores = rank_outliers(model.knn_distances_, n_outliers=20)
+    item.payload["most_atypical"] = [
+        {
+            "patient_id": int(patient_ids[index]),
+            "score": float(score),
+        }
+        for index, score in zip(indexes, scores)
+    ]
+    return GoalRun(
+        goal=context.goal,
+        items=[item],
+        notes={"n_clusters": model.n_clusters()},
+    )
+
+
+def _run_compliance(context, log, tracer, metrics) -> GoalRun:
+    from repro.core.guidelines import (
+        assess_compliance,
+        default_diabetes_guidelines,
+        extract_compliance_items,
+    )
+    from repro.exceptions import DataError
+
+    # Keep only the guidelines resolvable against this taxonomy
+    # (scaled-down logs may lack some named exams).
+    usable = []
+    for guideline in default_diabetes_guidelines():
+        try:
+            if guideline.exam_name is not None:
+                log.taxonomy.by_name(guideline.exam_name)
+            else:
+                log.taxonomy.codes_in_category(guideline.category)
+            usable.append(guideline)
+        except DataError:
+            continue
+    if not usable:
+        return GoalRun(
+            goal=context.goal, items=[], notes={"n_guidelines": 0}
+        )
+    report = assess_compliance(log, usable)
+    items = extract_compliance_items(
+        report,
+        end_goal=context.goal.name,
+        provenance={
+            "algorithm": "guideline-assessment",
+            "n_guidelines": len(usable),
+            "dataset_id": context.dataset_id,
+        },
+    )
+    return GoalRun(
+        goal=context.goal,
+        items=items,
+        notes={
+            "n_guidelines": len(usable),
+            "mean_patient_score": report.mean_patient_score,
+        },
+    )
+
+
+def _run_generalized(context, log, tracer, metrics) -> GoalRun:
+    cfg = context.config
+    generalized = mine_generalized_itemsets(
+        log.transactions(by="patient"),
+        log.taxonomy.parent_map(),
+        cfg.generalized_min_support,
+        algorithm="apriori",
+        max_length=4,
+    )
+    items = extract_generalized_items(
+        generalized,
+        end_goal=context.goal.name,
+        top=cfg.items_per_goal,
+        provenance={
+            "algorithm": "generalized-apriori",
+            "min_support": cfg.generalized_min_support,
+            "dataset_id": context.dataset_id,
+        },
+    )
+    return GoalRun(
+        goal=context.goal,
+        items=items,
+        notes={"n_generalized": len(generalized)},
+    )
+
+
+#: End-goal name -> its pipeline, looked up when the task runs (so a
+#: table patched before a process pool forks reaches its workers).
+GOAL_PIPELINES: Dict[str, Callable[..., GoalRun]] = {
+    "patient-segmentation": _run_segmentation,
+    "co-prescription-patterns": _run_itemsets,
+    "care-pathway-rules": _run_rules,
+    "care-sequences": _run_sequences,
+    "outlier-screening": _run_outliers,
+    "guideline-compliance": _run_compliance,
+    "exam-category-profiles": _run_generalized,
+}
 
 
 def _eps_heuristic(

@@ -34,7 +34,7 @@ the same.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -196,10 +196,10 @@ class KMeansOptimizer:
         Keyword arguments for :class:`repro.mining.KMeans`.
     executor:
         Execution backend for the sweep (serial by default). The sweep's
-        tasks are picklable :class:`repro.cloud.TaskSpec`s, so every
-        backend works, including
-        :class:`repro.cloud.ProcessPoolExecutorBackend` — as long as
-        any custom ``classifier_factory`` itself pickles.
+        tasks are picklable :class:`repro.cloud.TaskSpec`s carrying the
+        fit settings, never the optimizer, so every backend works,
+        including :class:`repro.cloud.ProcessPoolExecutorBackend` — as
+        long as any custom ``classifier_factory`` itself pickles.
     seed:
         Seed forwarded to K-means and to the CV splitters.
     retry:
@@ -250,33 +250,16 @@ class KMeansOptimizer:
 
         ``resume`` is passed to :meth:`repro.mining.KMeans.fit`.
         """
-        model = KMeans(k, seed=self.seed, **self.kmeans_params).fit(
-            data, resume=resume
-        )
-        labels = model.labels_
-        if labels is None or model.inertia_ is None:
-            raise RuntimeError("KMeans fit left labels_/inertia_ unset")
-        factory = self.classifier_factory or (
-            lambda: DecisionTreeClassifier(
-                seed=self.seed, **self.tree_params
-            )
-        )
-        metrics = cross_validate(
-            factory,
-            data,
-            labels,
-            n_splits=self.n_folds,
-            seed=self.seed,
-        )
-        return OptimizationRow(
-            k=k,
-            sse=float(model.inertia_),
-            accuracy=metrics["accuracy"],
-            avg_precision=metrics["avg_precision"],
-            avg_recall=metrics["avg_recall"],
-            overall_similarity=float(overall_similarity(data, labels)),
-            labels=labels,
-            centers=model.cluster_centers_,
+        return _evaluate_k_task(data, k, resume, *self._fit_settings())
+
+    def _fit_settings(self) -> Tuple[Any, ...]:
+        """The settings :func:`_evaluate_k_task` reads, in its order."""
+        return (
+            self.seed,
+            self.n_folds,
+            self.kmeans_params,
+            self.tree_params,
+            self.classifier_factory,
         )
 
     def optimize(
@@ -302,9 +285,12 @@ class KMeansOptimizer:
             k_values=list(self.k_values),
         ) as sweep_span:
             resume = resume or {}
+            settings = self._fit_settings()
             with matrix_lease(self.executor, matrix) as (ref,):
                 tasks = [
-                    TaskSpec(_evaluate_k_task, (self, ref, k, resume.get(k)))
+                    TaskSpec(
+                        _evaluate_k_task, (ref, k, resume.get(k), *settings)
+                    )
                     for k in self.k_values
                 ]
                 outcome = self.executor.run(tasks)
@@ -350,20 +336,47 @@ class KMeansOptimizer:
 
 
 def _evaluate_k_task(
-    optimizer: "KMeansOptimizer",
     ref,
     k: int,
-    resume: Optional[KMeansCheckpoint] = None,
+    resume: Optional[KMeansCheckpoint],
+    seed: int,
+    n_folds: int,
+    kmeans_params: Dict,
+    tree_params: Dict,
+    classifier_factory: Optional[Callable[[], object]],
 ) -> OptimizationRow:
-    """Module-level task body so sweeps pickle for process backends.
+    """Cluster with one K and score it: the body of one sweep task.
 
-    ``ref`` is whatever the matrix lease produced: the matrix itself
-    in-process, or a :class:`repro.data.SharedMatrixHandle` that
+    Module-level, and given only the fit settings, so sweeps pickle for
+    process backends. ``ref`` is whatever the matrix lease produced:
+    the matrix itself in-process, or a
+    :class:`repro.data.SharedMatrixHandle` that
     :func:`repro.data.open_matrix` attaches for the duration of the
     evaluation and detaches in ``finally``.
     """
-    with open_matrix(ref) as matrix:
-        return optimizer.evaluate_k(matrix, k, resume)
+    with open_matrix(ref) as data:
+        model = KMeans(k, seed=seed, **kmeans_params).fit(
+            data, resume=resume
+        )
+        labels = model.labels_
+        if labels is None or model.inertia_ is None:
+            raise RuntimeError("KMeans fit left labels_/inertia_ unset")
+        factory = classifier_factory or (
+            lambda: DecisionTreeClassifier(seed=seed, **tree_params)
+        )
+        metrics = cross_validate(
+            factory, data, labels, n_splits=n_folds, seed=seed
+        )
+        return OptimizationRow(
+            k=k,
+            sse=float(model.inertia_),
+            accuracy=metrics["accuracy"],
+            avg_precision=metrics["avg_precision"],
+            avg_recall=metrics["avg_recall"],
+            overall_similarity=float(overall_similarity(data, labels)),
+            labels=labels,
+            centers=model.cluster_centers_,
+        )
 
 
 def sse_plateau(

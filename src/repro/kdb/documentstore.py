@@ -582,28 +582,16 @@ class Collection:
         self._seq: Dict[Any, int] = {}
         self._seq_counter = 0
         self._version = 0
-        #: Mutation hook for the shard layer (op, payload); not pickled.
+        #: Mutation hook for the shard layer (op, payload).
         self._journal: Optional[Callable[[str, Any], None]] = None
         #: Pre-mutation veto hook (raises to refuse the write *before*
         #: it is applied in memory — e.g. the sharded store's ENOSPC
-        #: write-protection); not pickled.
+        #: write-protection).
         self._write_guard: Optional[Callable[[], None]] = None
         #: Optional ``repro.obs.Metrics`` registry for query telemetry.
         self.metrics = None
         #: The plan of the most recent planned read (tests/diagnostics).
         self.last_plan: Optional[QueryPlan] = None
-
-    # -- pickling (journal hooks do not survive) -------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_journal", None)
-        state.pop("_write_guard", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._journal = None
-        self._write_guard = None
 
     def _require_writable(self) -> None:
         if self._write_guard is not None:

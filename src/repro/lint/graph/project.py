@@ -52,7 +52,7 @@ class ProjectGraph:
 
     Functions are addressed by *qualified id* strings
     ``"<module>:<qualname>"``, e.g.
-    ``"repro.core.engine:ADAHealth._run_goal"``.
+    ``"repro.core.engine:ADAHealth._run_goals"``.
     """
 
     def __init__(self, summaries: Iterable[ModuleSummary]) -> None:

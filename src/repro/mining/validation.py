@@ -8,7 +8,7 @@ recall) by default.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -145,28 +145,20 @@ DEFAULT_METRICS: Dict[str, Callable] = {
 
 def _fit_score_fold(
     model_factory: Callable[[], object],
-    data_ref,
-    labels_ref,
+    data: np.ndarray,
+    labels: np.ndarray,
     train: np.ndarray,
     test: np.ndarray,
     metrics: Dict[str, Callable],
 ) -> Dict[str, float]:
-    """Fit one fold and score it (module-level for process backends).
-
-    ``data_ref``/``labels_ref`` are whatever the matrix lease shipped:
-    the arrays themselves in-process, or shared-memory handles that
-    are attached for the duration of the fold and detached after.
-    """
-    from repro.data.blocks import open_matrix
-
-    with open_matrix(data_ref) as data, open_matrix(labels_ref) as labels:
-        model = model_factory()
-        model.fit(data[train], labels[train])  # type: ignore[attr-defined]
-        predicted = model.predict(data[test])  # type: ignore[attr-defined]
-        return {
-            name: float(function(labels[test], predicted))
-            for name, function in metrics.items()
-        }
+    """Fit one fold and score it."""
+    model = model_factory()
+    model.fit(data[train], labels[train])  # type: ignore[attr-defined]
+    predicted = model.predict(data[test])  # type: ignore[attr-defined]
+    return {
+        name: float(function(labels[test], predicted))
+        for name, function in metrics.items()
+    }
 
 
 def cross_validate(
@@ -176,7 +168,6 @@ def cross_validate(
     n_splits: int = 10,
     stratified: bool = True,
     metrics: Optional[Dict[str, Callable]] = None,
-    executor=None,
     seed: int = 0,
 ) -> Dict[str, float]:
     """k-fold cross-validation, averaging each metric over folds.
@@ -189,12 +180,6 @@ def cross_validate(
     metrics:
         ``name -> function(y_true, y_pred)``; defaults to the paper's
         Table I metrics (accuracy, average precision, average recall).
-    executor:
-        Optional :mod:`repro.cloud` backend; folds are independent and
-        run through it when given (None keeps the serial in-process
-        path). With a process backend, ``model_factory`` and the metric
-        functions must pickle (the defaults do; ``functools.partial``
-        over a model class is a convenient picklable factory).
 
     Returns
     -------
@@ -208,35 +193,10 @@ def cross_validate(
         splits = StratifiedKFold(n_splits, seed=seed).split(labels)
     else:
         splits = KFold(n_splits, seed=seed).split(len(labels))
-
-    if executor is not None:
-        from repro.cloud.executor import TaskFailure, TaskSpec
-        from repro.cloud.transport import matrix_lease
-
-        with matrix_lease(executor, data, labels) as (
-            data_ref,
-            labels_ref,
-        ):
-            tasks = [
-                TaskSpec(
-                    _fit_score_fold,
-                    (model_factory, data_ref, labels_ref, train, test,
-                     metrics),
-                )
-                for train, test in splits
-            ]
-            outcome = executor.run(tasks)
-        for value in outcome.results:
-            if isinstance(value, TaskFailure):
-                raise value.error
-        fold_scores = outcome.results
-    else:
-        fold_scores = [
-            _fit_score_fold(
-                model_factory, data, labels, train, test, metrics
-            )
-            for train, test in splits
-        ]
+    fold_scores = [
+        _fit_score_fold(model_factory, data, labels, train, test, metrics)
+        for train, test in splits
+    ]
     if not fold_scores:
         raise MiningError("no folds were evaluated")
     sums = {name: 0.0 for name in metrics}

@@ -12,11 +12,9 @@ interpolation inside the owning bucket — the standard fixed-bucket
 estimator, cheap to merge and serialise, accurate to bucket width.
 
 A registry and its instruments are single-threaded (one thread per
-process uses them, so they take no locks) and plain picklable objects,
-so a registry can ride inside the engine across a process boundary;
-increments made in worker processes stay in the worker's copy, which
-is why the executors report worker timings back through their
-*results* instead.
+process uses them, so they take no locks) and plain picklable objects:
+a goal task records into a fresh registry and returns it with its
+result, and the engine folds it into its own with :meth:`Metrics.merge`.
 """
 
 from __future__ import annotations
@@ -189,6 +187,17 @@ class Histogram:
                 cumulative += bucket
         return self.max  # pragma: no cover - unreachable by construction
 
+    def merge(self, other: "Histogram") -> None:
+        """Add another histogram's observations (same bounds only)."""
+        if other.bounds != self.bounds:
+            raise ValueError("cannot merge histograms with other bounds")
+        if other.count:
+            self.min = min(self.min, other.min) if self.count else other.min
+            self.max = max(self.max, other.max) if self.count else other.max
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.count += other.count
+        self.total += other.total
+
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able summary (counts, extrema, p50/p90/p99, buckets)."""
         buckets: List[Dict[str, Any]] = []
@@ -256,6 +265,16 @@ class Metrics:
                 bounds if bounds is not None else DEFAULT_BUCKETS
             )
         return instrument
+
+    def merge(self, other: "Metrics") -> None:
+        """Fold another registry (e.g. a goal task's) into this one:
+        counters add, gauges take ``other``'s value, histograms add."""
+        for name, counter in other._counters.items():
+            self.counter(name).inc(counter.value)
+        for name, gauge in other._gauges.items():
+            self.gauge(name).set(gauge.value)
+        for name, histogram in other._histograms.items():
+            self.histogram(name, histogram.bounds).merge(histogram)
 
     # -- export ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -14,11 +14,11 @@ number of sinks:
   ``--trace FILE``);
 * :class:`LoggingSink` — forwards to a stdlib :mod:`logging` logger.
 
-Everything is dependency-free and picklable: tracers ride inside the
-engine when goal pipelines fan out to worker processes, so sinks drop
-their unpicklable state (open handles) on pickling and recreate it
-lazily. A tracer is single-threaded: one thread per process uses it,
-so it takes no locks.
+Everything is dependency-free. A tracer never crosses a process
+boundary: a goal task traces into its own in-memory tracer and returns
+the span documents, which the engine grafts into its tracer with
+:meth:`Tracer.adopt`. A tracer is single-threaded: one thread per
+process uses it, so it takes no locks.
 
 The default tracer everywhere is :data:`NULL_TRACER`, a no-op whose
 ``span()`` returns a shared reusable context manager — near-zero
@@ -155,6 +155,9 @@ class NullTracer:
     ) -> None:
         return None
 
+    def adopt(self, documents: Sequence[Document], parent: Any) -> None:
+        return None
+
     def finished(self) -> List[Document]:
         return []
 
@@ -179,9 +182,7 @@ class InMemorySink:
 class JsonlSink:
     """Appends one JSON object per span to a file.
 
-    The handle is opened lazily and dropped on pickling, so a tracer
-    carrying this sink can cross a process boundary; workers re-open the
-    file in append mode and their whole-line writes interleave safely.
+    The handle is opened lazily, in append mode.
 
     With ``durable=True`` every span is additionally ``fsync``'d on
     emit, so a manifest survives the process being killed right after
@@ -210,14 +211,6 @@ class JsonlSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"path": self.path, "durable": self.durable}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.path = state["path"]
-        self.durable = state.get("durable", False)
-        self._handle = None
 
 
 def read_spans(path: Union[str, Path]) -> List[Document]:
@@ -248,7 +241,7 @@ def read_spans(path: Union[str, Path]) -> List[Document]:
 
 
 class LoggingSink:
-    """Forwards spans to a stdlib logger (by name, so it pickles)."""
+    """Forwards spans to a stdlib logger, looked up by name."""
 
     def __init__(
         self, logger: str = "repro.obs", level: int = logging.INFO
@@ -278,9 +271,7 @@ class Tracer:
         single :class:`InMemorySink` (inspect via :meth:`finished`).
 
     A span opened while another is live becomes its child
-    (``parent_id``/``depth``). Worker processes get a pickled copy of
-    the tracer with no live spans, whose sinks re-materialise on first
-    use.
+    (``parent_id``/``depth``).
     """
 
     enabled = True
@@ -293,15 +284,6 @@ class Tracer:
         #: The live spans, innermost last.
         self._stack: List[Span] = []
 
-    # -- pickling --------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"sinks": self.sinks, "_ids": self._ids}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.sinks = state["sinks"]
-        self._ids = state["_ids"]
-        self._stack = []
-
     # -- span lifecycle --------------------------------------------------
     def span(self, name: str, **attrs: Any) -> Span:
         """A context manager measuring one named unit of work."""
@@ -313,19 +295,29 @@ class Tracer:
         """Emit an already-measured span (e.g. timings reported back by
         worker processes), parented to the current live span."""
         span = Span(self, name, attrs)
-        span.span_id = self._next_id()
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            span.parent_id = parent.span_id
-            span.trace_id = parent.trace_id
-            span.depth = parent.depth + 1
-        else:
-            span.trace_id = span.span_id
+        self._link(span)
         span.started_at = time.time() - wall_s
         span.wall_s = float(wall_s)
         document = span.to_document()
         self._emit(document)
         return document
+
+    def adopt(
+        self, documents: Sequence[Document], parent: Document
+    ) -> None:
+        """Re-emit another tracer's :meth:`finished` spans (e.g. a goal
+        task's) with ids renumbered into this tracer's sequence and
+        their roots as children of ``parent``, a span emitted here."""
+        ids = {document["span_id"]: self._next_id() for document in documents}
+        for document in documents:
+            adopted = dict(document)
+            adopted["span_id"] = ids[document["span_id"]]
+            adopted["parent_id"] = ids.get(
+                document["parent_id"], parent["span_id"]
+            )
+            adopted["trace_id"] = parent["trace_id"]
+            adopted["depth"] = parent["depth"] + 1 + document["depth"]
+            self._emit(adopted)
 
     def finished(self) -> List[Document]:
         """Span documents collected by in-memory sinks (emission order:
@@ -341,17 +333,21 @@ class Tracer:
         self._ids += 1
         return self._ids
 
-    def _open(self, span: Span) -> None:
+    def _link(self, span: Span) -> None:
+        """Number ``span`` and make it a child of the innermost live
+        span (or a root)."""
         span.span_id = self._next_id()
-        stack = self._stack
-        if stack:
-            parent = stack[-1]
+        if self._stack:
+            parent = self._stack[-1]
             span.parent_id = parent.span_id
             span.trace_id = parent.trace_id
             span.depth = parent.depth + 1
         else:
             span.trace_id = span.span_id
-        stack.append(span)
+
+    def _open(self, span: Span) -> None:
+        self._link(span)
+        self._stack.append(span)
 
     def _close(self, span: Span) -> None:
         stack = self._stack

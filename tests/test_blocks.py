@@ -23,6 +23,7 @@ from repro.cloud import (
     matrix_lease,
     open_log,
 )
+from repro.cloud.executor import payload_bytes
 from repro.core.engine import (
     AUTO_EXECUTOR_MIN_RECORDS,
     ADAHealth,
@@ -36,7 +37,9 @@ from repro.data import (
     open_matrix,
     reap_segments,
 )
+from repro.data.records import ExamLog
 from repro.exceptions import DataError
+from repro.kdb.kdb import KnowledgeBase
 
 pytestmark = pytest.mark.shm
 
@@ -271,9 +274,10 @@ def _analysis_document(result):
 GOALS = ["patient-segmentation", "co-prescription-patterns"]
 
 
-def test_analyze_is_byte_identical_serial_vs_process(tiny_log):
-    def run(**kwargs):
+def test_analyze_is_byte_identical_serial_vs_process(tiny_log, tmp_path):
+    def run(kdb=None, **kwargs):
         engine = ADAHealth(
+            kdb=kdb,
             config=EngineConfig(
                 k_values=(2, 3), n_folds=3, use_cache=False, **kwargs
             ),
@@ -285,7 +289,51 @@ def test_analyze_is_byte_identical_serial_vs_process(tiny_log):
 
     serial = run()
     assert run(executor="process", executor_workers=2) == serial
+    # Goal tasks carry no K-DB, so one holding open shard files does
+    # not stop the process backend.
+    kdb = KnowledgeBase.open_sharded(tmp_path / "kdb")
+    try:
+        assert run(kdb, executor="process", executor_workers=2) == serial
+    finally:
+        kdb.store.close()
     assert leaked_segments() == []
+
+
+def test_goal_task_payload_does_not_grow_with_the_kdb(
+    tiny_log, monkeypatch
+):
+    """The pickled goal tasks weigh the same on a fresh engine and after
+    three cached analyses have filled its K-DB and cache."""
+    sizes = []
+
+    def spy(self, tasks):
+        sizes.append(sorted(payload_bytes(task) for task in tasks))
+        return SerialExecutor().run(tasks)
+
+    monkeypatch.setattr(ProcessPoolExecutorBackend, "run", spy)
+    engine = ADAHealth(
+        config=EngineConfig(
+            k_values=(2, 3),
+            n_folds=3,
+            use_cache=True,
+            executor="process",
+            executor_workers=2,
+        ),
+        seed=5,
+    )
+    rows = tiny_log.to_rows()
+    for shift in range(4):
+        # A fresh log each time (the cache misses), whose lease pickles
+        # to the same size: only the shared record rows differ.
+        log = ExamLog.from_rows(
+            rows + np.array([0, shift, 0]),
+            taxonomy=tiny_log.taxonomy,
+            patients=tuple(tiny_log.patients.values()),
+        )
+        engine.analyze(log, name=f"shift-{shift}", goals=GOALS)
+    assert len(sizes) == 4
+    assert sizes[3] == sizes[0]
+    assert engine.kdb.run_count() == 4
 
 
 # ----------------------------------------------------------------------

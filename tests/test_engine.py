@@ -10,6 +10,7 @@ from repro.core import (
     EngineConfig,
     SimulatedExpert,
 )
+from repro.core.engine import GOAL_PIPELINES
 from repro.exceptions import EndGoalError
 from repro.kdb import KnowledgeBase
 from repro.obs import Tracer
@@ -254,7 +255,7 @@ class _RecordingExecutor(SerialExecutor):
         self.dispatched = []
 
     def run(self, tasks):
-        self.dispatched = [task.args[1] for task in tasks]
+        self.dispatched = [task.args[0].goal.name for task in tasks]
         return super().run(tasks)
 
 
@@ -300,14 +301,11 @@ def test_raise_mode_raises_the_first_failure_in_goal_order(
 ):
     """Segmentation is dispatched first and fails, but the goal before
     it in goal order failed too: that failure is the one raised."""
-    original = ADAHealth._run_goal
+    def sabotaged(context, log, tracer, metrics):
+        raise RuntimeError(f"{context.goal.name} failed")
 
-    def sabotaged(self, goal, log, profile, dataset_id):
-        if goal.name in ("care-sequences", "patient-segmentation"):
-            raise RuntimeError(f"{goal.name} failed")
-        return original(self, goal, log, profile, dataset_id)
-
-    monkeypatch.setattr(ADAHealth, "_run_goal", sabotaged)
+    for name in ("care-sequences", "patient-segmentation"):
+        monkeypatch.setitem(GOAL_PIPELINES, name, sabotaged)
     engine = ADAHealth(config=EngineConfig(**_SMALL_KNOBS), seed=0)
     recorder = _RecordingExecutor()
     monkeypatch.setattr(engine, "_goal_executor", lambda name: recorder)

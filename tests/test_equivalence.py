@@ -5,15 +5,14 @@ analysis cache) must never change results. This module pins that down:
 
 * the bitset Apriori and integer FP-growth against a brute-force
   reference miner;
-* every execution backend against the serial baseline, for the K sweep,
-  cross-validation and the whole engine;
+* every execution backend against the serial baseline, for the K sweep
+  and the whole engine;
 * cached re-runs against their cold originals.
 
 The backend sweeps double as tier-1 smoke coverage for the benchmark
 configurations (marker: ``bench_smoke``), at tiny sizes.
 """
 
-import functools
 from itertools import combinations
 from math import ceil
 
@@ -23,9 +22,7 @@ import pytest
 from repro.cloud import ProcessPoolExecutorBackend, SerialExecutor
 from repro.core import ADAHealth, AnalysisCache, EngineConfig, KMeansOptimizer
 from repro.data.synthetic import small_dataset
-from repro.mining.decision_tree import DecisionTreeClassifier
 from repro.mining.itemsets import apriori, fpgrowth
-from repro.mining.validation import cross_validate
 
 
 # ----------------------------------------------------------------------
@@ -117,36 +114,6 @@ def test_optimizer_identical_across_backends(blob_matrix, make_backend):
         assert row.avg_recall == expected.avg_recall
         np.testing.assert_array_equal(row.labels, expected.labels)
         np.testing.assert_array_equal(row.centers, expected.centers)
-
-
-@pytest.mark.bench_smoke
-@pytest.mark.parametrize("make_backend", BACKENDS)
-def test_cross_validate_identical_across_backends(blob_matrix, make_backend):
-    labels = (np.arange(blob_matrix.shape[0]) // 40).astype(int)
-    # functools.partial over a module-level class pickles, so the same
-    # factory serves the process backend too.
-    factory = functools.partial(DecisionTreeClassifier, max_depth=5, seed=0)
-    baseline = cross_validate(factory, blob_matrix, labels, n_splits=3)
-    scores = cross_validate(
-        factory, blob_matrix, labels, n_splits=3, executor=make_backend()
-    )
-    assert scores == baseline
-
-
-def test_cross_validate_executor_propagates_failure(blob_matrix):
-    labels = (np.arange(blob_matrix.shape[0]) // 40).astype(int)
-
-    def broken_factory():
-        raise RuntimeError("cannot build model")
-
-    with pytest.raises(RuntimeError):
-        cross_validate(
-            broken_factory,
-            blob_matrix,
-            labels,
-            n_splits=3,
-            executor=SerialExecutor(),
-        )
 
 
 # ----------------------------------------------------------------------

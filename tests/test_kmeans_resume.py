@@ -21,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DEFAULT_END_GOALS, ADAHealth, EngineConfig
+from repro.core.engine import GoalContext, _run_segmentation
 from repro.core.optimizer import KMeansOptimizer
 from repro.core.partial import HorizontalPartialMiner
 from repro.data import paper_dataset
 from repro.exceptions import NotFittedError
 from repro.mining import KMeans
+from repro.obs import NULL_TRACER, Metrics
 from repro.preprocess import L2Normalizer, VSMBuilder
 from tests.kmeans_reference import assert_same_fit
 from tests.test_kmeans_prepared import FIT_PARAMS, datasets
@@ -342,10 +344,10 @@ def test_paper_segmentation_goal_peak_memory(paper_log):
     (goal,) = [
         g for g in DEFAULT_END_GOALS if g.name == "patient-segmentation"
     ]
-    engine = ADAHealth(seed=0)
+    context = GoalContext(goal, EngineConfig(), 0, "paper", paper_log)
     tracemalloc.start()
     try:
-        run = engine._run_segmentation(goal, paper_log, "paper")
+        run = _run_segmentation(context, paper_log, NULL_TRACER, Metrics())
         __, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -114,15 +114,15 @@ def test_jsonl_sink_writes_valid_lines(tmp_path):
     assert documents[0]["parent_id"] == documents[1]["span_id"]
 
 
-def test_jsonl_sink_durable_fsyncs_and_pickles(tmp_path):
+def test_jsonl_sink_durable_fsyncs(tmp_path, monkeypatch):
     path = tmp_path / "trace.jsonl"
-    sink = JsonlSink(path, durable=True)
-    tracer = Tracer(sinks=[sink])
+    synced = []
+    monkeypatch.setattr("repro.obs.tracer.os.fsync", synced.append)
+    tracer = Tracer(sinks=[JsonlSink(path, durable=True)])
     with tracer.span("durable"):
         pass
     assert json.loads(path.read_text())["name"] == "durable"
-    clone = pickle.loads(pickle.dumps(sink))
-    assert clone.durable is True
+    assert len(synced) == 1
 
 
 def test_read_spans_tolerates_torn_final_line(tmp_path):
@@ -161,18 +161,30 @@ def test_logging_sink_emits_records(caplog):
     assert any("logged" in message for message in caplog.messages)
 
 
-def test_tracer_pickles_with_jsonl_sink(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    tracer = Tracer(sinks=[JsonlSink(path)])
-    with tracer.span("before-pickle"):
-        pass
-    clone = pickle.loads(pickle.dumps(tracer))
-    with clone.span("after-pickle"):
-        pass
-    names = [
-        json.loads(line)["name"] for line in path.read_text().splitlines()
+def test_adopt_nests_foreign_spans_under_a_recorded_span():
+    worker = Tracer()
+    with worker.span("sweep"):
+        with worker.span("fit", k=2):
+            pass
+    tracer = Tracer()
+    with tracer.span("run"):
+        with tracer.span("sibling"):
+            pass
+        goal = tracer.record_span("goal", 0.5, goal="g")
+        tracer.adopt(worker.finished(), goal)
+    spans = tracer.finished()
+    assert [s["name"] for s in spans] == [
+        "sibling", "goal", "fit", "sweep", "run"
     ]
-    assert names == ["before-pickle", "after-pickle"]
+    by_name = {s["name"]: s for s in spans}
+    assert len({s["span_id"] for s in spans}) == len(spans)
+    assert by_name["sweep"]["parent_id"] == goal["span_id"]
+    assert by_name["fit"]["parent_id"] == by_name["sweep"]["span_id"]
+    assert by_name["fit"]["attrs"] == {"k": 2}
+    assert {s["trace_id"] for s in spans} == {by_name["run"]["span_id"]}
+    assert by_name["sweep"]["depth"] == goal["depth"] + 1 == 2
+    assert by_name["fit"]["depth"] == 3
+    assert NULL_TRACER.adopt(spans, None) is None
 
 
 def test_null_tracer_overhead_is_small():
@@ -243,6 +255,32 @@ def test_metrics_snapshot_is_json_serialisable():
     metrics.histogram("h").observe(1e9)  # lands in the +inf bucket
     encoded = json.dumps(metrics.snapshot())
     assert "inf" in encoded
+
+
+def test_metrics_merge_adds_counts_and_keeps_later_gauges():
+    parent, child = Metrics(), Metrics()
+    parent.counter("c").inc(2)
+    parent.gauge("g").set(1.0)
+    parent.histogram("h", bounds=[1.0, 2.0]).observe(1.5)
+    child.counter("c").inc(3)
+    child.counter("new").inc()
+    child.gauge("g").set(7.0)
+    for value in (0.5, 3.0):
+        child.histogram("h", bounds=[1.0, 2.0]).observe(value)
+    child.histogram("fresh").observe(0.2)
+    parent.merge(child)
+    snapshot = parent.snapshot()
+    assert snapshot["counters"] == {"c": 5, "new": 1}
+    assert snapshot["gauges"] == {"g": 7.0}
+    merged = snapshot["histograms"]["h"]
+    assert (merged["count"], merged["sum"]) == (3, 5.0)
+    assert (merged["min"], merged["max"]) == (0.5, 3.0)
+    assert [b["count"] for b in merged["buckets"]] == [1, 1, 1]
+    assert snapshot["histograms"]["fresh"]["count"] == 1
+    other = Metrics()
+    other.histogram("h", bounds=[5.0]).observe(1.0)
+    with pytest.raises(ValueError, match="bounds"):
+        parent.merge(other)
 
 
 def test_metrics_pickles():
@@ -417,31 +455,79 @@ def test_analyze_emits_nested_goal_spans(traced_analysis):
     ]
 
 
-def _goal_spans(executor):
+#: Instruments only the process backend records: its queue latency and
+#: the pickled size of each task.
+PROCESS_ONLY_INSTRUMENTS = {"executor.queue_seconds", "cloud.payload_bytes"}
+
+
+def _telemetry(executor, trace_path):
+    """One analysis's telemetry, reduced to what must not depend on
+    the backend: goal span attributes, the span tree as (name, parent
+    name) pairs, counters, gauges and histogram counts."""
     sink = InMemorySink()
+    metrics = Metrics()
     config = EngineConfig(
-        max_goals=3,
+        k_values=(2, 3),
+        partial_fractions=(0.5, 1.0),
+        partial_k_values=(2,),
+        n_folds=3,
         min_support=0.35,
         min_confidence=0.6,
-        sequence_min_support=0.5,
-        sequence_max_length=2,
         executor=executor,
         executor_workers=2,
-        tracer=Tracer(sinks=[sink]),
+        tracer=Tracer(sinks=[sink, JsonlSink(trace_path)]),
+        metrics=metrics,
     )
     engine = ADAHealth(config=config, seed=11)
-    engine.analyze(small_dataset(n_patients=40, seed=11), name="parity")
+    engine.analyze(
+        small_dataset(n_patients=60, seed=11),
+        name="parity",
+        goals=[
+            "patient-segmentation",
+            "co-prescription-patterns",
+            "care-pathway-rules",
+        ],
+    )
     manifest = engine.kdb.run_history(limit=1)[0]
     assert manifest["executor"]["backend"] == executor
     (run_goals,) = [s for s in sink.spans if s["name"] == "run-goals"]
     goals = [s for s in sink.spans if s["name"] == "goal"]
-    assert len(goals) >= 2
+    assert len(goals) == 3
     assert all(s["parent_id"] == run_goals["span_id"] for s in goals)
-    return sorted(json.dumps(s["attrs"], sort_keys=True) for s in goals)
+    names = {s["span_id"]: s["name"] for s in sink.spans}
+    tree = sorted(
+        (s["name"], names.get(s["parent_id"])) for s in sink.spans
+    )
+    snapshot = metrics.snapshot()
+    return {
+        "goals": sorted(json.dumps(s["attrs"], sort_keys=True) for s in goals),
+        "tree": tree,
+        "counters": snapshot["counters"],
+        "gauges": snapshot["gauges"],
+        "histograms": {
+            name: histogram["count"]
+            for name, histogram in snapshot["histograms"].items()
+            if name not in PROCESS_ONLY_INSTRUMENTS
+        },
+    }
 
 
-def test_serial_and_process_runs_emit_the_same_goal_spans():
-    assert _goal_spans("serial") == _goal_spans("process")
+def test_serial_and_process_runs_emit_the_same_goal_spans(tmp_path):
+    """Goal-internal spans and metrics come back from the goal tasks on
+    both backends: the same span tree, with the optimiser's spans under
+    their goal, and the same instruments."""
+    serial = _telemetry("serial", tmp_path / "serial.jsonl")
+    process = _telemetry("process", tmp_path / "process.jsonl")
+    assert process == serial
+    assert ("kmeans-optimize", "goal") in serial["tree"]
+    assert serial["counters"]["apriori.candidates"] > 0
+    assert serial["histograms"]["optimizer.k_seconds"] == 2
+    for name in ("serial", "process"):
+        spans = read_spans(tmp_path / f"{name}.jsonl")
+        ids = [span["span_id"] for span in spans]
+        assert len(set(ids)) == len(ids)
+        roots = [span["name"] for span in spans if span["parent_id"] is None]
+        assert roots == ["analyze"]
 
 
 def test_analyze_metrics_include_cache_counters(traced_analysis):

@@ -11,6 +11,7 @@ from repro.core import (
     OptimizationRow,
     sse_plateau,
 )
+import repro.core.optimizer as optimizer_module
 from repro.core.optimizer import PAPER_K_VALUES
 from repro.exceptions import MiningError
 from repro.preprocess import L2Normalizer, VSMBuilder
@@ -182,28 +183,25 @@ def _tied_row(k):
                            overall_similarity=0.5)
 
 
-class _TiedOptimizer(KMeansOptimizer):
-    """Computes every K as a tied row and records which it computed."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.computed = []
-
-    def evaluate_k(self, data, k, resume=None):
-        self.computed.append(k)
-        return _tied_row(k)
-
-
 @pytest.mark.parametrize(
     "k_values", [(4, 6), (6, 4)], ids=["4-6", "6-4"]
 )
-def test_a_combined_tie_selects_the_smallest_k(matrix, k_values):
+def test_a_combined_tie_selects_the_smallest_k(
+    matrix, k_values, monkeypatch
+):
     """On the paper cohort K = 4 and K = 6 both score combined == 1.0;
     the sweep picks the smallest tied K, in whichever order the K
     values are evaluated."""
-    optimizer = _TiedOptimizer(k_values=k_values, n_folds=2)
+    computed = []
+
+    def tied(ref, k, *settings):
+        computed.append(k)
+        return _tied_row(k)
+
+    monkeypatch.setattr(optimizer_module, "_evaluate_k_task", tied)
+    optimizer = KMeansOptimizer(k_values=k_values, n_folds=2)
     report = optimizer.optimize(matrix)
-    assert optimizer.computed == list(k_values)
+    assert computed == list(k_values)
     assert [row.combined for row in report.rows] == [1.0, 1.0]
     assert report.best_k == 4
 

@@ -8,6 +8,7 @@ results between a faulty run (with enough retries) and a fault-free
 one, on both backends.
 """
 
+import functools
 import multiprocessing
 import os
 import pickle
@@ -25,6 +26,7 @@ from repro.cloud import (
 )
 from repro.cloud.executor import SweepResult, TaskFailure, TaskSpec
 from repro.core import ADAHealth, EngineConfig
+from repro.core.engine import GOAL_PIPELINES
 from repro.data import SharedMatrix, leaked_segments, small_dataset
 from repro.core.cache import AnalysisCache
 from repro.exceptions import (
@@ -318,6 +320,16 @@ BREAKER_KNOBS = dict(
 )
 
 
+def _wrap_pipelines(monkeypatch, wrapper):
+    """Route every goal pipeline through ``wrapper(pipeline, context,
+    log, tracer, metrics)``. Patched before a pool forks, the table
+    reaches the workers too."""
+    for name, pipeline in list(GOAL_PIPELINES.items()):
+        monkeypatch.setitem(
+            GOAL_PIPELINES, name, functools.partial(wrapper, pipeline)
+        )
+
+
 def _pooled_engine(**kwargs):
     return ADAHealth(
         config=EngineConfig(
@@ -402,11 +414,10 @@ def test_breaker_trip_rescues_only_infrastructure_failures(
     mid-run: only the lost goals re-run serially, completed siblings
     are kept."""
     ran = []
-    original = ADAHealth._run_goal
 
-    def counted(self, goal, log, profile, dataset_id):
-        ran.append(goal.name)
-        return original(self, goal, log, profile, dataset_id)
+    def counted(pipeline, context, *args):
+        ran.append(context.goal.name)
+        return pipeline(context, *args)
 
     def time_out_odd_slots(self, tasks):
         # Even slots run here, in-process; odd slots "hang".
@@ -423,7 +434,7 @@ def test_breaker_trip_rescues_only_infrastructure_failures(
             task_seconds=[0.0] * len(tasks),
         )
 
-    monkeypatch.setattr(ADAHealth, "_run_goal", counted)
+    _wrap_pipelines(monkeypatch, counted)
     monkeypatch.setattr(
         ProcessPoolExecutorBackend, "run", time_out_odd_slots
     )
@@ -447,11 +458,11 @@ def test_task_errors_do_not_trip_the_breaker(tiny_log, monkeypatch):
     """A goal's own ValueError would fail the same way on any backend:
     it fails the goal and never counts against the pool."""
 
-    def broken(self, goal, log, profile, dataset_id):
-        raise ValueError(f"{goal.name} is broken")
+    def broken(pipeline, context, *args):
+        raise ValueError(f"{context.goal.name} is broken")
 
     # Patched before the pool forks, so the workers inherit it.
-    monkeypatch.setattr(ADAHealth, "_run_goal", broken)
+    _wrap_pipelines(monkeypatch, broken)
     engine = _pooled_engine(on_goal_error="degrade")
     result = engine.analyze(tiny_log, name="broken-goals")
     assert len(result.failed_goals()) == len(result.runs) >= 3
@@ -471,15 +482,14 @@ def test_crashing_workers_trip_the_breaker_through_analyze(
     open, so the next analyze runs serially from the start — no pool,
     no shared-memory copy of the log, and a manifest that says so."""
     parent = os.getpid()
-    original = ADAHealth._run_goal
 
-    def exit_in_worker(self, goal, log, profile, dataset_id):
+    def exit_in_worker(pipeline, *args):
         if os.getpid() != parent:
             os._exit(13)
-        return original(self, goal, log, profile, dataset_id)
+        return pipeline(*args)
 
     # Patched before the pool forks, so the workers inherit it.
-    monkeypatch.setattr(ADAHealth, "_run_goal", exit_in_worker)
+    _wrap_pipelines(monkeypatch, exit_in_worker)
     engine = _pooled_engine()
     first = engine.analyze(tiny_log, name="crashing")
     n_goals = len(first.runs)
@@ -537,6 +547,13 @@ def test_engine_rejects_unknown_on_goal_error():
         ADAHealth(config=EngineConfig(on_goal_error="ignore"))
     with pytest.raises(EngineError):
         ADAHealth(config=EngineConfig(retries=-1))
+    with pytest.raises(EngineError, match="executor_workers"):
+        ADAHealth(
+            config=EngineConfig(executor="process", executor_workers=0)
+        )
+    for timeout in (-1.0, 0.0):
+        with pytest.raises(EngineError, match="task_timeout"):
+            ADAHealth(config=EngineConfig(task_timeout=timeout))
     for executor in ("cluster", "threads"):
         with pytest.raises(EngineError, match="executor must be one of"):
             ADAHealth(config=EngineConfig(executor=executor))
@@ -544,16 +561,12 @@ def test_engine_rejects_unknown_on_goal_error():
 
 @pytest.fixture(scope="module")
 def degraded_engine_and_result(small_log):
-    from repro.core.engine import ADAHealth as EngineClass
+    original = GOAL_PIPELINES["patient-segmentation"]
 
-    original = EngineClass._run_goal
+    def sabotaged(context, log, tracer, metrics):
+        raise RuntimeError("injected goal failure")
 
-    def sabotaged(self, goal, log, profile, dataset_id):
-        if goal.name == "patient-segmentation":
-            raise RuntimeError("injected goal failure")
-        return original(self, goal, log, profile, dataset_id)
-
-    EngineClass._run_goal = sabotaged
+    GOAL_PIPELINES["patient-segmentation"] = sabotaged
     try:
         engine = ADAHealth(
             config=EngineConfig(
@@ -569,7 +582,7 @@ def degraded_engine_and_result(small_log):
             small_log, name="degraded-test", user="dr-chaos"
         )
     finally:
-        EngineClass._run_goal = original
+        GOAL_PIPELINES["patient-segmentation"] = original
     return engine, result
 
 
@@ -642,16 +655,16 @@ def test_serial_goal_fanout_honours_retries(small_log, monkeypatch):
     clean = ADAHealth(config=EngineConfig(**knobs), seed=0).analyze(
         small_log, name="clean"
     )
-    original = ADAHealth._run_goal
+    original = GOAL_PIPELINES["patient-segmentation"]
     failed = []
 
-    def flaky(self, goal, log, profile, dataset_id):
-        if goal.name == "patient-segmentation" and not failed:
-            failed.append(goal.name)
+    def flaky(context, *args):
+        if not failed:
+            failed.append(context.goal.name)
             raise ConnectionError("transient goal failure")
-        return original(self, goal, log, profile, dataset_id)
+        return original(context, *args)
 
-    monkeypatch.setattr(ADAHealth, "_run_goal", flaky)
+    monkeypatch.setitem(GOAL_PIPELINES, "patient-segmentation", flaky)
     engine = ADAHealth(config=EngineConfig(retries=1, **knobs), seed=0)
     healed = engine.analyze(small_log, name="healed")
     assert failed == ["patient-segmentation"]
